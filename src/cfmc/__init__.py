@@ -50,8 +50,6 @@ from .estimator import (
 from .kernel import (
     KernelDerivatives,
     SteinKernelParams,
-    SteinMatrixBundle,
-    assemble_matrices,
     base_kernel,
     base_kernel_derivatives,
     gram_matrix,
@@ -78,12 +76,10 @@ __all__ = [
     "SingularMatrixError",
     "SplitPlan",
     "SteinKernelParams",
-    "SteinMatrixBundle",
     "SurrogateFit",
     "TargetProblem",
     "ZvFit",
     "arithmetic_mean",
-    "assemble_matrices",
     "base_kernel",
     "base_kernel_derivatives",
     "cf_multisplit_estimate",
@@ -112,4 +108,5 @@ __all__ = [
     "write_csv",
     "write_json",
     "write_sample_file",
+    "zv_estimate",
 ]

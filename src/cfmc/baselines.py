@@ -13,7 +13,6 @@ the normalised density.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,7 +108,7 @@ def zv_estimate(data: ScoredDataset, degree: int) -> Estimate:
         method=f"zv{degree}",
         n=data.n,
         m=data.n,
-        lambda_used=math.nan,
+        lambda_used=None,
     )
 
 

@@ -20,6 +20,7 @@ import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from . import baselines
 from .data import ScoredDataset, random_split
 from .errors import CfmcError, InvalidInputError
 from .estimator import (
+    Estimate,
     cf_multisplit_estimate,
     cf_simplified_estimate,
     cf_split_estimate,
@@ -35,8 +37,7 @@ from .estimator import (
 from .kernel import SteinKernelParams
 from .targets import TargetProblem, gaussian_problem, mixture_problem, oracle_mean
 
-METHOD_TAGS = ("mean", "zv1", "zv2", "riemann", "cf-split", "cf-simplified", "cf-multisplit")
-
+# Version of the report and ``cfmc estimate --output json`` layouts.
 SCHEMA_VERSION = 1
 
 CSV_COLUMNS = ("method", "n", "replication", "estimate", "lambda_used", "seed")
@@ -61,9 +62,9 @@ class MethodSpec:
     label: str | None = None
 
     def __post_init__(self):
-        if self.method not in METHOD_TAGS:
+        if self.method not in METHODS:
             raise InvalidInputError(
-                f"unknown method {self.method!r}; valid tags: {', '.join(METHOD_TAGS)}"
+                f"unknown method {self.method!r}; valid tags: {', '.join(METHODS)}"
             )
 
     @property
@@ -212,6 +213,101 @@ def cell_dataset(config: ExperimentConfig, problem: TargetProblem, n: int, repli
     return problem.dataset(rng, n)
 
 
+def _split_size(n: int, split_fraction: float) -> int:
+    m = math.ceil(split_fraction * n)
+    if not 1 <= m < n:
+        raise InvalidInputError(f"split fraction {split_fraction} of n={n} gives degenerate m={m}")
+    return m
+
+
+def _kernel_params(spec: MethodSpec, cv_set, cv_seed) -> SteinKernelParams:
+    """The spec's kernel, or the CV choice on the dataset ``cv_set()`` when
+    the spec has a grid."""
+    params = spec.kernel_params()
+    if spec.cv_grid:
+        params = cross_validate(
+            cv_set(), spec.cv_grid, train_fraction=spec.cv_train_fraction, seed=cv_seed
+        )
+    return params
+
+
+def _mean(spec, data, **_):
+    value = baselines.arithmetic_mean(data.f_values)
+    return Estimate(value=value, method="mean", n=data.n, m=data.n, lambda_used=None)
+
+
+def _zv(spec, data, **_):
+    return baselines.zv_estimate(data, degree=int(spec.method[-1]))
+
+
+def _riemann(spec, data, *, density, **_):
+    if density is None:
+        raise InvalidInputError("riemann baseline needs a d=1 problem with a density")
+    value = baselines.riemann_1d(data, density)
+    return Estimate(value=value, method="riemann", n=data.n, m=data.n, lambda_used=None)
+
+
+def _cf_simplified(spec, data, *, cv_seed, **_):
+    params = _kernel_params(spec, lambda: data, cv_seed)
+    return cf_simplified_estimate(data, params, lambda_=spec.lambda_)
+
+
+def _cf_split(spec, data, *, split_seed, cv_seed, split_fraction, compute_discrepancy, **_):
+    plan = random_split(data.n, _split_size(data.n, split_fraction), split_seed)
+    params = _kernel_params(spec, lambda: data.subset(plan.index_d0), cv_seed)
+    return cf_split_estimate(
+        data, plan, params, lambda_=spec.lambda_, compute_discrepancy=compute_discrepancy
+    )
+
+
+def _cf_multisplit(spec, data, *, split_seed, cv_seed, split_fraction, n_splits, **_):
+    def cv_set():
+        plan = random_split(data.n, _split_size(data.n, split_fraction), cv_seed)
+        return data.subset(plan.index_d0)
+
+    params = _kernel_params(spec, cv_set, cv_seed)
+    return cf_multisplit_estimate(
+        data, n_splits, split_fraction, params, seed=split_seed, lambda_=spec.lambda_
+    )
+
+
+class _Method(NamedTuple):
+    run: Callable[..., Estimate]
+    needs_density: bool = False
+
+
+# Every estimator, by tag.  ``needs_density`` marks the methods that need the
+# normalised density, which sample files do not carry.
+METHODS = {
+    "mean": _Method(_mean),
+    "zv1": _Method(_zv),
+    "zv2": _Method(_zv),
+    "riemann": _Method(_riemann, needs_density=True),
+    "cf-split": _Method(_cf_split),
+    "cf-simplified": _Method(_cf_simplified),
+    "cf-multisplit": _Method(_cf_multisplit),
+}
+
+
+def run_estimator(
+    spec: MethodSpec, data: ScoredDataset, *, split_seed, cv_seed, split_fraction: float = 0.5,
+    n_splits: int = 1, density=None, compute_discrepancy: bool = False,
+) -> Estimate:
+    """Run the method ``spec`` names on ``data``.
+
+    Split methods draw their split(s) from ``split_seed``; a ``cv_grid`` is
+    searched with the ``cv_seed`` stream.  cf-split cross-validates on its
+    own fitting set, cf-simplified on all samples, and cf-multisplit on the
+    fitting set of one extra split drawn from ``cv_seed``.  ``density`` is
+    the normalised target density (riemann only); ``compute_discrepancy``
+    attaches D(D0, D1) to a cf-split estimate.
+    """
+    return METHODS[spec.method].run(
+        spec, data, split_seed=split_seed, cv_seed=cv_seed, split_fraction=split_fraction,
+        n_splits=n_splits, density=density, compute_discrepancy=compute_discrepancy,
+    )
+
+
 def _run_method(
     spec: MethodSpec,
     dataset: ScoredDataset,
@@ -220,52 +316,13 @@ def _run_method(
     stream: np.random.SeedSequence,
 ) -> tuple[float, float | None]:
     """Run one method on one dataset; returns (estimate, lambda or None)."""
-    if spec.method == "mean":
-        return baselines.arithmetic_mean(dataset.f_values), None
-    if spec.method in ("zv1", "zv2"):
-        est = baselines.zv_estimate(dataset, degree=int(spec.method[-1]))
-        return est.value, None
-    if spec.method == "riemann":
-        if problem.normalised_density is None or problem.dimension != 1:
-            raise InvalidInputError("riemann baseline needs a d=1 problem with a density")
-        return baselines.riemann_1d(dataset, problem.normalised_density), None
-
     run_stream, cv_stream = stream.spawn(2)
-    if spec.method == "cf-simplified":
-        params = spec.kernel_params()
-        if spec.cv_grid:
-            params = cross_validate(
-                dataset, spec.cv_grid, train_fraction=spec.cv_train_fraction, seed=cv_stream
-            )
-        est = cf_simplified_estimate(dataset, params, lambda_=spec.lambda_)
-        return est.value, est.lambda_used
-    if spec.method == "cf-split":
-        m = math.ceil(config.split_fraction * dataset.n)
-        plan = random_split(dataset.n, m, run_stream)
-        params = spec.kernel_params()
-        if spec.cv_grid:
-            d0 = dataset.subset(plan.index_d0)
-            params = cross_validate(
-                d0, spec.cv_grid, train_fraction=spec.cv_train_fraction, seed=cv_stream
-            )
-        est = cf_split_estimate(dataset, plan, params, lambda_=spec.lambda_)
-        return est.value, est.lambda_used
-    if spec.method == "cf-multisplit":
-        params = spec.kernel_params()
-        if spec.cv_grid:
-            cv_plan = random_split(dataset.n, math.ceil(config.split_fraction * dataset.n), cv_stream)
-            params = cross_validate(
-                dataset.subset(cv_plan.index_d0),
-                spec.cv_grid,
-                train_fraction=spec.cv_train_fraction,
-                seed=cv_stream,
-            )
-        est = cf_multisplit_estimate(
-            dataset, config.n_splits, config.split_fraction, params, seed=run_stream,
-            lambda_=spec.lambda_,
-        )
-        return est.value, est.lambda_used
-    raise InvalidInputError(f"unknown method {spec.method!r}")
+    est = run_estimator(
+        spec, dataset, split_seed=run_stream, cv_seed=cv_stream,
+        split_fraction=config.split_fraction, n_splits=config.n_splits,
+        density=problem.normalised_density,
+    )
+    return est.value, est.lambda_used
 
 
 @dataclass(frozen=True)

@@ -26,27 +26,17 @@ import numpy as np
 
 from . import bench as bench_mod
 from . import diagnostics
-from .baselines import arithmetic_mean, zv_estimate
-from .data import random_split, read_sample_file, write_sample_file
+from .bench import SCHEMA_VERSION
+from .data import read_sample_file, write_sample_file
 from .errors import (
     DataFormatError,
     InvalidInputError,
     NumericalError,
     SingularMatrixError,
 )
-from .estimator import (
-    Estimate,
-    cf_multisplit_estimate,
-    cf_simplified_estimate,
-    cf_split_estimate,
-    cross_validate,
-)
+from .estimator import Estimate
 from .kernel import SteinKernelParams
 from .targets import gaussian_problem, mixture_problem
-
-ESTIMATE_METHODS = ("cf-split", "cf-simplified", "cf-multisplit", "mean", "zv1", "zv2")
-
-SCHEMA_VERSION = 1
 
 
 def _lambda_arg(text: str):
@@ -90,7 +80,7 @@ def _print_estimate(est: Estimate, args, radius: float | None) -> None:
         "schema_version": SCHEMA_VERSION,
         "value": est.value,
         "method": est.method,
-        "lambda_used": None if est.lambda_used is None or math.isnan(est.lambda_used) else est.lambda_used,
+        "lambda_used": est.lambda_used,
         "m": est.m,
         "n": est.n,
     }
@@ -111,43 +101,15 @@ def _print_estimate(est: Estimate, args, radius: float | None) -> None:
 
 def cmd_estimate(args) -> int:
     data = read_sample_file(args.input)
-    lam = args.lambda_
-    grid = _load_cv_grid(args.cv_grid) if args.cv_grid else None
-    radius = None
-
-    if args.method == "mean":
-        est = Estimate(
-            value=arithmetic_mean(data.f_values), method="mean", n=data.n, m=data.n,
-            lambda_used=math.nan,
-        )
-    elif args.method in ("zv1", "zv2"):
-        est = zv_estimate(data, degree=int(args.method[-1]))
-    else:
-        params = SteinKernelParams(alpha1=args.alpha1, alpha2=args.alpha2)
-        if args.method == "cf-simplified":
-            if grid:
-                params = cross_validate(data, grid, seed=args.seed)
-            est = cf_simplified_estimate(data, params, lambda_=lam)
-        elif args.method == "cf-split":
-            m = math.ceil(args.split_fraction * data.n)
-            if not 1 <= m < data.n:
-                raise InvalidInputError(
-                    f"split fraction {args.split_fraction} of n={data.n} gives degenerate m={m}"
-                )
-            plan = random_split(data.n, m, args.seed)
-            if grid:
-                params = cross_validate(data.subset(plan.index_d0), grid, seed=args.seed + 1)
-            est = cf_split_estimate(
-                data, plan, params, lambda_=lam, compute_discrepancy=args.bound
-            )
-            if args.bound:
-                radius = math.sqrt(est.discrepancy) * args.fnorm
-        else:  # cf-multisplit
-            if grid:
-                params = cross_validate(data, grid, seed=args.seed + 1)
-            est = cf_multisplit_estimate(
-                data, args.splits, args.split_fraction, params, seed=args.seed, lambda_=lam
-            )
+    spec = bench_mod.MethodSpec(
+        method=args.method, alpha1=args.alpha1, alpha2=args.alpha2, lambda_=args.lambda_,
+        cv_grid=_load_cv_grid(args.cv_grid) if args.cv_grid else None,
+    )
+    est = bench_mod.run_estimator(
+        spec, data, split_seed=args.seed, cv_seed=args.seed + 1,
+        split_fraction=args.split_fraction, n_splits=args.splits, compute_discrepancy=args.bound,
+    )
+    radius = math.sqrt(est.discrepancy) * args.fnorm if args.bound else None
     _print_estimate(est, args, radius)
     return 0
 
@@ -235,7 +197,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     est = sub.add_parser("estimate", help="estimate an expectation from a sample file")
     est.add_argument("input", help="sample file with columns x_1..x_d, f, u_1..u_d")
-    est.add_argument("--method", choices=ESTIMATE_METHODS, default="cf-simplified")
+    est.add_argument(
+        "--method",
+        choices=[tag for tag, entry in bench_mod.METHODS.items() if not entry.needs_density],
+        default="cf-simplified",
+    )
     est.add_argument("--alpha1", type=float, default=0.1)
     est.add_argument("--alpha2", type=float, default=1.0)
     est.add_argument("--cv-grid", help="JSON file with [alpha1, alpha2] candidate pairs")

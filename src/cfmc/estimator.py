@@ -29,12 +29,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .data import ScoredDataset, SplitPlan, random_split
 from .errors import InvalidInputError, NumericalError, SingularMatrixError
-from .kernel import (
-    SteinKernelParams,
-    assemble_matrices,
-    gram_matrix,
-    stein_kernel_matrix,
-)
+from .kernel import SteinKernelParams, gram_matrix, stein_kernel_matrix
 
 # Regularisation grid: powers of 10 from 1e-16 up to 1.
 LAMBDA_GRID = tuple(10.0**k for k in range(-16, 1))
@@ -77,32 +72,57 @@ def select_lambda(k0: np.ndarray) -> float:
 
 
 def _factorise(k0: np.ndarray, lam: float):
-    """Cholesky factorisation of k0 + lam*m*I."""
+    """Cholesky factor of A = k0 + lam*m*I, and z = A^-1 1."""
     m = k0.shape[0]
     system = k0 + (lam * m) * np.eye(m)
     try:
-        return cho_factor(system, lower=True)
+        chol = cho_factor(system, lower=True)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(
             f"kernel system of size {m} could not be factorised with lambda={lam!r}; "
             "try a larger regularisation parameter"
         ) from exc
+    return chol, cho_solve(chol, np.ones(m))
 
 
 def _fit_coefficients(k0: np.ndarray, f0: np.ndarray, lam: float):
     """Solve for (c_hat, beta) given the Gram matrix of the fitting set.
 
     c_hat = 1'(K0 + lam*m*I)^-1 f0 / (1 + 1'(K0 + lam*m*I)^-1 1) and
-    beta = (K0 + lam*m*I)^-1 (f0 - c_hat*1).  Returns the factorisation too so
-    callers can reuse it for further solves.
+    beta = (K0 + lam*m*I)^-1 (f0 - c_hat*1).  Returns the factor and
+    z = A^-1 1 too, so callers can reuse them in :func:`_split_solve`.
     """
-    chol = _factorise(k0, lam)
+    chol, z = _factorise(k0, lam)
     ones = np.ones(k0.shape[0])
-    z = cho_solve(chol, ones)
     y = cho_solve(chol, f0)
     c_hat = float(ones @ y) / (1.0 + float(ones @ z))
     beta = y - c_hat * z
     return c_hat, beta, chol, z
+
+
+def _split_solve(chol, z: np.ndarray, k10: np.ndarray):
+    """The solve shared by the split weights and the discrepancy.
+
+    For the factor ``chol`` of A = K0 + lam*m*I, z = A^-1 1 and the cross
+    block K10, returns g = K10'1, h = A^-1 g, s = 1'h and q = 1'z.
+    """
+    ones_m = np.ones(z.shape[0])
+    g = k10.T @ np.ones(k10.shape[0])
+    h = cho_solve(chol, g)
+    return g, h, float(ones_m @ h), float(ones_m @ z)
+
+
+def _discrepancy_from_factor(chol, z: np.ndarray, k10: np.ndarray, k1: np.ndarray) -> float:
+    """D(D0, D1) of :func:`discrepancy_from_matrices` from an existing factor."""
+    n_minus_m = k10.shape[0]
+    g, h, s, q = _split_solve(chol, z, k10)
+    ones_eval = np.ones(n_minus_m)
+    value = (s * s / (1.0 + q) - float(g @ h) + float(ones_eval @ k1 @ ones_eval)) / (
+        n_minus_m * n_minus_m
+    )
+    if value < -1e-10:
+        raise NumericalError(f"discrepancy evaluated to {value}, below tolerance")
+    return max(value, 0.0)
 
 
 @dataclass(frozen=True)
@@ -129,13 +149,14 @@ class Estimate:
 
     ``term_star`` is the held-out residual average, ``term_star_star`` the
     surrogate mean; when both are present their sum is the value.
+    ``lambda_used`` is ``None`` for methods without a kernel system.
     """
 
     value: float
     method: str
     n: int
     m: int
-    lambda_used: float
+    lambda_used: float | None
     term_star: float | None = None
     term_star_star: float | None = None
     discrepancy: float | None = None
@@ -166,18 +187,24 @@ class Estimate:
         }
 
 
-def fit_surrogate(d0: ScoredDataset, params: SteinKernelParams, lambda_: float) -> SurrogateFit:
-    """Fit the regularised least-squares surrogate on the fitting set ``d0``."""
-    if lambda_ < 0:
+def fit_surrogate(
+    d0: ScoredDataset, params: SteinKernelParams, lambda_: float | None = None
+) -> SurrogateFit:
+    """Fit the regularised least-squares surrogate on the fitting set ``d0``.
+
+    ``lambda_`` defaults to the automatic conditioning rule.
+    """
+    if lambda_ is not None and lambda_ < 0:
         raise InvalidInputError("lambda must be non-negative")
     k0 = gram_matrix(d0, params)
-    c_hat, beta, _, _ = _fit_coefficients(k0, d0.f_values, lambda_)
+    lam = select_lambda(k0) if lambda_ is None else float(lambda_)
+    c_hat, beta, _, _ = _fit_coefficients(k0, d0.f_values, lam)
     return SurrogateFit(
         c_hat=c_hat,
         beta=beta,
         node_points=d0.points,
         node_scores=d0.scores,
-        lambda_=lambda_,
+        lambda_=lam,
         params=params,
     )
 
@@ -227,8 +254,7 @@ def cf_split_estimate(
     star = float(np.mean(d1.f_values - f1_hat))
     disc = None
     if compute_discrepancy:
-        k1 = gram_matrix(d1, params)
-        disc = discrepancy_from_matrices(k0, k10, k1, lambda_=lam)
+        disc = _discrepancy_from_factor(chol, z, k10, gram_matrix(d1, params))
     return Estimate(
         value=star + c_hat,
         method="cf-split",
@@ -285,14 +311,9 @@ def cf_weights(
     k0 = gram_matrix(d0, params)
     k10 = stein_kernel_matrix(d1.points, d1.scores, d0.points, d0.scores, params)
     lam = select_lambda(k0) if lambda_ is None else float(lambda_)
-    chol = _factorise(k0, lam)
-    m, n_minus_m = plan.m, d1.n
-    ones_m = np.ones(m)
-    ones_eval = np.ones(n_minus_m)
-    z = cho_solve(chol, ones_m)
-    q = float(ones_m @ z)
-    h = cho_solve(chol, k10.T @ ones_eval)
-    s = float(ones_m @ h)
+    chol, z = _factorise(k0, lam)
+    _, h, s, q = _split_solve(chol, z, k10)
+    n_minus_m = d1.n
     w0 = -h / n_minus_m + (s / (n_minus_m * (1.0 + q))) * z
     w = np.empty(data.n)
     w[plan.index_d0] = w0
@@ -360,23 +381,10 @@ def discrepancy_from_matrices(
     k0 = np.asarray(k0, dtype=float)
     k10 = np.asarray(k10, dtype=float)
     k1 = np.asarray(k1, dtype=float)
-    n_minus_m = k10.shape[0]
-    if n_minus_m < 1:
+    if k10.shape[0] < 1:
         raise InvalidInputError("discrepancy requires at least one evaluation sample")
-    chol = _factorise(k0, lambda_)
-    ones_m = np.ones(k0.shape[0])
-    ones_eval = np.ones(n_minus_m)
-    z = cho_solve(chol, ones_m)
-    q = float(ones_m @ z)
-    g = k10.T @ ones_eval
-    h = cho_solve(chol, g)
-    s = float(ones_m @ h)
-    value = (s * s / (1.0 + q) - float(g @ h) + float(ones_eval @ k1 @ ones_eval)) / (
-        n_minus_m * n_minus_m
-    )
-    if value < -1e-10:
-        raise NumericalError(f"discrepancy evaluated to {value}, below tolerance")
-    return max(value, 0.0)
+    chol, z = _factorise(k0, lambda_)
+    return _discrepancy_from_factor(chol, z, k10, k1)
 
 
 def discrepancy(
@@ -392,9 +400,10 @@ def discrepancy(
     """
     if d0 is None or d0.n < 1 or d1 is None or d1.n < 1:
         raise InvalidInputError("d0 and d1 must both be non-empty")
-    bundle = assemble_matrices(d0, d1, params)
-    lam = select_lambda(bundle.k0) if lambda_ is None else float(lambda_)
-    return discrepancy_from_matrices(bundle.k0, bundle.k10, bundle.k1, lambda_=lam)
+    k0 = gram_matrix(d0, params)
+    k10 = stein_kernel_matrix(d1.points, d1.scores, d0.points, d0.scores, params)
+    lam = select_lambda(k0) if lambda_ is None else float(lambda_)
+    return discrepancy_from_matrices(k0, k10, gram_matrix(d1, params), lambda_=lam)
 
 
 def cross_validate(
@@ -434,13 +443,8 @@ def cross_validate(
     failures = []
     for i, cand in enumerate(grid):
         try:
-            k0 = gram_matrix(train, cand)
-            lam = select_lambda(k0)
-            c_hat, beta, _, _ = _fit_coefficients(k0, train.f_values, lam)
-            cross = stein_kernel_matrix(
-                test.points, test.scores, train.points, train.scores, cand
-            )
-            predicted = c_hat + cross @ beta
+            fit = fit_surrogate(train, cand)
+            predicted = predict_surrogate(fit, test.points, test.scores)
             errors[i] = float(np.linalg.norm(test.f_values - predicted))
         except (InvalidInputError, SingularMatrixError, NumericalError, OverflowError) as exc:
             failures.append(f"candidate {i} ({cand}): {exc}")

@@ -58,21 +58,6 @@ class KernelDerivatives:
     div_grad: float
 
 
-@dataclass(frozen=True)
-class SteinMatrixBundle:
-    """Stein-kernel blocks for a split dataset.
-
-    ``k0`` is the m x m Gram matrix over the fitting set, ``k10`` the
-    (n-m) x m cross block, and ``k1`` the (n-m) x (n-m) Gram matrix over the
-    evaluation set.  ``k0`` and ``k1`` are exactly symmetric (upper triangle
-    mirrored).
-    """
-
-    k0: np.ndarray
-    k10: np.ndarray
-    k1: np.ndarray
-
-
 def _check_pair(x, xp) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=float)
     xp = np.asarray(xp, dtype=float)
@@ -225,26 +210,3 @@ def gram_matrix(data: ScoredDataset, params: SteinKernelParams) -> np.ndarray:
     """Stein-kernel Gram matrix of a dataset, exactly symmetric."""
     full = stein_kernel_matrix(data.points, data.scores, data.points, data.scores, params)
     return _mirror_upper(full)
-
-
-def assemble_matrices(
-    d0: ScoredDataset, d1: ScoredDataset | None, params: SteinKernelParams
-) -> SteinMatrixBundle:
-    """Assemble the K0, K10 and K1 blocks for a split dataset.
-
-    ``d1`` may be ``None`` (the m = n case), in which case the cross and
-    evaluation blocks have zero rows.
-    """
-    if d0 is None or d0.n < 1:
-        raise InvalidInputError("d0 must contain at least one sample")
-    k0 = gram_matrix(d0, params)
-    if d1 is None:
-        m = d0.n
-        return SteinMatrixBundle(k0=k0, k10=np.zeros((0, m)), k1=np.zeros((0, 0)))
-    if d1.dimension != d0.dimension:
-        raise InvalidInputError(
-            f"d0 and d1 dimensions differ: {d0.dimension} vs {d1.dimension}"
-        )
-    k10 = stein_kernel_matrix(d1.points, d1.scores, d0.points, d0.scores, params)
-    k1 = gram_matrix(d1, params)
-    return SteinMatrixBundle(k0=k0, k10=k10, k1=k1)

@@ -5,7 +5,18 @@ import sys
 import numpy as np
 import pytest
 
-from cfmc import ScoredDataset, gaussian_problem, read_sample_file, write_sample_file
+from cfmc import (
+    ScoredDataset,
+    SteinKernelParams,
+    cf_multisplit_estimate,
+    cf_simplified_estimate,
+    cf_split_estimate,
+    cross_validate,
+    gaussian_problem,
+    random_split,
+    read_sample_file,
+    write_sample_file,
+)
 
 
 def run_cli(*args, cwd=None):
@@ -135,6 +146,65 @@ class TestEstimateCommand:
         )
         assert result.returncode == 4
         assert "regularisation" in result.stderr
+
+
+CV_GRID = ((0.1, 0.5), (0.1, 1.0), (0.1, 2.0))
+
+
+class TestEstimateCvGrid:
+    """``--cv-grid`` searches the grid with seed + 1, on the samples each
+    method's rule names; results match the library calls bit for bit.  Each
+    test's seed is one at which another rule would pick another kernel."""
+
+    @pytest.fixture
+    def cv_case(self, sin_gaussian_file, tmp_path):
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps([list(pair) for pair in CV_GRID]))
+        grid = tuple(SteinKernelParams(alpha1=a1, alpha2=a2) for a1, a2 in CV_GRID)
+        return read_sample_file(sin_gaussian_file), grid, grid_path
+
+    @staticmethod
+    def run_estimate(sin_gaussian_file, grid_path, method, seed, *extra):
+        result = run_cli(
+            "estimate", str(sin_gaussian_file), "--method", method, "--cv-grid", str(grid_path),
+            "--seed", str(seed), "--output", "json", *extra,
+        )
+        assert result.returncode == 0, result.stderr
+        return json.loads(result.stdout)
+
+    def test_split_cross_validates_on_its_fitting_set(self, cv_case, sin_gaussian_file):
+        data, grid, grid_path = cv_case
+        seed = 0
+        plan = random_split(data.n, 30, seed)
+        params = cross_validate(data.subset(plan.index_d0), grid, seed=seed + 1)
+        assert params != cross_validate(data, grid, seed=seed + 1)
+        expected = cf_split_estimate(data, plan, params)
+        payload = self.run_estimate(sin_gaussian_file, grid_path, "cf-split", seed)
+        assert payload["value"] == expected.value
+        assert payload["lambda_used"] == expected.lambda_used
+
+    def test_multisplit_cross_validates_on_one_extra_split(self, cv_case, sin_gaussian_file):
+        data, grid, grid_path = cv_case
+        seed = 2
+        cv_plan = random_split(data.n, 30, seed + 1)
+        params = cross_validate(data.subset(cv_plan.index_d0), grid, seed=seed + 1)
+        assert params != cross_validate(data, grid, seed=seed + 1)
+        expected = cf_multisplit_estimate(data, 3, 0.5, params, seed=seed)
+        payload = self.run_estimate(
+            sin_gaussian_file, grid_path, "cf-multisplit", seed, "--splits", "3"
+        )
+        assert payload["value"] == expected.value
+        assert payload["lambda_used"] == expected.lambda_used
+
+    def test_simplified_cross_validates_on_all_samples(self, cv_case, sin_gaussian_file):
+        data, grid, grid_path = cv_case
+        seed = 0
+        params = cross_validate(data, grid, seed=seed + 1)
+        assert params != cross_validate(data, grid, seed=seed)
+        expected = cf_simplified_estimate(data, params)
+        payload = self.run_estimate(sin_gaussian_file, grid_path, "cf-simplified", seed)
+        assert payload["value"] == expected.value
+        assert payload["lambda_used"] == expected.lambda_used
 
 
 BENCH_CONFIG = {

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
 from cfmc import (
@@ -560,3 +562,57 @@ class TestRkhsTestFunction:
                 gamma=np.zeros(3),
                 params=PARAMS,
             )
+
+
+@st.composite
+def split_instances(draw):
+    """A random split of a standard-Gaussian sample: n in [3, 30], d in {1, 2}."""
+    n = draw(st.integers(3, 30))
+    m = draw(st.integers(1, n - 1))
+    d = draw(st.sampled_from((1, 2)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    points = rng.standard_normal((n, d))
+    data = ScoredDataset(points, -points, np.sin((np.pi / d) * points.sum(axis=1)))
+    return data, random_split(n, m, seed=seed)
+
+
+# Below 1e-7 the rounding of the less well conditioned systems exceeds the
+# tolerances of the deterministic tests (5e-8 relative for D at 1e-10).
+WELL_CONDITIONED_LAMBDAS = tuple(lam for lam in LAMBDA_GRID if lam >= 1e-7)
+
+
+class TestSplitCoreProperties:
+    """Identities of the split solve over random splits, dimensions and lambdas."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(split_instances(), st.sampled_from(WELL_CONDITIONED_LAMBDAS))
+    def test_weights_reproduce_estimate(self, instance, lam):
+        data, plan = instance
+        est = cf_split_estimate(data, plan, PARAMS, lambda_=lam)
+        w = cf_weights(data, plan, PARAMS, lambda_=lam)
+        assert w @ data.f_values == pytest.approx(est.value, rel=1e-10)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(split_instances(), st.sampled_from(WELL_CONDITIONED_LAMBDAS))
+    def test_discrepancy_is_weight_quadratic_form(self, instance, lam):
+        # D = (1'w - 1)^2 + w'Kw, where the D0 block of K carries the same
+        # jitter lam*m*I as the factorised system (none at lambda = 0).
+        data, plan = instance
+        d0, d1 = plan.apply(data)
+        k0 = gram_matrix(d0, PARAMS)
+        k10 = stein_kernel_matrix(d1.points, d1.scores, d0.points, d0.scores, PARAMS)
+        dval = discrepancy_from_matrices(k0, k10, gram_matrix(d1, PARAMS), lambda_=lam)
+        w = cf_weights(data, plan, PARAMS, lambda_=lam)
+        full = gram_matrix(data, PARAMS)
+        full[plan.index_d0, plan.index_d0] += lam * plan.m
+        expected = (w.sum() - 1.0) ** 2 + w @ full @ w
+        assert dval == pytest.approx(expected, rel=1e-10, abs=1e-13)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(split_instances(), st.sampled_from((None,) + LAMBDA_GRID))
+    def test_attached_discrepancy_equals_standalone(self, instance, lam):
+        data, plan = instance
+        est = cf_split_estimate(data, plan, PARAMS, lambda_=lam, compute_discrepancy=True)
+        d0, d1 = plan.apply(data)
+        assert est.discrepancy == discrepancy(d0, d1, PARAMS, lambda_=lam)

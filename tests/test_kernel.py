@@ -6,9 +6,9 @@ from cfmc import (
     InvalidInputError,
     ScoredDataset,
     SteinKernelParams,
-    assemble_matrices,
     base_kernel,
     base_kernel_derivatives,
+    discrepancy,
     gram_matrix,
     stein_kernel,
     stein_kernel_diag,
@@ -209,28 +209,27 @@ class TestSteinKernel:
 
 
 class TestAssembleMatrices:
-    def test_empty_evaluation_set(self, make_gaussian_dataset):
-        d0 = make_gaussian_dataset(4)
-        bundle = assemble_matrices(d0, None, PARAMS)
-        assert bundle.k0.shape == (4, 4)
-        assert bundle.k10.shape == (0, 4)
-        assert bundle.k1.shape == (0, 0)
+    """The K0, K10 and K1 blocks of a split, as the estimators assemble them."""
 
     def test_single_point(self, make_gaussian_dataset):
         d0 = make_gaussian_dataset(1)
-        bundle = assemble_matrices(d0, None, PARAMS)
+        k0 = gram_matrix(d0, PARAMS)
         x, u = d0.points[0], d0.scores[0]
-        assert bundle.k0.shape == (1, 1)
-        assert bundle.k0[0, 0] == pytest.approx(stein_kernel(x, u, x, u, PARAMS), rel=1e-12)
+        assert k0.shape == (1, 1)
+        assert k0[0, 0] == pytest.approx(stein_kernel(x, u, x, u, PARAMS), rel=1e-12)
 
     def test_blocks_exactly_symmetric(self, make_gaussian_dataset):
         data = make_gaussian_dataset(12, d=2, seed=3)
         d0 = data.subset(range(7))
         d1 = data.subset(range(7, 12))
-        bundle = assemble_matrices(d0, d1, PARAMS)
-        np.testing.assert_array_equal(bundle.k0, bundle.k0.T)
-        np.testing.assert_array_equal(bundle.k1, bundle.k1.T)
-        assert bundle.k10.shape == (5, 7)
+        k0 = gram_matrix(d0, PARAMS)
+        k1 = gram_matrix(d1, PARAMS)
+        k10 = stein_kernel_matrix(d1.points, d1.scores, d0.points, d0.scores, PARAMS)
+        np.testing.assert_array_equal(k0, k0.T)
+        np.testing.assert_array_equal(k1, k1.T)
+        assert k0.shape == (7, 7)
+        assert k1.shape == (5, 5)
+        assert k10.shape == (5, 7)
 
     def test_gram_positive_semidefinite(self, make_gaussian_dataset):
         k0 = gram_matrix(make_gaussian_dataset(5, seed=11), PARAMS)
@@ -239,7 +238,7 @@ class TestAssembleMatrices:
 
     def test_dimension_mismatch_raises(self, make_gaussian_dataset):
         with pytest.raises(InvalidInputError):
-            assemble_matrices(make_gaussian_dataset(3, d=1), make_gaussian_dataset(3, d=2), PARAMS)
+            discrepancy(make_gaussian_dataset(3, d=1), make_gaussian_dataset(3, d=2), PARAMS)
 
 
 class TestZeroMeanProperty:
