@@ -9,6 +9,7 @@ values ``f(x)``.  Nothing downstream ever evaluates the model again.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,7 +199,7 @@ def read_sample_file(path) -> ScoredDataset:
                 values = [float(v) for v in row]
             except ValueError as exc:
                 raise DataFormatError(f"{path}: line {line_no}: {exc}") from None
-            if not all(np.isfinite(values)):
+            if not all(map(math.isfinite, values)):
                 raise DataFormatError(f"{path}: line {line_no}: non-finite value")
             points.append(values[:d])
             f_values.append(values[d])

@@ -29,7 +29,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .data import ScoredDataset, SplitPlan, random_split
 from .errors import InvalidInputError, NumericalError, SingularMatrixError
-from .kernel import SteinKernelParams, gram_matrix, stein_kernel_matrix
+from .kernel import SteinKernelParams, _symmetric_gram, gram_matrix, stein_kernel_matrix
 
 # Regularisation grid: powers of 10 from 1e-16 up to 1.
 LAMBDA_GRID = tuple(10.0**k for k in range(-16, 1))
@@ -53,7 +53,8 @@ def select_lambda(k0: np.ndarray) -> float:
     if not np.all(np.isfinite(k0)):
         raise InvalidInputError("k0 contains non-finite entries")
     scale = max(1.0, float(np.max(np.abs(k0))))
-    if not np.allclose(k0, k0.T, rtol=0.0, atol=1e-12 * scale):
+    asym = k0 - k0.T
+    if np.max(np.abs(asym, out=asym)) > 1e-12 * scale:
         raise InvalidInputError("k0 must be symmetric")
     m = k0.shape[0]
     evals = np.linalg.eigvalsh(k0)
@@ -74,9 +75,12 @@ def select_lambda(k0: np.ndarray) -> float:
 def _factorise(k0: np.ndarray, lam: float):
     """Cholesky factor of A = k0 + lam*m*I, and z = A^-1 1."""
     m = k0.shape[0]
-    system = k0 + (lam * m) * np.eye(m)
+    # A Fortran-ordered copy lets LAPACK factorise it in place.
+    system = np.array(k0, dtype=float, order="F")
+    diag = np.arange(m)
+    system[diag, diag] += lam * m
     try:
-        chol = cho_factor(system, lower=True)
+        chol = cho_factor(system, lower=True, overwrite_a=True)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(
             f"kernel system of size {m} could not be factorised with lambda={lam!r}; "
@@ -172,19 +176,6 @@ class Estimate:
                 )
         if self.discrepancy is not None and self.discrepancy < 0:
             raise InvalidInputError("discrepancy must be non-negative")
-
-    def as_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "method": self.method,
-            "n": self.n,
-            "m": self.m,
-            "lambda_used": self.lambda_used,
-            "term_star": self.term_star,
-            "term_star_star": self.term_star_star,
-            "discrepancy": self.discrepancy,
-            "n_splits": self.n_splits,
-        }
 
 
 def fit_surrogate(
@@ -496,9 +487,6 @@ class RkhsTestFunction:
 
     def norm_hplus(self) -> float:
         """Hypothesis-space norm sqrt(c^2 + gamma' K0 gamma)."""
-        k0 = stein_kernel_matrix(
-            self.centers, self.center_scores, self.centers, self.center_scores, self.params
-        )
-        k0 = np.triu(k0) + np.triu(k0, k=1).T
+        k0 = _symmetric_gram(self.centers, self.center_scores, self.params)
         quad = float(self.gamma @ k0 @ self.gamma)
         return math.sqrt(self.c**2 + max(quad, 0.0))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cfmc import (
+    DataFormatError,
     ScoredDataset,
     SteinKernelParams,
     cf_multisplit_estimate,
@@ -56,6 +57,14 @@ class TestSampleFileRoundTrip:
         np.testing.assert_array_equal(back.points, data.points)
         np.testing.assert_array_equal(back.scores, data.scores)
         np.testing.assert_array_equal(back.f_values, data.f_values)
+
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_value_rejected_with_line(self, tmp_path, bad):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x_1,f,u_1\n0.5,1.0,-0.5\n0.25,{bad},-0.25\n")
+        with pytest.raises(DataFormatError, match=r"bad\.csv: line 3: non-finite value$"):
+            read_sample_file(path)
 
 
 class TestEstimateCommand:

@@ -76,6 +76,18 @@ class TestSelectLambda:
         with pytest.raises(InvalidInputError):
             select_lambda(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("diag", [0.5, 4.0, 1e6])
+    def test_symmetry_tolerance_is_inclusive(self, diag):
+        # The tolerance is 1e-12 * max(1, max|k0|): a gap of exactly that is
+        # accepted, twice that is rejected.
+        tol = 1e-12 * max(1.0, diag)
+        k0 = diag * np.eye(3)
+        k0[0, 2] = tol
+        assert select_lambda(k0) in LAMBDA_GRID
+        k0[0, 2] = 2.0 * tol
+        with pytest.raises(InvalidInputError, match="symmetric"):
+            select_lambda(k0)
+
     def test_hopeless_matrix_warns_and_returns_one(self):
         k0 = np.diag([1e12, -1.0])
         with pytest.warns(RuntimeWarning):
@@ -521,6 +533,12 @@ class TestRkhsTestFunction:
         for seed in range(5):
             func = make_rkhs_function(seed=seed)
             assert func.norm_hplus() >= abs(func.c)
+
+    def test_norm_uses_the_symmetric_gram(self):
+        func = make_rkhs_function(seed=27, d=2, n_centers=300)
+        data = ScoredDataset(func.centers, func.center_scores, np.zeros(300))
+        quad = float(func.gamma @ gram_matrix(data, PARAMS) @ func.gamma)
+        assert func.norm_hplus() == np.sqrt(func.c**2 + max(quad, 0.0))
 
     def test_exact_mean_is_constant_part(self):
         func = make_rkhs_function(seed=25)

@@ -1,4 +1,6 @@
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from cfmc import (
     stein_kernel_diag,
     stein_kernel_matrix,
 )
+from cfmc import kernel
 from cfmc.diagnostics import gradient_check, mean_element_residuals
 
 PARAMS = SteinKernelParams(alpha1=0.1, alpha2=1.0)
@@ -239,6 +242,109 @@ class TestAssembleMatrices:
     def test_dimension_mismatch_raises(self, make_gaussian_dataset):
         with pytest.raises(InvalidInputError):
             discrepancy(make_gaussian_dataset(3, d=1), make_gaussian_dataset(3, d=2), PARAMS)
+
+
+def _reference_matrix(x, u_x, y, u_y, params):
+    """The whole-matrix vectorised Stein-kernel formula, kept as the reference
+    that the blocked assembly must reproduce byte for byte."""
+    a1, a2 = params.alpha1, params.alpha2
+    d = x.shape[1]
+    nx = np.sum(x * x, axis=1)[:, None]
+    ny = np.sum(y * y, axis=1)[None, :]
+    pref = 1.0 + a1 * (nx + ny)
+    gram = x @ y.T
+    rho = np.maximum(nx + ny - 2.0 * gram, 0.0)
+    k = np.exp(-rho / (2.0 * a2**2)) / pref
+    div_grad = k * (
+        d / a2**2 + 8.0 * a1**2 * gram / pref**2 - 2.0 * a1 * rho / (pref * a2**2) - rho / a2**4
+    )
+    ux_x = np.sum(u_x * x, axis=1)[:, None]
+    uy_y = np.sum(u_y * y, axis=1)[None, :]
+    ux_y = u_x @ y.T
+    x_uy = x @ u_y.T
+    t_x = k * ((ux_x - ux_y) / a2**2 - 2.0 * a1 * ux_y / pref)
+    t_y = -k * (2.0 * a1 * x_uy / pref + (x_uy - uy_y) / a2**2)
+    return div_grad + (t_x + t_y) + (u_x @ u_y.T) * k
+
+
+def _reference_gram(x, u, params):
+    full = _reference_matrix(x, u, x, u, params)
+    return np.triu(full) + np.triu(full, k=1).T
+
+
+def _sample(n, d, seed, spread=1.0):
+    rng = np.random.default_rng(seed)
+    x = spread * rng.standard_normal((n, d))
+    return x, -x + 0.3 * rng.standard_normal((n, d))
+
+
+# Small length-scale: far pairs underflow k to 0, so the raw formula yields
+# entries of -0.0, which the symmetric assembly must turn into +0.0.
+NARROW = SteinKernelParams(alpha1=0.3, alpha2=0.05)
+
+
+class TestBlockedAssembly:
+    """Row-blocked assembly against the whole-matrix formula, byte for byte."""
+
+    # With 2**10 entries per block: n = 30 is one block, 100 is ten even
+    # blocks, 101 and 257 end in a shorter block.
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    @pytest.mark.parametrize("n", [30, 100, 101, 257])
+    @pytest.mark.parametrize("params", [PARAMS, NARROW], ids=["wide", "narrow"])
+    def test_gram_matches_reference(self, monkeypatch, d, n, params):
+        monkeypatch.setattr(kernel, "_BLOCK_ENTRIES", 2**10)
+        x, u = _sample(n, d, seed=10 * n + d, spread=3.0 if params is NARROW else 1.0)
+        gram = gram_matrix(ScoredDataset(x, u, np.zeros(n)), params)
+        assert gram.tobytes() == _reference_gram(x, u, params).tobytes()
+        assert gram.tobytes() == gram.T.copy().tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    @pytest.mark.parametrize("p, q", [(101, 37), (37, 101), (1, 1500), (2500, 1), (64, 16)])
+    def test_cross_matches_reference(self, monkeypatch, d, p, q):
+        monkeypatch.setattr(kernel, "_BLOCK_ENTRIES", 2**10)
+        x, u = _sample(p, d, seed=p + d)
+        y, v = _sample(q, d, seed=1000 + q + d)
+        matrix = stein_kernel_matrix(x, u, y, v, PARAMS)
+        assert matrix.tobytes() == _reference_matrix(x, u, y, v, PARAMS).tobytes()
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_default_block_size_matches_reference(self, d):
+        # 410 rows at the module's own budget: several blocks, the last ragged.
+        x, u = _sample(410, d, seed=d)
+        y, v = _sample(250, d, seed=7 + d)
+        assert 410 % kernel._block_rows(410, 410) != 0
+        assert 410 % kernel._block_rows(410, 250) != 0
+        gram = gram_matrix(ScoredDataset(x, u, np.zeros(410)), PARAMS)
+        assert gram.tobytes() == _reference_gram(x, u, PARAMS).tobytes()
+        cross = stein_kernel_matrix(x, u, y, v, PARAMS)
+        assert cross.tobytes() == _reference_matrix(x, u, y, v, PARAMS).tobytes()
+
+    def test_narrow_kernel_has_no_negative_zeros(self, monkeypatch):
+        monkeypatch.setattr(kernel, "_BLOCK_ENTRIES", 2**10)
+        x, u = _sample(120, 2, seed=5, spread=3.0)
+        raw = _reference_matrix(x, u, x, u, NARROW)
+        assert np.any((raw == 0.0) & np.signbit(raw))
+        gram = gram_matrix(ScoredDataset(x, u, np.zeros(120)), NARROW)
+        assert not np.any((gram == 0.0) & np.signbit(gram))
+
+    @pytest.mark.parametrize("which", ["gram", "cross"])
+    def test_peak_memory_bounded(self, which):
+        # Beyond the result, the assembly holds the four inner-product
+        # matrices and one block of temporaries; whole-matrix elementwise
+        # work would hold about a dozen matrices.
+        x, u = _sample(600, 3, seed=1)
+        y, v = _sample(600, 3, seed=2)
+        data = ScoredDataset(x, u, np.zeros(600))
+        tracemalloc.start()
+        try:
+            if which == "gram":
+                result = gram_matrix(data, PARAMS)
+            else:
+                result = stein_kernel_matrix(x, u, y, v, PARAMS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 * result.nbytes
 
 
 class TestZeroMeanProperty:
