@@ -66,6 +66,10 @@ class MethodSpec:
             raise InvalidInputError(
                 f"unknown method {self.method!r}; valid tags: {', '.join(METHODS)}"
             )
+        if self.lambda_ is not None and not (math.isfinite(self.lambda_) and self.lambda_ >= 0):
+            raise InvalidInputError(
+                f"lambda must be 'auto' or non-negative and finite, got {self.lambda_!r}"
+            )
 
     @property
     def name(self) -> str:
@@ -96,6 +100,8 @@ class ExperimentConfig:
             raise InvalidInputError("n_grid must be strictly ascending")
         if self.replications < 1:
             raise InvalidInputError("replications must be >= 1")
+        if self.master_seed < 0:
+            raise InvalidInputError(f"master_seed must be >= 0, got {self.master_seed}")
         if not self.methods:
             raise InvalidInputError("at least one method is required")
         names = [spec.name for spec in self.methods]

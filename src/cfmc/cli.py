@@ -39,16 +39,31 @@ from .kernel import SteinKernelParams
 from .targets import gaussian_problem, mixture_problem
 
 
-def _lambda_arg(text: str):
-    if text == "auto":
-        return None
+def _non_negative_float(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"--lambda must be 'auto' or a number, got {text!r}")
-    if value < 0 or not math.isfinite(value):
-        raise argparse.ArgumentTypeError("--lambda must be non-negative and finite")
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be a non-negative finite number, got {text!r}")
     return value
+
+
+def _lambda_arg(text: str):
+    return None if text == "auto" else _non_negative_float(text)
+
+
+def _int_at_least(minimum: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {text!r}")
+        return value
+
+    return parse
 
 
 def _load_cv_grid(path) -> tuple[SteinKernelParams, ...]:
@@ -207,13 +222,13 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--cv-grid", help="JSON file with [alpha1, alpha2] candidate pairs")
     est.add_argument("--split-fraction", type=float, default=0.5)
     est.add_argument("--splits", type=int, default=1)
-    est.add_argument("--seed", type=int, default=0)
+    est.add_argument("--seed", type=_int_at_least(0), default=0)
     est.add_argument("--lambda", dest="lambda_", type=_lambda_arg, default=None,
                      metavar="auto|VALUE", help="regularisation (default: auto rule)")
     est.add_argument("--output", choices=("text", "json"), default="text")
     est.add_argument("--bound", action="store_true",
                      help="also report the worst-case error radius sqrt(D)*fnorm")
-    est.add_argument("--fnorm", type=float, default=None,
+    est.add_argument("--fnorm", type=_non_negative_float, default=None,
                      help="hypothesis-space norm of f, required with --bound")
 
     ben = sub.add_parser("bench", help="run a replicated convergence study")
@@ -229,9 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
     dia.add_argument("--target", default="gaussian-d1")
     dia.add_argument("--alpha1", type=float, default=0.1)
     dia.add_argument("--alpha2", type=float, default=1.0)
-    dia.add_argument("--probes", type=int, default=10)
-    dia.add_argument("--sample-size", type=int, default=1000)
-    dia.add_argument("--seed", type=int, default=0)
+    dia.add_argument("--probes", type=_int_at_least(1), default=10)
+    dia.add_argument("--sample-size", type=_int_at_least(1), default=1000)
+    dia.add_argument("--seed", type=_int_at_least(0), default=0)
 
     return parser
 

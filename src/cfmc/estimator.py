@@ -26,6 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
 
 from .data import ScoredDataset, SplitPlan, random_split
 from .errors import InvalidInputError, NumericalError, SingularMatrixError
@@ -37,6 +39,15 @@ LAMBDA_GRID = tuple(10.0**k for k in range(-16, 1))
 # A factorisation is accepted once cond_2 of the jittered matrix is below this.
 CONDITION_LIMIT = 1e10
 
+# From this matrix size on, select_lambda decides with Cholesky tests instead
+# of a full eigendecomposition (crossover measured in BENCH_lambda_select.json).
+_GUARDED_MIN_SIZE = 200
+
+# Implicit restarts allowed to ARPACK before select_lambda falls back.  A
+# kernel Gram's top eigenvalue converges within two; a flat spectrum could
+# take hundreds of matrix-vector products, more than the eigendecomposition.
+_ARPACK_MAX_RESTARTS = 10
+
 
 def select_lambda(k0: np.ndarray) -> float:
     """Pick the smallest grid regularisation that conditions the kernel system.
@@ -44,8 +55,26 @@ def select_lambda(k0: np.ndarray) -> float:
     Returns the smallest ``lam`` in :data:`LAMBDA_GRID` such that
     ``cond_2(k0 + lam*m*I) < 1e10``, where ``m`` is the matrix size and
     ``lam*m*I`` is the jitter actually applied when the system is factorised.
-    The condition number is evaluated from the extreme eigenvalues of ``k0``,
-    computed once.  If even ``lam = 1`` fails, 1.0 is returned with a warning.
+    If even ``lam = 1`` fails, 1.0 is returned with a warning.
+
+    With ``lo`` and ``hi`` the extreme eigenvalues of ``k0`` and ``hi > 0``,
+    a grid point is accepted exactly when ``lo > t(lam) = (hi + lam*m)/L -
+    lam*m`` with ``L = 1e10``; ``t`` falls as ``lam`` grows.  Below
+    ``_GUARDED_MIN_SIZE`` rows both eigenvalues come from one full
+    ``eigvalsh``.  From that size on, ``hi`` comes from ARPACK (``eigsh``,
+    ``k=1``) and the sign of ``lo - t`` from Cholesky factorisations: a point
+    is proven accepted when ``k0 - (t + band)*I`` factorises, and proven
+    rejected when ``k0 - (t - band)*I`` does not, with ``band =
+    16*m*eps*(hi + lam*m)``, far wider than the rounding of either test.
+    Each verdict settles every grid point on one side.  The search tests the
+    first point with ``t < 0`` (the answer whenever ``lo`` is about 0), then
+    the point just below it, where a nearly singular ``k0`` fails within a
+    few pivots, then the grid minimum if that point was accepted too, and
+    bisects what is left.  If ``lo`` falls inside a band, ``hi <= 0``,
+    ARPACK does not converge or no grid point is accepted, the ``eigvalsh``
+    rule decides instead, so both paths return the same ``lam``.  At
+    ``m = 1000`` the guarded path costs about a quarter of the
+    eigendecomposition (``BENCH_lambda_select.json``).
     """
     k0 = np.asarray(k0, dtype=float)
     if k0.ndim != 2 or k0.shape[0] != k0.shape[1]:
@@ -53,10 +82,14 @@ def select_lambda(k0: np.ndarray) -> float:
     if not np.all(np.isfinite(k0)):
         raise InvalidInputError("k0 contains non-finite entries")
     scale = max(1.0, float(np.max(np.abs(k0))))
-    asym = k0 - k0.T
-    if np.max(np.abs(asym, out=asym)) > 1e-12 * scale:
+    work = np.subtract(k0, k0.T, order="F")
+    if np.max(np.abs(work, out=work)) > 1e-12 * scale:
         raise InvalidInputError("k0 must be symmetric")
     m = k0.shape[0]
+    if m >= _GUARDED_MIN_SIZE:
+        lam = _guarded_lambda(k0, work)
+        if lam is not None:
+            return lam
     evals = np.linalg.eigvalsh(k0)
     lo_base, hi_base = float(evals[0]), float(evals[-1])
     for lam in LAMBDA_GRID:
@@ -72,8 +105,70 @@ def select_lambda(k0: np.ndarray) -> float:
     return 1.0
 
 
+def _exceeds(k0: np.ndarray, shift: float, work: np.ndarray) -> bool:
+    """Whether ``k0 - shift*I`` has a Cholesky factor, computed in the
+    Fortran-ordered ``work`` from the lower triangle as in :func:`_factorise`."""
+    np.copyto(work, k0)
+    diag = np.arange(k0.shape[0])
+    work[diag, diag] -= shift
+    return dpotrf(work, lower=1, clean=0, overwrite_a=1)[1] == 0
+
+
+def _guarded_verdict(k0, threshold, band, work, expect_accept):
+    """True if the smallest eigenvalue of ``k0`` is proven above
+    ``threshold``, False if proven below it, None if it lies within ``band``
+    of it.  The test for the expected verdict runs first."""
+    tests = [(True, threshold + band), (False, threshold - band)]
+    for verdict, shift in tests if expect_accept else tests[::-1]:
+        if _exceeds(k0, shift, work) == verdict:
+            return verdict
+    return None
+
+
+def _guarded_lambda(k0: np.ndarray, work: np.ndarray) -> float | None:
+    """The :func:`select_lambda` grid point found by Cholesky tests, or None
+    when the eigendecomposition has to decide; ``work`` is a Fortran-ordered
+    m x m scratch array."""
+    m = k0.shape[0]
+    # A fixed random start vector: deterministic, and unlike the all-ones
+    # vector it shares no symmetry with the sample.
+    v0 = np.random.default_rng(m).standard_normal(m)
+    try:
+        hi = float(eigsh(k0, k=1, which="LA", v0=v0, maxiter=_ARPACK_MAX_RESTARTS,
+                         return_eigenvectors=False)[0])
+    except (ArpackNoConvergence, ArpackError):
+        return None
+    if not hi > 0.0:
+        return None
+    jitters = [lam * m for lam in LAMBDA_GRID]
+    thresholds = [(hi + jitter) / CONDITION_LIMIT - jitter for jitter in jitters]
+    grid = len(LAMBDA_GRID)
+    guess = next((i for i, t in enumerate(thresholds) if t < 0.0), grid - 1)
+    # The answer's index lies in [first, last]; last == grid means none is
+    # accepted.  Probe the guess, then the point just below it.  If that is
+    # accepted too, k0 is well conditioned and the thresholds of all lower
+    # points lie within 10% of hi/L, so probe the grid minimum.  Then bisect.
+    first, last = 0, grid
+    planned = ((guess, True), (guess - 1, False), (0, True))
+    while first < last:
+        probe, expect_accept = next(
+            ((i, e) for i, e in planned if first <= i < last), ((first + last) // 2, True)
+        )
+        band = 16.0 * m * np.finfo(float).eps * (hi + jitters[probe])
+        verdict = _guarded_verdict(k0, thresholds[probe], band, work, expect_accept)
+        if verdict is None:
+            return None
+        if verdict:
+            last = probe
+        else:
+            first = probe + 1
+    return LAMBDA_GRID[first] if first < grid else None
+
+
 def _factorise(k0: np.ndarray, lam: float):
     """Cholesky factor of A = k0 + lam*m*I, and z = A^-1 1."""
+    if not (math.isfinite(lam) and lam >= 0.0):
+        raise InvalidInputError(f"lambda must be non-negative and finite, got {lam!r}")
     m = k0.shape[0]
     # A Fortran-ordered copy lets LAPACK factorise it in place.
     system = np.array(k0, dtype=float, order="F")
@@ -185,8 +280,6 @@ def fit_surrogate(
 
     ``lambda_`` defaults to the automatic conditioning rule.
     """
-    if lambda_ is not None and lambda_ < 0:
-        raise InvalidInputError("lambda must be non-negative")
     k0 = gram_matrix(d0, params)
     lam = select_lambda(k0) if lambda_ is None else float(lambda_)
     c_hat, beta, _, _ = _fit_coefficients(k0, d0.f_values, lam)

@@ -15,6 +15,7 @@ from cfmc.bench import (
     write_csv,
     write_json,
 )
+from cfmc.estimator import _GUARDED_MIN_SIZE
 from cfmc.targets import TargetProblem
 
 
@@ -131,6 +132,25 @@ class TestConfig:
         assert config.methods[1].lambda_ == 1e-6
 
 
+    @pytest.mark.parametrize("lam", [-1e-12, float("nan"), float("inf")])
+    def test_invalid_lambda_rejected(self, lam):
+        with pytest.raises(InvalidInputError, match="lambda"):
+            MethodSpec("cf-split", lambda_=lam)
+
+    def test_negative_master_seed_rejected(self):
+        with pytest.raises(InvalidInputError, match="master_seed"):
+            small_config(master_seed=-1)
+        raw = {
+            "problem": "gaussian",
+            "n_grid": [10, 20],
+            "replications": 2,
+            "master_seed": -1,
+            "methods": [{"method": "mean"}],
+        }
+        with pytest.raises(InvalidInputError, match="master_seed"):
+            load_config(raw)
+
+
 class TestRunExperiment:
     def test_constant_integrand_has_zero_mse(self):
         config = small_config(methods=(MethodSpec("mean"),))
@@ -181,6 +201,22 @@ class TestRunExperiment:
         write_csv(sequential, p1)
         write_csv(threaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_thread_count_does_not_change_results_above_guarded_size(self, tmp_path):
+        # Both kernel systems reach the size from which select_lambda runs
+        # ARPACK and Cholesky tests, here inside the thread pool.
+        n = 2 * _GUARDED_MIN_SIZE + 10
+        config = small_config(
+            n_grid=(n,), replications=4,
+            methods=(MethodSpec("cf-split"), MethodSpec("cf-simplified")),
+        )
+        sequential = run_experiment(config, threads=1)
+        threaded = run_experiment(config, threads=4)
+        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_csv(sequential, p1)
+        write_csv(threaded, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+        assert all(r.lambda_used is not None for r in sequential.rows)
 
     def test_dataset_is_replication_dependent(self):
         config = small_config()

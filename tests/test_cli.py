@@ -157,6 +157,31 @@ class TestEstimateCommand:
         assert "regularisation" in result.stderr
 
 
+    @pytest.mark.parametrize(
+        "args, option",
+        [
+            (("--method", "cf-split", "--seed", "-1"), "--seed"),
+            (("--seed", "1.5"), "--seed"),
+            (("--method", "cf-split", "--bound", "--fnorm", "-1"), "--fnorm"),
+            (("--method", "cf-split", "--bound", "--fnorm", "nan"), "--fnorm"),
+            (("--method", "cf-split", "--bound", "--fnorm", "inf"), "--fnorm"),
+        ],
+    )
+    def test_invalid_number_is_usage_error(self, sin_gaussian_file, args, option):
+        result = run_cli("estimate", str(sin_gaussian_file), *args)
+        assert result.returncode == 2
+        assert f"argument {option}" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_zero_fnorm_accepted(self, sin_gaussian_file):
+        result = run_cli(
+            "estimate", str(sin_gaussian_file), "--method", "cf-split", "--bound",
+            "--fnorm", "0", "--output", "json",
+        )
+        assert result.returncode == 0
+        assert json.loads(result.stdout)["bound_radius"] == 0.0
+
+
 CV_GRID = ((0.1, 0.5), (0.1, 1.0), (0.1, 2.0))
 
 
@@ -292,6 +317,17 @@ class TestBenchCommand:
         assert result.returncode == 3
         assert "typo_key" in result.stderr
 
+    def test_negative_master_seed_is_data_error(self, tmp_path):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({
+            "problem": "gaussian", "n_grid": [10, 20], "replications": 2,
+            "master_seed": -1, "methods": [{"method": "mean"}],
+        }))
+        result = run_cli("bench", str(config), "--out-dir", str(tmp_path / "out"))
+        assert result.returncode == 3
+        assert "master_seed" in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_missing_config_is_data_error(self):
         result = run_cli("bench", "no_such_config")
         assert result.returncode == 3
@@ -319,6 +355,20 @@ class TestDiagnoseCommand:
         result = run_cli("diagnose", "--target", "bimodal-mixture", "--sample-size", "100")
         assert result.returncode == 0
         assert "mean_element" in result.stdout
+
+    @pytest.mark.parametrize(
+        "args, option",
+        [
+            (("--probes", "0"), "--probes"),
+            (("--seed", "-1"), "--seed"),
+            (("--sample-size", "-3"), "--sample-size"),
+        ],
+    )
+    def test_invalid_count_is_usage_error(self, args, option):
+        result = run_cli("diagnose", *args)
+        assert result.returncode == 2
+        assert f"argument {option}" in result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_unknown_target_is_usage_error(self):
         result = run_cli("diagnose", "--target", "nope")

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from cfmc import (
     InvalidInputError,
@@ -27,7 +28,8 @@ from cfmc import (
     stein_kernel,
     stein_kernel_matrix,
 )
-from cfmc.estimator import LAMBDA_GRID
+from cfmc import estimator
+from cfmc.estimator import _GUARDED_MIN_SIZE, CONDITION_LIMIT, LAMBDA_GRID
 
 PARAMS = SteinKernelParams(alpha1=0.1, alpha2=1.0)
 
@@ -92,6 +94,142 @@ class TestSelectLambda:
         k0 = np.diag([1e12, -1.0])
         with pytest.warns(RuntimeWarning):
             assert select_lambda(k0) == 1.0
+
+
+def eigvalsh_rule(k0):
+    """The full-spectrum rule that select_lambda must reproduce at every size."""
+    m = k0.shape[0]
+    evals = np.linalg.eigvalsh(k0)
+    for lam in LAMBDA_GRID:
+        lo, hi = evals[0] + lam * m, evals[-1] + lam * m
+        if lo > 0.0 and hi / lo < CONDITION_LIMIT:
+            return lam
+    return 1.0
+
+
+def matrix_with_spectrum(evals, seed=0):
+    """A dense symmetric matrix with the given eigenvalues."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((len(evals), len(evals))))
+    k0 = (q * np.asarray(evals)) @ q.T
+    return 0.5 * (k0 + k0.T)
+
+
+@st.composite
+def large_stein_grams(draw):
+    """Stein Gram matrices at or above the guarded size, with MCMC-like
+    repeated rows or +- symmetric point sets among the designs."""
+    m = draw(st.integers(_GUARDED_MIN_SIZE, 300))
+    d = draw(st.sampled_from((1, 2, 3)))
+    design = draw(st.sampled_from(("iid", "repeated", "symmetric")))
+    params = SteinKernelParams(
+        alpha1=draw(st.sampled_from((0.05, 0.1, 1.0))),
+        alpha2=draw(st.sampled_from((0.3, 1.0, 3.0))),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if design == "repeated":
+        states = rng.standard_normal((m // 3 + 1, d))
+        points = states[rng.integers(0, states.shape[0], m)]
+    elif design == "symmetric":
+        half = rng.standard_normal(((m + 1) // 2, d))
+        points = np.concatenate([half, -half])[:m]
+    else:
+        points = rng.standard_normal((m, d))
+    return gram_matrix(ScoredDataset(points, -points, np.zeros(m)), params)
+
+
+def _spy(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that records each call's result."""
+    results = []
+    original = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(owner, name, spy)
+    return results
+
+
+def decaying_spectrum(lo, hi, m):
+    """lo, hi and m - 2 eigenvalues between them, decaying from hi/10 as a
+    kernel Gram's do (lo < 1e-8 * hi)."""
+    return np.concatenate([[lo], np.logspace(-8, -1, m - 2) * hi, [hi]])
+
+
+class TestGuardedSelectLambda:
+    """From _GUARDED_MIN_SIZE rows on, lambda is decided by ARPACK and
+    Cholesky tests, and must equal the full-spectrum rule."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(large_stein_grams())
+    def test_matches_eigvalsh_rule(self, k0):
+        assert select_lambda(k0) == eigvalsh_rule(k0)
+
+    @pytest.mark.parametrize("m", [_GUARDED_MIN_SIZE, 400])
+    def test_stein_gram_skips_eigendecomposition(self, m, monkeypatch, make_gaussian_dataset):
+        k0 = gram_matrix(make_gaussian_dataset(m, seed=m), PARAMS)
+        expected = eigvalsh_rule(k0)
+        calls = _spy(monkeypatch, np.linalg, "eigvalsh")
+        assert select_lambda(k0) == expected
+        assert calls == []
+
+    def test_smaller_matrix_uses_eigendecomposition(self, monkeypatch, make_gaussian_dataset):
+        m = _GUARDED_MIN_SIZE - 1
+        calls = _spy(monkeypatch, np.linalg, "eigvalsh")
+        select_lambda(gram_matrix(make_gaussian_dataset(m), PARAMS))
+        assert [e.shape for e in calls] == [(m,)]
+
+    @pytest.mark.parametrize("index", [2, 4, 8, 15])
+    def test_smallest_eigenvalue_inside_band_falls_back(self, index, monkeypatch):
+        # lo is placed exactly on the threshold t(lambda) of one grid point,
+        # so neither Cholesky test can settle that point.
+        m, hi = _GUARDED_MIN_SIZE, 1.0
+        jitter = LAMBDA_GRID[index] * m
+        lo = (hi + jitter) / CONDITION_LIMIT - jitter
+        k0 = matrix_with_spectrum(decaying_spectrum(lo, hi, m), seed=index)
+        expected = eigvalsh_rule(k0)
+        tops = _spy(monkeypatch, estimator, "eigsh")
+        calls = _spy(monkeypatch, np.linalg, "eigvalsh")
+        assert select_lambda(k0) == expected
+        assert len(tops) == 1 and tops[0][0] == pytest.approx(hi, rel=1e-12)
+        assert [e.shape for e in calls] == [(m,)]
+
+    @pytest.mark.parametrize(
+        "k0",
+        [np.zeros((_GUARDED_MIN_SIZE, _GUARDED_MIN_SIZE)), -np.eye(_GUARDED_MIN_SIZE)],
+        ids=["zero", "negative"],
+    )
+    def test_non_positive_top_eigenvalue_falls_back(self, k0, monkeypatch):
+        expected = eigvalsh_rule(k0)
+        calls = _spy(monkeypatch, np.linalg, "eigvalsh")
+        assert select_lambda(k0) == expected
+        assert len(calls) == 1
+
+    def test_arpack_failure_falls_back(self, monkeypatch, make_gaussian_dataset):
+        m = _GUARDED_MIN_SIZE
+        k0 = gram_matrix(make_gaussian_dataset(m, seed=5), PARAMS)
+        expected = eigvalsh_rule(k0)
+
+        def no_convergence(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((m, 0)))
+
+        monkeypatch.setattr(estimator, "eigsh", no_convergence)
+        calls = _spy(monkeypatch, np.linalg, "eigvalsh")
+        assert select_lambda(k0) == expected
+        assert len(calls) == 1
+
+    def test_hopeless_matrix_warns_and_returns_one(self, monkeypatch):
+        # hi = 1e3 > 0, so the Cholesky tests run; lo = -2m stays negative
+        # even with lambda*m = m, so no grid point is accepted.
+        m = _GUARDED_MIN_SIZE
+        k0 = matrix_with_spectrum(decaying_spectrum(-2.0 * m, 1e3, m))
+        tops = _spy(monkeypatch, estimator, "eigsh")
+        calls = _spy(monkeypatch, np.linalg, "eigvalsh")
+        with pytest.warns(RuntimeWarning, match="ill-conditioned"):
+            assert select_lambda(k0) == 1.0
+        assert len(tops) == 1 and tops[0][0] == pytest.approx(1e3, rel=1e-12)
+        assert len(calls) == 1
 
 
 class TestFitSurrogate:
@@ -190,6 +328,36 @@ class TestPredictSurrogate:
         fit = fit_surrogate(make_gaussian_dataset(4, d=2), PARAMS, lambda_=1e-8)
         with pytest.raises(InvalidInputError):
             predict_surrogate(fit, np.zeros(3), np.zeros(3))
+
+
+class TestLambdaValidation:
+    """Every kernel solve rejects a negative or non-finite lambda up front."""
+
+    @pytest.mark.parametrize("lam", [-1e-12, np.nan, np.inf])
+    def test_estimators_reject_invalid_lambda(self, lam, make_gaussian_dataset):
+        data = make_gaussian_dataset(12)
+        plan = random_split(12, 6, seed=0)
+        calls = [
+            lambda: cf_split_estimate(data, plan, PARAMS, lambda_=lam),
+            lambda: cf_simplified_estimate(data, PARAMS, lambda_=lam),
+            lambda: cf_weights(data, plan, PARAMS, lambda_=lam),
+            lambda: cf_multisplit_estimate(data, 2, 0.5, PARAMS, seed=0, lambda_=lam),
+            lambda: fit_surrogate(data, PARAMS, lambda_=lam),
+        ]
+        for call in calls:
+            with pytest.raises(InvalidInputError, match="lambda must be non-negative"):
+                call()
+
+    @pytest.mark.parametrize("lam", [-1e-12, np.nan])
+    def test_discrepancy_rejects_invalid_lambda(self, lam, make_gaussian_dataset):
+        data = make_gaussian_dataset(12)
+        d0, d1 = random_split(12, 6, seed=0).apply(data)
+        k0 = gram_matrix(d0, PARAMS)
+        k10 = stein_kernel_matrix(d1.points, d1.scores, d0.points, d0.scores, PARAMS)
+        with pytest.raises(InvalidInputError, match="lambda must be non-negative"):
+            discrepancy_from_matrices(k0, k10, gram_matrix(d1, PARAMS), lambda_=lam)
+        with pytest.raises(InvalidInputError, match="lambda must be non-negative"):
+            discrepancy(d0, d1, PARAMS, lambda_=lam)
 
 
 class TestSplitEstimate:

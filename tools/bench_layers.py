@@ -1,0 +1,231 @@
+"""Before/after CPU-time medians of one layer of cfmc, for ``BENCH_<topic>.json``.
+
+    python tools/bench_layers.py --topic lambda_select --before OLD/src --after src \
+        --before-label <commit> --after-label <commit>
+
+``--topic`` picks the functions, sizes and description from ``TOPICS``:
+
+* ``gram_blocks``: Stein-kernel assembly (``gram_matrix``,
+  ``stein_kernel_matrix``) and the two kernel estimators at
+  n in {20, ..., 2000}, with tracemalloc's peak over the result's bytes for
+  the two assembly functions;
+* ``lambda_select``: ``select_lambda`` on a precomputed Gram matrix and the
+  two kernel estimators at system sizes m in {100, ..., 2000}.
+
+Each repeat runs one fresh worker per side, alternating which side goes
+first, with every BLAS/OpenMP thread count pinned to 1.  A worker imports
+``cfmc`` from the given source directory, makes one warm-up call per function
+and size, then times each in CPU time (``time.process_time``), averaging
+over enough calls at small sizes to span about 20 ms.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+import tracemalloc
+
+import numpy as np
+import scipy
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+SAMPLE = "standard Gaussian sample with f = sin(pi x), alpha = (0.1, 1.0), automatic lambda"
+
+
+def _problem(d, size):
+    import cfmc  # from the PYTHONPATH the worker was started with
+
+    rng = np.random.default_rng(size)
+    return cfmc, cfmc.gaussian_problem(d).dataset(rng, size), rng
+
+
+def _gram_block_cases(n):
+    cfmc, data, rng = _problem(1, n)
+    other = cfmc.gaussian_problem(1).dataset(rng, n)
+    params = cfmc.SteinKernelParams(alpha1=0.1, alpha2=1.0)
+    plan = cfmc.random_split(n, n // 2, 0)
+    return {
+        "gram_matrix": lambda: cfmc.gram_matrix(data, params),
+        "stein_kernel_matrix": lambda: cfmc.stein_kernel_matrix(
+            data.points, data.scores, other.points, other.scores, params
+        ),
+        "cf_split_estimate": lambda: cfmc.cf_split_estimate(
+            data, plan, params, compute_discrepancy=True
+        ),
+        "cf_simplified_estimate": lambda: cfmc.cf_simplified_estimate(data, params),
+    }
+
+
+@contextlib.contextmanager
+def _guarded_at_every_size(estimator):
+    """Lower the guarded-selection cutoff to 0 where the source has one."""
+    saved = getattr(estimator, "_GUARDED_MIN_SIZE", None)
+    if saved is not None:
+        estimator._GUARDED_MIN_SIZE = 0
+    try:
+        yield
+    finally:
+        if saved is not None:
+            estimator._GUARDED_MIN_SIZE = saved
+
+
+def _lambda_select_cases(m):
+    cfmc, data, _ = _problem(1, m)
+    _, data3, _ = _problem(3, m)
+    _, pair, _ = _problem(1, 2 * m)
+    params = cfmc.SteinKernelParams(alpha1=0.1, alpha2=1.0)
+    k0, k0_d3 = cfmc.gram_matrix(data, params), cfmc.gram_matrix(data3, params)
+    plan = cfmc.random_split(2 * m, m, 0)
+
+    def select_guarded():
+        with _guarded_at_every_size(cfmc.estimator):
+            return cfmc.select_lambda(k0)
+
+    return {
+        "select_lambda": lambda: cfmc.select_lambda(k0),
+        "select_lambda_d3": lambda: cfmc.select_lambda(k0_d3),
+        "select_lambda_guarded_at_every_size": select_guarded,
+        "cf_split_estimate": lambda: cfmc.cf_split_estimate(
+            pair, plan, params, compute_discrepancy=True
+        ),
+        "cf_simplified_estimate": lambda: cfmc.cf_simplified_estimate(data, params),
+    }
+
+
+TOPICS = {
+    "gram_blocks": {
+        "topic": "Stein-kernel Gram assembly in cache-sized row blocks",
+        "layer": "kernel: gram_matrix / stein_kernel_matrix (Stein-Gram assembly)",
+        "sizes": (20, 50, 200, 500, 1000, 2000),
+        "cases": _gram_block_cases,
+        "peak": ("gram_matrix", "stein_kernel_matrix"),
+        "method": (
+            f"d = 1 {SAMPLE}; size = n; stein_kernel_matrix between two independent "
+            "n-point samples; cf_split_estimate with m = n/2 and compute_discrepancy=True"
+        ),
+    },
+    "lambda_select": {
+        "topic": "lambda selection by guarded Cholesky tests instead of eigvalsh",
+        "layer": "estimator: select_lambda (regularisation choice)",
+        "sizes": (100, 150, 200, 250, 500, 1000, 2000),
+        "cases": _lambda_select_cases,
+        "peak": (),
+        "method": (
+            f"{SAMPLE}; size = m, the kernel system's size; select_lambda on the "
+            "precomputed m x m Gram of a d = 1 sample (select_lambda_d3: of a d = 3 "
+            "sample; select_lambda_guarded_at_every_size: d = 1 with the guarded "
+            "cutoff set to 0 where the source has one, so before is always eigvalsh); "
+            "cf_split_estimate on n = 2m points with a random m-point fitting set and "
+            "compute_discrepancy=True; cf_simplified_estimate on n = m points"
+        ),
+    },
+}
+
+
+def measure(topic: str) -> dict:
+    """One repeat: CPU seconds per (function, size), and assembly peak ratios."""
+    spec = TOPICS[topic]
+    times, peaks = {}, {}
+    for size in spec["sizes"]:
+        loops = max(1, 200_000 // (size * size))  # at least ~20 ms per timing at small sizes
+        for name, call in spec["cases"](size).items():
+            call()
+            start = time.process_time()
+            for _ in range(loops):
+                call()
+            times[f"{name}/{size}"] = (time.process_time() - start) / loops
+            if name in spec["peak"]:
+                tracemalloc.start()
+                try:
+                    result = call()
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                peaks[f"{name}/{size}"] = peak / result.nbytes
+    return {"cpu_s": times, "peak_over_result": peaks}
+
+
+def _run_worker(src: str, topic: str) -> dict:
+    env = dict(os.environ, PYTHONPATH=src, **{v: "1" for v in THREAD_VARS})
+    out = subprocess.run(
+        [sys.executable, __file__, "--worker", "--topic", topic],
+        env=env, check=True, capture_output=True, text=True,
+    ).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def _summary(runs: list[dict]) -> dict:
+    cpu = {k: [r["cpu_s"][k] for r in runs] for k in runs[0]["cpu_s"]}
+    peak = {k: max(r["peak_over_result"][k] for r in runs) for k in runs[0]["peak_over_result"]}
+    summary = {
+        "median_ms": {k: round(1e3 * statistics.median(v), 3) for k, v in cpu.items()},
+        "all_ms": {k: [round(1e3 * t, 3) for t in v] for k, v in cpu.items()},
+    }
+    if peak:
+        summary["tracemalloc_peak_over_result"] = {k: round(v, 2) for k, v in peak.items()}
+    return summary
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--topic", choices=sorted(TOPICS), required=True)
+    parser.add_argument("--before")
+    parser.add_argument("--after")
+    parser.add_argument("--before-label", default="before")
+    parser.add_argument("--after-label", default="after")
+    parser.add_argument("--repeats", type=int, default=7)
+    parser.add_argument("--out", help="default: BENCH_<topic>.json")
+    args = parser.parse_args(argv)
+    if args.worker:
+        print(json.dumps(measure(args.topic)))
+        return 0
+    if not (args.before and args.after):
+        parser.error("--before and --after are required")
+    sides = {"before": (args.before, []), "after": (args.after, [])}
+    for r in range(args.repeats):
+        order = ("before", "after") if r % 2 == 0 else ("after", "before")
+        for side in order:
+            src, runs = sides[side]
+            runs.append(_run_worker(src, args.topic))
+    spec = TOPICS[args.topic]
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    report = {
+        "topic": spec["topic"],
+        "layer": spec["layer"],
+        "unit": "ms of CPU time per call, median over repeats",
+        "repeats": args.repeats,
+        "method": (
+            "one fresh worker per side and repeat, sides alternating; one warm-up "
+            "call, then the mean of max(1, 200000 // size^2) timed calls; " + spec["method"]
+        ),
+        "sizes": list(spec["sizes"]),
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "blas": f"{blas.get('name')} {blas.get('version')}",
+            "blas_threads": 1,
+            "nproc": os.cpu_count(),
+            "machine": platform.machine(),
+        },
+        "before": {"label": args.before_label, **_summary(sides["before"][1])},
+        "after": {"label": args.after_label, **_summary(sides["after"][1])},
+    }
+    before, after = report["before"]["median_ms"], report["after"]["median_ms"]
+    report["after_over_before"] = {k: round(after[k] / before[k], 3) for k in before}
+    with open(args.out or f"BENCH_{args.topic}.json", "w") as fh:
+        json.dump(report, fh, indent=1)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
