@@ -220,6 +220,8 @@ def cell_dataset(config: ExperimentConfig, problem: TargetProblem, n: int, repli
 
 
 def _split_size(n: int, split_fraction: float) -> int:
+    if not math.isfinite(split_fraction):
+        raise InvalidInputError(f"split fraction must be finite, got {split_fraction}")
     m = math.ceil(split_fraction * n)
     if not 1 <= m < n:
         raise InvalidInputError(f"split fraction {split_fraction} of n={n} gives degenerate m={m}")

@@ -49,6 +49,16 @@ def _non_negative_float(text: str) -> float:
     return value
 
 
+def _open_fraction(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be a number strictly between 0 and 1, got {text!r}")
+    return value
+
+
 def _lambda_arg(text: str):
     return None if text == "auto" else _non_negative_float(text)
 
@@ -220,8 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--alpha1", type=float, default=0.1)
     est.add_argument("--alpha2", type=float, default=1.0)
     est.add_argument("--cv-grid", help="JSON file with [alpha1, alpha2] candidate pairs")
-    est.add_argument("--split-fraction", type=float, default=0.5)
-    est.add_argument("--splits", type=int, default=1)
+    est.add_argument("--split-fraction", type=_open_fraction, default=0.5)
+    est.add_argument("--splits", type=_int_at_least(1), default=1)
     est.add_argument("--seed", type=_int_at_least(0), default=0)
     est.add_argument("--lambda", dest="lambda_", type=_lambda_arg, default=None,
                      metavar="auto|VALUE", help="regularisation (default: auto rule)")

@@ -79,12 +79,30 @@ def select_lambda(k0: np.ndarray) -> float:
     k0 = np.asarray(k0, dtype=float)
     if k0.ndim != 2 or k0.shape[0] != k0.shape[1]:
         raise InvalidInputError(f"k0 must be square, got shape {k0.shape}")
-    if not np.all(np.isfinite(k0)):
-        raise InvalidInputError("k0 contains non-finite entries")
+    _check_finite(k0)
     scale = max(1.0, float(np.max(np.abs(k0))))
     work = np.subtract(k0, k0.T, order="F")
     if np.max(np.abs(work, out=work)) > 1e-12 * scale:
         raise InvalidInputError("k0 must be symmetric")
+    return _lambda_search(k0, work)
+
+
+def _select_lambda_gram(k0: np.ndarray) -> float:
+    """:func:`select_lambda` for a Gram matrix built by ``gram_matrix``, which
+    is square and exactly symmetric by construction, so only its finiteness
+    is checked."""
+    _check_finite(k0)
+    return _lambda_search(k0, np.empty(k0.shape, order="F"))
+
+
+def _check_finite(k0: np.ndarray) -> None:
+    if not np.all(np.isfinite(k0)):
+        raise InvalidInputError("k0 contains non-finite entries")
+
+
+def _lambda_search(k0: np.ndarray, work: np.ndarray) -> float:
+    """The :func:`select_lambda` rule on a checked ``k0``; ``work`` is a
+    Fortran-ordered m x m scratch array."""
     m = k0.shape[0]
     if m >= _GUARDED_MIN_SIZE:
         lam = _guarded_lambda(k0, work)
@@ -100,7 +118,7 @@ def select_lambda(k0: np.ndarray) -> float:
     warnings.warn(
         "kernel matrix remains ill-conditioned even with unit regularisation",
         RuntimeWarning,
-        stacklevel=2,
+        stacklevel=3,
     )
     return 1.0
 
@@ -281,7 +299,7 @@ def fit_surrogate(
     ``lambda_`` defaults to the automatic conditioning rule.
     """
     k0 = gram_matrix(d0, params)
-    lam = select_lambda(k0) if lambda_ is None else float(lambda_)
+    lam = _select_lambda_gram(k0) if lambda_ is None else float(lambda_)
     c_hat, beta, _, _ = _fit_coefficients(k0, d0.f_values, lam)
     return SurrogateFit(
         c_hat=c_hat,
@@ -332,7 +350,7 @@ def cf_split_estimate(
         raise InvalidInputError("plan leaves no evaluation samples; use cf_simplified_estimate")
     k0 = gram_matrix(d0, params)
     k10 = stein_kernel_matrix(d1.points, d1.scores, d0.points, d0.scores, params)
-    lam = select_lambda(k0) if lambda_ is None else float(lambda_)
+    lam = _select_lambda_gram(k0) if lambda_ is None else float(lambda_)
     c_hat, beta, chol, z = _fit_coefficients(k0, d0.f_values, lam)
     f1_hat = c_hat + k10 @ beta
     star = float(np.mean(d1.f_values - f1_hat))
@@ -360,7 +378,7 @@ def cf_simplified_estimate(
     typically lower variance than the sample-splitting estimator.
     """
     k0 = gram_matrix(data, params)
-    lam = select_lambda(k0) if lambda_ is None else float(lambda_)
+    lam = _select_lambda_gram(k0) if lambda_ is None else float(lambda_)
     c_hat, _, _, _ = _fit_coefficients(k0, data.f_values, lam)
     return Estimate(
         value=c_hat,
@@ -394,7 +412,7 @@ def cf_weights(
         raise InvalidInputError("weights require at least one evaluation sample (m < n)")
     k0 = gram_matrix(d0, params)
     k10 = stein_kernel_matrix(d1.points, d1.scores, d0.points, d0.scores, params)
-    lam = select_lambda(k0) if lambda_ is None else float(lambda_)
+    lam = _select_lambda_gram(k0) if lambda_ is None else float(lambda_)
     chol, z = _factorise(k0, lam)
     _, h, s, q = _split_solve(chol, z, k10)
     n_minus_m = d1.n
@@ -486,7 +504,7 @@ def discrepancy(
         raise InvalidInputError("d0 and d1 must both be non-empty")
     k0 = gram_matrix(d0, params)
     k10 = stein_kernel_matrix(d1.points, d1.scores, d0.points, d0.scores, params)
-    lam = select_lambda(k0) if lambda_ is None else float(lambda_)
+    lam = _select_lambda_gram(k0) if lambda_ is None else float(lambda_)
     return discrepancy_from_matrices(k0, k10, gram_matrix(d1, params), lambda_=lam)
 
 

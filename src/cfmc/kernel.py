@@ -144,6 +144,8 @@ def stein_kernel(x, u_x, xp, u_xp, params: SteinKernelParams) -> float:
 # arrays through memory.  Of 2**12 .. 2**17, 2**15 was the fastest for Gram
 # matrices of n = 500 .. 2000 on an x86-64 core with 2 MiB of L2.
 _BLOCK_ENTRIES = 2**15
+# Block-sized buffers of the in-place evaluation in _stein_block.
+_BUFFERS = 7
 
 
 def _check_sets(x, u_x, y, u_y):
@@ -158,36 +160,91 @@ def _check_sets(x, u_x, y, u_y):
     return x, u_x, y, u_y
 
 
-def _stein_block(x, u_x, y, u_y, inner, params: SteinKernelParams) -> np.ndarray:
-    """k0(x_i, y_j) for one block of row points x and column points y.
+def _point_terms(x, u):
+    """|x_i|^2 and u(x_i).x_i, as (n, 1) columns."""
+    return np.add.reduce(x * x, axis=1)[:, None], np.add.reduce(u * x, axis=1)[:, None]
 
-    ``inner(i, j)`` returns ``(x, u_x)[i] @ (y, u_y)[j].T`` on this block.
+
+class _Pairs:
+    """Row points x and column points y of one assembly with their scores,
+    their per-point terms, and the offsets of the current block: rows
+    ``rows`` and columns ``cols``."""
+
+    def __init__(self, x, u_x, y, u_y):
+        self.nx, self.ux_x = _point_terms(x, u_x)
+        ny, uy_y = (self.nx, self.ux_x) if y is x and u_y is u_x else _point_terms(y, u_y)
+        self.ny, self.uy_y = ny.T, uy_y.T
+        self.d = x.shape[1]
+        self.left, self.right = (x, u_x), (y, u_y)
+        self.whole = {} if self.d > 1 else None
+        self.rows = self.cols = slice(None)
+
+    def inner(self, i, j, buf):
+        """``(x, u_x)[i] @ (y, u_y)[j].T`` on the current block."""
+        left, right = self.left[i], self.right[j]
+        if self.whole is None:
+            # A length-1 dot product is one rounded multiply, the value dgemm
+            # gives, so d = 1 needs no whole-shape matrix.
+            return np.multiply(left[self.rows], right[self.cols, 0], out=buf)
+        # BLAS picks its kernel by call shape, so at d >= 2 the inner products
+        # are whole matmuls, each made on first use: computed per row block,
+        # their last bit could change.
+        if (i, j) not in self.whole:
+            self.whole[i, j] = left @ right.T
+        return self.whole[i, j][self.rows, self.cols]
+
+
+def _stein_block(pairs: _Pairs, params: SteinKernelParams, buf, out) -> None:
+    """Write k0(x_i, y_j) for the current block of ``pairs`` into ``out``.
+
+    Every operation of the whole-matrix formula runs in place in the seven
+    block-shaped buffers ``buf``, in the formula's own order, so no entry
+    depends on the block layout.  Two negations are moved, which IEEE
+    arithmetic leaves exact: (-a)/c = a/(-c), and t + (-k)*s = t - k*s.
     """
     a1, a2 = params.alpha1, params.alpha2
-    d = x.shape[1]
-    nx = np.sum(x * x, axis=1)[:, None]
-    ny = np.sum(y * y, axis=1)[None, :]
-    pref = 1.0 + a1 * (nx + ny)
-    gram = inner(0, 0)
-    rho = np.maximum(nx + ny - 2.0 * gram, 0.0)
-    k = np.exp(-rho / (2.0 * a2**2)) / pref
-    div_grad = k * (
-        d / a2**2 + 8.0 * a1**2 * gram / pref**2 - 2.0 * a1 * rho / (pref * a2**2) - rho / a2**4
-    )
-    ux_x = np.sum(u_x * x, axis=1)[:, None]  # u(x_i).x_i
-    uy_y = np.sum(u_y * y, axis=1)[None, :]  # u(y_j).y_j
-    ux_y = inner(1, 0)  # u(x_i).y_j
-    x_uy = inner(0, 1)  # x_i.u(y_j)
-    t_x = k * ((ux_x - ux_y) / a2**2 - 2.0 * a1 * ux_y / pref)
-    t_y = -k * (2.0 * a1 * x_uy / pref + (x_uy - uy_y) / a2**2)
-    return div_grad + (t_x + t_y) + inner(1, 1) * k
-
-
-def _single_block(x, u_x, y, u_y, params: SteinKernelParams) -> np.ndarray:
-    """The whole matrix as one block.  Each inner product is computed only
-    where the formula uses it, so fewer full-size arrays are live at once."""
-    left, right = (x, u_x), (y, u_y)
-    return _stein_block(x, u_x, y, u_y, lambda i, j: left[i] @ right[j].T, params)
+    rows, cols = pairs.rows, pairs.cols
+    k, pref, b2, rho, b4, b5, b6 = buf
+    norms = np.add(pairs.nx[rows], pairs.ny[:, cols], out=k)
+    np.multiply(a1, norms, out=pref)
+    pref += 1.0
+    gram = pairs.inner(0, 0, b2)
+    np.multiply(2.0, gram, out=rho)
+    np.subtract(norms, rho, out=rho)
+    np.maximum(rho, 0.0, out=rho)
+    np.divide(rho, -(2.0 * a2**2), out=k)
+    np.exp(k, out=k)
+    k /= pref
+    # div_grad = k * (d/a2^2 + 8 a1^2 gram/pref^2 - 2 a1 rho/(pref a2^2) - rho/a2^4)
+    div_grad = np.multiply(8.0 * a1**2, gram, out=b4)
+    div_grad /= np.multiply(pref, pref, out=b5)
+    div_grad += pairs.d / a2**2
+    term = np.multiply(2.0 * a1, rho, out=b5)
+    term /= np.multiply(pref, a2**2, out=b6)
+    div_grad -= term
+    rho /= a2**4
+    div_grad -= rho
+    div_grad *= k
+    # t_x = k * ((ux_x - ux_y)/a2^2 - 2 a1 ux_y/pref)
+    ux_y = pairs.inner(1, 0, b2)
+    t_x = np.subtract(pairs.ux_x[rows], ux_y, out=rho)
+    t_x /= a2**2
+    term = np.multiply(2.0 * a1, ux_y, out=b5)
+    term /= pref
+    t_x -= term
+    t_x *= k
+    # t_y = -k * s with s = 2 a1 x_uy/pref + (x_uy - uy_y)/a2^2
+    x_uy = pairs.inner(0, 1, b2)
+    s = np.multiply(2.0 * a1, x_uy, out=b5)
+    s /= pref
+    term = np.subtract(x_uy, pairs.uy_y[:, cols], out=b6)
+    term /= a2**2
+    s += term
+    s *= k
+    # div_grad + (t_x + t_y) + (u_x.u_y) k
+    t_x -= s
+    div_grad += t_x
+    np.add(div_grad, np.multiply(pairs.inner(1, 1, b2), k, out=b2), out=out)
 
 
 def _block_rows(p: int, q: int) -> int:
@@ -197,26 +254,31 @@ def _block_rows(p: int, q: int) -> int:
     return -(-p // blocks)
 
 
-def _row_blocks(x, u_x, y, u_y, params: SteinKernelParams, upper: bool):
-    """Yield (i0, i1, block): rows i0:i1 of the matrix k0(x_i, y_j).
+def _assemble(x, u_x, y, u_y, params: SteinKernelParams, upper: bool) -> np.ndarray:
+    """The (p, q) matrix k0(x_i, y_j), filled row block by row block.
 
-    A block spans all columns, or with ``upper`` only columns i0: (the upper
-    triangle of a Gram matrix).
+    With ``upper`` (a Gram matrix, y = x), a block of rows i0:i1 spans only
+    columns i0:, and its transpose fills the lower triangle.  All blocks
+    share one workspace of ``_BUFFERS`` contiguous block-sized buffers.
     """
-    left, right = (x, u_x), (y, u_y)
-    # BLAS picks its kernel by call shape, so the inner products are whole
-    # matmuls: computed per row block, their last bit could change.
-    inner = {(i, j): left[i] @ right[j].T for i in (0, 1) for j in (0, 1)}
-    p = x.shape[0]
-    step = _block_rows(p, y.shape[0])
+    p, q = x.shape[0], y.shape[0]
+    out = np.empty((p, q))
+    step = _block_rows(p, q)
+    work = np.empty((_BUFFERS, step * q))
+    pairs = _Pairs(x, u_x, y, u_y)
     for i0 in range(0, p, step):
         i1 = min(i0 + step, p)
         j0 = i0 if upper else 0
-        block = _stein_block(
-            x[i0:i1], u_x[i0:i1], y[j0:], u_y[j0:],
-            lambda i, j: inner[i, j][i0:i1, j0:], params,
-        )
-        yield i0, i1, block
+        pairs.rows, pairs.cols = slice(i0, i1), slice(j0, None)
+        strip = out[i0:i1, j0:]
+        _stein_block(pairs, params, work[:, : strip.size].reshape(_BUFFERS, *strip.shape), strip)
+        if upper:
+            # Adding 0.0 turns -0.0 into +0.0, so the two triangles agree.
+            strip += 0.0
+            square = strip[:, : i1 - i0]
+            np.copyto(square, square.T, where=np.tri(i1 - i0, k=-1, dtype=bool))
+            out[i1:, i0:i1] = strip[:, i1 - i0 :].T
+    return out
 
 
 def stein_kernel_matrix(x, u_x, y, u_y, params: SteinKernelParams) -> np.ndarray:
@@ -232,17 +294,14 @@ def stein_kernel_matrix(x, u_x, y, u_y, params: SteinKernelParams) -> np.ndarray
     Returns
     -------
     (p, q) array with entries k0(x_i, y_j).  The elementwise work runs in
-    row blocks of about ``_BLOCK_ENTRIES`` entries, so beyond the result and
-    the four (p, q) inner-product matrices it holds one block at a time.
+    place in row blocks of about ``_BLOCK_ENTRIES`` entries that share one
+    workspace.  At d = 1 the inner products are formed per block, so beyond
+    the result only the workspace is held: tracemalloc's peak is about
+    1.1-1.7x the result's bytes (p = q = 2000 / 600).  At d >= 2 they are
+    four whole (p, q) matrix products, and the peak is about 5-6x.
     """
     x, u_x, y, u_y = _check_sets(x, u_x, y, u_y)
-    p, q = x.shape[0], y.shape[0]
-    if p * q <= _BLOCK_ENTRIES:
-        return _single_block(x, u_x, y, u_y, params)
-    out = np.empty((p, q))
-    for i0, i1, block in _row_blocks(x, u_x, y, u_y, params, upper=False):
-        out[i0:i1] = block
-    return out
+    return _assemble(x, u_x, y, u_y, params, upper=False)
 
 
 def stein_kernel_diag(x, u_x, params: SteinKernelParams) -> np.ndarray:
@@ -263,31 +322,11 @@ def stein_kernel_diag(x, u_x, params: SteinKernelParams) -> np.ndarray:
     return k * (div_part - 4.0 * a1 * ux_x / pref + np.sum(u_x * u_x, axis=1))
 
 
-def _mirror_square(block: np.ndarray) -> np.ndarray:
-    """Copy the upper triangle of a square block onto the lower one."""
-    return np.triu(block) + np.triu(block, k=1).T
-
-
 def _symmetric_gram(x, u_x, params: SteinKernelParams) -> np.ndarray:
-    """Stein-kernel Gram matrix of one point set, exactly symmetric.
-
-    Only the upper-triangle row blocks (rows i0:i1, columns i0:n) are
-    evaluated; each block's transpose fills the lower triangle.
-    """
+    """Stein-kernel Gram matrix of one point set, exactly symmetric: only
+    its upper triangle is evaluated."""
     x, u_x, _, _ = _check_sets(x, u_x, x, u_x)
-    n = x.shape[0]
-    if n * n <= _BLOCK_ENTRIES:
-        return _mirror_square(_single_block(x, u_x, x, u_x, params))
-    out = np.empty((n, n))
-    for i0, i1, block in _row_blocks(x, u_x, x, u_x, params, upper=True):
-        out[i0:i1, i0:i1] = _mirror_square(block[:, : i1 - i0])
-        # Adding 0.0 turns -0.0 into +0.0, as the mirror of the diagonal
-        # square does, so the result does not depend on the block layout.
-        rect = block[:, i1 - i0 :]
-        rect += 0.0
-        out[i0:i1, i1:] = rect
-        out[i1:, i0:i1] = rect.T
-    return out
+    return _assemble(x, u_x, x, u_x, params, upper=True)
 
 
 def gram_matrix(data: ScoredDataset, params: SteinKernelParams) -> np.ndarray:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from cfmc import InvalidInputError, gaussian_problem
+from cfmc import InvalidInputError, SteinKernelParams, gaussian_problem
 from cfmc.bench import (
     ExperimentConfig,
     MethodSpec,
@@ -11,6 +11,7 @@ from cfmc.bench import (
     estimate_slope,
     load_config,
     report_summary,
+    run_estimator,
     run_experiment,
     write_csv,
     write_json,
@@ -136,6 +137,17 @@ class TestConfig:
     def test_invalid_lambda_rejected(self, lam):
         with pytest.raises(InvalidInputError, match="lambda"):
             MethodSpec("cf-split", lambda_=lam)
+
+    @pytest.mark.parametrize("method", ["cf-split", "cf-multisplit"])
+    @pytest.mark.parametrize("fraction", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_split_fraction_rejected(self, method, fraction):
+        data = gaussian_problem(1).dataset(np.random.default_rng(0), 20)
+        grid = (SteinKernelParams(0.1, 1.0), SteinKernelParams(0.1, 2.0))
+        with pytest.raises(InvalidInputError, match="split"):
+            run_estimator(
+                MethodSpec(method, cv_grid=grid), data,
+                split_seed=1, cv_seed=2, split_fraction=fraction, n_splits=2,
+            )
 
     def test_negative_master_seed_rejected(self):
         with pytest.raises(InvalidInputError, match="master_seed"):

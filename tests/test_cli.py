@@ -165,6 +165,14 @@ class TestEstimateCommand:
             (("--method", "cf-split", "--bound", "--fnorm", "-1"), "--fnorm"),
             (("--method", "cf-split", "--bound", "--fnorm", "nan"), "--fnorm"),
             (("--method", "cf-split", "--bound", "--fnorm", "inf"), "--fnorm"),
+            (("--method", "cf-split", "--split-fraction", "nan"), "--split-fraction"),
+            (("--method", "cf-split", "--split-fraction", "inf"), "--split-fraction"),
+            (("--method", "cf-split", "--split-fraction", "1.5"), "--split-fraction"),
+            (("--method", "cf-split", "--split-fraction", "-0.5"), "--split-fraction"),
+            (("--method", "cf-split", "--split-fraction", "0"), "--split-fraction"),
+            (("--method", "cf-split", "--split-fraction", "1"), "--split-fraction"),
+            (("--method", "cf-multisplit", "--splits", "0"), "--splits"),
+            (("--method", "cf-multisplit", "--splits", "2.5"), "--splits"),
         ],
     )
     def test_invalid_number_is_usage_error(self, sin_gaussian_file, args, option):

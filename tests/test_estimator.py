@@ -96,6 +96,37 @@ class TestSelectLambda:
             assert select_lambda(k0) == 1.0
 
 
+class TestGramLambdaEntry:
+    """Estimators select lambda on their own Grams without the symmetry
+    check; the public function keeps both checks, and both give one lambda."""
+
+    @pytest.mark.parametrize("m", [30, _GUARDED_MIN_SIZE, 400])
+    def test_same_lambda_as_public_entry(self, m, make_gaussian_dataset):
+        k0 = gram_matrix(make_gaussian_dataset(m, seed=m), PARAMS)
+        assert estimator._select_lambda_gram(k0) == select_lambda(k0)
+
+    def test_near_duplicates_same_lambda(self):
+        rng = np.random.default_rng(0)
+        points = rng.standard_normal(2) + 1e-9 * rng.standard_normal((20, 2))
+        k0 = gram_matrix(ScoredDataset(points, -points, np.zeros(20)), PARAMS)
+        assert estimator._select_lambda_gram(k0) == select_lambda(k0) > 1e-16
+
+    @pytest.mark.parametrize("select", [select_lambda, estimator._select_lambda_gram])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected_by_both(self, select, bad):
+        k0 = np.eye(3)
+        k0[1, 1] = bad
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            select(k0)
+
+    def test_estimators_do_not_check_symmetry(self, monkeypatch, make_gaussian_dataset):
+        data = make_gaussian_dataset(40, seed=3)
+        calls = _spy(monkeypatch, estimator, "select_lambda")
+        cf_simplified_estimate(data, PARAMS)
+        cf_split_estimate(data, random_split(40, 20, 0), PARAMS, compute_discrepancy=True)
+        assert calls == []
+
+
 def eigvalsh_rule(k0):
     """The full-spectrum rule that select_lambda must reproduce at every size."""
     m = k0.shape[0]

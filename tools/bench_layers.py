@@ -10,13 +10,20 @@
   n in {20, ..., 2000}, with tracemalloc's peak over the result's bytes for
   the two assembly functions;
 * ``lambda_select``: ``select_lambda`` on a precomputed Gram matrix and the
-  two kernel estimators at system sizes m in {100, ..., 2000}.
+  two kernel estimators at system sizes m in {100, ..., 2000};
+* ``gram_inplace``: ``gram_matrix``, ``stein_kernel_matrix`` and
+  ``cf_split_estimate`` with its discrepancy at d in {1, 3} and
+  n in {10, ..., 2000}, with tracemalloc's peak over the result's bytes for
+  the two assembly functions.
 
 Each repeat runs one fresh worker per side, alternating which side goes
 first, with every BLAS/OpenMP thread count pinned to 1.  A worker imports
 ``cfmc`` from the given source directory, makes one warm-up call per function
 and size, then times each in CPU time (``time.process_time``), averaging
-over enough calls at small sizes to span about 20 ms.
+over enough calls at small sizes to span about 20 ms.  Each timing is scaled
+to the benchmark's reference speed: by ``Reference.NOMINAL_S`` over the mean
+of one ``perfbench/worker.py`` reference round timed right before it and one
+right after it, so a slow spell of the shared host does not move a worker.
 """
 
 from __future__ import annotations
@@ -31,9 +38,13 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import scipy
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from worker import Reference  # noqa: E402  (the benchmark's own reference round)
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SAMPLE = "standard Gaussian sample with f = sin(pi x), alpha = (0.1, 1.0), automatic lambda"
@@ -46,9 +57,9 @@ def _problem(d, size):
     return cfmc, cfmc.gaussian_problem(d).dataset(rng, size), rng
 
 
-def _gram_block_cases(n):
-    cfmc, data, rng = _problem(1, n)
-    other = cfmc.gaussian_problem(1).dataset(rng, n)
+def _kernel_cases(n, d=1):
+    cfmc, data, rng = _problem(d, n)
+    other = cfmc.gaussian_problem(d).dataset(rng, n)
     params = cfmc.SteinKernelParams(alpha1=0.1, alpha2=1.0)
     plan = cfmc.random_split(n, n // 2, 0)
     return {
@@ -60,6 +71,15 @@ def _gram_block_cases(n):
             data, plan, params, compute_discrepancy=True
         ),
         "cf_simplified_estimate": lambda: cfmc.cf_simplified_estimate(data, params),
+    }
+
+
+def _gram_inplace_cases(n):
+    return {
+        f"{name}_d{d}": call
+        for d in (1, 3)
+        for name, call in _kernel_cases(n, d).items()
+        if name != "cf_simplified_estimate"
     }
 
 
@@ -104,11 +124,24 @@ TOPICS = {
         "topic": "Stein-kernel Gram assembly in cache-sized row blocks",
         "layer": "kernel: gram_matrix / stein_kernel_matrix (Stein-Gram assembly)",
         "sizes": (20, 50, 200, 500, 1000, 2000),
-        "cases": _gram_block_cases,
+        "cases": _kernel_cases,
         "peak": ("gram_matrix", "stein_kernel_matrix"),
         "method": (
             f"d = 1 {SAMPLE}; size = n; stein_kernel_matrix between two independent "
             "n-point samples; cf_split_estimate with m = n/2 and compute_discrepancy=True"
+        ),
+    },
+    "gram_inplace": {
+        "topic": "Stein-kernel blocks evaluated in place in one reused workspace",
+        "layer": "kernel: gram_matrix / stein_kernel_matrix (Stein-Gram assembly)",
+        "sizes": (10, 25, 50, 100, 150, 200, 500, 1000, 2000),
+        "cases": _gram_inplace_cases,
+        "peak": tuple(f"{name}_d{d}" for d in (1, 3)
+                      for name in ("gram_matrix", "stein_kernel_matrix")),
+        "method": (
+            f"{SAMPLE}, in d = 1 (suffix _d1) and d = 3 (_d3); size = n; "
+            "stein_kernel_matrix between two independent n-point samples; "
+            "cf_split_estimate with m = n/2 and compute_discrepancy=True"
         ),
     },
     "lambda_select": {
@@ -132,15 +165,19 @@ TOPICS = {
 def measure(topic: str) -> dict:
     """One repeat: CPU seconds per (function, size), and assembly peak ratios."""
     spec = TOPICS[topic]
+    reference = Reference()
     times, peaks = {}, {}
     for size in spec["sizes"]:
         loops = max(1, 200_000 // (size * size))  # at least ~20 ms per timing at small sizes
         for name, call in spec["cases"](size).items():
             call()
+            before = reference.sample()
             start = time.process_time()
             for _ in range(loops):
                 call()
-            times[f"{name}/{size}"] = (time.process_time() - start) / loops
+            cpu = (time.process_time() - start) / loops
+            speed = Reference.NOMINAL_S / (0.5 * (before + reference.sample()))
+            times[f"{name}/{size}"] = cpu * speed
             if name in spec["peak"]:
                 tracemalloc.start()
                 try:
@@ -167,6 +204,11 @@ def _summary(runs: list[dict]) -> dict:
     summary = {
         "median_ms": {k: round(1e3 * statistics.median(v), 3) for k, v in cpu.items()},
         "all_ms": {k: [round(1e3 * t, 3) for t in v] for k, v in cpu.items()},
+        "iqr_over_median": {
+            k: round((q[2] - q[0]) / statistics.median(v), 3)
+            for k, v in cpu.items()
+            for q in [statistics.quantiles(v, n=4)]
+        },
     }
     if peak:
         summary["tracemalloc_peak_over_result"] = {k: round(v, 2) for k, v in peak.items()}
@@ -189,6 +231,8 @@ def main(argv=None) -> int:
         return 0
     if not (args.before and args.after):
         parser.error("--before and --after are required")
+    if args.repeats < 2:
+        parser.error("--repeats must be at least 2, to give a spread")
     sides = {"before": (args.before, []), "after": (args.after, [])}
     for r in range(args.repeats):
         order = ("before", "after") if r % 2 == 0 else ("after", "before")
@@ -200,11 +244,13 @@ def main(argv=None) -> int:
     report = {
         "topic": spec["topic"],
         "layer": spec["layer"],
-        "unit": "ms of CPU time per call, median over repeats",
+        "unit": "ms of CPU time per call at the reference speed, median over repeats",
         "repeats": args.repeats,
         "method": (
             "one fresh worker per side and repeat, sides alternating; one warm-up "
-            "call, then the mean of max(1, 200000 // size^2) timed calls; " + spec["method"]
+            "call, then the mean of max(1, 200000 // size^2) timed calls, scaled by "
+            f"{Reference.NOMINAL_S} s over the mean of the perfbench reference rounds "
+            "timed right before and after them; " + spec["method"]
         ),
         "sizes": list(spec["sizes"]),
         "environment": {
