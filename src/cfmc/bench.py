@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import baselines
-from .data import ScoredDataset, random_split
+from .data import ScoredDataset, _split_size, random_split
 from .errors import CfmcError, InvalidInputError
 from .estimator import (
     Estimate,
@@ -47,10 +47,10 @@ CSV_COLUMNS = ("method", "n", "replication", "estimate", "lambda_used", "seed")
 class MethodSpec:
     """One estimator to run in an experiment.
 
-    ``alpha1``/``alpha2`` fix the kernel hyper-parameters unless ``cv_grid``
-    is given, in which case they are selected per replication by hold-out
-    validation on the fitting samples.  ``label`` names the method in reports
-    and defaults to the tag.
+    ``alpha1``/``alpha2`` fix the kernel hyper-parameters unless a non-empty
+    ``cv_grid`` is given, in which case they are selected per replication by
+    hold-out validation on the fitting samples.  ``label`` names the method
+    in reports and defaults to the tag.
     """
 
     method: str
@@ -70,6 +70,8 @@ class MethodSpec:
             raise InvalidInputError(
                 f"lambda must be 'auto' or non-negative and finite, got {self.lambda_!r}"
             )
+        if self.cv_grid is not None and not self.cv_grid:
+            raise InvalidInputError("cv_grid must contain at least one [alpha1, alpha2] pair")
 
     @property
     def name(self) -> str:
@@ -219,20 +221,11 @@ def cell_dataset(config: ExperimentConfig, problem: TargetProblem, n: int, repli
     return problem.dataset(rng, n)
 
 
-def _split_size(n: int, split_fraction: float) -> int:
-    if not math.isfinite(split_fraction):
-        raise InvalidInputError(f"split fraction must be finite, got {split_fraction}")
-    m = math.ceil(split_fraction * n)
-    if not 1 <= m < n:
-        raise InvalidInputError(f"split fraction {split_fraction} of n={n} gives degenerate m={m}")
-    return m
-
-
 def _kernel_params(spec: MethodSpec, cv_set, cv_seed) -> SteinKernelParams:
     """The spec's kernel, or the CV choice on the dataset ``cv_set()`` when
     the spec has a grid."""
     params = spec.kernel_params()
-    if spec.cv_grid:
+    if spec.cv_grid is not None:
         params = cross_validate(
             cv_set(), spec.cv_grid, train_fraction=spec.cv_train_fraction, seed=cv_seed
         )

@@ -39,24 +39,25 @@ from .kernel import SteinKernelParams
 from .targets import gaussian_problem, mixture_problem
 
 
-def _non_negative_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"must be a non-negative finite number, got {text!r}")
-    return value
+def _finite_float(accept, what: str):
+    """An argparse type for finite numbers that ``accept`` holds for, ``what``
+    naming them in the error."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and accept(value)):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+
+    return parse
 
 
-def _open_fraction(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"must be a number strictly between 0 and 1, got {text!r}")
-    return value
+_non_negative_float = _finite_float(lambda value: value >= 0, "a non-negative finite number")
+_positive_float = _finite_float(lambda value: value > 0, "a positive finite number")
+_open_fraction = _finite_float(lambda value: 0 < value < 1, "a number strictly between 0 and 1")
 
 
 def _lambda_arg(text: str):
@@ -227,8 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[tag for tag, entry in bench_mod.METHODS.items() if not entry.needs_density],
         default="cf-simplified",
     )
-    est.add_argument("--alpha1", type=float, default=0.1)
-    est.add_argument("--alpha2", type=float, default=1.0)
+    est.add_argument("--alpha1", type=_positive_float, default=0.1)
+    est.add_argument("--alpha2", type=_positive_float, default=1.0)
     est.add_argument("--cv-grid", help="JSON file with [alpha1, alpha2] candidate pairs")
     est.add_argument("--split-fraction", type=_open_fraction, default=0.5)
     est.add_argument("--splits", type=_int_at_least(1), default=1)
@@ -244,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     ben = sub.add_parser("bench", help="run a replicated convergence study")
     ben.add_argument("config", help="config file path or bundled name (e.g. paper_d1)")
     ben.add_argument("--out-dir", default="bench_out")
-    ben.add_argument("--threads", type=int, default=1)
+    ben.add_argument("--threads", type=_int_at_least(1), default=1)
     ben.add_argument("--dry-run", action="store_true",
                      help="validate the config and print the cell count only")
     ben.add_argument("--emit-samples", metavar="DIR", default=None,
@@ -252,8 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     dia = sub.add_parser("diagnose", help="numerical health checks for a built-in target")
     dia.add_argument("--target", default="gaussian-d1")
-    dia.add_argument("--alpha1", type=float, default=0.1)
-    dia.add_argument("--alpha2", type=float, default=1.0)
+    dia.add_argument("--alpha1", type=_positive_float, default=0.1)
+    dia.add_argument("--alpha2", type=_positive_float, default=1.0)
     dia.add_argument("--probes", type=_int_at_least(1), default=10)
     dia.add_argument("--sample-size", type=_int_at_least(1), default=1000)
     dia.add_argument("--seed", type=_int_at_least(0), default=0)

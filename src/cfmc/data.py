@@ -91,7 +91,6 @@ class SplitPlan:
     m: int
     index_d0: np.ndarray
     index_d1: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self):
         d0 = np.asarray(self.index_d0, dtype=int)
@@ -132,8 +131,18 @@ def random_split(n: int, m: int, seed, index: int = 0) -> SplitPlan:
     stream = np.random.SeedSequence(entropy=seq.entropy, spawn_key=tuple(seq.spawn_key) + (index,))
     rng = np.random.Generator(np.random.Philox(stream))
     perm = rng.permutation(n)
-    base_seed = seed if isinstance(seed, int) else None
-    return SplitPlan(m=m, index_d0=perm[:m], index_d1=perm[m:], seed=base_seed)
+    return SplitPlan(m=m, index_d0=perm[:m], index_d1=perm[m:])
+
+
+def _split_size(n: int, fraction: float) -> int:
+    """|D0| = ceil(fraction * n) of a split of ``n`` samples, which must leave
+    both sides non-empty."""
+    if not math.isfinite(fraction):
+        raise InvalidInputError(f"split fraction must be finite, got {fraction}")
+    m = math.ceil(fraction * n)
+    if not 1 <= m < n:
+        raise InvalidInputError(f"split fraction {fraction} of n={n} gives degenerate m={m}")
+    return m
 
 
 def sample_file_header(dimension: int) -> list[str]:

@@ -29,7 +29,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dpotrf
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
 
-from .data import ScoredDataset, SplitPlan, random_split
+from .data import ScoredDataset, SplitPlan, _split_size, random_split
 from .errors import InvalidInputError, NumericalError, SingularMatrixError
 from .kernel import SteinKernelParams, _symmetric_gram, gram_matrix, stein_kernel_matrix
 
@@ -202,19 +202,23 @@ def _factorise(k0: np.ndarray, lam: float):
     return chol, cho_solve(chol, np.ones(m))
 
 
-def _fit_coefficients(k0: np.ndarray, f0: np.ndarray, lam: float):
-    """Solve for (c_hat, beta) given the Gram matrix of the fitting set.
+def _fit_coefficients(k0: np.ndarray, f0: np.ndarray, lambda_: float | None):
+    """Choose lam and solve for (c_hat, beta) given the Gram matrix of the
+    fitting set.
 
-    c_hat = 1'(K0 + lam*m*I)^-1 f0 / (1 + 1'(K0 + lam*m*I)^-1 1) and
-    beta = (K0 + lam*m*I)^-1 (f0 - c_hat*1).  Returns the factor and
-    z = A^-1 1 too, so callers can reuse them in :func:`_split_solve`.
+    ``lambda_`` None applies the automatic conditioning rule.  With
+    A = K0 + lam*m*I, c_hat = 1'A^-1 f0 / (1 + 1'A^-1 1) and
+    beta = A^-1 (f0 - c_hat*1).  Returns (lam, c_hat, beta, chol, z): the
+    factor of A and z = A^-1 1 too, so callers can reuse them in
+    :func:`_split_solve`.
     """
+    lam = _select_lambda_gram(k0) if lambda_ is None else float(lambda_)
     chol, z = _factorise(k0, lam)
     ones = np.ones(k0.shape[0])
     y = cho_solve(chol, f0)
     c_hat = float(ones @ y) / (1.0 + float(ones @ z))
     beta = y - c_hat * z
-    return c_hat, beta, chol, z
+    return lam, c_hat, beta, chol, z
 
 
 def _split_solve(chol, z: np.ndarray, k10: np.ndarray):
@@ -298,9 +302,7 @@ def fit_surrogate(
 
     ``lambda_`` defaults to the automatic conditioning rule.
     """
-    k0 = gram_matrix(d0, params)
-    lam = _select_lambda_gram(k0) if lambda_ is None else float(lambda_)
-    c_hat, beta, _, _ = _fit_coefficients(k0, d0.f_values, lam)
+    lam, c_hat, beta, _, _ = _fit_coefficients(gram_matrix(d0, params), d0.f_values, lambda_)
     return SurrogateFit(
         c_hat=c_hat,
         beta=beta,
@@ -350,8 +352,7 @@ def cf_split_estimate(
         raise InvalidInputError("plan leaves no evaluation samples; use cf_simplified_estimate")
     k0 = gram_matrix(d0, params)
     k10 = stein_kernel_matrix(d1.points, d1.scores, d0.points, d0.scores, params)
-    lam = _select_lambda_gram(k0) if lambda_ is None else float(lambda_)
-    c_hat, beta, chol, z = _fit_coefficients(k0, d0.f_values, lam)
+    lam, c_hat, beta, chol, z = _fit_coefficients(k0, d0.f_values, lambda_)
     f1_hat = c_hat + k10 @ beta
     star = float(np.mean(d1.f_values - f1_hat))
     disc = None
@@ -377,9 +378,7 @@ def cf_simplified_estimate(
     value = 1'(K0 + lam*n*I)^-1 f / (1 + 1'(K0 + lam*n*I)^-1 1).  Biased but
     typically lower variance than the sample-splitting estimator.
     """
-    k0 = gram_matrix(data, params)
-    lam = _select_lambda_gram(k0) if lambda_ is None else float(lambda_)
-    c_hat, _, _, _ = _fit_coefficients(k0, data.f_values, lam)
+    lam, c_hat, _, _, _ = _fit_coefficients(gram_matrix(data, params), data.f_values, lambda_)
     return Estimate(
         value=c_hat,
         method="cf-simplified",
@@ -412,8 +411,7 @@ def cf_weights(
         raise InvalidInputError("weights require at least one evaluation sample (m < n)")
     k0 = gram_matrix(d0, params)
     k10 = stein_kernel_matrix(d1.points, d1.scores, d0.points, d0.scores, params)
-    lam = _select_lambda_gram(k0) if lambda_ is None else float(lambda_)
-    chol, z = _factorise(k0, lam)
+    _, _, _, chol, z = _fit_coefficients(k0, d0.f_values, lambda_)
     _, h, s, q = _split_solve(chol, z, k10)
     n_minus_m = d1.n
     w0 = -h / n_minus_m + (s / (n_minus_m * (1.0 + q))) * z
@@ -439,14 +437,8 @@ def cf_multisplit_estimate(
     """
     if n_splits < 1:
         raise InvalidInputError(f"n_splits must be >= 1, got {n_splits}")
-    if not 0.0 < split_fraction < 1.0:
-        raise InvalidInputError(f"split_fraction must lie in (0, 1), got {split_fraction}")
     n = data.n
-    m = math.ceil(split_fraction * n)
-    if not 1 <= m < n:
-        raise InvalidInputError(
-            f"split_fraction {split_fraction} gives degenerate split m={m} of n={n}"
-        )
+    m = _split_size(n, split_fraction)
     values = np.empty(n_splits)
     lam_used = None
     for k in range(n_splits):
@@ -504,8 +496,8 @@ def discrepancy(
         raise InvalidInputError("d0 and d1 must both be non-empty")
     k0 = gram_matrix(d0, params)
     k10 = stein_kernel_matrix(d1.points, d1.scores, d0.points, d0.scores, params)
-    lam = _select_lambda_gram(k0) if lambda_ is None else float(lambda_)
-    return discrepancy_from_matrices(k0, k10, gram_matrix(d1, params), lambda_=lam)
+    _, _, _, chol, z = _fit_coefficients(k0, d0.f_values, lambda_)
+    return _discrepancy_from_factor(chol, z, k10, gram_matrix(d1, params))
 
 
 def cross_validate(

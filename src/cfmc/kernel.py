@@ -109,34 +109,20 @@ def base_kernel_derivatives(x, xp, params: SteinKernelParams) -> KernelDerivativ
 def stein_kernel(x, u_x, xp, u_xp, params: SteinKernelParams) -> float:
     """Evaluate the Stein kernel k0 at one pair of (point, score) tuples.
 
-    Symmetric under the joint swap (x, u_x) <-> (x', u_x'), exactly as
-    computed: every term is evaluated in a swap-invariant form.
+    This is the definition, built from :func:`base_kernel_derivatives`; the
+    matrix path is tested against it.  Symmetric under the joint swap
+    (x, u_x) <-> (x', u_x'), exactly as computed: the swap exchanges the two
+    score terms, which are added first.
     """
-    x, xp = _check_pair(x, xp)
+    derivs = base_kernel_derivatives(x, xp, params)
     u_x = np.asarray(u_x, dtype=float)
     u_xp = np.asarray(u_xp, dtype=float)
-    if u_x.shape != x.shape or u_xp.shape != xp.shape:
+    if u_x.shape != derivs.grad_x.shape or u_xp.shape != derivs.grad_xp.shape:
         raise InvalidInputError("score vectors must match point dimension")
     if not (np.all(np.isfinite(u_x)) and np.all(np.isfinite(u_xp))):
         raise InvalidInputError("scores must be finite")
-    a1, a2 = params.alpha1, params.alpha2
-    d = x.shape[0]
-    pref = 1.0 + a1 * (x @ x + xp @ xp)
-    r = x - xp
-    rho = float(r @ r)
-    k = float(np.exp(-rho / (2.0 * a2**2)) / pref)
-    div_grad = k * (
-        d / a2**2
-        + 8.0 * a1**2 * (x @ xp) / pref**2
-        - 2.0 * a1 * rho / (pref * a2**2)
-        - rho / a2**4
-    )
-    # u(x).grad_x' k and u(x').grad_x k, written so a swap maps one onto the
-    # exact negation pattern of the other; grouping them into a single
-    # commutative addition keeps the result bitwise swap-symmetric.
-    t_x = k * ((u_x @ x - u_x @ xp) / a2**2 - 2.0 * a1 * (u_x @ xp) / pref)
-    t_xp = -k * (2.0 * a1 * (u_xp @ x) / pref + (u_xp @ x - u_xp @ xp) / a2**2)
-    return float(div_grad + (t_x + t_xp) + (u_x @ u_xp) * k)
+    score_terms = u_x @ derivs.grad_xp + u_xp @ derivs.grad_x
+    return float(derivs.div_grad + score_terms + (u_x @ u_xp) * derivs.k_value)
 
 
 # Entries in one row block of the elementwise Stein-kernel work, so that the

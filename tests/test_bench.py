@@ -149,6 +149,18 @@ class TestConfig:
                 split_seed=1, cv_seed=2, split_fraction=fraction, n_splits=2,
             )
 
+    @pytest.mark.parametrize("method", ["cf-simplified", "cf-split"])
+    def test_empty_cv_grid_rejected(self, method):
+        raw = {
+            "problem": "gaussian",
+            "n_grid": [10, 20],
+            "replications": 2,
+            "master_seed": 5,
+            "methods": [{"method": method, "cv_grid": []}],
+        }
+        with pytest.raises(InvalidInputError, match="cv_grid"):
+            load_config(raw)
+
     def test_negative_master_seed_rejected(self):
         with pytest.raises(InvalidInputError, match="master_seed"):
             small_config(master_seed=-1)

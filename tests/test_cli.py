@@ -173,6 +173,10 @@ class TestEstimateCommand:
             (("--method", "cf-split", "--split-fraction", "1"), "--split-fraction"),
             (("--method", "cf-multisplit", "--splits", "0"), "--splits"),
             (("--method", "cf-multisplit", "--splits", "2.5"), "--splits"),
+            (("--alpha1", "-1"), "--alpha1"),
+            (("--alpha1", "0"), "--alpha1"),
+            (("--alpha2", "nan"), "--alpha2"),
+            (("--alpha2", "inf"), "--alpha2"),
         ],
     )
     def test_invalid_number_is_usage_error(self, sin_gaussian_file, args, option):
@@ -247,6 +251,17 @@ class TestEstimateCvGrid:
         payload = self.run_estimate(sin_gaussian_file, grid_path, "cf-simplified", seed)
         assert payload["value"] == expected.value
         assert payload["lambda_used"] == expected.lambda_used
+
+    @pytest.mark.parametrize("method", ["cf-simplified", "cf-split"])
+    def test_empty_grid_is_data_error(self, sin_gaussian_file, tmp_path, method):
+        grid_path = tmp_path / "empty.json"
+        grid_path.write_text("[]")
+        result = run_cli(
+            "estimate", str(sin_gaussian_file), "--method", method, "--cv-grid", str(grid_path)
+        )
+        assert result.returncode == 3
+        assert "cv_grid" in result.stderr
+        assert "Traceback" not in result.stderr
 
 
 BENCH_CONFIG = {
@@ -340,6 +355,13 @@ class TestBenchCommand:
         result = run_cli("bench", "no_such_config")
         assert result.returncode == 3
 
+    @pytest.mark.parametrize("threads", ["0", "-3", "1.5"])
+    def test_invalid_threads_is_usage_error(self, threads):
+        result = run_cli("bench", "paper_d1", "--dry-run", "--threads", threads)
+        assert result.returncode == 2
+        assert "argument --threads" in result.stderr
+        assert "Traceback" not in result.stderr
+
 
 class TestDiagnoseCommand:
     def test_gaussian_defaults(self):
@@ -370,6 +392,9 @@ class TestDiagnoseCommand:
             (("--probes", "0"), "--probes"),
             (("--seed", "-1"), "--seed"),
             (("--sample-size", "-3"), "--sample-size"),
+            (("--alpha1", "0"), "--alpha1"),
+            (("--alpha2", "-1"), "--alpha2"),
+            (("--alpha1", "nan"), "--alpha1"),
         ],
     )
     def test_invalid_count_is_usage_error(self, args, option):

@@ -189,26 +189,33 @@ class TestSteinKernel:
         with pytest.raises(InvalidInputError):
             stein_kernel(np.zeros(2), np.zeros(3), np.zeros(2), np.zeros(2), PARAMS)
 
+    # Dimensions and score scales for the fast paths against the definition;
+    # scores of about 1e3 make the score terms cancel the most.
+    CASES = [(d, scale) for d in (1, 2, 3, 5) for scale in (1.0, 1e3)]
+
     def test_matrix_matches_scalar(self):
         rng = np.random.default_rng(6)
-        x, y = rng.normal(size=(4, 3)), rng.normal(size=(5, 3))
-        u, v = rng.normal(size=(4, 3)), rng.normal(size=(5, 3))
-        matrix = stein_kernel_matrix(x, u, y, v, PARAMS)
-        assert matrix.shape == (4, 5)
-        for i in range(4):
-            for j in range(5):
-                assert matrix[i, j] == pytest.approx(
-                    stein_kernel(x[i], u[i], y[j], v[j], PARAMS), rel=1e-11, abs=1e-13
-                )
+        for d, scale in self.CASES:
+            x, y = rng.normal(size=(4, d)), rng.normal(size=(5, d))
+            u, v = scale * rng.normal(size=(4, d)), scale * rng.normal(size=(5, d))
+            matrix = stein_kernel_matrix(x, u, y, v, PARAMS)
+            assert matrix.shape == (4, 5)
+            for i in range(4):
+                for j in range(5):
+                    assert matrix[i, j] == pytest.approx(
+                        stein_kernel(x[i], u[i], y[j], v[j], PARAMS), rel=1e-11, abs=1e-13
+                    ), (d, scale, i, j)
 
     def test_diag_matches_matrix(self):
         rng = np.random.default_rng(7)
-        x = rng.normal(size=(6, 2))
-        u = rng.normal(size=(6, 2))
-        full = stein_kernel_matrix(x, u, x, u, PARAMS)
-        np.testing.assert_allclose(
-            stein_kernel_diag(x, u, PARAMS), np.diag(full), rtol=1e-11, atol=1e-13
-        )
+        for d, scale in self.CASES:
+            x = rng.normal(size=(6, d))
+            u = scale * rng.normal(size=(6, d))
+            full = stein_kernel_matrix(x, u, x, u, PARAMS)
+            np.testing.assert_allclose(
+                stein_kernel_diag(x, u, PARAMS), np.diag(full), rtol=1e-11, atol=1e-13,
+                err_msg=f"d={d}, scale={scale}",
+            )
 
 
 class TestAssembleMatrices:
