@@ -18,6 +18,7 @@ import csv
 import json
 import math
 import warnings
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -29,6 +30,7 @@ from .data import ScoredDataset, _split_size, random_split
 from .errors import CfmcError, InvalidInputError
 from .estimator import (
     Estimate,
+    _cached,
     cf_multisplit_estimate,
     cf_simplified_estimate,
     cf_split_estimate,
@@ -289,6 +291,22 @@ METHODS = {
     "cf-multisplit": _Method(_cf_multisplit),
 }
 
+_KERNEL_METHODS = frozenset({"cf-split", "cf-simplified", "cf-multisplit"})
+
+
+def _shared_kernels(specs) -> frozenset:
+    """The kernels that two or more kernel methods of ``specs`` can fit
+    with: the ones worth one Gram of a cell's dataset, from which every
+    later block is sliced.  A method can fit with its fixed kernel or with
+    any entry of its ``cv_grid``.  (A cf-multisplit of two or more splits
+    slices its splits from one Gram of its kernel by itself.)
+    """
+    uses = Counter()
+    for spec in specs:
+        if spec.method in _KERNEL_METHODS:
+            uses.update(set(spec.cv_grid or (spec.kernel_params(),)))
+    return frozenset(params for params, count in uses.items() if count >= 2)
+
 
 def run_estimator(
     spec: MethodSpec, data: ScoredDataset, *, split_seed, cv_seed, split_fraction: float = 0.5,
@@ -424,15 +442,18 @@ def run_experiment(
     aggregation order make the report identical for any thread count.  Method
     failures are recorded per cell rather than aborting the study.  Passing
     ``problem`` overrides the one named in the config (for custom targets).
+    The methods of a cell share its kernel blocks: a kernel that two of them
+    can fit with is assembled once, as the Gram of the cell's dataset.
     """
     if problem is None:
         problem = build_problem(config)
     oracle = oracle_mean(problem)
     tasks = [(n, rep) for n in config.n_grid for rep in range(config.replications)]
+    shared = _shared_kernels(config.methods)
 
     def worker(task):
         n, rep = task
-        dataset = cell_dataset(config, problem, n, rep)
+        dataset = _cached(cell_dataset(config, problem, n, rep), shared)
         seed_value = int(_data_stream(config.master_seed, n, rep).generate_state(1)[0])
         results = []
         for index, spec in enumerate(config.methods):

@@ -173,8 +173,11 @@ class _Pairs:
             # gives, so d = 1 needs no whole-shape matrix.
             return np.multiply(left[self.rows], right[self.cols, 0], out=buf)
         # BLAS picks its kernel by call shape, so at d >= 2 the inner products
-        # are whole matmuls, each made on first use: computed per row block,
-        # their last bit could change.
+        # are whole matmuls: computed per row block, their last bit could
+        # change.  A block that is the whole matrix takes the product straight
+        # into its buffer; otherwise each product is made on first use.
+        if buf.shape == (left.shape[0], right.shape[0]):
+            return np.matmul(left, right.T, out=buf)
         if (i, j) not in self.whole:
             self.whole[i, j] = left @ right.T
         return self.whole[i, j][self.rows, self.cols]
@@ -284,7 +287,9 @@ def stein_kernel_matrix(x, u_x, y, u_y, params: SteinKernelParams) -> np.ndarray
     workspace.  At d = 1 the inner products are formed per block, so beyond
     the result only the workspace is held: tracemalloc's peak is about
     1.1-1.7x the result's bytes (p = q = 2000 / 600).  At d >= 2 they are
-    four whole (p, q) matrix products, and the peak is about 5-6x.
+    four whole (p, q) matrix products, and the peak is about 5-6x, except
+    that a matrix of one block takes each product into the workspace, which
+    holds the peak at that of d = 1 (about 9x at p = q = 181).
     """
     x, u_x, y, u_y = _check_sets(x, u_x, y, u_y)
     return _assemble(x, u_x, y, u_y, params, upper=False)
@@ -296,8 +301,7 @@ def stein_kernel_diag(x, u_x, params: SteinKernelParams) -> np.ndarray:
     Matches the general formula with x = x'; used for the boundedness
     diagnostic sup k0(x, x).
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    u_x = np.atleast_2d(np.asarray(u_x, dtype=float))
+    x, u_x, _, _ = _check_sets(x, u_x, x, u_x)
     a1, a2 = params.alpha1, params.alpha2
     d = x.shape[1]
     nx = np.sum(x * x, axis=1)

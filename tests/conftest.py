@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cfmc import ScoredDataset, SteinKernelParams
+from cfmc import ScoredDataset, SteinKernelParams, kernel
 
 
 @pytest.fixture
@@ -23,3 +23,18 @@ def make_gaussian_dataset():
         )
 
     return make
+
+
+@pytest.fixture
+def assembled(monkeypatch):
+    """(rows, columns, upper, params) of every Stein-kernel assembly made
+    while the test runs, in call order."""
+    calls = []
+    original = kernel._assemble
+
+    def spy(x, u_x, y, u_y, params, upper):
+        calls.append((x.shape[0], y.shape[0], upper, params))
+        return original(x, u_x, y, u_y, params, upper)
+
+    monkeypatch.setattr(kernel, "_assemble", spy)
+    return calls

@@ -3,10 +3,20 @@ import json
 import numpy as np
 import pytest
 
-from cfmc import InvalidInputError, SteinKernelParams, gaussian_problem
+from cfmc import (
+    InvalidInputError,
+    SteinKernelParams,
+    cf_simplified_estimate,
+    cf_split_estimate,
+    cross_validate,
+    gaussian_problem,
+    random_split,
+)
+from cfmc import bench
 from cfmc.bench import (
     ExperimentConfig,
     MethodSpec,
+    build_problem,
     cell_dataset,
     estimate_slope,
     load_config,
@@ -273,6 +283,143 @@ class TestRunExperiment:
         report = run_experiment(load_config(raw))
         for n in (16, 32, 64):
             assert report.cell("cf-split", n).failures == 0
+
+
+# The study_d1 methods: cf-split and cf-simplified share the kernel (0.1, 1.0).
+STUDY_METHODS = tuple(
+    MethodSpec(tag) for tag in ("mean", "zv1", "zv2", "riemann", "cf-split", "cf-simplified")
+)
+GRID = (SteinKernelParams(0.1, 1.0), SteinKernelParams(0.1, 2.0), SteinKernelParams(0.1, 0.5))
+
+
+def _streams(config, n, rep, index):
+    """(split_seed, cv_seed) of method ``index`` in cell (n, rep)."""
+    return bench._method_stream(config.master_seed, n, rep, index).spawn(2)
+
+
+class TestSharedKernels:
+    """One Gram per cell and kernel; every block of the cell a slice of it."""
+
+    def test_shared_kernels_counts_uses(self):
+        assert bench._shared_kernels(STUDY_METHODS) == {SteinKernelParams(0.1, 1.0)}
+        assert bench._shared_kernels((MethodSpec("cf-multisplit"),)) == frozenset()
+        both_cv = (
+            MethodSpec("cf-simplified", cv_grid=GRID), MethodSpec("cf-multisplit", cv_grid=GRID)
+        )
+        assert bench._shared_kernels(both_cv) == set(GRID)
+        assert bench._shared_kernels(both_cv[1:]) == frozenset()
+        mixed = (MethodSpec("cf-split", alpha2=2.0), MethodSpec("cf-simplified", cv_grid=GRID))
+        assert bench._shared_kernels(mixed) == {SteinKernelParams(0.1, 2.0)}
+
+    def test_study_cell_assembles_one_gram(self, assembled):
+        config = small_config(n_grid=(60,), replications=1, methods=STUDY_METHODS)
+        report = run_experiment(config)
+        assert all(row.estimate is not None for row in report.rows)
+        assert assembled == [(60, 60, True, SteinKernelParams(0.1, 1.0))]
+
+    @pytest.mark.parametrize("method", ["cf-simplified", "cf-multisplit"])
+    def test_lone_cv_method_assembles_no_gram_for_the_others(self, assembled, method):
+        data = gaussian_problem(1).dataset(np.random.default_rng(8), 40)
+        run_estimator(
+            MethodSpec(method, cv_grid=GRID), data, split_seed=1, cv_seed=2, n_splits=4
+        )
+        calls = list(assembled)
+        cv_set = data if method == "cf-simplified" else data.subset(
+            random_split(40, 20, 2).index_d0
+        )
+        picked = cross_validate(cv_set, GRID, seed=2)
+        # A training Gram and a test block per candidate, then the pick's
+        # Gram, which all four splits of cf-multisplit slice.
+        assert len(calls) == 2 * len(GRID) + 1
+        assert [call for call in calls if call[:2] == (40, 40)] == [(40, 40, True, picked)]
+
+    def test_lone_cv_multisplit_cell_assembles_one_gram(self, assembled):
+        # No other method can use the grid, so the cell shares nothing; the
+        # multisplit still slices its four splits from one Gram of its pick.
+        config = small_config(
+            n_grid=(40,), replications=1, n_splits=4,
+            methods=(MethodSpec("cf-multisplit", cv_grid=GRID),),
+        )
+        report = run_experiment(config)
+        assert report.rows[0].estimate is not None
+        calls = list(assembled)
+        assert len(calls) == 2 * len(GRID) + 1
+        assert [call[:3] for call in calls if call[:2] == (40, 40)] == [(40, 40, True)]
+
+    def test_d1_rows_equal_public_calls(self):
+        # Each kernel estimate redone by the public library calls, which
+        # assemble every block afresh (cf-multisplit as its mean of splits).
+        methods = STUDY_METHODS + (MethodSpec("cf-multisplit", cv_grid=GRID),)
+        config = small_config(n_grid=(20, 50), replications=3, methods=methods, n_splits=3)
+        problem = build_problem(config)
+        report = run_experiment(config)
+        fixed = SteinKernelParams(0.1, 1.0)
+        assert bench._shared_kernels(methods) == {fixed}
+        for row in report.rows:
+            index = [spec.name for spec in methods].index(row.method)
+            data = cell_dataset(config, problem, row.n, row.replication)
+            split_seed, cv_seed = _streams(config, row.n, row.replication, index)
+            m = row.n // 2
+            if row.method == "cf-split":
+                expected = cf_split_estimate(data, random_split(row.n, m, split_seed), fixed)
+            elif row.method == "cf-simplified":
+                expected = cf_simplified_estimate(data, fixed)
+            elif row.method == "cf-multisplit":
+                cv_set = data.subset(random_split(row.n, m, cv_seed).index_d0)
+                params = cross_validate(cv_set, GRID, seed=cv_seed)
+                splits = [
+                    cf_split_estimate(data, random_split(row.n, m, split_seed, index=k), params)
+                    for k in range(3)
+                ]
+                values = np.array([est.value for est in splits])
+                assert (row.estimate, row.lambda_used) == (
+                    float(np.mean(values)), splits[0].lambda_used
+                )
+                continue
+            else:
+                expected = run_estimator(
+                    methods[index], data, split_seed=split_seed, cv_seed=cv_seed,
+                    density=problem.normalised_density,
+                )
+            assert (row.estimate, row.lambda_used) == (expected.value, expected.lambda_used)
+
+    def test_d3_cv_choice_and_lambda_equal_public_path(self, monkeypatch):
+        # At d = 3 a slice may differ from a fresh block in the last bit;
+        # the CV choices and every lambda must still be those of the public
+        # calls, and cf-simplified's whole-Gram estimate its very bytes.
+        methods = (
+            MethodSpec("cf-simplified", cv_grid=GRID),
+            MethodSpec("cf-multisplit", cv_grid=GRID),
+        )
+        config = small_config(
+            problem_params={"d": 3}, n_grid=(30, 60), replications=3, methods=methods,
+            n_splits=2,
+        )
+        choices = []
+        original = bench.cross_validate
+
+        def spy(*args, **kwargs):
+            choices.append(original(*args, **kwargs))
+            return choices[-1]
+
+        monkeypatch.setattr(bench, "cross_validate", spy)
+        problem = build_problem(config)
+        report = run_experiment(config)
+        assert len(choices) == len(report.rows)
+        for row, chosen in zip(report.rows, choices):
+            index = [spec.name for spec in methods].index(row.method)
+            data = cell_dataset(config, problem, row.n, row.replication)
+            split_seed, cv_seed = _streams(config, row.n, row.replication, index)
+            m = row.n // 2
+            if row.method == "cf-simplified":
+                assert chosen == cross_validate(data, GRID, seed=cv_seed)
+                expected = cf_simplified_estimate(data, chosen)
+                assert row.estimate == expected.value
+            else:
+                cv_set = data.subset(random_split(row.n, m, cv_seed).index_d0)
+                assert chosen == cross_validate(cv_set, GRID, seed=cv_seed)
+                expected = cf_split_estimate(data, random_split(row.n, m, split_seed), chosen)
+            assert row.lambda_used == expected.lambda_used
 
 
 class TestSerialisation:

@@ -439,6 +439,12 @@ class TestSplitEstimate:
         with pytest.raises(InvalidInputError):
             cf_split_estimate(data, plan, PARAMS)
 
+    def test_weights_require_evaluation_samples(self, make_gaussian_dataset):
+        data = make_gaussian_dataset(6)
+        plan = SplitPlan(m=6, index_d0=np.arange(6), index_d1=np.arange(0))
+        with pytest.raises(InvalidInputError, match=r"weights require .* \(m < n\)"):
+            cf_weights(data, plan, PARAMS)
+
     def test_explicit_lambda_recorded(self, make_gaussian_dataset):
         data = make_gaussian_dataset(12, seed=9)
         est = cf_split_estimate(data, random_split(12, 6, seed=3), PARAMS, lambda_=1e-4)
@@ -833,3 +839,84 @@ class TestSplitCoreProperties:
         est = cf_split_estimate(data, plan, PARAMS, lambda_=lam, compute_discrepancy=True)
         d0, d1 = plan.apply(data)
         assert est.discrepancy == discrepancy(d0, d1, PARAMS, lambda_=lam)
+
+
+# Small length-scale: far pairs underflow to 0, where a freshly assembled
+# cross block can hold -0.0 and a slice of the symmetric Gram holds +0.0.
+NARROW = SteinKernelParams(alpha1=0.3, alpha2=0.05)
+
+
+@st.composite
+def cache_requests(draw):
+    """A d = 1 sample and two random ordered row subsets of it."""
+    n = draw(st.integers(2, 60))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    points = draw(st.sampled_from((1.0, 3.0))) * rng.standard_normal((n, 1))
+    data = ScoredDataset(points, -points, np.sin(np.pi * points[:, 0]))
+    rows = rng.permutation(n)[: draw(st.integers(1, n))]
+    cols = rng.permutation(n)[: draw(st.integers(1, n))]
+    return data, rows, cols
+
+
+class TestKernelCache:
+    """Blocks sliced from one shared Gram against freshly assembled ones."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(cache_requests(), st.sampled_from((PARAMS, NARROW)))
+    def test_d1_slices_equal_fresh_blocks(self, request, params):
+        data, rows, cols = request
+        shared = estimator._KernelCache(data, {params})
+        fresh = gram_matrix(data.subset(rows), params)
+        assert shared.block(params, rows, rows).tobytes() == fresh.tobytes()
+        cross = stein_kernel_matrix(
+            data.points[rows], data.scores[rows], data.points[cols], data.scores[cols], params
+        )
+        block = shared.block(params, rows, cols)
+        assert block.flags.c_contiguous
+        # Equal bytes up to the sign of zero, which adding 0.0 makes +0.0.
+        assert (block + 0.0).tobytes() == (cross + 0.0).tobytes()
+        if params is PARAMS:
+            assert block.tobytes() == cross.tobytes()
+        unshared = estimator._KernelCache(data)
+        assert unshared.block(params, rows, rows).tobytes() == fresh.tobytes()
+        assert unshared.block(params, rows, cols).tobytes() == cross.tobytes()
+
+    def test_shared_gram_assembled_once_and_read_only(self, assembled, make_gaussian_dataset):
+        data = make_gaussian_dataset(30, d=3, seed=4)
+        cache = estimator._KernelCache(data, {PARAMS})
+        rows, cols = np.arange(0, 30, 2), np.arange(29, 0, -3)
+        for _ in range(2):
+            cache.block(PARAMS, rows, rows)
+            cache.block(PARAMS, rows, cols)
+        whole = cache.block(PARAMS, slice(None), slice(None))
+        assert assembled == [(30, 30, True, PARAMS)]
+        assert whole.tobytes() == gram_matrix(data, PARAMS).tobytes()
+        with pytest.raises(ValueError):
+            whole[0, 0] = 1.0
+
+    @pytest.mark.parametrize("bound", [False, True])
+    def test_lone_split_assembles_only_its_blocks(self, assembled, make_gaussian_dataset, bound):
+        n, m = 40, 20
+        cf_split_estimate(
+            make_gaussian_dataset(n, seed=5), random_split(n, m, seed=1), PARAMS,
+            compute_discrepancy=bound,
+        )
+        expected = [(m, m, True, PARAMS), (n - m, m, False, PARAMS)]
+        assert assembled == expected + ([(n - m, n - m, True, PARAMS)] if bound else [])
+
+    def test_multisplit_assembles_one_gram(self, assembled, make_gaussian_dataset):
+        data = make_gaussian_dataset(40, seed=6)
+        cf_multisplit_estimate(data, 4, 0.5, PARAMS, seed=3)
+        assert assembled == [(40, 40, True, PARAMS)]
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_shared_cross_validation_picks_as_public(self, d, make_gaussian_dataset):
+        pairs = ((0.1, 0.3), (0.1, 1.0), (0.1, 2.0), (0.05, 1.5))
+        grid = [SteinKernelParams(a1, a2) for a1, a2 in pairs]
+        for trial in range(8):
+            data = make_gaussian_dataset(60, d=d, seed=300 + trial)
+            index = random_split(60, 30, seed=trial).index_d0
+            rows = estimator._CachedRows(estimator._KernelCache(data, grid), index)
+            chosen = cross_validate(rows, grid, seed=trial)
+            assert chosen == cross_validate(data.subset(index), grid, seed=trial)

@@ -217,6 +217,14 @@ class TestSteinKernel:
                 err_msg=f"d={d}, scale={scale}",
             )
 
+    def test_diag_rejects_mismatched_scores(self):
+        x, u = np.zeros((3, 2)), np.ones((3, 1))
+        with pytest.raises(InvalidInputError) as matrix_error:
+            stein_kernel_matrix(x, u, x, u, PARAMS)
+        with pytest.raises(InvalidInputError) as diag_error:
+            stein_kernel_diag(x, u, PARAMS)
+        assert str(diag_error.value) == str(matrix_error.value)
+
 
 class TestAssembleMatrices:
     """The K0, K10 and K1 blocks of a split, as the estimators assemble them."""
@@ -396,6 +404,28 @@ class TestBlockedAssembly:
         # matrices and one block of temporaries; whole-matrix elementwise
         # work would hold about a dozen matrices.
         assert self._peak_over_result(which, 3) < 7
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_one_block_matches_reference_and_holds_no_products(self, d):
+        # 181 x 181 and 181 x 150 are one block each at the module's own
+        # budget: the products go into the workspace, bytes as dgemm's.
+        n, q = 181, 150
+        assert kernel._block_rows(n, n) == n and kernel._block_rows(n, q) == n
+        x, u = _sample(n, d, seed=40 + d)
+        y, v = _sample(q, d, seed=50 + d)
+        data = ScoredDataset(x, u, np.zeros(n))
+        assert gram_matrix(data, PARAMS).tobytes() == _reference_gram(x, u, PARAMS).tobytes()
+        cross = stein_kernel_matrix(x, u, y, v, PARAMS)
+        assert cross.tobytes() == _reference_matrix(x, u, y, v, PARAMS).tobytes()
+        tracemalloc.start()
+        try:
+            result = gram_matrix(data, PARAMS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The seven block buffers and the result (about 9.1x); four whole
+        # products on top of them would reach 13x.
+        assert peak / result.nbytes < 10
 
     @pytest.mark.parametrize("which", ["gram", "cross"])
     def test_peak_memory_bounded_d1(self, which):

@@ -14,7 +14,13 @@
 * ``gram_inplace``: ``gram_matrix``, ``stein_kernel_matrix`` and
   ``cf_split_estimate`` with its discrepancy at d in {1, 3} and
   n in {10, ..., 2000}, with tracemalloc's peak over the result's bytes for
-  the two assembly functions.
+  the two assembly functions;
+* ``gram_cache``: one cell of the benchmark's ``study_d1`` study (all six
+  methods, n in {100, 200, 500}) and of its ``mcmc_cv_d3`` study
+  (n in {100, 200}) through ``run_experiment``, and ``cf_split_estimate``
+  with its discrepancy at n = 2000, with the Stein-kernel entries each call
+  assembles; plus the largest relative deviation, per n, of the estimates of
+  one whole ``mcmc_cv_d3`` request between the two sides.
 
 Each repeat runs one fresh worker per side, alternating which side goes
 first, with every BLAS/OpenMP thread count pinned to 1.  A worker imports
@@ -45,6 +51,7 @@ import scipy
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from worker import Reference  # noqa: E402  (the benchmark's own reference round)
+from workloads import MCMC_CV_D3, STUDY_D1, metropolis_problem  # noqa: E402
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SAMPLE = "standard Gaussian sample with f = sin(pi x), alpha = (0.1, 1.0), automatic lambda"
@@ -119,6 +126,57 @@ def _lambda_select_cases(m):
     }
 
 
+def _study(workload, n_grid, replications, seed, problem=None):
+    """``run_experiment`` of a benchmark study with its grid and seed replaced."""
+    import cfmc
+
+    config = cfmc.bench.load_config(
+        dict(workload, n_grid=list(n_grid), replications=replications, master_seed=seed)
+    )
+    return lambda: cfmc.bench.run_experiment(config, problem=problem)
+
+
+def _gram_cache_cases(n):
+    cases = {}
+    if n <= 500:
+        cases["study_d1_cell"] = _study(STUDY_D1, [n], 1, n)
+    if n <= 200:
+        cases["mcmc_cv_d3_cell"] = _study(MCMC_CV_D3, [n], 1, n, metropolis_problem())
+    if n == 2000:
+        cases["cf_split_estimate_bound"] = _kernel_cases(n)["cf_split_estimate"]
+    return cases
+
+
+def _mcmc_request_rows():
+    """(method, n, estimate, lambda) of every row of one mcmc_cv_d3 request."""
+    report = _study(
+        MCMC_CV_D3, MCMC_CV_D3["n_grid"], MCMC_CV_D3["replications"], 1, metropolis_problem()
+    )()
+    return [[r.method, r.n, r.estimate, r.lambda_used] for r in report.rows]
+
+
+@contextlib.contextmanager
+def _counting_entries():
+    """Count the Stein-kernel entries assembled inside the block: p*q for a
+    cross block, p*(p+1)/2 for a Gram, of which only one triangle is
+    evaluated."""
+    import cfmc
+
+    count = [0]
+    original = cfmc.kernel._assemble
+
+    def spy(x, u_x, y, u_y, params, upper):
+        p, q = x.shape[0], y.shape[0]
+        count[0] += p * (p + 1) // 2 if upper else p * q
+        return original(x, u_x, y, u_y, params, upper)
+
+    cfmc.kernel._assemble = spy
+    try:
+        yield count
+    finally:
+        cfmc.kernel._assemble = original
+
+
 TOPICS = {
     "gram_blocks": {
         "topic": "Stein-kernel Gram assembly in cache-sized row blocks",
@@ -144,6 +202,27 @@ TOPICS = {
             "cf_split_estimate with m = n/2 and compute_discrepancy=True"
         ),
     },
+    "gram_cache": {
+        "topic": "one Stein Gram per (cell, kernel); every estimator and CV block a slice of it",
+        "layer": "kernel and estimator: Stein-Gram assembly, shared across the methods of a cell",
+        "sizes": (100, 200, 500, 2000),
+        "cases": _gram_cache_cases,
+        "peak": (),
+        "entries": True,
+        "deviation_rows": _mcmc_request_rows,
+        "method": (
+            "size = n; study_d1_cell: run_experiment of the benchmark's study_d1 config "
+            "(mean, zv1, zv2, riemann, cf-split, cf-simplified at alpha = (0.1, 1.0)) on "
+            "one cell, n_grid [n], one replication, master_seed n; mcmc_cv_d3_cell: the "
+            "same for its mcmc_cv_d3 config (Metropolis N(0, I_3) sample, cf-simplified "
+            "and 4-split cf-multisplit, both cross-validated over four kernels); "
+            f"cf_split_estimate_bound: the d = 1 {SAMPLE}, m = n/2, compute_discrepancy="
+            "True.  kernel_entries: Stein-kernel entries per call (a Gram counts one "
+            "triangle).  output_deviation: one whole mcmc_cv_d3 request "
+            "(master_seed 1), the largest relative estimate deviation per n and method "
+            "between the sides, and whether every lambda is identical"
+        ),
+    },
     "lambda_select": {
         "topic": "lambda selection by guarded Cholesky tests instead of eigvalsh",
         "layer": "estimator: select_lambda (regularisation choice)",
@@ -163,10 +242,11 @@ TOPICS = {
 
 
 def measure(topic: str) -> dict:
-    """One repeat: CPU seconds per (function, size), and assembly peak ratios."""
+    """One repeat: CPU seconds per (function, size), assembly peak ratios,
+    and where the topic asks for them, kernel entries and output rows."""
     spec = TOPICS[topic]
     reference = Reference()
-    times, peaks = {}, {}
+    times, peaks, entries = {}, {}, {}
     for size in spec["sizes"]:
         loops = max(1, 200_000 // (size * size))  # at least ~20 ms per timing at small sizes
         for name, call in spec["cases"](size).items():
@@ -186,7 +266,12 @@ def measure(topic: str) -> dict:
                 finally:
                     tracemalloc.stop()
                 peaks[f"{name}/{size}"] = peak / result.nbytes
-    return {"cpu_s": times, "peak_over_result": peaks}
+            if spec.get("entries"):
+                with _counting_entries() as count:
+                    call()
+                entries[f"{name}/{size}"] = count[0]
+    rows = spec["deviation_rows"]() if "deviation_rows" in spec else []
+    return {"cpu_s": times, "peak_over_result": peaks, "kernel_entries": entries, "rows": rows}
 
 
 def _run_worker(src: str, topic: str) -> dict:
@@ -212,7 +297,27 @@ def _summary(runs: list[dict]) -> dict:
     }
     if peak:
         summary["tracemalloc_peak_over_result"] = {k: round(v, 2) for k, v in peak.items()}
+    if runs[0]["kernel_entries"]:
+        summary["kernel_entries"] = runs[0]["kernel_entries"]
     return summary
+
+
+def _row_deviation(before: list, after: list) -> dict:
+    """Per n and method, the largest relative deviation of the estimates of
+    matching rows, and whether every lambda is identical."""
+    if len(before) != len(after):
+        raise ValueError("the two sides returned different rows")
+    worst, lambda_diffs = {}, 0
+    for (method, n, a, lam_a), (method_b, n_b, b, lam_b) in zip(before, after):
+        if (method, n) != (method_b, n_b):
+            raise ValueError("the two sides returned different rows")
+        lambda_diffs += lam_a != lam_b
+        scale = max(abs(a), abs(b)) if None not in (a, b) else 0.0
+        dev = abs(a - b) / scale if scale else float(a != b)
+        key = f"n={n}"
+        worst.setdefault(key, {})[method] = max(worst.get(key, {}).get(method, 0.0), dev)
+    return {"max_relative_deviation": worst, "lambda_identical": lambda_diffs == 0,
+            "rows": len(before)}
 
 
 def main(argv=None) -> int:
@@ -267,6 +372,10 @@ def main(argv=None) -> int:
     }
     before, after = report["before"]["median_ms"], report["after"]["median_ms"]
     report["after_over_before"] = {k: round(after[k] / before[k], 3) for k in before}
+    if "deviation_rows" in spec:
+        report["output_deviation"] = _row_deviation(
+            sides["before"][1][0]["rows"], sides["after"][1][0]["rows"]
+        )
     with open(args.out or f"BENCH_{args.topic}.json", "w") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")
