@@ -30,7 +30,7 @@ from .data import ScoredDataset, _split_size, random_split
 from .errors import CfmcError, InvalidInputError
 from .estimator import (
     Estimate,
-    _cached,
+    _GramRows,
     cf_multisplit_estimate,
     cf_simplified_estimate,
     cf_split_estimate,
@@ -442,8 +442,11 @@ def run_experiment(
     aggregation order make the report identical for any thread count.  Method
     failures are recorded per cell rather than aborting the study.  Passing
     ``problem`` overrides the one named in the config (for custom targets).
-    The methods of a cell share its kernel blocks: a kernel that two of them
-    can fit with is assembled once, as the Gram of the cell's dataset.
+    The methods of a cell share its kernel blocks: the cell's dataset is a
+    view that shares every kernel two of them can fit with
+    (:func:`_shared_kernels`), so such a kernel is assembled once, as the
+    Gram of the cell's dataset, and every block of it is a slice.  Any other
+    kernel assembles just the blocks asked for.
     """
     if problem is None:
         problem = build_problem(config)
@@ -453,7 +456,7 @@ def run_experiment(
 
     def worker(task):
         n, rep = task
-        dataset = _cached(cell_dataset(config, problem, n, rep), shared)
+        dataset = _GramRows(cell_dataset(config, problem, n, rep), shared)
         seed_value = int(_data_stream(config.master_seed, n, rep).generate_state(1)[0])
         results = []
         for index, spec in enumerate(config.methods):

@@ -26,6 +26,15 @@ def _as_finite_array(values, name: str, ndim: int) -> np.ndarray:
     return arr
 
 
+def _row_indices(indices) -> np.ndarray:
+    """``indices`` as an integer index array.  A boolean mask is refused:
+    converted to int it would pick rows 0 and 1, not the rows it marks."""
+    idx = np.asarray(indices)
+    if idx.dtype == bool:
+        raise InvalidInputError("subset takes row indices, not a boolean mask")
+    return idx.astype(int, copy=False)
+
+
 @dataclass(frozen=True)
 class ScoredDataset:
     """Sample points with cached scores and integrand values.
@@ -76,7 +85,7 @@ class ScoredDataset:
         return self.n
 
     def subset(self, indices) -> "ScoredDataset":
-        idx = np.asarray(indices, dtype=int)
+        idx = _row_indices(indices)
         return ScoredDataset(self.points[idx], self.scores[idx], self.f_values[idx])
 
 

@@ -29,7 +29,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dpotrf
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
 
-from .data import ScoredDataset, SplitPlan, _split_size, random_split
+from .data import ScoredDataset, SplitPlan, _row_indices, _split_size, random_split
 from .errors import InvalidInputError, NumericalError, SingularMatrixError
 from .kernel import SteinKernelParams, _symmetric_gram, gram_matrix, stein_kernel_matrix
 
@@ -329,80 +329,66 @@ def predict_surrogate(fit: SurrogateFit, x, u_x):
     return float(values[0]) if single else values
 
 
-class _KernelCache:
-    """Stein-kernel blocks of one dataset, addressed by index arrays into it
-    (or ``slice(None)`` for all of it).
-
-    Every block an estimate uses (K0, K10 and K1 of a split, the train and
-    test blocks of cross-validation) is a sub-block of the n x n Gram of
-    ``data``.  For a kernel in ``shared`` that Gram is assembled once, on the
-    first request, and every block is a slice of it.  Any other kernel has
-    each requested block assembled on its own, which costs fewer entries when
-    only a few blocks of it are wanted.  At d = 1 a slice has the bytes of
-    the freshly assembled block.  At d >= 2 the whole-shape inner products
-    of the two can differ in the last bit.
+class _GramRows(ScoredDataset):
+    """The rows ``index`` of the dataset ``whole`` (``slice(None)`` for all
+    of them) as a dataset whose kernel blocks :func:`_block` slices from one
+    Gram of ``whole`` per kernel in ``shared``.  Each Gram is assembled on
+    first use into ``grams``, which every subset of the view shares, so a
+    fitting set or a cross-validation set of it keeps the Grams.
     """
 
-    def __init__(self, data: ScoredDataset, shared=()):
-        self.data = data
-        self.shared = frozenset(shared)
-        self._grams: dict[SteinKernelParams, np.ndarray] = {}
-
-    def block(self, params: SteinKernelParams, rows, cols) -> np.ndarray:
-        """The matrix k0(x_i, x_j) for i in ``rows`` and j in ``cols``;
-        exactly symmetric when ``rows is cols``.  A block of a shared kernel
-        may be a read-only view of the cached Gram."""
-        if params in self.shared:
-            gram = self._grams.get(params)
-            if gram is None:
-                gram = self._grams[params] = gram_matrix(self.data, params)
-                gram.flags.writeable = False
-            # A block must be C-ordered like a freshly assembled one: the
-            # layout picks the BLAS kernel, and so the bits, of every product
-            # with it.  Rows, then columns by take, is also about a third of
-            # the time of one np.ix_ gather.
-            picked = gram[rows]
-            if isinstance(cols, slice):
-                return np.ascontiguousarray(picked[:, cols])
-            return picked.take(cols, axis=1)
-        if rows is cols:
-            whole = isinstance(rows, slice)
-            return gram_matrix(self.data if whole else self.data.subset(rows), params)
-        points, scores = self.data.points, self.data.scores
-        return stein_kernel_matrix(points[rows], scores[rows], points[cols], scores[cols], params)
-
-
-class _CachedRows(ScoredDataset):
-    """The rows ``index`` of a :class:`_KernelCache`'s dataset (``slice(None)``
-    for all of them) as a dataset whose Stein-kernel blocks come from the
-    cache.  Its subsets are such views too, so a fitting set or a
-    cross-validation set of it keeps the cache."""
-
-    def __init__(self, cache: _KernelCache, index=slice(None)):
-        rows = cache.data if isinstance(index, slice) else cache.data.subset(index)
+    def __init__(self, whole: ScoredDataset, shared, index=slice(None), grams=None):
+        rows = whole if isinstance(index, slice) else whole.subset(index)
         super().__init__(rows.points, rows.scores, rows.f_values)
-        object.__setattr__(self, "cache", cache)
+        object.__setattr__(self, "whole", whole)
+        object.__setattr__(self, "shared", frozenset(shared))
         object.__setattr__(self, "index", index)
+        object.__setattr__(self, "grams", {} if grams is None else grams)
 
     def _at(self, local):
+        """Rows ``local`` of this view as rows of ``whole``."""
         return local if isinstance(self.index, slice) else self.index[local]
 
-    def block(self, params: SteinKernelParams, rows, cols) -> np.ndarray:
-        """:meth:`_KernelCache.block` of this view's own ``rows`` and ``cols``."""
-        at = self._at(rows)
-        return self.cache.block(params, at, at if cols is rows else self._at(cols))
-
-    def subset(self, indices) -> "_CachedRows":
-        return _CachedRows(self.cache, self._at(np.asarray(indices, dtype=int)))
+    def subset(self, indices) -> "_GramRows":
+        return _GramRows(self.whole, self.shared, self._at(_row_indices(indices)), self.grams)
 
 
-def _cached(data: ScoredDataset, shared=()) -> _CachedRows:
-    """``data`` as rows of a kernel cache that shares every kernel in
-    ``shared``: ``data`` itself when it already is such rows, else all of it
-    in a new cache of its own."""
-    if isinstance(data, _CachedRows) and data.cache.shared >= set(shared):
-        return data
-    return _CachedRows(_KernelCache(data, shared))
+def _block(data: ScoredDataset, params: SteinKernelParams, rows, cols) -> np.ndarray:
+    """The matrix k0(x_i, x_j) for i in ``rows`` and j in ``cols`` of
+    ``data``, index arrays or ``slice(None)`` for all rows; exactly symmetric
+    when ``rows is cols``.
+
+    Every block an estimate uses (K0, K10 and K1 of a split, the train and
+    test blocks of cross-validation) is a sub-block of the Gram of the whole
+    sample.  When ``data`` is a :class:`_GramRows` view that shares
+    ``params``, the block is a slice of that Gram, assembled once on the
+    first request; the slice may be a read-only view of it.  Otherwise just
+    the block is assembled, which costs fewer entries when only a few blocks
+    of a kernel are wanted.  At d = 1 a slice has the bytes of the freshly
+    assembled block.  At d >= 2 the whole-shape inner products of the two
+    can differ in the last bit.
+    """
+    if isinstance(data, _GramRows):
+        at = data._at(rows)
+        rows, cols = at, at if cols is rows else data._at(cols)
+        if params not in data.shared:
+            return _block(data.whole, params, rows, cols)
+        gram = data.grams.get(params)
+        if gram is None:
+            gram = data.grams[params] = gram_matrix(data.whole, params)
+            gram.flags.writeable = False
+        # A block must be C-ordered like a freshly assembled one: the layout
+        # picks the BLAS kernel, and so the bits, of every product with it.
+        # Rows, then columns by take, is also about a third of the time of
+        # one np.ix_ gather.
+        picked = gram[rows]
+        if isinstance(cols, slice):
+            return np.ascontiguousarray(picked[:, cols])
+        return picked.take(cols, axis=1)
+    if rows is cols:
+        return gram_matrix(data if isinstance(rows, slice) else data.subset(rows), params)
+    points, scores = data.points, data.scores
+    return stein_kernel_matrix(points[rows], scores[rows], points[cols], scores[cols], params)
 
 
 def _split_indices(data: ScoredDataset, plan: SplitPlan, no_evaluation: str):
@@ -433,17 +419,16 @@ def cf_split_estimate(
     ``compute_discrepancy=True`` the worst-case error constant D(D0, D1) is
     attached to the estimate.
     """
-    data = _cached(data)
     i0, i1 = _split_indices(
         data, plan, "plan leaves no evaluation samples; use cf_simplified_estimate"
     )
-    k0, k10 = data.block(params, i0, i0), data.block(params, i1, i0)
+    k0, k10 = _block(data, params, i0, i0), _block(data, params, i1, i0)
     lam, c_hat, beta, chol, z = _fit_coefficients(k0, data.f_values[i0], lambda_)
     f1_hat = c_hat + k10 @ beta
     star = float(np.mean(data.f_values[i1] - f1_hat))
     disc = None
     if compute_discrepancy:
-        disc = _discrepancy_from_factor(chol, z, k10, data.block(params, i1, i1))
+        disc = _discrepancy_from_factor(chol, z, k10, _block(data, params, i1, i1))
     return Estimate(
         value=star + c_hat,
         method="cf-split",
@@ -464,9 +449,8 @@ def cf_simplified_estimate(
     value = 1'(K0 + lam*n*I)^-1 f / (1 + 1'(K0 + lam*n*I)^-1 1).  Biased but
     typically lower variance than the sample-splitting estimator.
     """
-    data = _cached(data)
     every = slice(None)
-    k0 = data.block(params, every, every)
+    k0 = _block(data, params, every, every)
     lam, c_hat, _, _, _ = _fit_coefficients(k0, data.f_values, lambda_)
     return Estimate(
         value=c_hat,
@@ -495,10 +479,9 @@ def cf_weights(
     K10 have zero mean under the target, so E[1'w | D0] = 1 whenever D1 is an
     IID sample from it.
     """
-    data = _cached(data)
     i0, i1 = _split_indices(data, plan, "weights require at least one evaluation sample (m < n)")
-    _, _, _, chol, z = _fit_coefficients(data.block(params, i0, i0), data.f_values[i0], lambda_)
-    _, h, s, q = _split_solve(chol, z, data.block(params, i1, i0))
+    _, _, _, chol, z = _fit_coefficients(_block(data, params, i0, i0), data.f_values[i0], lambda_)
+    _, h, s, q = _split_solve(chol, z, _block(data, params, i1, i0))
     n_minus_m = i1.size
     w = np.empty(data.n)
     w[i0] = -h / n_minus_m + (s / (n_minus_m * (1.0 + q))) * z
@@ -521,12 +504,14 @@ def cf_multisplit_estimate(
     Averaging over independent splits keeps the estimator unbiased.  With
     two or more splits every block is a slice of one Gram of ``data``: the K0
     and K10 blocks of two splits (3n^2/8 entries each) cost more than it
-    (n^2/2).  That Gram is the one of the cache ``data`` is rows of when
-    that cache shares ``params``.
+    (n^2/2).  When ``data`` is a :class:`_GramRows` view that shares
+    ``params`` (a bench cell's dataset), that Gram is the view's; otherwise
+    the call wraps ``data`` in a view of its own that shares ``params``.
     """
     if n_splits < 1:
         raise InvalidInputError(f"n_splits must be >= 1, got {n_splits}")
-    data = _cached(data, (params,) if n_splits >= 2 else ())
+    if n_splits >= 2 and not (isinstance(data, _GramRows) and params in data.shared):
+        data = _GramRows(data, (params,))
     n = data.n
     m = _split_size(n, split_fraction)
     values = np.empty(n_splits)
@@ -622,15 +607,14 @@ def cross_validate(
     rng = np.random.Generator(np.random.Philox(seq))
     perm = rng.permutation(m)
     train, test = perm[:m_train], perm[m_train:]
-    d0 = _cached(d0)
     errors = np.full(len(grid), np.inf)
     failures = []
     for i, cand in enumerate(grid):
         try:
             _, c_hat, beta, _, _ = _fit_coefficients(
-                d0.block(cand, train, train), d0.f_values[train], None
+                _block(d0, cand, train, train), d0.f_values[train], None
             )
-            predicted = c_hat + d0.block(cand, test, train) @ beta
+            predicted = c_hat + _block(d0, cand, test, train) @ beta
             errors[i] = float(np.linalg.norm(d0.f_values[test] - predicted))
         except (InvalidInputError, SingularMatrixError, NumericalError, OverflowError) as exc:
             failures.append(f"candidate {i} ({cand}): {exc}")

@@ -317,6 +317,26 @@ class TestSharedKernels:
         assert all(row.estimate is not None for row in report.rows)
         assert assembled == [(60, 60, True, SteinKernelParams(0.1, 1.0))]
 
+    def test_mixed_cell_shares_only_the_common_kernel(self, assembled):
+        # cf-split's fixed kernel is one of cf-simplified's CV candidates, so
+        # the cell holds one Gram of it; the other candidates assemble only
+        # their training and test blocks, and the pick (not the shared
+        # kernel on this cell) its own whole Gram.
+        common = SteinKernelParams(0.1, 2.0)
+        methods = (MethodSpec("cf-split", alpha2=2.0), MethodSpec("cf-simplified", cv_grid=GRID))
+        config = small_config(n_grid=(40,), replications=1, methods=methods)
+        report = run_experiment(config)
+        assert all(row.estimate is not None for row in report.rows)
+        calls = list(assembled)
+        data = cell_dataset(config, build_problem(config), 40, 0)
+        picked = cross_validate(data, GRID, seed=_streams(config, 40, 0, 1)[1])
+        candidates = [
+            (20, 20, upper, params) for params in GRID if params != common
+            for upper in (True, False)
+        ]
+        assert picked != common
+        assert calls == [(40, 40, True, common)] + candidates + [(40, 40, True, picked)]
+
     @pytest.mark.parametrize("method", ["cf-simplified", "cf-multisplit"])
     def test_lone_cv_method_assembles_no_gram_for_the_others(self, assembled, method):
         data = gaussian_problem(1).dataset(np.random.default_rng(8), 40)

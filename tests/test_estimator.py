@@ -860,40 +860,54 @@ def cache_requests(draw):
 
 
 class TestKernelCache:
-    """Blocks sliced from one shared Gram against freshly assembled ones."""
+    """Blocks sliced by ``_block`` from the shared Gram of a ``_GramRows``
+    view against freshly assembled ones."""
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(cache_requests(), st.sampled_from((PARAMS, NARROW)))
     def test_d1_slices_equal_fresh_blocks(self, request, params):
         data, rows, cols = request
-        shared = estimator._KernelCache(data, {params})
+        shared = estimator._GramRows(data, {params})
         fresh = gram_matrix(data.subset(rows), params)
-        assert shared.block(params, rows, rows).tobytes() == fresh.tobytes()
+        assert estimator._block(shared, params, rows, rows).tobytes() == fresh.tobytes()
         cross = stein_kernel_matrix(
             data.points[rows], data.scores[rows], data.points[cols], data.scores[cols], params
         )
-        block = shared.block(params, rows, cols)
+        block = estimator._block(shared, params, rows, cols)
         assert block.flags.c_contiguous
         # Equal bytes up to the sign of zero, which adding 0.0 makes +0.0.
         assert (block + 0.0).tobytes() == (cross + 0.0).tobytes()
         if params is PARAMS:
             assert block.tobytes() == cross.tobytes()
-        unshared = estimator._KernelCache(data)
-        assert unshared.block(params, rows, rows).tobytes() == fresh.tobytes()
-        assert unshared.block(params, rows, cols).tobytes() == cross.tobytes()
+        for unshared in (data, estimator._GramRows(data, ())):
+            assert estimator._block(unshared, params, rows, rows).tobytes() == fresh.tobytes()
+            assert estimator._block(unshared, params, rows, cols).tobytes() == cross.tobytes()
 
     def test_shared_gram_assembled_once_and_read_only(self, assembled, make_gaussian_dataset):
         data = make_gaussian_dataset(30, d=3, seed=4)
-        cache = estimator._KernelCache(data, {PARAMS})
+        view = estimator._GramRows(data, {PARAMS})
         rows, cols = np.arange(0, 30, 2), np.arange(29, 0, -3)
         for _ in range(2):
-            cache.block(PARAMS, rows, rows)
-            cache.block(PARAMS, rows, cols)
-        whole = cache.block(PARAMS, slice(None), slice(None))
+            estimator._block(view, PARAMS, rows, rows)
+            estimator._block(view, PARAMS, rows, cols)
+        # A subset of the view slices the same Gram, at its own rows' places.
+        part = estimator._block(view.subset(rows), PARAMS, np.arange(5), np.arange(5, 15))
+        whole = estimator._block(view, PARAMS, slice(None), slice(None))
         assert assembled == [(30, 30, True, PARAMS)]
+        assert part.tobytes() == whole[np.ix_(rows[:5], rows[5:15])].tobytes()
         assert whole.tobytes() == gram_matrix(data, PARAMS).tobytes()
         with pytest.raises(ValueError):
             whole[0, 0] = 1.0
+
+    @pytest.mark.parametrize("view", [False, True])
+    def test_subset_refuses_boolean_mask(self, make_gaussian_dataset, view):
+        data = make_gaussian_dataset(5, seed=7)
+        rows = estimator._GramRows(data, {PARAMS}) if view else data
+        picked = rows.subset([0, 2])
+        np.testing.assert_array_equal(picked.points, data.points[[0, 2]])
+        for mask in ([True, False, True, False, False], np.arange(5) % 2 == 0):
+            with pytest.raises(InvalidInputError, match="boolean mask"):
+                rows.subset(mask)
 
     @pytest.mark.parametrize("bound", [False, True])
     def test_lone_split_assembles_only_its_blocks(self, assembled, make_gaussian_dataset, bound):
@@ -917,6 +931,6 @@ class TestKernelCache:
         for trial in range(8):
             data = make_gaussian_dataset(60, d=d, seed=300 + trial)
             index = random_split(60, 30, seed=trial).index_d0
-            rows = estimator._CachedRows(estimator._KernelCache(data, grid), index)
+            rows = estimator._GramRows(data, grid).subset(index)
             chosen = cross_validate(rows, grid, seed=trial)
             assert chosen == cross_validate(data.subset(index), grid, seed=trial)

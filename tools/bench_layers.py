@@ -20,7 +20,15 @@
   (n in {100, 200}) through ``run_experiment``, and ``cf_split_estimate``
   with its discrepancy at n = 2000, with the Stein-kernel entries each call
   assembles; plus the largest relative deviation, per n, of the estimates of
-  one whole ``mcmc_cv_d3`` request between the two sides.
+  one whole ``mcmc_cv_d3`` request between the two sides;
+* ``gram_rows``: the kernel-block path on cells that share no kernel, which
+  no benchmark workload has: a d = 1 cell whose only kernel method is a
+  cf-split, and one whose only kernel method is a 4-split cf-multisplit
+  cross-validated over the benchmark's four kernels (n in {100, ..., 1000}),
+  next to the ``study_d1`` and ``mcmc_cv_d3`` cells of ``gram_cache``; with
+  the Stein-kernel entries of each call, tracemalloc's peak in MiB for the
+  two lone cells, and the largest relative deviation of their estimates and
+  of one ``mcmc_cv_d3`` request between the two sides.
 
 Each repeat runs one fresh worker per side, alternating which side goes
 first, with every BLAS/OpenMP thread count pinned to 1.  A worker imports
@@ -51,10 +59,14 @@ import scipy
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from worker import Reference  # noqa: E402  (the benchmark's own reference round)
-from workloads import MCMC_CV_D3, STUDY_D1, metropolis_problem  # noqa: E402
+from workloads import CV_GRID, MCMC_CV_D3, STUDY_D1, metropolis_problem  # noqa: E402
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SAMPLE = "standard Gaussian sample with f = sin(pi x), alpha = (0.1, 1.0), automatic lambda"
+# study_d1 with one kernel method, so that the cell shares no kernel.
+LONE_SPLIT = dict(STUDY_D1, methods=[{"method": "cf-split", "alpha1": 0.1, "alpha2": 1.0}])
+LONE_CV_MULTISPLIT = dict(STUDY_D1, n_splits=4,
+                          methods=[{"method": "cf-multisplit", "cv_grid": CV_GRID}])
 
 
 def _problem(d, size):
@@ -147,12 +159,32 @@ def _gram_cache_cases(n):
     return cases
 
 
+def _gram_rows_cases(n):
+    cases = {
+        "lone_cf_split_cell": _study(LONE_SPLIT, [n], 1, n),
+        "lone_cv_multisplit_cell": _study(LONE_CV_MULTISPLIT, [n], 1, n),
+    }
+    cases.update(_gram_cache_cases(n))
+    return cases
+
+
+def _rows(study):
+    """(method, n, estimate, lambda) of every row of one run of ``study``."""
+    return [[r.method, r.n, r.estimate, r.lambda_used] for r in study().rows]
+
+
 def _mcmc_request_rows():
-    """(method, n, estimate, lambda) of every row of one mcmc_cv_d3 request."""
-    report = _study(
+    """The rows of one mcmc_cv_d3 request."""
+    return _rows(_study(
         MCMC_CV_D3, MCMC_CV_D3["n_grid"], MCMC_CV_D3["replications"], 1, metropolis_problem()
-    )()
-    return [[r.method, r.n, r.estimate, r.lambda_used] for r in report.rows]
+    ))
+
+
+def _gram_rows_request_rows():
+    """The rows of both lone-kernel studies over study_d1's grid, then of
+    one mcmc_cv_d3 request."""
+    lone = [_rows(_study(c, STUDY_D1["n_grid"], 2, 1)) for c in (LONE_SPLIT, LONE_CV_MULTISPLIT)]
+    return lone[0] + lone[1] + _mcmc_request_rows()
 
 
 @contextlib.contextmanager
@@ -223,6 +255,30 @@ TOPICS = {
             "between the sides, and whether every lambda is identical"
         ),
     },
+    "gram_rows": {
+        "topic": "one kernel-block path: a Gram-rows view and one _block function",
+        "layer": "estimator: kernel blocks of cells that share no kernel, and of shared cells",
+        "sizes": (100, 200, 500, 1000),
+        "cases": _gram_rows_cases,
+        "peak": (),
+        "peak_mib": ("lone_cf_split_cell", "lone_cv_multisplit_cell"),
+        "entries": True,
+        "deviation_rows": _gram_rows_request_rows,
+        "method": (
+            "size = n; lone_cf_split_cell: run_experiment of the benchmark's study_d1 "
+            "config with cf-split at alpha = (0.1, 1.0) as its only method, on one cell, "
+            "n_grid [n], one replication, master_seed n; lone_cv_multisplit_cell: the "
+            "same with a 4-split cf-multisplit cross-validated over the benchmark's four "
+            "kernels as its only method; study_d1_cell and mcmc_cv_d3_cell as in "
+            "BENCH_gram_cache.json.  kernel_entries: Stein-kernel entries per call (a "
+            "Gram counts one triangle).  tracemalloc_peak_mib: the largest tracemalloc "
+            "peak of one call over the repeats.  output_deviation: both lone studies "
+            "over study_d1's n_grid with two replications (master_seed 1), then one "
+            "whole mcmc_cv_d3 request (master_seed 1); the largest relative estimate "
+            "deviation per n and method between the sides, and whether every lambda is "
+            "identical"
+        ),
+    },
     "lambda_select": {
         "topic": "lambda selection by guarded Cholesky tests instead of eigvalsh",
         "layer": "estimator: select_lambda (regularisation choice)",
@@ -243,10 +299,11 @@ TOPICS = {
 
 def measure(topic: str) -> dict:
     """One repeat: CPU seconds per (function, size), assembly peak ratios,
-    and where the topic asks for them, kernel entries and output rows."""
+    and where the topic asks for them, peaks in MiB, kernel entries and
+    output rows."""
     spec = TOPICS[topic]
     reference = Reference()
-    times, peaks, entries = {}, {}, {}
+    times, peaks, peaks_mib, entries = {}, {}, {}, {}
     for size in spec["sizes"]:
         loops = max(1, 200_000 // (size * size))  # at least ~20 ms per timing at small sizes
         for name, call in spec["cases"](size).items():
@@ -258,20 +315,24 @@ def measure(topic: str) -> dict:
             cpu = (time.process_time() - start) / loops
             speed = Reference.NOMINAL_S / (0.5 * (before + reference.sample()))
             times[f"{name}/{size}"] = cpu * speed
-            if name in spec["peak"]:
+            if name in spec["peak"] or name in spec.get("peak_mib", ()):
                 tracemalloc.start()
                 try:
                     result = call()
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
-                peaks[f"{name}/{size}"] = peak / result.nbytes
+                if name in spec["peak"]:
+                    peaks[f"{name}/{size}"] = peak / result.nbytes
+                else:
+                    peaks_mib[f"{name}/{size}"] = peak / 2**20
             if spec.get("entries"):
                 with _counting_entries() as count:
                     call()
                 entries[f"{name}/{size}"] = count[0]
     rows = spec["deviation_rows"]() if "deviation_rows" in spec else []
-    return {"cpu_s": times, "peak_over_result": peaks, "kernel_entries": entries, "rows": rows}
+    return {"cpu_s": times, "peak_over_result": peaks, "peak_mib": peaks_mib,
+            "kernel_entries": entries, "rows": rows}
 
 
 def _run_worker(src: str, topic: str) -> dict:
@@ -297,6 +358,10 @@ def _summary(runs: list[dict]) -> dict:
     }
     if peak:
         summary["tracemalloc_peak_over_result"] = {k: round(v, 2) for k, v in peak.items()}
+    if runs[0]["peak_mib"]:
+        summary["tracemalloc_peak_mib"] = {
+            k: round(max(r["peak_mib"][k] for r in runs), 2) for k in runs[0]["peak_mib"]
+        }
     if runs[0]["kernel_entries"]:
         summary["kernel_entries"] = runs[0]["kernel_entries"]
     return summary
