@@ -34,8 +34,7 @@ from .errors import (
 )
 from .estimator import (
     Estimate,
-    RkhsTestFunction,
-    SurrogateFit,
+    RkhsFunction,
     cf_multisplit_estimate,
     cf_simplified_estimate,
     cf_split_estimate,
@@ -44,7 +43,6 @@ from .estimator import (
     discrepancy,
     discrepancy_from_matrices,
     fit_surrogate,
-    predict_surrogate,
     select_lambda,
 )
 from .kernel import (
@@ -71,12 +69,11 @@ __all__ = [
     "KernelDerivatives",
     "MethodSpec",
     "NumericalError",
-    "RkhsTestFunction",
+    "RkhsFunction",
     "ScoredDataset",
     "SingularMatrixError",
     "SplitPlan",
     "SteinKernelParams",
-    "SurrogateFit",
     "TargetProblem",
     "ZvFit",
     "arithmetic_mean",
@@ -96,7 +93,6 @@ __all__ = [
     "load_config",
     "mixture_problem",
     "oracle_mean",
-    "predict_surrogate",
     "random_split",
     "read_sample_file",
     "riemann_1d",

@@ -39,11 +39,13 @@ class ZvFit:
     """Fitted polynomial control-variate coefficients.
 
     Degree 1 has d coefficients (one per linear monomial); degree 2 adds
-    d(d+1)/2 more for the squares and cross terms.
+    d(d+1)/2 more for the squares and cross terms.  ``basis`` holds the
+    :func:`zv_basis` columns of the sample the fit was made on.
     """
 
     degree: int
     coefficients: np.ndarray
+    basis: np.ndarray
 
     def __post_init__(self):
         if self.degree not in (1, 2):
@@ -94,15 +96,14 @@ def fit_zv(data: ScoredDataset, degree: int) -> ZvFit:
     centred_basis = basis - basis.mean(axis=0)
     centred_f = data.f_values - data.f_values.mean()
     coef, *_ = np.linalg.lstsq(centred_basis, centred_f, rcond=None)
-    return ZvFit(degree=degree, coefficients=coef)
+    return ZvFit(degree=degree, coefficients=coef, basis=basis)
 
 
 def zv_estimate(data: ScoredDataset, degree: int) -> Estimate:
     """Polynomial control-variate estimate: mean of f minus the fitted
     mean-zero combination."""
     fit = fit_zv(data, degree)
-    basis = zv_basis(data.points, data.scores, degree)
-    value = float(np.mean(data.f_values - basis @ fit.coefficients))
+    value = float(np.mean(data.f_values - fit.basis @ fit.coefficients))
     return Estimate(
         value=value,
         method=f"zv{degree}",

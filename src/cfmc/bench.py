@@ -20,7 +20,7 @@ import math
 import warnings
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -74,6 +74,10 @@ class MethodSpec:
             )
         if self.cv_grid is not None and not self.cv_grid:
             raise InvalidInputError("cv_grid must contain at least one [alpha1, alpha2] pair")
+        if not (math.isfinite(self.cv_train_fraction) and 0.0 < self.cv_train_fraction < 1.0):
+            raise InvalidInputError(
+                f"cv_train_fraction must lie in (0, 1), got {self.cv_train_fraction!r}"
+            )
 
     @property
     def name(self) -> str:
@@ -83,12 +87,12 @@ class MethodSpec:
         return SteinKernelParams(alpha1=self.alpha1, alpha2=self.alpha2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
     """Full description of a replicated convergence study."""
 
     problem: str
-    problem_params: dict
+    problem_params: dict = field(default_factory=dict)
     n_grid: tuple[int, ...]
     replications: int
     methods: tuple[MethodSpec, ...]
@@ -119,31 +123,78 @@ class ExperimentConfig:
         object.__setattr__(self, "methods", tuple(self.methods))
 
 
-_CONFIG_KEYS = {
-    "problem",
-    "problem_params",
-    "n_grid",
-    "replications",
-    "methods",
-    "master_seed",
-    "split_fraction",
-    "n_splits",
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {type(value).__name__}")
+    return value
+
+
+def _optional(parse):
+    return lambda value: None if value is None else parse(value)
+
+
+def _method(index: int, entry) -> MethodSpec:
+    if not isinstance(entry, dict):
+        raise InvalidInputError(f"each method entry must be an object, got {entry!r}")
+    return MethodSpec(**_settings(MethodSpec, entry, f"methods[{index}]."))
+
+
+# How a config value becomes the value of a dataclass field, by the field's
+# annotation.
+_PARSERS = {
+    "str": _text,
+    "str | None": _optional(_text),
+    "int": int,
+    "float": float,
+    "float | None": lambda value: None if value in (None, "auto") else float(value),
+    "dict": dict,
+    "tuple[int, ...]": lambda value: tuple(map(int, value)),
+    "tuple[SteinKernelParams, ...] | None": _optional(
+        lambda value: tuple(SteinKernelParams(*map(float, pair)) for pair in value)
+    ),
+    "tuple[MethodSpec, ...]": lambda value: tuple(_method(i, e) for i, e in enumerate(value)),
 }
 
-_METHOD_KEYS = {
-    "method",
-    "alpha1",
-    "alpha2",
-    "lambda",
-    "cv_grid",
-    "cv_train_fraction",
-    "label",
-}
+
+def _config_keys(cls) -> dict:
+    """The config keys of the dataclass ``cls``, each with its field: a key is
+    the field's name without a trailing underscore (``lambda`` sets
+    ``lambda_``)."""
+    return {attr.name.rstrip("_"): attr for attr in fields(cls)}
+
+
+def _settings(cls, raw: dict, where: str) -> dict:
+    """Keyword arguments for ``cls`` from the config object ``raw``, whose
+    keys are all known: only the keys ``raw`` sets, each parsed by its field's
+    annotation, so every default stays the dataclass's.  ``where`` prefixes
+    the keys named in errors."""
+    keys = _config_keys(cls)
+    missing = [
+        where + key for key, attr in keys.items()
+        if key not in raw and attr.default is MISSING and attr.default_factory is MISSING
+    ]
+    if missing:
+        raise InvalidInputError(f"missing config keys: {', '.join(missing)}")
+    settings = {}
+    for key, value in raw.items():
+        attr = keys[key]
+        try:
+            settings[attr.name] = _PARSERS[attr.type](value)
+        except InvalidInputError:
+            raise
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidInputError(
+                f"config key {where}{key}: bad value {value!r}: {exc}"
+            ) from None
+    return settings
 
 
 def load_config(source) -> ExperimentConfig:
     """Build an :class:`ExperimentConfig` from a JSON file path or a dict.
 
+    The keys are the fields of :class:`ExperimentConfig` and, inside each
+    method entry, of :class:`MethodSpec` (``lambda`` sets ``lambda_`` and
+    also takes ``"auto"``); a key left out takes the field's default.
     Unknown keys, at the top level or inside a method entry, are all listed
     in a single error rather than reported one at a time.
     """
@@ -157,53 +208,29 @@ def load_config(source) -> ExperimentConfig:
                 raise InvalidInputError(f"{source}: not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise InvalidInputError("config must be a JSON object")
-    unknown = sorted(set(raw) - _CONFIG_KEYS)
-    for i, entry in enumerate(raw.get("methods", [])):
+    unknown = sorted(set(raw) - set(_config_keys(ExperimentConfig)))
+    methods, method_keys = raw.get("methods"), set(_config_keys(MethodSpec))
+    for i, entry in enumerate(methods if isinstance(methods, list) else ()):
         if isinstance(entry, dict):
-            unknown.extend(f"methods[{i}].{k}" for k in sorted(set(entry) - _METHOD_KEYS))
+            unknown.extend(f"methods[{i}].{k}" for k in sorted(set(entry) - method_keys))
     if unknown:
         raise InvalidInputError(f"unknown config keys: {', '.join(unknown)}")
-    missing = [k for k in ("problem", "n_grid", "replications", "methods", "master_seed") if k not in raw]
-    if missing:
-        raise InvalidInputError(f"missing config keys: {', '.join(missing)}")
-    methods = []
-    for entry in raw["methods"]:
-        if not isinstance(entry, dict) or "method" not in entry:
-            raise InvalidInputError(f"each method entry needs a 'method' tag, got {entry!r}")
-        cv_grid = None
-        if entry.get("cv_grid") is not None:
-            cv_grid = tuple(
-                SteinKernelParams(alpha1=float(a1), alpha2=float(a2))
-                for a1, a2 in entry["cv_grid"]
-            )
-        methods.append(
-            MethodSpec(
-                method=entry["method"],
-                alpha1=float(entry.get("alpha1", 0.1)),
-                alpha2=float(entry.get("alpha2", 1.0)),
-                lambda_=None if entry.get("lambda") in (None, "auto") else float(entry["lambda"]),
-                cv_grid=cv_grid,
-                cv_train_fraction=float(entry.get("cv_train_fraction", 0.5)),
-                label=entry.get("label"),
-            )
-        )
-    return ExperimentConfig(
-        problem=raw["problem"],
-        problem_params=dict(raw.get("problem_params", {})),
-        n_grid=tuple(raw["n_grid"]),
-        replications=int(raw["replications"]),
-        methods=tuple(methods),
-        master_seed=int(raw["master_seed"]),
-        split_fraction=float(raw.get("split_fraction", 0.5)),
-        n_splits=int(raw.get("n_splits", 1)),
-    )
+    return ExperimentConfig(**_settings(ExperimentConfig, raw, ""))
 
 
 def build_problem(config: ExperimentConfig) -> TargetProblem:
-    if config.problem == "gaussian":
-        return gaussian_problem(int(config.problem_params.get("d", 1)))
-    if config.problem == "mixture":
-        return mixture_problem(**config.problem_params)
+    params = config.problem_params
+    try:
+        if config.problem == "gaussian":
+            return gaussian_problem(int(params.get("d", 1)))
+        if config.problem == "mixture":
+            return mixture_problem(**params)
+    except InvalidInputError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInputError(
+            f"config key problem_params: bad value {params!r} for {config.problem}: {exc}"
+        ) from None
     raise InvalidInputError(
         f"unknown problem {config.problem!r}; valid names: gaussian, mixture"
     )
@@ -309,12 +336,14 @@ def _shared_kernels(specs) -> frozenset:
 
 
 def run_estimator(
-    spec: MethodSpec, data: ScoredDataset, *, split_seed, cv_seed, split_fraction: float = 0.5,
-    n_splits: int = 1, density=None, compute_discrepancy: bool = False,
+    spec: MethodSpec, data: ScoredDataset, *, split_seed, cv_seed, split_fraction: float,
+    n_splits: int, density=None, compute_discrepancy: bool = False,
 ) -> Estimate:
     """Run the method ``spec`` names on ``data``.
 
-    Split methods draw their split(s) from ``split_seed``; a ``cv_grid`` is
+    Split methods fit on ``split_fraction`` of the samples and draw their
+    split(s) from ``split_seed``; cf-multisplit averages ``n_splits`` of them,
+    the other methods ignore both.  A ``cv_grid`` is
     searched with the ``cv_seed`` stream.  cf-split cross-validates on its
     own fitting set, cf-simplified on all samples, and cf-multisplit on the
     fitting set of one extra split drawn from ``cv_seed``.  ``density`` is
@@ -386,12 +415,7 @@ class ConvergenceReport:
 
     problem_name: str
     oracle: float
-    n_grid: tuple[int, ...]
-    replications: int
-    master_seed: int
-    split_fraction: float
-    n_splits: int
-    method_names: tuple[str, ...]
+    config: ExperimentConfig
     rows: list[Row]
     cells: dict[tuple[str, int], CellStats]
     slopes: dict[str, SlopeFit | None]
@@ -534,12 +558,7 @@ def run_experiment(
     return ConvergenceReport(
         problem_name=problem.name,
         oracle=oracle,
-        n_grid=config.n_grid,
-        replications=config.replications,
-        master_seed=config.master_seed,
-        split_fraction=config.split_fraction,
-        n_splits=config.n_splits,
-        method_names=tuple(spec.name for spec in config.methods),
+        config=config,
         rows=rows,
         cells=cells,
         slopes=slopes,
@@ -572,10 +591,12 @@ def write_csv(report: ConvergenceReport, path) -> None:
 
 def report_summary(report: ConvergenceReport) -> dict:
     """The JSON-serialisable summary; key layout is part of the contract."""
+    config = report.config
+    names = [spec.name for spec in config.methods]
     cells = {}
-    for name in report.method_names:
+    for name in names:
         cells[name] = {}
-        for n in report.n_grid:
+        for n in config.n_grid:
             stats = report.cells[(name, n)]
             cells[name][str(n)] = {
                 "mean_estimate": stats.mean_estimate,
@@ -599,12 +620,12 @@ def report_summary(report: ConvergenceReport) -> dict:
         "schema_version": SCHEMA_VERSION,
         "problem": report.problem_name,
         "oracle_mean": report.oracle,
-        "n_grid": list(report.n_grid),
-        "replications": report.replications,
-        "master_seed": report.master_seed,
-        "split_fraction": report.split_fraction,
-        "n_splits": report.n_splits,
-        "methods": list(report.method_names),
+        "n_grid": list(config.n_grid),
+        "replications": config.replications,
+        "master_seed": config.master_seed,
+        "split_fraction": config.split_fraction,
+        "n_splits": config.n_splits,
+        "methods": names,
         "slopes": slopes,
         "cells": cells,
         "notes": report.notes,

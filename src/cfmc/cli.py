@@ -176,8 +176,7 @@ def cmd_bench(args) -> int:
     bench_mod.write_csv(report, csv_path)
     bench_mod.write_json(report, json_path)
     print(f"wrote {csv_path} and {json_path}")
-    for name in report.method_names:
-        fit = report.slopes[name]
+    for name, fit in report.slopes.items():
         if fit is None:
             print(f"{name}: slope unavailable")
         else:
@@ -228,11 +227,12 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[tag for tag, entry in bench_mod.METHODS.items() if not entry.needs_density],
         default="cf-simplified",
     )
-    est.add_argument("--alpha1", type=_positive_float, default=0.1)
-    est.add_argument("--alpha2", type=_positive_float, default=1.0)
+    spec, config = bench_mod.MethodSpec, bench_mod.ExperimentConfig
+    est.add_argument("--alpha1", type=_positive_float, default=spec.alpha1)
+    est.add_argument("--alpha2", type=_positive_float, default=spec.alpha2)
     est.add_argument("--cv-grid", help="JSON file with [alpha1, alpha2] candidate pairs")
-    est.add_argument("--split-fraction", type=_open_fraction, default=0.5)
-    est.add_argument("--splits", type=_int_at_least(1), default=1)
+    est.add_argument("--split-fraction", type=_open_fraction, default=config.split_fraction)
+    est.add_argument("--splits", type=_int_at_least(1), default=config.n_splits)
     est.add_argument("--seed", type=_int_at_least(0), default=0)
     est.add_argument("--lambda", dest="lambda_", type=_lambda_arg, default=None,
                      metavar="auto|VALUE", help="regularisation (default: auto rule)")

@@ -247,21 +247,52 @@ def _discrepancy_from_factor(chol, z: np.ndarray, k10: np.ndarray, k1: np.ndarra
 
 
 @dataclass(frozen=True)
-class SurrogateFit:
-    """Fitted surrogate s(x) = c_hat + sum_i beta_i k0(node_i, x)."""
+class RkhsFunction:
+    """An element f = c + sum_j gamma_j k0(center_j, .) of the hypothesis
+    space H+ of constants plus Stein-kernel functions.
 
-    c_hat: float
-    beta: np.ndarray
-    node_points: np.ndarray
-    node_scores: np.ndarray
-    lambda_: float
+    Because every Stein-kernel function has zero mean under the target, the
+    exact mean of f is the constant c, and the squared norm decomposes as
+    c^2 + gamma' K0 gamma over the centers.  :func:`fit_surrogate` returns
+    one; built by hand, one is an integrand with known mean and norm, which
+    verifies the worst-case error bound by construction.
+    """
+
+    c: float
+    centers: np.ndarray
+    center_scores: np.ndarray
+    gamma: np.ndarray
     params: SteinKernelParams
 
     def __post_init__(self):
-        if self.beta.shape[0] != self.node_points.shape[0]:
-            raise InvalidInputError("beta length must equal the number of nodes")
-        if self.lambda_ < 0:
-            raise InvalidInputError("lambda must be non-negative")
+        centers = np.atleast_2d(np.asarray(self.centers, dtype=float))
+        center_scores = np.atleast_2d(np.asarray(self.center_scores, dtype=float))
+        gamma = np.asarray(self.gamma, dtype=float)
+        if centers.shape != center_scores.shape:
+            raise InvalidInputError("center_scores must match centers")
+        if gamma.shape != (centers.shape[0],):
+            raise InvalidInputError("gamma must have one coefficient per center")
+        object.__setattr__(self, "centers", centers)
+        object.__setattr__(self, "center_scores", center_scores)
+        object.__setattr__(self, "gamma", gamma)
+
+    @property
+    def exact_mean(self) -> float:
+        return self.c
+
+    def evaluate(self, points, scores) -> np.ndarray:
+        """Values of f at the given points (scores must match the points)."""
+        cross = stein_kernel_matrix(
+            np.atleast_2d(points), np.atleast_2d(scores), self.centers, self.center_scores,
+            self.params,
+        )
+        return self.c + cross @ self.gamma
+
+    def norm_hplus(self) -> float:
+        """Hypothesis-space norm sqrt(c^2 + gamma' K0 gamma)."""
+        k0 = _symmetric_gram(self.centers, self.center_scores, self.params)
+        quad = float(self.gamma @ k0 @ self.gamma)
+        return math.sqrt(self.c**2 + max(quad, 0.0))
 
 
 @dataclass(frozen=True)
@@ -297,36 +328,17 @@ class Estimate:
 
 def fit_surrogate(
     d0: ScoredDataset, params: SteinKernelParams, lambda_: float | None = None
-) -> SurrogateFit:
-    """Fit the regularised least-squares surrogate on the fitting set ``d0``.
+) -> RkhsFunction:
+    """Fit the regularised least-squares surrogate on the fitting set ``d0``:
+    the :class:`RkhsFunction` with c = c_hat, beta as its coefficients and
+    the points of ``d0`` as its centers.
 
     ``lambda_`` defaults to the automatic conditioning rule.
     """
-    lam, c_hat, beta, _, _ = _fit_coefficients(gram_matrix(d0, params), d0.f_values, lambda_)
-    return SurrogateFit(
-        c_hat=c_hat,
-        beta=beta,
-        node_points=d0.points,
-        node_scores=d0.scores,
-        lambda_=lam,
-        params=params,
+    _, c_hat, beta, _, _ = _fit_coefficients(gram_matrix(d0, params), d0.f_values, lambda_)
+    return RkhsFunction(
+        c=c_hat, centers=d0.points, center_scores=d0.scores, gamma=beta, params=params
     )
-
-
-def predict_surrogate(fit: SurrogateFit, x, u_x):
-    """Evaluate the fitted surrogate at one point or a batch of points.
-
-    ``x`` may be a single d-vector (returns a float) or a (p, d) array
-    (returns a length-p array); ``u_x`` must carry the matching scores.
-    """
-    x = np.asarray(x, dtype=float)
-    u_x = np.asarray(u_x, dtype=float)
-    single = x.ndim == 1
-    cross = stein_kernel_matrix(
-        np.atleast_2d(x), np.atleast_2d(u_x), fit.node_points, fit.node_scores, fit.params
-    )
-    values = fit.c_hat + cross @ fit.beta
-    return float(values[0]) if single else values
 
 
 class _GramRows(ScoredDataset):
@@ -621,51 +633,3 @@ def cross_validate(
     if not np.any(np.isfinite(errors)):
         raise NumericalError("all cross-validation fits failed:\n" + "\n".join(failures))
     return grid[int(np.argmin(errors))]
-
-
-@dataclass(frozen=True)
-class RkhsTestFunction:
-    """An explicit element f = c + sum_j gamma_j k0(center_j, .) of the
-    hypothesis space, with known norm and exact mean.
-
-    Because every Stein-kernel function has zero mean under the target, the
-    exact mean of f is the constant c, and the squared norm decomposes as
-    c^2 + gamma' K0 gamma over the centers.  Used to verify the worst-case
-    error bound by construction.
-    """
-
-    c: float
-    centers: np.ndarray
-    center_scores: np.ndarray
-    gamma: np.ndarray
-    params: SteinKernelParams
-
-    def __post_init__(self):
-        centers = np.atleast_2d(np.asarray(self.centers, dtype=float))
-        center_scores = np.atleast_2d(np.asarray(self.center_scores, dtype=float))
-        gamma = np.asarray(self.gamma, dtype=float)
-        if centers.shape != center_scores.shape:
-            raise InvalidInputError("center_scores must match centers")
-        if gamma.shape != (centers.shape[0],):
-            raise InvalidInputError("gamma must have one coefficient per center")
-        object.__setattr__(self, "centers", centers)
-        object.__setattr__(self, "center_scores", center_scores)
-        object.__setattr__(self, "gamma", gamma)
-
-    @property
-    def exact_mean(self) -> float:
-        return self.c
-
-    def evaluate(self, points, scores) -> np.ndarray:
-        """Values of f at the given points (scores must match the points)."""
-        cross = stein_kernel_matrix(
-            np.atleast_2d(points), np.atleast_2d(scores), self.centers, self.center_scores,
-            self.params,
-        )
-        return self.c + cross @ self.gamma
-
-    def norm_hplus(self) -> float:
-        """Hypothesis-space norm sqrt(c^2 + gamma' K0 gamma)."""
-        k0 = _symmetric_gram(self.centers, self.center_scores, self.params)
-        quad = float(self.gamma @ k0 @ self.gamma)
-        return math.sqrt(self.c**2 + max(quad, 0.0))

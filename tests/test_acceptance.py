@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from cfmc import (
-    RkhsTestFunction,
+    RkhsFunction,
     ScoredDataset,
     SteinKernelParams,
     cf_simplified_estimate,
@@ -201,7 +201,7 @@ def test_criterion_05_error_bound():
         n = int(rng.integers(10, 41))
         n_centers = int(rng.integers(3, 11))
         centers = rng.standard_normal((n_centers, d))
-        func = RkhsTestFunction(
+        func = RkhsFunction(
             c=float(rng.standard_normal()),
             centers=centers,
             center_scores=-centers,

@@ -9,6 +9,7 @@ from cfmc import (
     riemann_1d,
     zv_estimate,
 )
+from cfmc import baselines
 from cfmc.baselines import fit_zv, zv_basis, zv_basis_size
 
 
@@ -103,6 +104,24 @@ class TestZvEstimate:
         # degree 2 in d=3 needs more than 9 samples
         with pytest.raises(InvalidInputError, match="lower degree"):
             zv_estimate(data, degree=2)
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_builds_the_basis_once(self, monkeypatch, degree):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return zv_basis(*args)
+
+        monkeypatch.setattr(baselines, "zv_basis", spy)
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((30, 2))
+        data = ScoredDataset(x, -x, np.sin(x[:, 0]))
+        est = zv_estimate(data, degree=degree)
+        assert len(calls) == 1
+        fit = fit_zv(data, degree=degree)
+        basis = zv_basis(x, -x, degree)
+        assert est.value == float(np.mean(data.f_values - basis @ fit.coefficients))
 
     def test_fit_exposes_coefficients(self):
         rng = np.random.default_rng(9)

@@ -148,6 +148,99 @@ class TestConfig:
         with pytest.raises(InvalidInputError, match="lambda"):
             MethodSpec("cf-split", lambda_=lam)
 
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, 1.5, -0.5, float("nan"), float("inf")])
+    def test_invalid_cv_train_fraction_rejected(self, fraction):
+        with pytest.raises(InvalidInputError, match="cv_train_fraction"):
+            MethodSpec("cf-split", cv_train_fraction=fraction)
+        raw = {
+            "problem": "gaussian",
+            "n_grid": [10, 20],
+            "replications": 2,
+            "master_seed": 5,
+            "methods": [{"method": "cf-split", "cv_train_fraction": fraction}],
+        }
+        with pytest.raises(InvalidInputError, match="cv_train_fraction"):
+            load_config(raw)
+
+    def test_unset_keys_take_the_dataclass_defaults(self):
+        raw = {
+            "problem": "gaussian",
+            "n_grid": [10, 20],
+            "replications": 2,
+            "master_seed": 5,
+            "methods": [{"method": "cf-split"}],
+        }
+        config = load_config(raw)
+        assert config == ExperimentConfig(
+            problem="gaussian", n_grid=(10, 20), replications=2,
+            methods=(MethodSpec("cf-split"),), master_seed=5,
+        )
+        assert config.problem_params == {}
+
+    def test_set_keys_are_converted(self):
+        raw = {
+            "problem": "mixture",
+            "problem_params": {"weights": [1.0], "means": [0.0], "scales": [1.0]},
+            "n_grid": [10, 20],
+            "replications": 2,
+            "master_seed": 5,
+            "split_fraction": 0.25,
+            "n_splits": 3,
+            "methods": [{
+                "method": "cf-split", "alpha1": 0.2, "alpha2": 2, "lambda": 1e-6,
+                "cv_grid": [[0.1, 1], [0.2, 3.0]], "cv_train_fraction": 0.75, "label": "x",
+            }],
+        }
+        # Every key is set, so a field without a parser would fail here.
+        assert set(raw) == set(bench._config_keys(ExperimentConfig))
+        assert set(raw["methods"][0]) == set(bench._config_keys(MethodSpec))
+        config = load_config(raw)
+        assert config.split_fraction == 0.25 and config.n_splits == 3
+        assert config.methods == (MethodSpec(
+            "cf-split", alpha1=0.2, alpha2=2.0, lambda_=1e-6,
+            cv_grid=(SteinKernelParams(0.1, 1.0), SteinKernelParams(0.2, 3.0)),
+            cv_train_fraction=0.75, label="x",
+        ),)
+        assert build_problem(config).dimension == 1
+
+    @pytest.mark.parametrize("key, value", [
+        ("alpha1", "abc"), ("lambda", "abc"), ("cv_grid", [[0.1]]), ("cv_grid", 5),
+        ("label", ["a"]), ("method", ["mean"]), ("cv_train_fraction", None),
+    ])
+    def test_malformed_method_value_names_its_key(self, key, value):
+        raw = {
+            "problem": "gaussian",
+            "n_grid": [10, 20],
+            "replications": 2,
+            "master_seed": 5,
+            "methods": [{"method": "cf-split", key: value}],
+        }
+        with pytest.raises(InvalidInputError, match=rf"methods\[0\]\.{key}"):
+            load_config(raw)
+
+    @pytest.mark.parametrize("key, value", [
+        ("replications", "x"), ("n_grid", 5), ("n_grid", ["a"]), ("master_seed", [1]),
+        ("problem", ["gaussian"]), ("problem_params", "d"), ("methods", 5),
+    ])
+    def test_malformed_value_names_its_key(self, key, value):
+        raw = {
+            "problem": "gaussian",
+            "n_grid": [10, 20],
+            "replications": 2,
+            "master_seed": 5,
+            "methods": [{"method": "mean"}],
+        }
+        with pytest.raises(InvalidInputError, match=f"config key {key}"):
+            load_config(dict(raw, **{key: value}))
+
+    @pytest.mark.parametrize("problem, params", [
+        ("gaussian", {"d": "x"}), ("mixture", {"foo": 1}), ("mixture", {"weights": "abc"}),
+    ])
+    def test_malformed_problem_params_name_the_key(self, problem, params):
+        config = small_config(problem=problem, problem_params=params)
+        with pytest.raises(InvalidInputError, match="problem_params"):
+            build_problem(config)
+
     @pytest.mark.parametrize("method", ["cf-split", "cf-multisplit"])
     @pytest.mark.parametrize("fraction", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_split_fraction_rejected(self, method, fraction):
@@ -341,7 +434,8 @@ class TestSharedKernels:
     def test_lone_cv_method_assembles_no_gram_for_the_others(self, assembled, method):
         data = gaussian_problem(1).dataset(np.random.default_rng(8), 40)
         run_estimator(
-            MethodSpec(method, cv_grid=GRID), data, split_seed=1, cv_seed=2, n_splits=4
+            MethodSpec(method, cv_grid=GRID), data, split_seed=1, cv_seed=2, split_fraction=0.5,
+            n_splits=4,
         )
         calls = list(assembled)
         cv_set = data if method == "cf-simplified" else data.subset(
@@ -399,7 +493,7 @@ class TestSharedKernels:
             else:
                 expected = run_estimator(
                     methods[index], data, split_seed=split_seed, cv_seed=cv_seed,
-                    density=problem.normalised_density,
+                    split_fraction=0.5, n_splits=1, density=problem.normalised_density,
                 )
             assert (row.estimate, row.lambda_used) == (expected.value, expected.lambda_used)
 
@@ -478,3 +572,14 @@ class TestSerialisation:
         }
         slope = payload["slopes"]["mean"]
         assert set(slope) == {"slope", "stderr", "n_points"}
+
+    def test_report_holds_its_config(self):
+        config = small_config(n_splits=2, split_fraction=0.25)
+        report = run_experiment(config)
+        assert report.config is config
+        payload = report_summary(report)
+        assert payload["n_grid"] == [10, 20, 40]
+        assert (payload["replications"], payload["master_seed"]) == (8, 123)
+        assert (payload["split_fraction"], payload["n_splits"]) == (0.25, 2)
+        assert payload["methods"] == ["mean", "cf-simplified"]
+        assert list(payload["slopes"]) == list(payload["cells"]) == payload["methods"]

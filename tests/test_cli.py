@@ -355,6 +355,30 @@ class TestBenchCommand:
         result = run_cli("bench", "no_such_config")
         assert result.returncode == 3
 
+    @pytest.mark.parametrize("top, entry, named", [
+        ({}, {"alpha1": "abc"}, "methods[0].alpha1"),
+        ({}, {"lambda": "abc"}, "methods[0].lambda"),
+        ({"replications": "x"}, {}, "replications"),
+        ({"n_grid": 5}, {}, "n_grid"),
+        ({}, {"cv_grid": [[0.1]]}, "methods[0].cv_grid"),
+        ({}, {"label": ["a"]}, "methods[0].label"),
+        ({}, {"method": ["mean"]}, "methods[0].method"),
+        ({"problem_params": {"d": "x"}}, {}, "problem_params"),
+        ({"problem": "mixture", "problem_params": {"foo": 1}}, {}, "problem_params"),
+    ])
+    def test_malformed_config_value_is_data_error(self, tmp_path, top, entry, named):
+        raw = {
+            "problem": "gaussian", "n_grid": [10, 20], "replications": 2, "master_seed": 1,
+            "methods": [dict({"method": "cf-split"}, **entry)],
+        }
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(dict(raw, **top)))
+        result = run_cli("bench", str(config), "--dry-run")
+        assert result.returncode == 3
+        assert result.stderr.startswith("error: ")
+        assert named in result.stderr
+        assert "Traceback" not in result.stderr
+
     @pytest.mark.parametrize("threads", ["0", "-3", "1.5"])
     def test_invalid_threads_is_usage_error(self, threads):
         result = run_cli("bench", "paper_d1", "--dry-run", "--threads", threads)

@@ -8,7 +8,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 from cfmc import (
     InvalidInputError,
     NumericalError,
-    RkhsTestFunction,
+    RkhsFunction,
     ScoredDataset,
     SingularMatrixError,
     SplitPlan,
@@ -22,7 +22,6 @@ from cfmc import (
     discrepancy_from_matrices,
     fit_surrogate,
     gram_matrix,
-    predict_surrogate,
     random_split,
     select_lambda,
     stein_kernel,
@@ -37,7 +36,7 @@ PARAMS = SteinKernelParams(alpha1=0.1, alpha2=1.0)
 def make_rkhs_function(seed, d=1, n_centers=8, params=PARAMS, gamma_scale=0.5):
     rng = np.random.default_rng(seed)
     centers = rng.standard_normal((n_centers, d))
-    return RkhsTestFunction(
+    return RkhsFunction(
         c=float(rng.standard_normal()),
         centers=centers,
         center_scores=-centers,
@@ -277,8 +276,8 @@ class TestFitSurrogate:
             gamma = np.linalg.solve(
                 k0 + np.ones((m, m)) + lam * m * np.eye(m), d0.f_values
             )
-            assert fit.c_hat == pytest.approx(float(gamma.sum()), rel=1e-10)
-            np.testing.assert_allclose(fit.beta, gamma, rtol=1e-8, atol=1e-12)
+            assert fit.c == pytest.approx(float(gamma.sum()), rel=1e-10)
+            np.testing.assert_allclose(fit.gamma, gamma, rtol=1e-8, atol=1e-12)
 
     def test_constant_integrand_closed_form(self, make_gaussian_dataset):
         base = make_gaussian_dataset(10, seed=3)
@@ -288,9 +287,9 @@ class TestFitSurrogate:
         k0 = gram_matrix(d0, PARAMS)
         chol = cho_factor(k0, lower=True)
         q = float(np.ones(10) @ cho_solve(chol, np.ones(10)))
-        assert fit.c_hat == pytest.approx(c0 * q / (1.0 + q), rel=1e-10)
+        assert fit.c == pytest.approx(c0 * q / (1.0 + q), rel=1e-10)
         # fitted values reproduce the constant at the nodes
-        fitted = predict_surrogate(fit, d0.points, d0.scores)
+        fitted = fit.evaluate(d0.points, d0.scores)
         np.testing.assert_allclose(fitted, c0, rtol=1e-9)
 
     def test_single_node_scalar_algebra(self):
@@ -298,15 +297,25 @@ class TestFitSurrogate:
         d0 = ScoredDataset(x, -x, np.array([1.7]))
         k00 = stein_kernel(x[0], -x[0], x[0], -x[0], PARAMS)
         fit = fit_surrogate(d0, PARAMS, lambda_=0.0)
-        assert fit.c_hat == pytest.approx(1.7 * (1 / k00) / (1 + 1 / k00), rel=1e-12)
+        assert fit.c == pytest.approx(1.7 * (1 / k00) / (1 + 1 / k00), rel=1e-12)
 
     def test_interpolates_space_member(self):
         func = make_rkhs_function(seed=4, n_centers=6)
         nodes = np.concatenate([func.centers])
         d0 = ScoredDataset(nodes, -nodes, func.evaluate(nodes, -nodes))
         fit = fit_surrogate(d0, PARAMS, lambda_=0.0)
-        fitted = predict_surrogate(fit, d0.points, d0.scores)
+        fitted = fit.evaluate(d0.points, d0.scores)
         assert np.max(np.abs(fitted - d0.f_values)) < 1e-8
+
+    def test_returns_the_function_it_fitted(self, make_gaussian_dataset):
+        d0 = make_gaussian_dataset(9, d=2, seed=7)
+        fit = fit_surrogate(d0, PARAMS, lambda_=1e-6)
+        assert isinstance(fit, RkhsFunction)
+        assert fit.exact_mean == fit.c
+        np.testing.assert_array_equal(fit.centers, d0.points)
+        np.testing.assert_array_equal(fit.center_scores, d0.scores)
+        quad = float(fit.gamma @ gram_matrix(d0, PARAMS) @ fit.gamma)
+        assert fit.norm_hplus() == np.sqrt(fit.c**2 + max(quad, 0.0))
 
     def test_singular_system_raises_with_advice(self):
         point = np.array([[0.3, -0.2]])
@@ -324,15 +333,14 @@ class TestPredictSurrogate:
     def test_zero_beta_returns_constant(self, make_gaussian_dataset):
         d0 = make_gaussian_dataset(4, seed=5)
         fit = fit_surrogate(d0, PARAMS, lambda_=1e-8)
-        constant_only = type(fit)(
-            c_hat=fit.c_hat,
-            beta=np.zeros_like(fit.beta),
-            node_points=fit.node_points,
-            node_scores=fit.node_scores,
-            lambda_=fit.lambda_,
+        constant_only = RkhsFunction(
+            c=fit.c,
+            centers=fit.centers,
+            center_scores=fit.center_scores,
+            gamma=np.zeros_like(fit.gamma),
             params=fit.params,
         )
-        assert predict_surrogate(constant_only, np.array([9.0]), np.array([-9.0])) == fit.c_hat
+        assert constant_only.evaluate(np.array([9.0]), np.array([-9.0])).tolist() == [fit.c]
 
     def test_matches_explicit_prediction_formula(self, make_gaussian_dataset):
         # Two routes to f1_hat: the per-point surrogate and the matrix form
@@ -342,7 +350,7 @@ class TestPredictSurrogate:
         d0, d1 = plan.apply(data)
         lam = 1e-8
         fit = fit_surrogate(d0, PARAMS, lambda_=lam)
-        via_predict = predict_surrogate(fit, d1.points, d1.scores)
+        via_predict = fit.evaluate(d1.points, d1.scores)
         k0 = gram_matrix(d0, PARAMS)
         k10 = stein_kernel_matrix(d1.points, d1.scores, d0.points, d0.scores, PARAMS)
         chol = cho_factor(k0 + lam * d0.n * np.eye(d0.n), lower=True)
@@ -358,7 +366,7 @@ class TestPredictSurrogate:
     def test_dimension_mismatch_raises(self, make_gaussian_dataset):
         fit = fit_surrogate(make_gaussian_dataset(4, d=2), PARAMS, lambda_=1e-8)
         with pytest.raises(InvalidInputError):
-            predict_surrogate(fit, np.zeros(3), np.zeros(3))
+            fit.evaluate(np.zeros(3), np.zeros(3))
 
 
 class TestLambdaValidation:
@@ -733,7 +741,7 @@ class TestCrossValidate:
             cross_validate(make_gaussian_dataset(2), [PARAMS], seed=0)
 
 
-class TestRkhsTestFunction:
+class TestRkhsFunction:
     def test_norm_at_least_constant(self):
         for seed in range(5):
             func = make_rkhs_function(seed=seed)
@@ -778,7 +786,7 @@ class TestRkhsTestFunction:
 
     def test_shape_validation(self):
         with pytest.raises(InvalidInputError):
-            RkhsTestFunction(
+            RkhsFunction(
                 c=0.0,
                 centers=np.zeros((3, 1)),
                 center_scores=np.zeros((2, 1)),

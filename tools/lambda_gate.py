@@ -10,8 +10,13 @@ BLAS/OpenMP thread count pinned to 1, for two configs: the bundled paper_d1
 file.  It exits 1 unless, for both, the ``lambda_used`` columns of the two
 ``report.csv`` files are identical and every ``estimate`` agrees with the
 base to 1e-12 relative; an estimate that is empty on one side only counts as
-a difference.  It prints the worst estimate deviation of each study and says
-whether its two reports are byte-identical.
+a difference.  The two ``report.json`` files must have the same
+``schema_version``, or head a larger one, whose layout may differ; at the
+same version they must have the same key paths and identical values apart
+from floats (``n_grid``, ``replications``, ``master_seed``, ``methods``,
+``failures``, ``flagged``, ``notes``, ...).  It prints the worst estimate
+deviation of each study and says whether each pair of reports is
+byte-identical.
 """
 
 from __future__ import annotations
@@ -52,13 +57,14 @@ D3_STUDY = {
 
 
 def run_bench(checkout: Path, config: str, out_dir: Path) -> Path:
+    """Run the study from ``checkout``; returns the directory of its reports."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), **{v: "1" for v in THREAD_VARS})
     subprocess.run(
         [sys.executable, "-m", "cfmc", "bench", config, "--threads", "1",
          "--out-dir", str(out_dir)],
         cwd=checkout, env=env, check=True, stdout=subprocess.DEVNULL,
     )
-    return out_dir / "report.csv"
+    return out_dir
 
 
 def read_rows(path: Path) -> list[dict[str, str]]:
@@ -107,6 +113,46 @@ def check(study: str, base: Path, head: Path) -> bool:
     return not (changed or beyond)
 
 
+def leaves(node, path=()):
+    """(key path, value) of every non-object value in a JSON document."""
+    if isinstance(node, dict):
+        for name, value in node.items():
+            yield from leaves(value, path + (name,))
+    else:
+        yield path, node
+
+
+def differs(base, head) -> bool:
+    """Whether two report values differ: floats only if one side is not a
+    float, every other value if it is not equal."""
+    if isinstance(base, float) or isinstance(head, float):
+        return not (isinstance(base, float) and isinstance(head, float))
+    return base != head
+
+
+def check_json(study: str, base: Path, head: Path) -> bool:
+    """Print how the two ``report.json`` files of ``study`` differ; True if
+    they pass."""
+    old, new = json.loads(base.read_text()), json.loads(head.read_text())
+    same_bytes = base.read_bytes() == head.read_bytes()
+    if old["schema_version"] != new["schema_version"]:
+        bumped = new["schema_version"] > old["schema_version"]
+        print(f"{study}: report.json schema_version {old['schema_version']} -> "
+              f"{new['schema_version']}" + ("; layout not compared" if bumped else ""))
+        return bumped
+    old_leaves, new_leaves = dict(leaves(old)), dict(leaves(new))
+    if old_leaves.keys() != new_leaves.keys():
+        moved = sorted(".".join(path) for path in old_leaves.keys() ^ new_leaves.keys())
+        print(f"{study}: report.json key paths differ: {moved[:10]}")
+        return False
+    changed = [path for path in old_leaves if differs(old_leaves[path], new_leaves[path])]
+    for path in changed[:10]:
+        print(f"  {'.'.join(path)}: base {old_leaves[path]!r}  head {new_leaves[path]!r}")
+    print(f"{study}: report.json non-float values differ at {len(changed)} of "
+          f"{len(old_leaves)} key paths; byte-identical: {same_bytes}")
+    return not changed
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", type=Path, help="checkout of the base commit")
@@ -120,7 +166,8 @@ def main(argv=None) -> int:
         for study, config in (("paper_d1", "paper_d1"), ("d3_study", str(d3_config))):
             base = run_bench(args.base.resolve(), config, out / study / "base")
             head = run_bench(HERE, config, out / study / "head")
-            passed = check(study, base, head) and passed
+            passed = check(study, base / "report.csv", head / "report.csv") and passed
+            passed = check_json(study, base / "report.json", head / "report.json") and passed
     return 0 if passed else 1
 
 
