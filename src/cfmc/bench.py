@@ -17,10 +17,11 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import warnings
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -29,6 +30,7 @@ from . import baselines
 from .data import ScoredDataset, _split_size, random_split
 from .errors import CfmcError, InvalidInputError
 from .estimator import (
+    _CV_TRAIN_FRACTION,
     Estimate,
     _GramRows,
     cf_multisplit_estimate,
@@ -41,8 +43,6 @@ from .targets import TargetProblem, gaussian_problem, mixture_problem, oracle_me
 
 # Version of the report and ``cfmc estimate --output json`` layouts.
 SCHEMA_VERSION = 1
-
-CSV_COLUMNS = ("method", "n", "replication", "estimate", "lambda_used", "seed")
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ class MethodSpec:
     alpha2: float = 1.0
     lambda_: float | None = None
     cv_grid: tuple[SteinKernelParams, ...] | None = None
-    cv_train_fraction: float = 0.5
+    cv_train_fraction: float = _CV_TRAIN_FRACTION
     label: str | None = None
 
     def __post_init__(self):
@@ -133,6 +133,25 @@ def _optional(parse):
     return lambda value: None if value is None else parse(value)
 
 
+def _number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _integer(value) -> int:
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if not _number(value).is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _kernel_grid(value) -> tuple[SteinKernelParams, ...]:
+    """Kernels from a list of ``[alpha1, alpha2]`` pairs."""
+    return tuple(SteinKernelParams(*map(_number, pair)) for pair in value)
+
+
 def _method(index: int, entry) -> MethodSpec:
     if not isinstance(entry, dict):
         raise InvalidInputError(f"each method entry must be an object, got {entry!r}")
@@ -144,14 +163,12 @@ def _method(index: int, entry) -> MethodSpec:
 _PARSERS = {
     "str": _text,
     "str | None": _optional(_text),
-    "int": int,
-    "float": float,
-    "float | None": lambda value: None if value in (None, "auto") else float(value),
+    "int": _integer,
+    "float": _number,
+    "float | None": lambda value: None if value in (None, "auto") else _number(value),
     "dict": dict,
-    "tuple[int, ...]": lambda value: tuple(map(int, value)),
-    "tuple[SteinKernelParams, ...] | None": _optional(
-        lambda value: tuple(SteinKernelParams(*map(float, pair)) for pair in value)
-    ),
+    "tuple[int, ...]": lambda value: tuple(map(_integer, value)),
+    "tuple[SteinKernelParams, ...] | None": _optional(_kernel_grid),
     "tuple[MethodSpec, ...]": lambda value: tuple(_method(i, e) for i, e in enumerate(value)),
 }
 
@@ -222,7 +239,7 @@ def build_problem(config: ExperimentConfig) -> TargetProblem:
     params = config.problem_params
     try:
         if config.problem == "gaussian":
-            return gaussian_problem(int(params.get("d", 1)))
+            return gaussian_problem(_integer(params.get("d", 1)))
         if config.problem == "mixture":
             return mixture_problem(**params)
     except InvalidInputError:
@@ -362,20 +379,21 @@ def _run_method(
     problem: TargetProblem,
     config: ExperimentConfig,
     stream: np.random.SeedSequence,
-) -> tuple[float, float | None]:
-    """Run one method on one dataset; returns (estimate, lambda or None)."""
+) -> Estimate:
+    """Run one method of the study on one dataset, its streams drawn from
+    ``stream``."""
     run_stream, cv_stream = stream.spawn(2)
-    est = run_estimator(
+    return run_estimator(
         spec, dataset, split_seed=run_stream, cv_seed=cv_stream,
         split_fraction=config.split_fraction, n_splits=config.n_splits,
         density=problem.normalised_density,
     )
-    return est.value, est.lambda_used
 
 
 @dataclass(frozen=True)
 class Row:
-    """One CSV row: one method on one replication of one sample size."""
+    """One CSV row: one method on one replication of one sample size.  The
+    fields, in order, are the columns of ``report.csv``."""
 
     method: str
     n: int
@@ -387,7 +405,8 @@ class Row:
 
 @dataclass(frozen=True)
 class CellStats:
-    """Aggregate statistics of one (method, n) cell."""
+    """Aggregate statistics of one (method, n) cell.  The fields, in order,
+    and ``flagged`` are the keys of a cell in ``report.json``."""
 
     mean_estimate: float | None
     bias: float | None
@@ -404,6 +423,8 @@ class CellStats:
 
 @dataclass(frozen=True)
 class SlopeFit:
+    """A log-log MSE slope; its fields, in order, are its ``report.json`` keys."""
+
     slope: float
     stderr: float
     n_points: int
@@ -411,7 +432,8 @@ class SlopeFit:
 
 @dataclass
 class ConvergenceReport:
-    """Everything an experiment produced, ready for serialisation."""
+    """Everything an experiment produced, ready for serialisation.  ``cells``
+    and ``slopes`` are in the order of the config's methods (and sizes)."""
 
     problem_name: str
     oracle: float
@@ -462,9 +484,12 @@ def run_experiment(
 ) -> ConvergenceReport:
     """Run the full study described by ``config``.
 
-    ``threads`` only controls scheduling; per-cell streams and a fixed
-    aggregation order make the report identical for any thread count.  Method
-    failures are recorded per cell rather than aborting the study.  Passing
+    Each method on each replication of each size gives a :class:`Row`, each
+    (method, n) a :class:`CellStats` and each method a :class:`SlopeFit`; a
+    failed method leaves an empty row, counted as a failure of its cell,
+    rather than aborting the study.  ``threads`` only controls scheduling;
+    per-cell streams and a fixed aggregation order make the report identical
+    for any thread count.  Passing
     ``problem`` overrides the one named in the config (for custom targets).
     The methods of a cell share its kernel blocks: the cell's dataset is a
     view that shares every kernel two of them can fit with
@@ -486,7 +511,8 @@ def run_experiment(
         for index, spec in enumerate(config.methods):
             stream = _method_stream(config.master_seed, n, rep, index)
             try:
-                value, lam = _run_method(spec, dataset, problem, config, stream)
+                est = _run_method(spec, dataset, problem, config, stream)
+                value, lam = est.value, est.lambda_used
             except (CfmcError, np.linalg.LinAlgError):
                 value, lam = None, None
             results.append(
@@ -508,41 +534,31 @@ def run_experiment(
             per_task = list(pool.map(worker, tasks))
 
     rows = [row for group in per_task for row in group]
+    estimates = {(spec.name, n): [] for spec in config.methods for n in config.n_grid}
+    for row in rows:
+        estimates[(row.method, row.n)].append(row.estimate)
     notes: list[str] = []
     cells: dict[tuple[str, int], CellStats] = {}
-    for spec in config.methods:
-        for n in config.n_grid:
-            values = [
-                row.estimate
-                for row in rows
-                if row.method == spec.name and row.n == n
-            ]
-            good = np.array([v for v in values if v is not None], dtype=float)
-            failures = len(values) - good.size
-            if good.size == 0:
-                cells[(spec.name, n)] = CellStats(
-                    None, None, None, None, None, failures, len(values)
-                )
-                notes.append(f"cell ({spec.name}, n={n}): every replication failed")
-                continue
-            mean_est = float(np.mean(good))
-            bias = mean_est - oracle
-            variance = float(np.mean((good - mean_est) ** 2))
-            mse = float(np.mean((good - oracle) ** 2))
-            stats = CellStats(
-                mean_estimate=mean_est,
-                bias=bias,
-                variance=variance,
-                mse=mse,
-                n_mse=n * mse,
-                failures=failures,
-                replications=len(values),
-            )
-            cells[(spec.name, n)] = stats
-            if stats.flagged:
-                notes.append(
-                    f"cell ({spec.name}, n={n}): {failures}/{len(values)} replications failed"
-                )
+    for (name, n), values in estimates.items():
+        good = np.array([v for v in values if v is not None], dtype=float)
+        failures = len(values) - good.size
+        if good.size == 0:
+            cells[(name, n)] = CellStats(None, None, None, None, None, failures, len(values))
+            notes.append(f"cell ({name}, n={n}): every replication failed")
+            continue
+        mean_est = float(np.mean(good))
+        mse = float(np.mean((good - oracle) ** 2))
+        cells[(name, n)] = stats = CellStats(
+            mean_estimate=mean_est,
+            bias=mean_est - oracle,
+            variance=float(np.mean((good - mean_est) ** 2)),
+            mse=mse,
+            n_mse=n * mse,
+            failures=failures,
+            replications=len(values),
+        )
+        if stats.flagged:
+            notes.append(f"cell ({name}, n={n}): {failures}/{len(values)} replications failed")
 
     slopes: dict[str, SlopeFit | None] = {}
     for spec in config.methods:
@@ -571,21 +587,18 @@ def _fmt(value: float | None) -> str:
 
 
 def write_csv(report: ConvergenceReport, path) -> None:
-    """One row per (method, n, replication); floats use shortest round-trip
-    formatting so identical runs produce identical bytes."""
+    """One row per (method, n, replication) and one column per :class:`Row`
+    field; floats use shortest round-trip formatting so identical runs
+    produce identical bytes."""
+    columns = [attr.name for attr in fields(Row)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
+        writer.writerow(columns)
         for row in report.rows:
+            values = (getattr(row, column) for column in columns)
             writer.writerow(
-                [
-                    row.method,
-                    row.n,
-                    row.replication,
-                    _fmt(row.estimate),
-                    _fmt(row.lambda_used),
-                    row.seed,
-                ]
+                _fmt(value) if value is None or isinstance(value, float) else value
+                for value in values
             )
 
 
@@ -593,29 +606,10 @@ def report_summary(report: ConvergenceReport) -> dict:
     """The JSON-serialisable summary; key layout is part of the contract."""
     config = report.config
     names = [spec.name for spec in config.methods]
-    cells = {}
-    for name in names:
-        cells[name] = {}
-        for n in config.n_grid:
-            stats = report.cells[(name, n)]
-            cells[name][str(n)] = {
-                "mean_estimate": stats.mean_estimate,
-                "bias": stats.bias,
-                "variance": stats.variance,
-                "mse": stats.mse,
-                "n_mse": stats.n_mse,
-                "failures": stats.failures,
-                "replications": stats.replications,
-                "flagged": stats.flagged,
-            }
-    slopes = {
-        name: (
-            None
-            if fit is None
-            else {"slope": fit.slope, "stderr": fit.stderr, "n_points": fit.n_points}
-        )
-        for name, fit in report.slopes.items()
-    }
+    cells = {name: {} for name in names}
+    for (name, n), stats in report.cells.items():
+        cells[name][str(n)] = {**asdict(stats), "flagged": stats.flagged}
+    slopes = {name: None if fit is None else asdict(fit) for name, fit in report.slopes.items()}
     return {
         "schema_version": SCHEMA_VERSION,
         "problem": report.problem_name,

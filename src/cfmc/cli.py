@@ -80,8 +80,7 @@ def _int_at_least(minimum: int):
 def _load_cv_grid(path) -> tuple[SteinKernelParams, ...]:
     try:
         with open(path) as fh:
-            raw = json.load(fh)
-        return tuple(SteinKernelParams(alpha1=float(a1), alpha2=float(a2)) for a1, a2 in raw)
+            return bench_mod._kernel_grid(json.load(fh))
     except OSError as exc:
         raise DataFormatError(f"{path}: {exc}") from None
     except (json.JSONDecodeError, TypeError, ValueError) as exc:
@@ -253,8 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     dia = sub.add_parser("diagnose", help="numerical health checks for a built-in target")
     dia.add_argument("--target", default="gaussian-d1")
-    dia.add_argument("--alpha1", type=_positive_float, default=0.1)
-    dia.add_argument("--alpha2", type=_positive_float, default=1.0)
+    dia.add_argument("--alpha1", type=_positive_float, default=spec.alpha1)
+    dia.add_argument("--alpha2", type=_positive_float, default=spec.alpha2)
     dia.add_argument("--probes", type=_int_at_least(1), default=10)
     dia.add_argument("--sample-size", type=_int_at_least(1), default=1000)
     dia.add_argument("--seed", type=_int_at_least(0), default=0)

@@ -48,6 +48,9 @@ _GUARDED_MIN_SIZE = 200
 # take hundreds of matrix-vector products, more than the eigendecomposition.
 _ARPACK_MAX_RESTARTS = 10
 
+# Share of the fitting samples cross-validation trains each candidate on.
+_CV_TRAIN_FRACTION = 0.5
+
 
 def select_lambda(k0: np.ndarray) -> float:
     """Pick the smallest grid regularisation that conditions the kernel system.
@@ -590,7 +593,7 @@ def discrepancy(
 def cross_validate(
     d0: ScoredDataset,
     grid,
-    train_fraction: float = 0.5,
+    train_fraction: float = _CV_TRAIN_FRACTION,
     seed=0,
 ) -> SteinKernelParams:
     """Select kernel hyper-parameters by hold-out prediction error on ``d0``.

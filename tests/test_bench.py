@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -352,7 +353,7 @@ class TestRunExperiment:
         d_b = cell_dataset(config, problem, 10, 1)
         assert not np.array_equal(d_a.points, d_b.points)
 
-    def test_riemann_requires_univariate_problem(self):
+    def test_riemann_requires_univariate_problem(self, tmp_path):
         config = small_config(
             problem_params={"d": 2}, methods=(MethodSpec("riemann"), MethodSpec("mean"))
         )
@@ -362,6 +363,29 @@ class TestRunExperiment:
             assert stats.failures == stats.replications
             assert stats.flagged
         assert any("riemann" in note for note in report.notes)
+
+        # Both reports show the all-failed cells: empty CSV cells, null
+        # statistics, and the cell flagged with its note.
+        write_csv(report, tmp_path / "report.csv")
+        write_json(report, tmp_path / "report.json")
+        with open(tmp_path / "report.csv", newline="") as fh:
+            rows = [row for row in csv.DictReader(fh) if row["method"] == "riemann"]
+        assert len(rows) == len(config.n_grid) * config.replications
+        assert all(row["estimate"] == row["lambda_used"] == "" for row in rows)
+        payload = json.loads((tmp_path / "report.json").read_text())
+        for n in config.n_grid:
+            assert payload["cells"]["riemann"][str(n)] == {
+                "mean_estimate": None,
+                "bias": None,
+                "variance": None,
+                "mse": None,
+                "n_mse": None,
+                "failures": config.replications,
+                "replications": config.replications,
+                "flagged": True,
+            }
+            assert f"cell (riemann, n={n}): every replication failed" in payload["notes"]
+        assert payload["slopes"]["riemann"] is None
 
     def test_cv_grid_method_runs(self):
         grid = ((0.1, 0.5), (0.1, 1.0))
@@ -560,7 +584,7 @@ class TestSerialisation:
         assert payload["oracle_mean"] == 0.0
         assert set(payload["cells"]) == {"mean", "cf-simplified"}
         cell = payload["cells"]["cf-simplified"]["40"]
-        assert set(cell) == {
+        assert list(cell) == [
             "mean_estimate",
             "bias",
             "variance",
@@ -569,9 +593,9 @@ class TestSerialisation:
             "failures",
             "replications",
             "flagged",
-        }
+        ]
         slope = payload["slopes"]["mean"]
-        assert set(slope) == {"slope", "stderr", "n_points"}
+        assert list(slope) == ["slope", "stderr", "n_points"]
 
     def test_report_holds_its_config(self):
         config = small_config(n_splits=2, split_fraction=0.25)

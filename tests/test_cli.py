@@ -1,3 +1,6 @@
+import contextlib
+import inspect
+import io
 import json
 import subprocess
 import sys
@@ -5,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from cfmc import cli
 from cfmc import (
     DataFormatError,
     ScoredDataset,
@@ -18,14 +22,26 @@ from cfmc import (
     read_sample_file,
     write_sample_file,
 )
+from cfmc.bench import ExperimentConfig, MethodSpec
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args):
+    """Run ``cfmc`` in this process, as ``python -m cfmc`` would; an argparse
+    usage error's ``SystemExit`` becomes the return code, and any other
+    exception fails the test."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return subprocess.CompletedProcess(["cfmc", *args], code, out.getvalue(), err.getvalue())
+
+
+def run_module(*args):
+    """Run ``python -m cfmc`` in a subprocess."""
     return subprocess.run(
-        [sys.executable, "-m", "cfmc", *args],
-        capture_output=True,
-        text=True,
-        cwd=cwd,
+        [sys.executable, "-m", "cfmc", *args], capture_output=True, text=True
     )
 
 
@@ -69,7 +85,7 @@ class TestSampleFileRoundTrip:
 
 class TestEstimateCommand:
     def test_mean_of_constant_file(self, constant_file):
-        result = run_cli("estimate", str(constant_file), "--method", "mean")
+        result = run_module("estimate", str(constant_file), "--method", "mean")
         assert result.returncode == 0
         assert "value = 7.5" in result.stdout
 
@@ -112,8 +128,10 @@ class TestEstimateCommand:
         assert result.returncode == 3
 
     def test_unknown_method_is_usage_error(self, constant_file):
-        result = run_cli("estimate", str(constant_file), "--method", "bogus")
+        result = run_module("estimate", str(constant_file), "--method", "bogus")
         assert result.returncode == 2
+        assert "argument --method" in result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_bound_without_fnorm_is_usage_error(self, sin_gaussian_file):
         result = run_cli("estimate", str(sin_gaussian_file), "--method", "cf-split", "--bound")
@@ -150,11 +168,12 @@ class TestEstimateCommand:
         data = ScoredDataset(points, -points, np.ones(5))
         path = tmp_path / "degenerate.csv"
         write_sample_file(path, data)
-        result = run_cli(
+        result = run_module(
             "estimate", str(path), "--method", "cf-simplified", "--lambda", "0"
         )
         assert result.returncode == 4
         assert "regularisation" in result.stderr
+        assert "Traceback" not in result.stderr
 
 
     @pytest.mark.parametrize(
@@ -263,6 +282,17 @@ class TestEstimateCvGrid:
         assert "cv_grid" in result.stderr
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("pair", [[True, 1.0], ["0.1", 1.0], [0.1]])
+    def test_malformed_grid_pair_is_data_error(self, sin_gaussian_file, tmp_path, pair):
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps([pair]))
+        result = run_cli(
+            "estimate", str(sin_gaussian_file), "--method", "cf-simplified",
+            "--cv-grid", str(grid_path),
+        )
+        assert result.returncode == 3
+        assert "cv grid must be a JSON list of [alpha1, alpha2] pairs" in result.stderr
+
 
 BENCH_CONFIG = {
     "problem": "gaussian",
@@ -352,8 +382,10 @@ class TestBenchCommand:
         assert "Traceback" not in result.stderr
 
     def test_missing_config_is_data_error(self):
-        result = run_cli("bench", "no_such_config")
+        result = run_module("bench", "no_such_config")
         assert result.returncode == 3
+        assert result.stderr.startswith("error: ")
+        assert "Traceback" not in result.stderr
 
     @pytest.mark.parametrize("top, entry, named", [
         ({}, {"alpha1": "abc"}, "methods[0].alpha1"),
@@ -365,6 +397,21 @@ class TestBenchCommand:
         ({}, {"method": ["mean"]}, "methods[0].method"),
         ({"problem_params": {"d": "x"}}, {}, "problem_params"),
         ({"problem": "mixture", "problem_params": {"foo": 1}}, {}, "problem_params"),
+        # Numbers are checked, not coerced: a fraction or a bool is no
+        # integer, and a string or a bool is no number.
+        ({"n_grid": [10.9, 20]}, {}, "n_grid"),
+        ({"replications": 2.7}, {}, "replications"),
+        ({"master_seed": True}, {}, "master_seed"),
+        ({"n_splits": 1.5}, {}, "n_splits"),
+        ({"split_fraction": "0.5"}, {}, "split_fraction"),
+        ({}, {"lambda": True}, "methods[0].lambda"),
+        ({}, {"alpha1": "0.1"}, "methods[0].alpha1"),
+        ({}, {"alpha2": False}, "methods[0].alpha2"),
+        ({}, {"cv_train_fraction": True}, "methods[0].cv_train_fraction"),
+        ({}, {"cv_grid": [[True, 1.0]]}, "methods[0].cv_grid"),
+        ({}, {"cv_grid": [["0.1", 1.0]]}, "methods[0].cv_grid"),
+        ({"problem_params": {"d": 1.5}}, {}, "problem_params"),
+        ({"problem_params": {"d": True}}, {}, "problem_params"),
     ])
     def test_malformed_config_value_is_data_error(self, tmp_path, top, entry, named):
         raw = {
@@ -430,3 +477,16 @@ class TestDiagnoseCommand:
     def test_unknown_target_is_usage_error(self):
         result = run_cli("diagnose", "--target", "nope")
         assert result.returncode == 2
+
+
+def test_parser_defaults_are_the_dataclass_defaults():
+    parser = cli.build_parser()
+    estimate = parser.parse_args(["estimate", "samples.csv"])
+    diagnose = parser.parse_args(["diagnose"])
+    for args in (estimate, diagnose):
+        assert (args.alpha1, args.alpha2) == (MethodSpec.alpha1, MethodSpec.alpha2)
+    assert estimate.lambda_ == MethodSpec.lambda_
+    assert estimate.split_fraction == ExperimentConfig.split_fraction
+    assert estimate.splits == ExperimentConfig.n_splits
+    train_fraction = inspect.signature(cross_validate).parameters["train_fraction"]
+    assert train_fraction.default == MethodSpec.cv_train_fraction
