@@ -22,7 +22,6 @@ import warnings
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -74,6 +73,8 @@ class MethodSpec:
             )
         if self.cv_grid is not None and not self.cv_grid:
             raise InvalidInputError("cv_grid must contain at least one [alpha1, alpha2] pair")
+        if self.cv_grid and not all(isinstance(p, SteinKernelParams) for p in self.cv_grid):
+            raise InvalidInputError(f"cv_grid must hold SteinKernelParams, got {self.cv_grid!r}")
         if not (math.isfinite(self.cv_train_fraction) and 0.0 < self.cv_train_fraction < 1.0):
             raise InvalidInputError(
                 f"cv_train_fraction must lie in (0, 1), got {self.cv_train_fraction!r}"
@@ -101,15 +102,11 @@ class ExperimentConfig:
     n_splits: int = 1
 
     def __post_init__(self):
-        grid = tuple(int(n) for n in self.n_grid)
-        if not grid or any(n < 2 for n in grid):
-            raise InvalidInputError("n_grid must be non-empty with every size >= 2")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise InvalidInputError("n_grid must be strictly ascending")
-        if self.replications < 1:
-            raise InvalidInputError("replications must be >= 1")
-        if self.master_seed < 0:
-            raise InvalidInputError(f"master_seed must be >= 0, got {self.master_seed}")
+        grid = tuple(_count("each n_grid size", n, 2) for n in self.n_grid)
+        if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
+            raise InvalidInputError("n_grid must be non-empty and strictly ascending")
+        for name, minimum in (("replications", 1), ("master_seed", 0), ("n_splits", 1)):
+            object.__setattr__(self, name, _count(name, getattr(self, name), minimum))
         if not self.methods:
             raise InvalidInputError("at least one method is required")
         names = [spec.name for spec in self.methods]
@@ -117,8 +114,6 @@ class ExperimentConfig:
             raise InvalidInputError(f"method labels must be unique, got {names}")
         if not 0.0 < self.split_fraction < 1.0:
             raise InvalidInputError("split_fraction must lie in (0, 1)")
-        if self.n_splits < 1:
-            raise InvalidInputError("n_splits must be >= 1")
         object.__setattr__(self, "n_grid", grid)
         object.__setattr__(self, "methods", tuple(self.methods))
 
@@ -145,6 +140,17 @@ def _integer(value) -> int:
     if not _number(value).is_integer():
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
+
+
+def _count(name: str, value, minimum: int) -> int:
+    """``value`` as an int of at least ``minimum``; errors name the setting ``name``."""
+    try:
+        count = _integer(value)
+    except (TypeError, ValueError):
+        count = minimum - 1
+    if count < minimum:
+        raise InvalidInputError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return count
 
 
 def _kernel_grid(value) -> tuple[SteinKernelParams, ...]:
@@ -267,73 +273,11 @@ def cell_dataset(config: ExperimentConfig, problem: TargetProblem, n: int, repli
     return problem.dataset(rng, n)
 
 
-def _kernel_params(spec: MethodSpec, cv_set, cv_seed) -> SteinKernelParams:
-    """The spec's kernel, or the CV choice on the dataset ``cv_set()`` when
-    the spec has a grid."""
-    params = spec.kernel_params()
-    if spec.cv_grid is not None:
-        params = cross_validate(
-            cv_set(), spec.cv_grid, train_fraction=spec.cv_train_fraction, seed=cv_seed
-        )
-    return params
+# The tag of every estimator, in the order `MethodSpec` errors and `--method` list them.
+METHODS = ("mean", "zv1", "zv2", "riemann", "cf-split", "cf-simplified", "cf-multisplit")
 
-
-def _mean(spec, data, **_):
-    value = baselines.arithmetic_mean(data.f_values)
-    return Estimate(value=value, method="mean", n=data.n, m=data.n, lambda_used=None)
-
-
-def _zv(spec, data, **_):
-    return baselines.zv_estimate(data, degree=int(spec.method[-1]))
-
-
-def _riemann(spec, data, *, density, **_):
-    if density is None:
-        raise InvalidInputError("riemann baseline needs a d=1 problem with a density")
-    value = baselines.riemann_1d(data, density)
-    return Estimate(value=value, method="riemann", n=data.n, m=data.n, lambda_used=None)
-
-
-def _cf_simplified(spec, data, *, cv_seed, **_):
-    params = _kernel_params(spec, lambda: data, cv_seed)
-    return cf_simplified_estimate(data, params, lambda_=spec.lambda_)
-
-
-def _cf_split(spec, data, *, split_seed, cv_seed, split_fraction, compute_discrepancy, **_):
-    plan = random_split(data.n, _split_size(data.n, split_fraction), split_seed)
-    params = _kernel_params(spec, lambda: data.subset(plan.index_d0), cv_seed)
-    return cf_split_estimate(
-        data, plan, params, lambda_=spec.lambda_, compute_discrepancy=compute_discrepancy
-    )
-
-
-def _cf_multisplit(spec, data, *, split_seed, cv_seed, split_fraction, n_splits, **_):
-    def cv_set():
-        plan = random_split(data.n, _split_size(data.n, split_fraction), cv_seed)
-        return data.subset(plan.index_d0)
-
-    params = _kernel_params(spec, cv_set, cv_seed)
-    return cf_multisplit_estimate(
-        data, n_splits, split_fraction, params, seed=split_seed, lambda_=spec.lambda_
-    )
-
-
-class _Method(NamedTuple):
-    run: Callable[..., Estimate]
-    needs_density: bool = False
-
-
-# Every estimator, by tag.  ``needs_density`` marks the methods that need the
-# normalised density, which sample files do not carry.
-METHODS = {
-    "mean": _Method(_mean),
-    "zv1": _Method(_zv),
-    "zv2": _Method(_zv),
-    "riemann": _Method(_riemann, needs_density=True),
-    "cf-split": _Method(_cf_split),
-    "cf-simplified": _Method(_cf_simplified),
-    "cf-multisplit": _Method(_cf_multisplit),
-}
+# The methods that need the normalised density, which sample files do not carry.
+DENSITY_METHODS = frozenset({"riemann"})
 
 _KERNEL_METHODS = frozenset({"cf-split", "cf-simplified", "cf-multisplit"})
 
@@ -358,18 +302,44 @@ def run_estimator(
 ) -> Estimate:
     """Run the method ``spec`` names on ``data``.
 
-    Split methods fit on ``split_fraction`` of the samples and draw their
-    split(s) from ``split_seed``; cf-multisplit averages ``n_splits`` of them,
-    the other methods ignore both.  A ``cv_grid`` is
-    searched with the ``cv_seed`` stream.  cf-split cross-validates on its
+    mean, zv1, zv2 and riemann use neither seed; riemann needs ``density``,
+    the normalised target density.  cf-split fits on a split of
+    ``split_fraction`` of the samples drawn from ``split_seed``;
+    cf-multisplit averages ``n_splits`` such splits.  A ``cv_grid`` is
+    searched with the ``cv_seed`` stream: cf-split cross-validates on its
     own fitting set, cf-simplified on all samples, and cf-multisplit on the
-    fitting set of one extra split drawn from ``cv_seed``.  ``density`` is
-    the normalised target density (riemann only); ``compute_discrepancy``
-    attaches D(D0, D1) to a cf-split estimate.
+    fitting set of one extra split drawn from ``cv_seed``.
+    ``compute_discrepancy`` attaches D(D0, D1) to a cf-split estimate.
     """
-    return METHODS[spec.method].run(
-        spec, data, split_seed=split_seed, cv_seed=cv_seed, split_fraction=split_fraction,
-        n_splits=n_splits, density=density, compute_discrepancy=compute_discrepancy,
+    method = spec.method
+    if method in ("zv1", "zv2"):
+        return baselines.zv_estimate(data, degree=int(method[-1]))
+    if method in ("mean", "riemann"):
+        if method == "mean":
+            value = baselines.arithmetic_mean(data.f_values)
+        elif density is None:
+            raise InvalidInputError("riemann baseline needs a d=1 problem with a density")
+        else:
+            value = baselines.riemann_1d(data, density)
+        return Estimate(value=value, method=method, n=data.n, m=data.n, lambda_used=None)
+    params = spec.kernel_params()
+    if method == "cf-split":
+        plan = cv_plan = random_split(data.n, _split_size(data.n, split_fraction), split_seed)
+    if spec.cv_grid is not None:
+        if method == "cf-multisplit":
+            cv_plan = random_split(data.n, _split_size(data.n, split_fraction), cv_seed)
+        cv_set = data if method == "cf-simplified" else data.subset(cv_plan.index_d0)
+        params = cross_validate(
+            cv_set, spec.cv_grid, train_fraction=spec.cv_train_fraction, seed=cv_seed
+        )
+    if method == "cf-split":
+        return cf_split_estimate(
+            data, plan, params, lambda_=spec.lambda_, compute_discrepancy=compute_discrepancy
+        )
+    if method == "cf-simplified":
+        return cf_simplified_estimate(data, params, lambda_=spec.lambda_)
+    return cf_multisplit_estimate(
+        data, n_splits, split_fraction, params, seed=split_seed, lambda_=spec.lambda_
     )
 
 

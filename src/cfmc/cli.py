@@ -223,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("input", help="sample file with columns x_1..x_d, f, u_1..u_d")
     est.add_argument(
         "--method",
-        choices=[tag for tag, entry in bench_mod.METHODS.items() if not entry.needs_density],
+        choices=[tag for tag in bench_mod.METHODS if tag not in bench_mod.DENSITY_METHODS],
         default="cf-simplified",
     )
     spec, config = bench_mod.MethodSpec, bench_mod.ExperimentConfig

@@ -7,11 +7,15 @@ import pytest
 from cfmc import (
     InvalidInputError,
     SteinKernelParams,
+    arithmetic_mean,
+    cf_multisplit_estimate,
     cf_simplified_estimate,
     cf_split_estimate,
     cross_validate,
     gaussian_problem,
     random_split,
+    riemann_1d,
+    zv_estimate,
 )
 from cfmc import bench
 from cfmc.bench import (
@@ -277,6 +281,44 @@ class TestConfig:
         }
         with pytest.raises(InvalidInputError, match="master_seed"):
             load_config(raw)
+
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"n_grid": (10.9, 20, 40), "replications": 2.7}, "n_grid"),
+            ({"n_grid": (10, True, 40)}, "n_grid"),
+            ({"replications": 2.7}, "replications"),
+            ({"replications": True}, "replications"),
+            ({"master_seed": 1.5}, "master_seed"),
+            ({"master_seed": "1"}, "master_seed"),
+            ({"n_splits": 2.5}, "n_splits"),
+            ({"n_splits": float("inf")}, "n_splits"),
+        ],
+    )
+    def test_library_route_rejects_non_integral_counts(self, overrides, key):
+        # The route that builds the dataclass directly checks what
+        # load_config checks: a count is integral and not a boolean.
+        settings = dict(
+            problem="gaussian", n_grid=(10, 20, 40), replications=2, master_seed=1,
+            methods=(MethodSpec("mean"),),
+        )
+        with pytest.raises(InvalidInputError, match=key):
+            ExperimentConfig(**{**settings, **overrides})
+
+    def test_library_route_takes_integral_floats_as_ints(self):
+        config = ExperimentConfig(
+            problem="gaussian", n_grid=(10.0, 20, 40), replications=2.0, master_seed=1.0,
+            n_splits=3.0, methods=(MethodSpec("mean"),),
+        )
+        assert config.n_grid == (10, 20, 40)
+        counts = (config.replications, config.master_seed, config.n_splits)
+        assert counts == (2, 1, 3)
+        assert all(type(count) is int for count in config.n_grid + counts)
+        assert len(run_experiment(config).rows) == 6
+
+    def test_cv_grid_of_pairs_rejected(self):
+        with pytest.raises(InvalidInputError, match="cv_grid"):
+            MethodSpec("cf-simplified", cv_grid=((0.1, 1.0),))
 
 
 class TestRunExperiment:
@@ -558,6 +600,56 @@ class TestSharedKernels:
                 assert chosen == cross_validate(cv_set, GRID, seed=cv_seed)
                 expected = cf_split_estimate(data, random_split(row.n, m, split_seed), chosen)
             assert row.lambda_used == expected.lambda_used
+
+
+class TestRunEstimatorStreams:
+    """The stream each tag draws from, through :func:`run_estimator`."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        return gaussian_problem(1).dataset(np.random.default_rng(8), 40)
+
+    @staticmethod
+    def run(spec, data, split_seed, cv_seed, **extra):
+        return run_estimator(
+            spec, data, split_seed=split_seed, cv_seed=cv_seed, split_fraction=0.5,
+            n_splits=3, density=gaussian_problem(1).normalised_density, **extra,
+        )
+
+    def test_split_cross_validates_on_its_fitting_set(self, data):
+        split_seed, cv_seed = 0, 3
+        plan = random_split(40, 20, split_seed)
+        params = cross_validate(data.subset(plan.index_d0), GRID, seed=cv_seed)
+        # cf-simplified's and cf-multisplit's rules would pick other kernels.
+        assert params != cross_validate(data, GRID, seed=cv_seed)
+        cv_plan = random_split(40, 20, cv_seed)
+        assert params != cross_validate(data.subset(cv_plan.index_d0), GRID, seed=cv_seed)
+        expected = cf_split_estimate(data, plan, params, compute_discrepancy=True)
+        got = self.run(
+            MethodSpec("cf-split", cv_grid=GRID), data, split_seed, cv_seed,
+            compute_discrepancy=True,
+        )
+        assert (got.value, got.lambda_used, got.discrepancy) == (
+            expected.value, expected.lambda_used, expected.discrepancy
+        )
+
+    def test_multisplit_without_grid_ignores_cv_seed(self, data):
+        expected = cf_multisplit_estimate(data, 3, 0.5, SteinKernelParams(0.1, 1.0), seed=5)
+        for cv_seed in (6, 7):
+            got = self.run(MethodSpec("cf-multisplit"), data, 5, cv_seed)
+            assert (got.value, got.lambda_used) == (expected.value, expected.lambda_used)
+
+    @pytest.mark.parametrize("method", ["mean", "zv1", "zv2", "riemann"])
+    def test_baselines_ignore_both_seeds(self, data, method):
+        expected = {
+            "mean": lambda: arithmetic_mean(data.f_values),
+            "zv1": lambda: zv_estimate(data, degree=1).value,
+            "zv2": lambda: zv_estimate(data, degree=2).value,
+            "riemann": lambda: riemann_1d(data, gaussian_problem(1).normalised_density),
+        }[method]()
+        for split_seed, cv_seed in ((1, 2), (3, 4)):
+            got = self.run(MethodSpec(method), data, split_seed, cv_seed)
+            assert (got.value, got.lambda_used) == (expected, None)
 
 
 class TestSerialisation:

@@ -21,6 +21,7 @@ from cfmc import (
     random_split,
     read_sample_file,
     write_sample_file,
+    zv_estimate,
 )
 from cfmc.bench import ExperimentConfig, MethodSpec
 
@@ -132,6 +133,21 @@ class TestEstimateCommand:
         assert result.returncode == 2
         assert "argument --method" in result.stderr
         assert "Traceback" not in result.stderr
+
+    def test_density_method_is_usage_error(self, constant_file):
+        # A sample file carries no normalised density, so riemann is no choice.
+        result = run_cli("estimate", str(constant_file), "--method", "riemann")
+        assert result.returncode == 2
+        assert "argument --method" in result.stderr
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_zv_prints_zv_estimate(self, sin_gaussian_file, degree):
+        result = run_cli(
+            "estimate", str(sin_gaussian_file), "--method", f"zv{degree}", "--output", "json"
+        )
+        assert result.returncode == 0, result.stderr
+        expected = zv_estimate(read_sample_file(sin_gaussian_file), degree=degree)
+        assert json.loads(result.stdout)["value"] == expected.value
 
     def test_bound_without_fnorm_is_usage_error(self, sin_gaussian_file):
         result = run_cli("estimate", str(sin_gaussian_file), "--method", "cf-split", "--bound")

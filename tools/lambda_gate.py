@@ -1,13 +1,15 @@
-"""Output gate: the ``lambda_used`` column of two studies must not change,
-and no estimate may move by more than 1e-12 relative.
+"""Output gate: the ``lambda_used`` column of three studies must not change,
+no estimate may move by more than 1e-12 relative, and ``cfmc estimate
+--bound`` must print the same bytes.
 
     python tools/lambda_gate.py BASE_CHECKOUT [--out-dir DIR]
 
 Runs ``python -m cfmc bench CONFIG --threads 1`` once from
 ``BASE_CHECKOUT/src`` and once from this checkout's ``src``, with every
-BLAS/OpenMP thread count pinned to 1, for two configs: the bundled paper_d1
-(d = 1) and ``D3_STUDY``, a small d = 3 study written to a temporary JSON
-file.  It exits 1 unless, for both, the ``lambda_used`` columns of the two
+BLAS/OpenMP thread count pinned to 1, for three configs: the bundled
+paper_d1 (d = 1), ``D3_STUDY``, a small d = 3 study, and ``CV_STUDY``, a
+small cross-validated d = 2 study, the last two written to temporary JSON
+files.  It exits 1 unless, for each, the ``lambda_used`` columns of the two
 ``report.csv`` files are identical and every ``estimate`` agrees with the
 base to 1e-12 relative; an estimate that is empty on one side only counts as
 a difference.  The two ``report.json`` files must have the same
@@ -16,6 +18,12 @@ same version they must have the same key paths and identical values apart
 from floats (``n_grid``, ``replications``, ``master_seed``, ``methods``,
 ``failures``, ``flagged``, ``notes``, ...).  It prints the worst estimate
 deviation of each study and says whether each pair of reports is
+byte-identical.
+
+It also writes one d = 2 sample file (``BOUND_SAMPLE_SIZE`` standard normal
+draws from a fixed seed) and runs ``python -m cfmc estimate FILE --method
+cf-split --bound --fnorm 1 --output json`` from both checkouts; the two
+outputs, which hold the discrepancy D and the bound radius, must be
 byte-identical.
 """
 
@@ -26,6 +34,7 @@ import csv
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -38,8 +47,7 @@ ESTIMATE_RTOL = 1e-12
 # At d >= 2 a block sliced from a cell's Gram can differ from one assembled
 # on its own in the last bits, which paper_d1 (d = 1) cannot show.  All three
 # kernel methods here share one kernel, so every block they use is a slice.
-# The study has no cross-validation, so a change to how CV is done does not
-# move it.
+# The study has no cross-validation; CV_STUDY gates that.
 D3_STUDY = {
     "problem": "gaussian",
     "problem_params": {"d": 3},
@@ -55,16 +63,71 @@ D3_STUDY = {
     ],
 }
 
+# Each kernel method cross-validates on the samples its own rule names
+# (cf-split its fitting set, cf-simplified all samples, cf-multisplit one
+# extra split); the grids share two kernels, so the cell shares their Grams.
+CV_STUDY = {
+    "problem": "gaussian",
+    "problem_params": {"d": 2},
+    "n_grid": [20, 40, 80],
+    "replications": 4,
+    "master_seed": 20140917,
+    "split_fraction": 0.5,
+    "n_splits": 2,
+    "methods": [
+        {"method": "cf-split", "cv_grid": [[0.1, 0.5], [0.1, 1.0], [0.1, 2.0]]},
+        {"method": "cf-simplified", "cv_grid": [[0.1, 1.0], [0.1, 2.0]]},
+        {"method": "cf-multisplit", "cv_grid": [[0.1, 1.0], [0.1, 2.0], [0.3, 1.0]]},
+    ],
+}
+
+# The sample file of the --bound check: x ~ N(0, I_2), u = -x and
+# f = sin((x_1 + x_2) pi / 2), the gaussian problem's integrand at d = 2.
+BOUND_SAMPLE_SIZE = 400
+BOUND_COMMAND = ("--method", "cf-split", "--bound", "--fnorm", "1", "--output", "json")
+
+
+def checkout_env(checkout: Path) -> dict[str, str]:
+    """The environment that runs ``cfmc`` from ``checkout`` on one thread."""
+    return dict(os.environ, PYTHONPATH=str(checkout / "src"), **{v: "1" for v in THREAD_VARS})
+
 
 def run_bench(checkout: Path, config: str, out_dir: Path) -> Path:
     """Run the study from ``checkout``; returns the directory of its reports."""
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), **{v: "1" for v in THREAD_VARS})
     subprocess.run(
         [sys.executable, "-m", "cfmc", "bench", config, "--threads", "1",
          "--out-dir", str(out_dir)],
-        cwd=checkout, env=env, check=True, stdout=subprocess.DEVNULL,
+        cwd=checkout, env=checkout_env(checkout), check=True, stdout=subprocess.DEVNULL,
     )
     return out_dir
+
+
+def write_bound_sample(path: Path) -> None:
+    """Write the --bound check's sample file; the same bytes on every run."""
+    rng = random.Random(20140917)
+    lines = ["x_1,x_2,f,u_1,u_2"]
+    for _ in range(BOUND_SAMPLE_SIZE):
+        x1, x2 = rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)
+        f = math.sin((math.pi / 2) * (x1 + x2))
+        lines.append(",".join(repr(v) for v in (x1, x2, f, -x1, -x2)))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def run_bound(checkout: Path, sample: Path) -> bytes:
+    """What ``cfmc estimate SAMPLE --bound`` prints from ``checkout``."""
+    return subprocess.run(
+        [sys.executable, "-m", "cfmc", "estimate", str(sample), *BOUND_COMMAND],
+        cwd=checkout, env=checkout_env(checkout), check=True, stdout=subprocess.PIPE,
+    ).stdout
+
+
+def check_bound(base: bytes, head: bytes) -> bool:
+    """Print whether the two --bound outputs are byte-identical; True if so."""
+    same = base == head
+    print(f"bound: cfmc estimate --bound JSON byte-identical: {same}")
+    if not same:
+        print(f"  base {base.decode()!r}\n  head {head.decode()!r}")
+    return same
 
 
 def read_rows(path: Path) -> list[dict[str, str]]:
@@ -161,13 +224,19 @@ def main(argv=None) -> int:
     passed = True
     with tempfile.TemporaryDirectory() as tmp:
         out = args.out_dir or Path(tmp)
-        d3_config = Path(tmp) / "d3_study.json"
-        d3_config.write_text(json.dumps(D3_STUDY))
-        for study, config in (("paper_d1", "paper_d1"), ("d3_study", str(d3_config))):
+        studies = {"paper_d1": "paper_d1"}
+        for study, raw in (("d3_study", D3_STUDY), ("cv_study", CV_STUDY)):
+            studies[study] = str(Path(tmp) / f"{study}.json")
+            Path(studies[study]).write_text(json.dumps(raw))
+        for study, config in studies.items():
             base = run_bench(args.base.resolve(), config, out / study / "base")
             head = run_bench(HERE, config, out / study / "head")
             passed = check(study, base / "report.csv", head / "report.csv") and passed
             passed = check_json(study, base / "report.json", head / "report.json") and passed
+        sample = Path(tmp) / "bound_sample.csv"
+        write_bound_sample(sample)
+        outputs = [run_bound(checkout, sample) for checkout in (args.base.resolve(), HERE)]
+        passed = check_bound(*outputs) and passed
     return 0 if passed else 1
 
 
