@@ -67,15 +67,19 @@ class MethodSpec:
             raise InvalidInputError(
                 f"unknown method {self.method!r}; valid tags: {', '.join(METHODS)}"
             )
-        if self.lambda_ is not None and not (math.isfinite(self.lambda_) and self.lambda_ >= 0):
+        lam = self.lambda_
+        if lam is not None and not (_is_number(lam) and math.isfinite(lam) and lam >= 0):
             raise InvalidInputError(
-                f"lambda must be 'auto' or non-negative and finite, got {self.lambda_!r}"
+                f"lambda must be 'auto' or non-negative and finite, got {lam!r}"
             )
-        if self.cv_grid is not None and not self.cv_grid:
-            raise InvalidInputError("cv_grid must contain at least one [alpha1, alpha2] pair")
-        if self.cv_grid and not all(isinstance(p, SteinKernelParams) for p in self.cv_grid):
-            raise InvalidInputError(f"cv_grid must hold SteinKernelParams, got {self.cv_grid!r}")
-        if not (math.isfinite(self.cv_train_fraction) and 0.0 < self.cv_train_fraction < 1.0):
+        if self.cv_grid is not None:
+            grid = _items("cv_grid", self.cv_grid)
+            if not grid:
+                raise InvalidInputError("cv_grid must contain at least one [alpha1, alpha2] pair")
+            if not all(isinstance(p, SteinKernelParams) for p in grid):
+                raise InvalidInputError(f"cv_grid must hold SteinKernelParams, got {grid!r}")
+            object.__setattr__(self, "cv_grid", grid)
+        if not (_is_number(self.cv_train_fraction) and 0.0 < self.cv_train_fraction < 1.0):
             raise InvalidInputError(
                 f"cv_train_fraction must lie in (0, 1), got {self.cv_train_fraction!r}"
             )
@@ -102,20 +106,25 @@ class ExperimentConfig:
     n_splits: int = 1
 
     def __post_init__(self):
-        grid = tuple(_count("each n_grid size", n, 2) for n in self.n_grid)
+        grid = tuple(_count("each n_grid size", n, 2) for n in _items("n_grid", self.n_grid))
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
             raise InvalidInputError("n_grid must be non-empty and strictly ascending")
         for name, minimum in (("replications", 1), ("master_seed", 0), ("n_splits", 1)):
             object.__setattr__(self, name, _count(name, getattr(self, name), minimum))
-        if not self.methods:
+        methods = _items("methods", self.methods)
+        if not methods:
             raise InvalidInputError("at least one method is required")
-        names = [spec.name for spec in self.methods]
+        if not all(isinstance(spec, MethodSpec) for spec in methods):
+            raise InvalidInputError(f"methods must hold MethodSpec entries, got {methods!r}")
+        names = [spec.name for spec in methods]
         if len(set(names)) != len(names):
             raise InvalidInputError(f"method labels must be unique, got {names}")
-        if not 0.0 < self.split_fraction < 1.0:
-            raise InvalidInputError("split_fraction must lie in (0, 1)")
+        if not (_is_number(self.split_fraction) and 0.0 < self.split_fraction < 1.0):
+            raise InvalidInputError(
+                f"split_fraction must lie in (0, 1), got {self.split_fraction!r}"
+            )
         object.__setattr__(self, "n_grid", grid)
-        object.__setattr__(self, "methods", tuple(self.methods))
+        object.__setattr__(self, "methods", methods)
 
 
 def _text(value) -> str:
@@ -128,10 +137,22 @@ def _optional(parse):
     return lambda value: None if value is None else parse(value)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _number(value) -> float:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    if not _is_number(value):
         raise TypeError(f"expected a number, got {value!r}")
     return float(value)
+
+
+def _items(name: str, value) -> tuple:
+    """``value`` as a tuple; errors name the setting ``name``."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise InvalidInputError(f"{name} must be a sequence, got {value!r}") from None
 
 
 def _integer(value) -> int:

@@ -25,10 +25,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dpotrf
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
 
+from ._lapack import cho_factor, cho_solve
 from .data import ScoredDataset, SplitPlan, _row_indices, _split_size, random_split
 from .errors import InvalidInputError, NumericalError, SingularMatrixError
 from .kernel import SteinKernelParams, _symmetric_gram, gram_matrix, stein_kernel_matrix
@@ -92,9 +92,8 @@ def select_lambda(k0: np.ndarray) -> float:
 
 def _select_lambda_gram(k0: np.ndarray) -> float:
     """:func:`select_lambda` for a Gram matrix built by ``gram_matrix``, which
-    is square and exactly symmetric by construction, so only its finiteness
-    is checked."""
-    _check_finite(k0)
+    is square and exactly symmetric by construction; the caller has checked
+    that it is finite."""
     return _lambda_search(k0, np.empty(k0.shape, order="F"))
 
 
@@ -196,7 +195,7 @@ def _factorise(k0: np.ndarray, lam: float):
     diag = np.arange(m)
     system[diag, diag] += lam * m
     try:
-        chol = cho_factor(system, lower=True, overwrite_a=True)
+        chol = cho_factor(system, lower=True)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(
             f"kernel system of size {m} could not be factorised with lambda={lam!r}; "
@@ -213,8 +212,10 @@ def _fit_coefficients(k0: np.ndarray, f0: np.ndarray, lambda_: float | None):
     A = K0 + lam*m*I, c_hat = 1'A^-1 f0 / (1 + 1'A^-1 1) and
     beta = A^-1 (f0 - c_hat*1).  Returns (lam, c_hat, beta, chol, z): the
     factor of A and z = A^-1 1 too, so callers can reuse them in
-    :func:`_split_solve`.
+    :func:`_split_solve`.  A non-finite ``k0`` raises InvalidInputError
+    whichever way lam is chosen.
     """
+    _check_finite(k0)
     lam = _select_lambda_gram(k0) if lambda_ is None else float(lambda_)
     chol, z = _factorise(k0, lam)
     ones = np.ones(k0.shape[0])
@@ -228,10 +229,14 @@ def _split_solve(chol, z: np.ndarray, k10: np.ndarray):
     """The solve shared by the split weights and the discrepancy.
 
     For the factor ``chol`` of A = K0 + lam*m*I, z = A^-1 1 and the cross
-    block K10, returns g = K10'1, h = A^-1 g, s = 1'h and q = 1'z.
+    block K10, returns g = K10'1, h = A^-1 g, s = 1'h and q = 1'z.  A
+    non-finite entry of K10 makes its column sum in g non-finite, which raises
+    InvalidInputError.
     """
     ones_m = np.ones(z.shape[0])
     g = k10.T @ np.ones(k10.shape[0])
+    if not np.all(np.isfinite(g)):
+        raise InvalidInputError("k10 contains non-finite entries")
     h = cho_solve(chol, g)
     return g, h, float(ones_m @ h), float(ones_m @ z)
 
@@ -567,6 +572,13 @@ def discrepancy_from_matrices(
     k1 = np.asarray(k1, dtype=float)
     if k10.shape[0] < 1:
         raise InvalidInputError("discrepancy requires at least one evaluation sample")
+    m, p = k0.shape[0], k10.shape[0]
+    if k0.shape != (m, m) or k10.shape != (p, m) or k1.shape != (p, p):
+        raise InvalidInputError(
+            f"blocks must be m x m, (n-m) x m and (n-m) x (n-m), got shapes "
+            f"{k0.shape}, {k10.shape} and {k1.shape}"
+        )
+    _check_finite(k0)
     chol, z = _factorise(k0, lambda_)
     return _discrepancy_from_factor(chol, z, k10, k1)
 

@@ -316,6 +316,39 @@ class TestConfig:
         assert all(type(count) is int for count in config.n_grid + counts)
         assert len(run_experiment(config).rows) == 6
 
+    @pytest.mark.parametrize(
+        "overrides, named",
+        [
+            ({"n_grid": 10}, "n_grid"),
+            ({"methods": ("mean",)}, "methods"),
+            ({"methods": MethodSpec("mean")}, "methods"),
+            ({"split_fraction": "0.5"}, "split_fraction"),
+        ],
+    )
+    def test_library_route_rejects_wrong_types(self, overrides, named):
+        settings = dict(
+            problem="gaussian", n_grid=(10, 20, 40), replications=2, master_seed=1,
+            methods=(MethodSpec("mean"),),
+        )
+        with pytest.raises(InvalidInputError, match=named):
+            ExperimentConfig(**{**settings, **overrides})
+
+    @pytest.mark.parametrize(
+        "overrides, named",
+        [
+            ({"cv_grid": 5}, "cv_grid"),
+            ({"lambda_": "1e-3"}, "lambda"),
+            ({"cv_train_fraction": "0.5"}, "cv_train_fraction"),
+        ],
+    )
+    def test_method_spec_rejects_wrong_types(self, overrides, named):
+        with pytest.raises(InvalidInputError, match=named):
+            MethodSpec("cf-split", **overrides)
+
+    def test_cv_grid_kept_as_a_tuple(self):
+        grid = [SteinKernelParams(0.1, 1.0), SteinKernelParams(0.1, 2.0)]
+        assert MethodSpec("cf-split", cv_grid=grid).cv_grid == tuple(grid)
+
     def test_cv_grid_of_pairs_rejected(self):
         with pytest.raises(InvalidInputError, match="cv_grid"):
             MethodSpec("cf-simplified", cv_grid=((0.1, 1.0),))
@@ -428,6 +461,28 @@ class TestRunExperiment:
             }
             assert f"cell (riemann, n={n}): every replication failed" in payload["notes"]
         assert payload["slopes"]["riemann"] is None
+
+    def test_non_finite_kernel_system_fails_its_rows_only(self):
+        # Scores of 1e200 overflow the kernel system of every cell; the
+        # explicit-lambda method fails its rows and the study finishes.
+        base = gaussian_problem(1)
+        huge = TargetProblem(
+            name="huge-scores", dimension=1,
+            score=lambda pts: np.full_like(np.atleast_2d(pts), 1e200),
+            sampler=base.sampler, integrand=base.integrand, true_mean=0.0,
+        )
+        config = small_config(
+            replications=2,
+            methods=(MethodSpec("mean"), MethodSpec("cf-simplified", lambda_=1e-3),
+                     MethodSpec("cf-split", lambda_=1e-3)),
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = run_experiment(config, problem=huge)
+        for n in config.n_grid:
+            assert report.cell("mean", n).failures == 0
+            for name in ("cf-simplified", "cf-split"):
+                assert report.cell(name, n).failures == config.replications
+        assert all(row.estimate is None for row in report.rows if row.method != "mean")
 
     def test_cv_grid_method_runs(self):
         grid = ((0.1, 0.5), (0.1, 1.0))

@@ -169,6 +169,21 @@ class TestEstimateCommand:
         assert result.returncode == 0
         assert json.loads(result.stdout)["lambda_used"] == 1e-8
 
+    @pytest.mark.parametrize("lam", ["auto", "1e-3"])
+    @pytest.mark.parametrize("method", ["cf-split", "cf-simplified", "cf-multisplit"])
+    def test_non_finite_kernel_system_is_data_error(self, tmp_path, method, lam):
+        # Finite scores of 1e200 on seven of twelve rows: every fitting set
+        # holds one, and u * u overflows in its kernel system, under any lambda.
+        points = np.linspace(-1.0, 1.0, 12)[:, None]
+        scores = -points
+        scores[:7] = 1e200
+        path = tmp_path / "huge.csv"
+        write_sample_file(path, ScoredDataset(points, scores, np.sin(points[:, 0])))
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = run_cli("estimate", str(path), "--method", method, "--lambda", lam)
+        assert result.returncode == 3
+        assert "non-finite" in result.stderr
+
     def test_multisplit_records_split_count(self, sin_gaussian_file):
         result = run_cli(
             "estimate", str(sin_gaussian_file),

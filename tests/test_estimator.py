@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -95,9 +97,18 @@ class TestSelectLambda:
             assert select_lambda(k0) == 1.0
 
 
+def _fit_coefficients_auto(k0):
+    return estimator._fit_coefficients(k0, np.zeros(k0.shape[0]), None)
+
+
+def _fit_coefficients_explicit(k0):
+    return estimator._fit_coefficients(k0, np.zeros(k0.shape[0]), 1e-3)
+
+
 class TestGramLambdaEntry:
     """Estimators select lambda on their own Grams without the symmetry
-    check; the public function keeps both checks, and both give one lambda."""
+    check; the public function keeps both checks, and both give one lambda.
+    An estimator's fit checks finiteness whichever way lambda is chosen."""
 
     @pytest.mark.parametrize("m", [30, _GUARDED_MIN_SIZE, 400])
     def test_same_lambda_as_public_entry(self, m, make_gaussian_dataset):
@@ -110,7 +121,9 @@ class TestGramLambdaEntry:
         k0 = gram_matrix(ScoredDataset(points, -points, np.zeros(20)), PARAMS)
         assert estimator._select_lambda_gram(k0) == select_lambda(k0) > 1e-16
 
-    @pytest.mark.parametrize("select", [select_lambda, estimator._select_lambda_gram])
+    @pytest.mark.parametrize(
+        "select", [select_lambda, _fit_coefficients_auto, _fit_coefficients_explicit]
+    )
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rejected_by_both(self, select, bad):
         k0 = np.eye(3)
@@ -397,6 +410,135 @@ class TestLambdaValidation:
             discrepancy_from_matrices(k0, k10, gram_matrix(d1, PARAMS), lambda_=lam)
         with pytest.raises(InvalidInputError, match="lambda must be non-negative"):
             discrepancy(d0, d1, PARAMS, lambda_=lam)
+
+
+def _huge_score_data(rows):
+    """A d = 1 Gaussian sample of 12 points whose listed rows have the given
+    scores: finite data whose Stein kernel overflows where u_i * u_j > 1.8e308."""
+    x = np.random.default_rng(0).standard_normal((12, 1))
+    u = -x.copy()
+    for row, score in rows:
+        u[row] = score
+    return ScoredDataset(x, u, np.sin(x[:, 0]))
+
+
+class TestNonFiniteSystem:
+    """A kernel system with a non-finite entry is refused with
+    InvalidInputError on both lambda routes, before any factorisation."""
+
+    @pytest.mark.parametrize("lam", [None, 1e-3])
+    def test_every_estimator_refuses_it(self, lam):
+        # Seven of twelve rows have u = 1e200, so every fitting set of six
+        # or more holds one, and its K0 an infinite diagonal entry.
+        data = _huge_score_data([(row, 1e200) for row in range(7)])
+        plan = random_split(12, 6, seed=0)
+        calls = [
+            lambda: cf_split_estimate(data, plan, PARAMS, lambda_=lam),
+            lambda: cf_simplified_estimate(data, PARAMS, lambda_=lam),
+            lambda: cf_weights(data, plan, PARAMS, lambda_=lam),
+            lambda: cf_multisplit_estimate(data, 2, 0.5, PARAMS, seed=0, lambda_=lam),
+            lambda: fit_surrogate(data, PARAMS, lambda_=lam),
+            lambda: discrepancy(data, data, PARAMS, lambda_=lam),
+        ]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for call in calls:
+                with pytest.raises(InvalidInputError, match="k0 contains non-finite"):
+                    call()
+
+    def test_discrepancy_from_matrices_checks_k0(self):
+        k0 = np.eye(3)
+        k0[2, 0] = k0[0, 2] = np.inf
+        with pytest.raises(InvalidInputError, match="k0 contains non-finite"):
+            discrepancy_from_matrices(k0, np.zeros((2, 3)), np.eye(2), lambda_=1e-3)
+
+    def test_discrepancy_from_matrices_checks_shapes(self):
+        with pytest.raises(InvalidInputError, match="shapes"):
+            discrepancy_from_matrices(np.eye(3), np.zeros((2, 4)), np.eye(2))
+        with pytest.raises(InvalidInputError, match="shapes"):
+            discrepancy_from_matrices(np.eye(3), np.zeros((2, 3)), np.eye(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_split_solve_checks_the_cross_block(self, bad):
+        chol, z = estimator._factorise(np.eye(3), 1e-3)
+        k10 = np.ones((2, 3))
+        k10[1, 2] = bad
+        with pytest.raises(InvalidInputError, match="k10 contains non-finite"):
+            estimator._split_solve(chol, z, k10)
+
+    def test_overflowing_cross_block_refused(self):
+        # u = 1e150 in D0 keeps K0 finite; u = 1e200 in D1 overflows K10.
+        plan = random_split(12, 6, seed=0)
+        data = _huge_score_data([(plan.index_d0[0], 1e150), (plan.index_d1[0], 1e200)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InvalidInputError, match="k10 contains non-finite"):
+                cf_weights(data, plan, PARAMS, lambda_=1e-3)
+            with pytest.raises(InvalidInputError, match="k10 contains non-finite"):
+                cf_split_estimate(data, plan, PARAMS, lambda_=1e-3, compute_discrepancy=True)
+
+    def test_one_check_per_system(self, monkeypatch, make_gaussian_dataset):
+        checked = _spy(monkeypatch, estimator, "_check_finite")
+        factorised = _spy(monkeypatch, estimator, "_factorise")
+        data = make_gaussian_dataset(40, seed=5)
+        cf_split_estimate(data, random_split(40, 20, 0), PARAMS, compute_discrepancy=True)
+        cf_simplified_estimate(data, PARAMS, lambda_=1e-6)
+        cf_multisplit_estimate(data, 3, 0.5, PARAMS, seed=0)
+        assert len(checked) == len(factorised) == 5
+
+
+def _spd_system(seed, m):
+    """A random symmetric positive definite m x m matrix, Fortran-ordered."""
+    x = np.random.default_rng(seed).standard_normal((m, m + 2))
+    return np.asfortranarray(x @ x.T / (m + 2))
+
+
+class TestLapackCholesky:
+    """The estimator's factor and solves are scipy.linalg's cho_factor and
+    cho_solve byte for byte; scipy stays the reference here."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(1, 300),
+        lam=st.sampled_from(LAMBDA_GRID),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_bytes_as_scipy(self, m, lam, seed):
+        k0 = _spd_system(seed, m)
+        chol, z = estimator._factorise(k0, lam)
+        system = k0.copy(order="F")
+        system[np.arange(m), np.arange(m)] += lam * m
+        ref = cho_factor(system, lower=True)
+        assert chol[1] is True and ref[1] is True
+        assert chol[0].flags.f_contiguous
+        assert chol[0].tobytes(order="F") == ref[0].tobytes(order="F")
+        assert z.tobytes() == cho_solve(ref, np.ones(m)).tobytes()
+        b = np.random.default_rng(seed + 1).standard_normal(m)
+        kept = b.copy()
+        assert estimator.cho_solve(chol, b).tobytes() == cho_solve(ref, b).tobytes()
+        assert b.tobytes() == kept.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        m=st.integers(1, 300),
+        lam=st.sampled_from(LAMBDA_GRID),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_non_positive_definite_names_lambda(self, m, lam, seed):
+        # Pull one random direction v below zero: v'(k0 + lam*m*I)v = -1.
+        k0 = _spd_system(seed, m)
+        v = np.random.default_rng(seed + 1).standard_normal(m)
+        v /= np.linalg.norm(v)
+        k0 -= (float(v @ k0 @ v) + lam * m + 1.0) * np.outer(v, v)
+        system = k0 + lam * m * np.eye(m)
+        with pytest.raises(np.linalg.LinAlgError):
+            cho_factor(system, lower=True)
+        with pytest.raises(SingularMatrixError, match=re.escape(f"lambda={lam!r}")):
+            estimator._factorise(k0, lam)
+
+    def test_factor_overwrites_its_argument(self):
+        a = _spd_system(0, 5)
+        c, lower = estimator.cho_factor(a, lower=True)
+        assert c is a or np.shares_memory(c, a)
+        assert lower is True
 
 
 class TestSplitEstimate:

@@ -28,7 +28,13 @@
   next to the ``study_d1`` and ``mcmc_cv_d3`` cells of ``gram_cache``; with
   the Stein-kernel entries of each call, tracemalloc's peak in MiB for the
   two lone cells, and the largest relative deviation of their estimates and
-  of one ``mcmc_cv_d3`` request between the two sides.
+  of one ``mcmc_cv_d3`` request between the two sides;
+* ``fit_solve``: the kernel system's factorisation and solves, through
+  ``estimator._fit_coefficients`` on a precomputed Gram at
+  m in {12, ..., 1000}, with lambda chosen by the rule and with it given,
+  next to the ``study_d1`` and ``mcmc_cv_d3`` cells of ``gram_cache`` at
+  n = 100; plus the largest relative deviation of the estimates of one whole
+  ``mcmc_cv_d3`` request between the two sides.
 
 Each repeat runs one fresh worker per side, alternating which side goes
 first, with every BLAS/OpenMP thread count pinned to 1.  A worker imports
@@ -168,6 +174,21 @@ def _gram_rows_cases(n):
     return cases
 
 
+def _fit_solve_cases(m):
+    cfmc, data, _ = _problem(1, m)
+    k0 = cfmc.gram_matrix(data, cfmc.SteinKernelParams(alpha1=0.1, alpha2=1.0))
+    fit = cfmc.estimator._fit_coefficients
+    lam = fit(k0, data.f_values, None)[0]
+    cases = {
+        "fit_coefficients_auto": lambda: fit(k0, data.f_values, None),
+        "fit_coefficients_explicit": lambda: fit(k0, data.f_values, lam),
+    }
+    if m == 100:
+        cases["study_d1_cell"] = _study(STUDY_D1, [m], 1, m)
+        cases["mcmc_cv_d3_cell"] = _study(MCMC_CV_D3, [m], 1, m, metropolis_problem())
+    return cases
+
+
 def _rows(study):
     """(method, n, estimate, lambda) of every row of one run of ``study``."""
     return [[r.method, r.n, r.estimate, r.lambda_used] for r in study().rows]
@@ -275,6 +296,25 @@ TOPICS = {
             "peak of one call over the repeats.  output_deviation: both lone studies "
             "over study_d1's n_grid with two replications (master_seed 1), then one "
             "whole mcmc_cv_d3 request (master_seed 1); the largest relative estimate "
+            "deviation per n and method between the sides, and whether every lambda is "
+            "identical"
+        ),
+    },
+    "fit_solve": {
+        "topic": "Cholesky factor and solves of the kernel system straight from LAPACK",
+        "layer": "estimator: Cholesky and triangular solves (_fit_coefficients)",
+        "sizes": (12, 25, 50, 100, 250, 1000),
+        "cases": _fit_solve_cases,
+        "peak": (),
+        "deviation_rows": _mcmc_request_rows,
+        "method": (
+            f"{SAMPLE}; size = m, the kernel system's size; fit_coefficients_auto: "
+            "estimator._fit_coefficients on the precomputed m x m Gram of a d = 1 sample "
+            "with lambda chosen by the rule (finiteness check, lambda selection, one "
+            "factorisation, two solves); fit_coefficients_explicit: the same with that "
+            "lambda given (check, factorisation, two solves); at m = 100, study_d1_cell "
+            "and mcmc_cv_d3_cell as in BENCH_gram_cache.json.  output_deviation: one "
+            "whole mcmc_cv_d3 request (master_seed 1), the largest relative estimate "
             "deviation per n and method between the sides, and whether every lambda is "
             "identical"
         ),
