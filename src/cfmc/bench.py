@@ -18,6 +18,7 @@ import csv
 import json
 import math
 import numbers
+import sys
 import warnings
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -51,7 +52,7 @@ class MethodSpec:
     ``alpha1``/``alpha2`` fix the kernel hyper-parameters unless a non-empty
     ``cv_grid`` is given, in which case they are selected per replication by
     hold-out validation on the fitting samples.  ``label`` names the method
-    in reports and defaults to the tag.
+    in reports and defaults to the tag.  Every field is checked here.
     """
 
     method: str
@@ -63,26 +64,22 @@ class MethodSpec:
     label: str | None = None
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise InvalidInputError(
-                f"unknown method {self.method!r}; valid tags: {', '.join(METHODS)}"
-            )
-        lam = self.lambda_
-        if lam is not None and not (_is_number(lam) and math.isfinite(lam) and lam >= 0):
-            raise InvalidInputError(
-                f"lambda must be 'auto' or non-negative and finite, got {lam!r}"
-            )
+        if not (isinstance(self.method, str) and self.method in METHODS):
+            raise _bad("method", f"one of {', '.join(METHODS)}", self.method)
+        for name in ("alpha1", "alpha2"):
+            object.__setattr__(self, name, _alpha(name, getattr(self, name)))
+        lam, what = self.lambda_, "'auto' (None) or a non-negative finite number"
+        if lam is not None:
+            object.__setattr__(self, "lambda_", _real("lambda", lam, lambda x: x >= 0, what))
         if self.cv_grid is not None:
             grid = _items("cv_grid", self.cv_grid)
-            if not grid:
-                raise InvalidInputError("cv_grid must contain at least one [alpha1, alpha2] pair")
-            if not all(isinstance(p, SteinKernelParams) for p in grid):
-                raise InvalidInputError(f"cv_grid must hold SteinKernelParams, got {grid!r}")
+            if not grid or not all(isinstance(p, SteinKernelParams) for p in grid):
+                raise _bad("cv_grid", "None or a non-empty sequence of SteinKernelParams", grid)
             object.__setattr__(self, "cv_grid", grid)
-        if not (_is_number(self.cv_train_fraction) and 0.0 < self.cv_train_fraction < 1.0):
-            raise InvalidInputError(
-                f"cv_train_fraction must lie in (0, 1), got {self.cv_train_fraction!r}"
-            )
+        fraction = _fraction("cv_train_fraction", self.cv_train_fraction)
+        object.__setattr__(self, "cv_train_fraction", fraction)
+        if not (self.label is None or isinstance(self.label, str)):
+            raise _bad("label", "a string or None", self.label)
 
     @property
     def name(self) -> str:
@@ -94,7 +91,7 @@ class MethodSpec:
 
 @dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
-    """Full description of a replicated convergence study."""
+    """Full description of a replicated convergence study; checks every field."""
 
     problem: str
     problem_params: dict = field(default_factory=dict)
@@ -106,97 +103,100 @@ class ExperimentConfig:
     n_splits: int = 1
 
     def __post_init__(self):
-        grid = tuple(_count("each n_grid size", n, 2) for n in _items("n_grid", self.n_grid))
+        if not isinstance(self.problem, str):
+            raise _bad("problem", "a string", self.problem)
+        if not isinstance(self.problem_params, dict):
+            raise _bad("problem_params", "a dict (a JSON object)", self.problem_params)
+        sizes = enumerate(_items("n_grid", self.n_grid))
+        grid = tuple(_count(f"n_grid[{i}]", n, 2) for i, n in sizes)
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
-            raise InvalidInputError("n_grid must be non-empty and strictly ascending")
+            raise _bad("n_grid", "non-empty and strictly ascending", grid)
         for name, minimum in (("replications", 1), ("master_seed", 0), ("n_splits", 1)):
             object.__setattr__(self, name, _count(name, getattr(self, name), minimum))
         methods = _items("methods", self.methods)
-        if not methods:
-            raise InvalidInputError("at least one method is required")
-        if not all(isinstance(spec, MethodSpec) for spec in methods):
-            raise InvalidInputError(f"methods must hold MethodSpec entries, got {methods!r}")
+        if not methods or not all(isinstance(spec, MethodSpec) for spec in methods):
+            raise _bad("methods", "a non-empty sequence of MethodSpec", methods)
         names = [spec.name for spec in methods]
         if len(set(names)) != len(names):
-            raise InvalidInputError(f"method labels must be unique, got {names}")
-        if not (_is_number(self.split_fraction) and 0.0 < self.split_fraction < 1.0):
-            raise InvalidInputError(
-                f"split_fraction must lie in (0, 1), got {self.split_fraction!r}"
-            )
+            raise _bad("methods", "uniquely labelled", names)
         object.__setattr__(self, "n_grid", grid)
         object.__setattr__(self, "methods", methods)
+        fraction = _fraction("split_fraction", self.split_fraction)
+        object.__setattr__(self, "split_fraction", fraction)
 
 
-def _text(value) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"expected a string, got {type(value).__name__}")
-    return value
-
-
-def _optional(parse):
-    return lambda value: None if value is None else parse(value)
+def _bad(key: str, what: str, value) -> InvalidInputError:
+    """The error for the setting ``key`` holding ``value``, not ``what``; it
+    opens with ``key``, which :func:`load_config` prefixes with its path."""
+    return InvalidInputError(f"{key} must be {what}, got {value!r}")
 
 
 def _is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def _number(value) -> float:
-    if not _is_number(value):
-        raise TypeError(f"expected a number, got {value!r}")
+def _real(key: str, value, accept, what: str) -> float:
+    """``value`` as a float: a finite number, not a boolean, that ``accept``
+    holds for."""
+    if not (_is_number(value) and abs(value) <= sys.float_info.max and accept(value)):
+        raise _bad(key, what, value)
     return float(value)
 
 
-def _items(name: str, value) -> tuple:
-    """``value`` as a tuple; errors name the setting ``name``."""
+def _alpha(key: str, value) -> float:
+    return _real(key, value, lambda x: x > 0.0, "a positive finite number")
+
+
+def _fraction(key: str, value) -> float:
+    return _real(key, value, lambda x: 0.0 < x < 1.0, "a number strictly between 0 and 1")
+
+
+def _count(key: str, value, minimum: int) -> int:
+    """``value`` as an int of at least ``minimum``: an integral number, not a
+    boolean (an integral float such as ``20.0`` is taken as ``20``)."""
+    if _is_number(value) and (isinstance(value, numbers.Integral) or float(value).is_integer()):
+        if value >= minimum:
+            return int(value)
+    raise _bad(key, f"an integer >= {minimum}", value)
+
+
+def _items(key: str, value) -> tuple:
+    """``value`` as a tuple; errors name the setting ``key``."""
     try:
         return tuple(value)
     except TypeError:
-        raise InvalidInputError(f"{name} must be a sequence, got {value!r}") from None
-
-
-def _integer(value) -> int:
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    if not _number(value).is_integer():
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
-
-
-def _count(name: str, value, minimum: int) -> int:
-    """``value`` as an int of at least ``minimum``; errors name the setting ``name``."""
-    try:
-        count = _integer(value)
-    except (TypeError, ValueError):
-        count = minimum - 1
-    if count < minimum:
-        raise InvalidInputError(f"{name} must be an integer >= {minimum}, got {value!r}")
-    return count
+        raise _bad(key, "a sequence", value) from None
 
 
 def _kernel_grid(value) -> tuple[SteinKernelParams, ...]:
-    """Kernels from a list of ``[alpha1, alpha2]`` pairs."""
-    return tuple(SteinKernelParams(*map(_number, pair)) for pair in value)
+    """Kernels from a JSON list of ``[alpha1, alpha2]`` pairs."""
+    pairs = _items("cv_grid", value)
+    if not all(isinstance(pair, list) and len(pair) == 2 for pair in pairs):
+        raise _bad("cv_grid", "a list of [alpha1, alpha2] pairs", value)
+    return tuple(
+        SteinKernelParams(_alpha("cv_grid alpha1", a1), _alpha("cv_grid alpha2", a2))
+        for a1, a2 in pairs
+    )
 
 
 def _method(index: int, entry) -> MethodSpec:
+    """The method object ``entry``; errors open with its path ``methods[index]``."""
     if not isinstance(entry, dict):
-        raise InvalidInputError(f"each method entry must be an object, got {entry!r}")
-    return MethodSpec(**_settings(MethodSpec, entry, f"methods[{index}]."))
+        raise _bad(f"methods[{index}]", "an object", entry)
+    try:
+        return MethodSpec(**_arguments(MethodSpec, entry))
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"methods[{index}].{exc}") from None
 
 
-# How a config value becomes the value of a dataclass field, by the field's
-# annotation.
-_PARSERS = {
-    "str": _text,
-    "str | None": _optional(_text),
-    "int": _integer,
-    "float": _number,
-    "float | None": lambda value: None if value in (None, "auto") else _number(value),
-    "dict": dict,
-    "tuple[int, ...]": lambda value: tuple(map(_integer, value)),
-    "tuple[SteinKernelParams, ...] | None": _optional(_kernel_grid),
-    "tuple[MethodSpec, ...]": lambda value: tuple(_method(i, e) for i, e in enumerate(value)),
+# The JSON spellings of settings, by config key: how a JSON value becomes the
+# value of its field.  Every other value is the field's value as it is.
+_SPELLINGS = {
+    "lambda": lambda value: None if value == "auto" else value,
+    "cv_grid": lambda value: None if value is None else _kernel_grid(value),
+    "methods": lambda value: tuple(
+        _method(i, entry) for i, entry in enumerate(_items("methods", value))
+    ),
 }
 
 
@@ -207,30 +207,14 @@ def _config_keys(cls) -> dict:
     return {attr.name.rstrip("_"): attr for attr in fields(cls)}
 
 
-def _settings(cls, raw: dict, where: str) -> dict:
+def _arguments(cls, raw: dict) -> dict:
     """Keyword arguments for ``cls`` from the config object ``raw``, whose
-    keys are all known: only the keys ``raw`` sets, each parsed by its field's
-    annotation, so every default stays the dataclass's.  ``where`` prefixes
-    the keys named in errors."""
+    keys are all known: only the keys it sets, so defaults stay the class's."""
     keys = _config_keys(cls)
-    missing = [
-        where + key for key, attr in keys.items()
-        if key not in raw and attr.default is MISSING and attr.default_factory is MISSING
-    ]
-    if missing:
-        raise InvalidInputError(f"missing config keys: {', '.join(missing)}")
-    settings = {}
-    for key, value in raw.items():
-        attr = keys[key]
-        try:
-            settings[attr.name] = _PARSERS[attr.type](value)
-        except InvalidInputError:
-            raise
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InvalidInputError(
-                f"config key {where}{key}: bad value {value!r}: {exc}"
-            ) from None
-    return settings
+    return {
+        keys[key].name: _SPELLINGS.get(key, lambda same: same)(value)
+        for key, value in raw.items()
+    }
 
 
 def load_config(source) -> ExperimentConfig:
@@ -238,9 +222,12 @@ def load_config(source) -> ExperimentConfig:
 
     The keys are the fields of :class:`ExperimentConfig` and, inside each
     method entry, of :class:`MethodSpec` (``lambda`` sets ``lambda_`` and
-    also takes ``"auto"``); a key left out takes the field's default.
-    Unknown keys, at the top level or inside a method entry, are all listed
-    in a single error rather than reported one at a time.
+    also takes ``"auto"``; a ``cv_grid`` is a list of ``[alpha1, alpha2]``
+    pairs); a key left out takes the field's default.  Unknown keys, at the
+    top level or inside a method entry, are all listed in a single error,
+    and so are missing ones.  The dataclasses check every value; their
+    errors are raised with the key's path, as in ``config key
+    methods[0].alpha1 must be ...``.
     """
     if isinstance(source, dict):
         raw = source
@@ -252,25 +239,34 @@ def load_config(source) -> ExperimentConfig:
                 raise InvalidInputError(f"{source}: not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise InvalidInputError("config must be a JSON object")
-    unknown = sorted(set(raw) - set(_config_keys(ExperimentConfig)))
-    methods, method_keys = raw.get("methods"), set(_config_keys(MethodSpec))
-    for i, entry in enumerate(methods if isinstance(methods, list) else ()):
-        if isinstance(entry, dict):
-            unknown.extend(f"methods[{i}].{k}" for k in sorted(set(entry) - method_keys))
-    if unknown:
-        raise InvalidInputError(f"unknown config keys: {', '.join(unknown)}")
-    return ExperimentConfig(**_settings(ExperimentConfig, raw, ""))
+    methods = raw.get("methods")
+    objects = [("", ExperimentConfig, raw)] + [
+        (f"methods[{i}].", MethodSpec, entry)
+        for i, entry in enumerate(methods if isinstance(methods, list) else ())
+        if isinstance(entry, dict)
+    ]
+    unknown, missing = [], []
+    for where, cls, obj in objects:
+        keys = _config_keys(cls)
+        unknown += [where + key for key in sorted(set(obj) - set(keys))]
+        missing += [where + key for key, attr in keys.items() if key not in obj
+                    and attr.default is MISSING and attr.default_factory is MISSING]
+    for kind, listed in (("unknown", unknown), ("missing", missing)):
+        if listed:
+            raise InvalidInputError(f"{kind} config keys: {', '.join(listed)}")
+    try:
+        return ExperimentConfig(**_arguments(ExperimentConfig, raw))
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"config key {exc}") from None
 
 
 def build_problem(config: ExperimentConfig) -> TargetProblem:
     params = config.problem_params
     try:
         if config.problem == "gaussian":
-            return gaussian_problem(_integer(params.get("d", 1)))
+            return gaussian_problem(_count("d", params.get("d", 1), 1))
         if config.problem == "mixture":
             return mixture_problem(**params)
-    except InvalidInputError:
-        raise
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(
             f"config key problem_params: bad value {params!r} for {config.problem}: {exc}"

@@ -83,7 +83,7 @@ def _load_cv_grid(path) -> tuple[SteinKernelParams, ...]:
             return bench_mod._kernel_grid(json.load(fh))
     except OSError as exc:
         raise DataFormatError(f"{path}: {exc}") from None
-    except (json.JSONDecodeError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise DataFormatError(
             f"{path}: cv grid must be a JSON list of [alpha1, alpha2] pairs: {exc}"
         ) from None

@@ -84,17 +84,9 @@ def select_lambda(k0: np.ndarray) -> float:
         raise InvalidInputError(f"k0 must be square, got shape {k0.shape}")
     _check_finite(k0)
     scale = max(1.0, float(np.max(np.abs(k0))))
-    work = np.subtract(k0, k0.T, order="F")
-    if np.max(np.abs(work, out=work)) > 1e-12 * scale:
+    if np.max(np.abs(k0 - k0.T)) > 1e-12 * scale:
         raise InvalidInputError("k0 must be symmetric")
-    return _lambda_search(k0, work)
-
-
-def _select_lambda_gram(k0: np.ndarray) -> float:
-    """:func:`select_lambda` for a Gram matrix built by ``gram_matrix``, which
-    is square and exactly symmetric by construction; the caller has checked
-    that it is finite."""
-    return _lambda_search(k0, np.empty(k0.shape, order="F"))
+    return _lambda_search(k0)
 
 
 def _check_finite(k0: np.ndarray) -> None:
@@ -102,12 +94,12 @@ def _check_finite(k0: np.ndarray) -> None:
         raise InvalidInputError("k0 contains non-finite entries")
 
 
-def _lambda_search(k0: np.ndarray, work: np.ndarray) -> float:
-    """The :func:`select_lambda` rule on a checked ``k0``; ``work`` is a
-    Fortran-ordered m x m scratch array."""
+def _lambda_search(k0: np.ndarray) -> float:
+    """The :func:`select_lambda` rule on a square, finite and symmetric
+    ``k0``, such as a Gram matrix built by ``gram_matrix``."""
     m = k0.shape[0]
     if m >= _GUARDED_MIN_SIZE:
-        lam = _guarded_lambda(k0, work)
+        lam = _guarded_lambda(k0)
         if lam is not None:
             return lam
     evals = np.linalg.eigvalsh(k0)
@@ -145,11 +137,11 @@ def _guarded_verdict(k0, threshold, band, work, expect_accept):
     return None
 
 
-def _guarded_lambda(k0: np.ndarray, work: np.ndarray) -> float | None:
+def _guarded_lambda(k0: np.ndarray) -> float | None:
     """The :func:`select_lambda` grid point found by Cholesky tests, or None
-    when the eigendecomposition has to decide; ``work`` is a Fortran-ordered
-    m x m scratch array."""
+    when the eigendecomposition has to decide."""
     m = k0.shape[0]
+    work = np.empty(k0.shape, order="F")  # scratch for the Cholesky tests
     # A fixed random start vector: deterministic, and unlike the all-ones
     # vector it shares no symmetry with the sample.
     v0 = np.random.default_rng(m).standard_normal(m)
@@ -216,7 +208,7 @@ def _fit_coefficients(k0: np.ndarray, f0: np.ndarray, lambda_: float | None):
     whichever way lam is chosen.
     """
     _check_finite(k0)
-    lam = _select_lambda_gram(k0) if lambda_ is None else float(lambda_)
+    lam = _lambda_search(k0) if lambda_ is None else float(lambda_)
     chol, z = _factorise(k0, lam)
     ones = np.ones(k0.shape[0])
     y = cho_solve(chol, f0)
@@ -246,9 +238,10 @@ def _discrepancy_from_factor(chol, z: np.ndarray, k10: np.ndarray, k1: np.ndarra
     n_minus_m = k10.shape[0]
     g, h, s, q = _split_solve(chol, z, k10)
     ones_eval = np.ones(n_minus_m)
-    value = (s * s / (1.0 + q) - float(g @ h) + float(ones_eval @ k1 @ ones_eval)) / (
-        n_minus_m * n_minus_m
-    )
+    k1_sum = float(ones_eval @ k1 @ ones_eval)
+    if not math.isfinite(k1_sum):
+        raise InvalidInputError(f"k1 sums to {k1_sum}: it has non-finite or overflowing entries")
+    value = (s * s / (1.0 + q) - float(g @ h) + k1_sum) / (n_minus_m * n_minus_m)
     if value < -1e-10:
         raise NumericalError(f"discrepancy evaluated to {value}, below tolerance")
     return max(value, 0.0)
@@ -411,14 +404,17 @@ def _block(data: ScoredDataset, params: SteinKernelParams, rows, cols) -> np.nda
     return stein_kernel_matrix(points[rows], scores[rows], points[cols], scores[cols], params)
 
 
-def _split_indices(data: ScoredDataset, plan: SplitPlan, no_evaluation: str):
-    """The plan's (fitting, evaluation) index arrays, checked against ``data``;
-    ``no_evaluation`` is the message when the plan leaves no evaluation set."""
+def _fit_split(data: ScoredDataset, plan: SplitPlan, params, lambda_, no_evaluation: str):
+    """(K0, K10) of the split ``plan``, K0 assembled first, followed by the
+    :func:`_fit_coefficients` fit on K0; ``no_evaluation`` is the message
+    when the plan leaves no evaluation set."""
     if data.n != plan.n:
         raise InvalidInputError(f"plan covers {plan.n} samples, dataset has {data.n}")
     if not plan.index_d1.size:
         raise InvalidInputError(no_evaluation)
-    return plan.index_d0, plan.index_d1
+    i0, i1 = plan.index_d0, plan.index_d1
+    k0, k10 = _block(data, params, i0, i0), _block(data, params, i1, i0)
+    return (k0, k10, *_fit_coefficients(k0, data.f_values[i0], lambda_))
 
 
 def cf_split_estimate(
@@ -439,15 +435,16 @@ def cf_split_estimate(
     ``compute_discrepancy=True`` the worst-case error constant D(D0, D1) is
     attached to the estimate.
     """
-    i0, i1 = _split_indices(
-        data, plan, "plan leaves no evaluation samples; use cf_simplified_estimate"
+    # Holding K0 until return keeps K1 out of its freed pages (CHANGES.md).
+    k0, k10, lam, c_hat, beta, chol, z = _fit_split(
+        data, plan, params, lambda_,
+        "plan leaves no evaluation samples; use cf_simplified_estimate",
     )
-    k0, k10 = _block(data, params, i0, i0), _block(data, params, i1, i0)
-    lam, c_hat, beta, chol, z = _fit_coefficients(k0, data.f_values[i0], lambda_)
     f1_hat = c_hat + k10 @ beta
-    star = float(np.mean(data.f_values[i1] - f1_hat))
+    star = float(np.mean(data.f_values[plan.index_d1] - f1_hat))
     disc = None
     if compute_discrepancy:
+        i1 = plan.index_d1
         disc = _discrepancy_from_factor(chol, z, k10, _block(data, params, i1, i1))
     return Estimate(
         value=star + c_hat,
@@ -499,13 +496,14 @@ def cf_weights(
     K10 have zero mean under the target, so E[1'w | D0] = 1 whenever D1 is an
     IID sample from it.
     """
-    i0, i1 = _split_indices(data, plan, "weights require at least one evaluation sample (m < n)")
-    _, _, _, chol, z = _fit_coefficients(_block(data, params, i0, i0), data.f_values[i0], lambda_)
-    _, h, s, q = _split_solve(chol, z, _block(data, params, i1, i0))
-    n_minus_m = i1.size
+    _, k10, _, _, _, chol, z = _fit_split(
+        data, plan, params, lambda_, "weights require at least one evaluation sample (m < n)"
+    )
+    _, h, s, q = _split_solve(chol, z, k10)
+    n_minus_m = plan.index_d1.size
     w = np.empty(data.n)
-    w[i0] = -h / n_minus_m + (s / (n_minus_m * (1.0 + q))) * z
-    w[i1] = 1.0 / n_minus_m
+    w[plan.index_d0] = -h / n_minus_m + (s / (n_minus_m * (1.0 + q))) * z
+    w[plan.index_d1] = 1.0 / n_minus_m
     return w
 
 
@@ -593,13 +591,17 @@ def discrepancy(
 
     ``lambda_`` defaults to the same conditioning rule used for estimation;
     pass an explicit (small) value to approximate the unregularised constant.
+    The value is the one :func:`cf_split_estimate` attaches to the split of
+    d0 followed by d1 into its first ``d0.n`` rows and the rest.
     """
     if d0 is None or d0.n < 1 or d1 is None or d1.n < 1:
         raise InvalidInputError("d0 and d1 must both be non-empty")
-    k0 = gram_matrix(d0, params)
-    k10 = stein_kernel_matrix(d1.points, d1.scores, d0.points, d0.scores, params)
-    _, _, _, chol, z = _fit_coefficients(k0, d0.f_values, lambda_)
-    return _discrepancy_from_factor(chol, z, k10, gram_matrix(d1, params))
+    if d0.dimension != d1.dimension:
+        raise InvalidInputError("d0 and d1 must have the same dimension")
+    pairs = zip((d0.points, d0.scores, d0.f_values), (d1.points, d1.scores, d1.f_values))
+    stacked = ScoredDataset(*map(np.concatenate, pairs))
+    plan = SplitPlan(m=d0.n, index_d0=np.arange(d0.n), index_d1=np.arange(d0.n, stacked.n))
+    return cf_split_estimate(stacked, plan, params, lambda_, compute_discrepancy=True).discrepancy
 
 
 def cross_validate(

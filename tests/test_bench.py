@@ -354,6 +354,67 @@ class TestConfig:
             MethodSpec("cf-simplified", cv_grid=((0.1, 1.0),))
 
 
+# One bad value of one setting per row: (owner, config key, value), where
+# owner "method" means a key of the method entry.  The first six rows are a
+# list label, a string, boolean or negative alpha1 and a problem_params that
+# is no object; then every number field gets a boolean, a string, a list,
+# None, NaN and inf.  An n_grid row gives the whole grid, whose second size
+# is bad.
+_NUMBER_FIELDS = [
+    ("method", "alpha1"), ("method", "alpha2"), ("method", "lambda"),
+    ("method", "cv_train_fraction"), ("config", "split_fraction"),
+    ("config", "replications"), ("config", "master_seed"), ("config", "n_splits"),
+    ("config", "n_grid"),
+]
+_BAD_NUMBERS = [True, "0.5", [0.5], None, float("nan"), float("inf")]
+_BAD_SETTINGS = [
+    ("method", "label", ["a"]),
+    ("method", "alpha1", "x"),
+    ("method", "alpha1", True),
+    ("method", "alpha1", -1.0),
+    ("config", "problem_params", "d"),
+    ("config", "problem_params", [["d", 3]]),
+] + [
+    (owner, key, [10, value] if key == "n_grid" else value)
+    for owner, key in _NUMBER_FIELDS
+    for value in _BAD_NUMBERS
+    # A lambda of None is the automatic rule.
+    if not (key == "lambda" and value is None)
+]
+
+
+class TestBothRoutesCheckEachSetting:
+    """A bad setting is refused with InvalidInputError, never a TypeError or
+    AttributeError, whether the dataclasses are built in Python or by
+    load_config; the first names the field, the second the key's path."""
+
+    @pytest.mark.parametrize("owner, key, value", _BAD_SETTINGS)
+    def test_dataclass_names_the_field(self, owner, key, value):
+        setting = {key.replace("lambda", "lambda_"): value}
+        settings = dict(problem="gaussian", n_grid=(10, 20), replications=2, master_seed=1)
+        with pytest.raises(InvalidInputError) as err:
+            if owner == "method":
+                methods = (MethodSpec("cf-split", **setting),)
+            else:
+                methods = (MethodSpec("cf-split"),)
+                settings.update(setting)
+            ExperimentConfig(**settings, methods=methods)
+        assert str(err.value).startswith(key)
+
+    @pytest.mark.parametrize("owner, key, value", _BAD_SETTINGS)
+    def test_load_config_names_the_key(self, owner, key, value):
+        entry = {"method": "cf-split"}
+        raw = {
+            "problem": "gaussian", "n_grid": [10, 20], "replications": 2, "master_seed": 1,
+            "methods": [entry],
+        }
+        (entry if owner == "method" else raw)[key] = value
+        path = f"methods[0].{key}" if owner == "method" else key
+        with pytest.raises(InvalidInputError) as err:
+            load_config(raw)
+        assert str(err.value).startswith(f"config key {path}")
+
+
 class TestRunExperiment:
     def test_constant_integrand_has_zero_mse(self):
         config = small_config(methods=(MethodSpec("mean"),))

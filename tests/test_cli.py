@@ -184,6 +184,23 @@ class TestEstimateCommand:
         assert result.returncode == 3
         assert "non-finite" in result.stderr
 
+    def test_overflowing_bound_is_data_error(self, tmp_path):
+        # A score of 1e200 on one evaluation row of the default split keeps
+        # the fit finite but overflows 1'K1 1, which would make D NaN.
+        points = np.random.default_rng(0).standard_normal((12, 1))
+        scores = -points
+        scores[random_split(12, 6, seed=0).index_d1[0]] = 1e200
+        path = tmp_path / "huge.csv"
+        write_sample_file(path, ScoredDataset(points, scores, np.sin(points[:, 0])))
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = run_cli(
+                "estimate", str(path), "--method", "cf-split", "--bound", "--fnorm", "1",
+                "--output", "json",
+            )
+        assert result.returncode == 3
+        assert "k1 sums to" in result.stderr
+        assert "NaN" not in result.stdout
+
     def test_multisplit_records_split_count(self, sin_gaussian_file):
         result = run_cli(
             "estimate", str(sin_gaussian_file),

@@ -113,13 +113,13 @@ class TestGramLambdaEntry:
     @pytest.mark.parametrize("m", [30, _GUARDED_MIN_SIZE, 400])
     def test_same_lambda_as_public_entry(self, m, make_gaussian_dataset):
         k0 = gram_matrix(make_gaussian_dataset(m, seed=m), PARAMS)
-        assert estimator._select_lambda_gram(k0) == select_lambda(k0)
+        assert estimator._lambda_search(k0) == select_lambda(k0)
 
     def test_near_duplicates_same_lambda(self):
         rng = np.random.default_rng(0)
         points = rng.standard_normal(2) + 1e-9 * rng.standard_normal((20, 2))
         k0 = gram_matrix(ScoredDataset(points, -points, np.zeros(20)), PARAMS)
-        assert estimator._select_lambda_gram(k0) == select_lambda(k0) > 1e-16
+        assert estimator._lambda_search(k0) == select_lambda(k0) > 1e-16
 
     @pytest.mark.parametrize(
         "select", [select_lambda, _fit_coefficients_auto, _fit_coefficients_explicit]
@@ -474,6 +474,24 @@ class TestNonFiniteSystem:
                 cf_weights(data, plan, PARAMS, lambda_=1e-3)
             with pytest.raises(InvalidInputError, match="k10 contains non-finite"):
                 cf_split_estimate(data, plan, PARAMS, lambda_=1e-3, compute_discrepancy=True)
+
+    def test_overflowing_evaluation_block_refused(self):
+        # u = 1e200 on one D1 row keeps K0 and K10 finite but overflows K1,
+        # whose sum would otherwise make D NaN.
+        plan = random_split(12, 6, seed=0)
+        data = _huge_score_data([(plan.index_d1[0], 1e200)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InvalidInputError, match="k1 sums to"):
+                cf_split_estimate(data, plan, PARAMS, compute_discrepancy=True)
+            with pytest.raises(InvalidInputError, match="k1 sums to"):
+                discrepancy(*plan.apply(data), PARAMS)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_discrepancy_from_matrices_checks_k1(self, bad):
+        k1 = np.eye(2)
+        k1[1, 1] = bad
+        with pytest.raises(InvalidInputError, match="k1 sums to"):
+            discrepancy_from_matrices(np.eye(3), np.zeros((2, 3)), k1, lambda_=1e-3)
 
     def test_one_check_per_system(self, monkeypatch, make_gaussian_dataset):
         checked = _spy(monkeypatch, estimator, "_check_finite")
