@@ -365,11 +365,12 @@ def _run_method(
     dataset: ScoredDataset,
     problem: TargetProblem,
     config: ExperimentConfig,
-    stream: np.random.SeedSequence,
+    stream: np.random.SeedSequence | None,
 ) -> Estimate:
     """Run one method of the study on one dataset, its streams drawn from
-    ``stream``."""
-    run_stream, cv_stream = stream.spawn(2)
+    ``stream``; a method that draws none gets None for ``stream`` and both
+    seeds."""
+    run_stream, cv_stream = (None, None) if stream is None else stream.spawn(2)
     return run_estimator(
         spec, dataset, split_seed=run_stream, cv_seed=cv_stream,
         split_fraction=config.split_fraction, n_splits=config.n_splits,
@@ -496,7 +497,9 @@ def run_experiment(
         seed_value = int(_data_stream(config.master_seed, n, rep).generate_state(1)[0])
         results = []
         for index, spec in enumerate(config.methods):
-            stream = _method_stream(config.master_seed, n, rep, index)
+            stream = None
+            if spec.method in _KERNEL_METHODS:
+                stream = _method_stream(config.master_seed, n, rep, index)
             try:
                 est = _run_method(spec, dataset, problem, config, stream)
                 value, lam = est.value, est.lambda_used

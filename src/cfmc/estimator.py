@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
 
 from ._lapack import cho_factor, cho_solve
 from .data import ScoredDataset, SplitPlan, _row_indices, _split_size, random_split
@@ -43,10 +42,15 @@ CONDITION_LIMIT = 1e10
 # of a full eigendecomposition (crossover measured in BENCH_lambda_select.json).
 _GUARDED_MIN_SIZE = 200
 
-# Implicit restarts allowed to ARPACK before select_lambda falls back.  A
-# kernel Gram's top eigenvalue converges within two; a flat spectrum could
-# take hundreds of matrix-vector products, more than the eigendecomposition.
-_ARPACK_MAX_RESTARTS = 10
+# Relative accuracy of the top eigenvalue on the guarded path.  An error of
+# _HI_TOL*hi moves each threshold by _HI_TOL*hi/CONDITION_LIMIT, which the
+# Cholesky tests' band covers.
+_HI_TOL = 1e-6
+
+# Lanczos steps allowed before select_lambda falls back.  A kernel Gram's top
+# eigenvalue converges within about 20; a flat top of the spectrum could take
+# more matrix-vector products than the eigendecomposition costs.
+_LANCZOS_MAX_STEPS = 60
 
 # Share of the fitting samples cross-validation trains each candidate on.
 _CV_TRAIN_FRACTION = 0.5
@@ -64,20 +68,24 @@ def select_lambda(k0: np.ndarray) -> float:
     a grid point is accepted exactly when ``lo > t(lam) = (hi + lam*m)/L -
     lam*m`` with ``L = 1e10``; ``t`` falls as ``lam`` grows.  Below
     ``_GUARDED_MIN_SIZE`` rows both eigenvalues come from one full
-    ``eigvalsh``.  From that size on, ``hi`` comes from ARPACK (``eigsh``,
-    ``k=1``) and the sign of ``lo - t`` from Cholesky factorisations: a point
-    is proven accepted when ``k0 - (t + band)*I`` factorises, and proven
-    rejected when ``k0 - (t - band)*I`` does not, with ``band =
-    16*m*eps*(hi + lam*m)``, far wider than the rounding of either test.
-    Each verdict settles every grid point on one side.  The search tests the
-    first point with ``t < 0`` (the answer whenever ``lo`` is about 0), then
-    the point just below it, where a nearly singular ``k0`` fails within a
-    few pivots, then the grid minimum if that point was accepted too, and
-    bisects what is left.  If ``lo`` falls inside a band, ``hi <= 0``,
-    ARPACK does not converge or no grid point is accepted, the ``eigvalsh``
-    rule decides instead, so both paths return the same ``lam``.  At
-    ``m = 1000`` the guarded path costs about a quarter of the
-    eigendecomposition (``BENCH_lambda_select.json``).
+    ``eigvalsh``.  From that size on, ``hi`` comes from a Lanczos iteration
+    with full reorthogonalisation, stopped once its residual bound is within
+    ``_HI_TOL = 1e-6`` of ``hi``, and the sign of ``lo - t`` from Cholesky
+    factorisations: a point is proven accepted when ``k0 - (t + band)*I``
+    factorises, and proven rejected when ``k0 - (t - band)*I`` does not,
+    with ``band = 16*m*eps*(hi + lam*m) + _HI_TOL*hi/L``.  The first term is
+    far wider than the rounding of either test; the second covers the error
+    of ``hi``, which moves ``t`` by at most ``_HI_TOL*hi/L``.  Each verdict
+    settles every grid point on one side.  The search tests the first point
+    with ``t < 0`` (the answer whenever ``lo`` is about 0), then the point
+    just below it, where a nearly singular ``k0`` fails within a few pivots,
+    then the grid minimum if that point was accepted too, and bisects what
+    is left.  If ``lo`` falls inside a band, ``hi <= 0``, the Lanczos
+    iteration does not converge within ``_LANCZOS_MAX_STEPS`` steps or no
+    grid point is accepted, the ``eigvalsh`` rule decides instead, so both
+    paths return the same ``lam``.  At ``m = 1000`` the guarded path costs
+    about a quarter of the eigendecomposition (``BENCH_lambda_select.json``,
+    ``BENCH_lambda_hi.json``).
     """
     k0 = np.asarray(k0, dtype=float)
     if k0.ndim != 2 or k0.shape[0] != k0.shape[1]:
@@ -137,21 +145,52 @@ def _guarded_verdict(k0, threshold, band, work, expect_accept):
     return None
 
 
+def _top_eigenvalue(k0: np.ndarray, v0: np.ndarray) -> float | None:
+    """The largest eigenvalue of the symmetric ``k0`` to relative accuracy
+    ``_HI_TOL``, by Lanczos from ``v0``; None if it has not converged within
+    ``_LANCZOS_MAX_STEPS`` steps.
+
+    Each step reorthogonalises the new vector against every earlier one, in
+    two Gram-Schmidt passes, so no spurious copies of converged Ritz values
+    appear.  After step j the top Ritz value theta of the tridiagonal T_j
+    has the residual norm beta_j*|s_j|, with s the top eigenvector of T_j;
+    once that is at most ``_HI_TOL*|theta|``, theta is returned (Parlett,
+    *The Symmetric Eigenvalue Problem*, ch. 13).  An exact zero beta_j means
+    the Krylov space is invariant, and theta is exact for it.
+    """
+    m = k0.shape[0]
+    steps = min(_LANCZOS_MAX_STEPS, m)
+    basis = np.empty((steps, m))  # the Lanczos vectors, one per row
+    tri = np.zeros((steps, steps))  # T, lower triangle only
+    q = v0 / np.linalg.norm(v0)
+    for j in range(steps):
+        basis[j] = q
+        w = k0 @ q
+        tri[j, j] = q @ w
+        done = basis[: j + 1]
+        for _ in range(2):
+            w -= (done @ w) @ done
+        beta = math.sqrt(w @ w)
+        ritz, vectors = np.linalg.eigh(tri[: j + 1, : j + 1], UPLO="L")
+        theta = float(ritz[-1])
+        if beta * abs(vectors[-1, -1]) <= _HI_TOL * abs(theta):
+            return theta
+        if j + 1 < steps:
+            tri[j + 1, j] = beta
+        q = w / beta
+    return None
+
+
 def _guarded_lambda(k0: np.ndarray) -> float | None:
     """The :func:`select_lambda` grid point found by Cholesky tests, or None
     when the eigendecomposition has to decide."""
     m = k0.shape[0]
-    work = np.empty(k0.shape, order="F")  # scratch for the Cholesky tests
     # A fixed random start vector: deterministic, and unlike the all-ones
     # vector it shares no symmetry with the sample.
-    v0 = np.random.default_rng(m).standard_normal(m)
-    try:
-        hi = float(eigsh(k0, k=1, which="LA", v0=v0, maxiter=_ARPACK_MAX_RESTARTS,
-                         return_eigenvectors=False)[0])
-    except (ArpackNoConvergence, ArpackError):
+    hi = _top_eigenvalue(k0, np.random.default_rng(m).standard_normal(m))
+    if hi is None or not hi > 0.0:
         return None
-    if not hi > 0.0:
-        return None
+    work = np.empty(k0.shape, order="F")  # scratch for the Cholesky tests
     jitters = [lam * m for lam in LAMBDA_GRID]
     thresholds = [(hi + jitter) / CONDITION_LIMIT - jitter for jitter in jitters]
     grid = len(LAMBDA_GRID)
@@ -166,7 +205,8 @@ def _guarded_lambda(k0: np.ndarray) -> float | None:
         probe, expect_accept = next(
             ((i, e) for i, e in planned if first <= i < last), ((first + last) // 2, True)
         )
-        band = 16.0 * m * np.finfo(float).eps * (hi + jitters[probe])
+        band = (16.0 * m * np.finfo(float).eps * (hi + jitters[probe])
+                + _HI_TOL * hi / CONDITION_LIMIT)
         verdict = _guarded_verdict(k0, thresholds[probe], band, work, expect_accept)
         if verdict is None:
             return None

@@ -21,6 +21,8 @@ of them against central finite differences.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +46,19 @@ class SteinKernelParams:
     def __post_init__(self):
         for name in ("alpha1", "alpha2"):
             value = getattr(self, name)
-            if not np.isfinite(value) or value <= 0:
-                raise InvalidInputError(f"{name} must be a positive finite real, got {value}")
+            if not _positive_finite(value):
+                raise InvalidInputError(f"{name} must be a positive finite real, got {value!r}")
+
+
+def _positive_finite(value) -> bool:
+    """Whether ``value`` is a number, not a boolean, that is positive and
+    finite as a float."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return 0.0 < float(value) < math.inf
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 @dataclass(frozen=True)

@@ -468,7 +468,7 @@ class TestRunExperiment:
 
     def test_thread_count_does_not_change_results_above_guarded_size(self, tmp_path):
         # Both kernel systems reach the size from which select_lambda runs
-        # ARPACK and Cholesky tests, here inside the thread pool.
+        # a Lanczos iteration and Cholesky tests, here inside the thread pool.
         n = 2 * _GUARDED_MIN_SIZE + 10
         config = small_config(
             n_grid=(n,), replications=4,
@@ -766,6 +766,48 @@ class TestRunEstimatorStreams:
         for split_seed, cv_seed in ((1, 2), (3, 4)):
             got = self.run(MethodSpec(method), data, split_seed, cv_seed)
             assert (got.value, got.lambda_used) == (expected, None)
+
+    def test_study_draws_streams_for_kernel_methods_only(self, monkeypatch):
+        methods = STUDY_METHODS + (MethodSpec("cf-multisplit"),)
+        config = small_config(n_grid=(20,), replications=2, methods=methods)
+        seeds = []
+        original = bench.run_estimator
+
+        def spy(spec, data, *, split_seed, cv_seed, **kwargs):
+            seeds.append((spec.method, split_seed, cv_seed))
+            return original(spec, data, split_seed=split_seed, cv_seed=cv_seed, **kwargs)
+
+        monkeypatch.setattr(bench, "run_estimator", spy)
+        run_experiment(config)
+        assert len(seeds) == 2 * len(methods)
+        for k, (method, split_seed, cv_seed) in enumerate(seeds):
+            if method not in ("cf-split", "cf-simplified", "cf-multisplit"):
+                assert (split_seed, cv_seed) == (None, None)
+                continue
+            expected = _streams(config, 20, k // len(methods), k % len(methods))
+            for got, want in zip((split_seed, cv_seed), expected):
+                assert (got.entropy, got.spawn_key) == (want.entropy, want.spawn_key)
+
+    def test_kernel_rows_equal_run_estimator_on_method_streams(self):
+        # Each kernel method keeps the stream of its index in the config,
+        # whatever the methods before it draw.
+        methods = (
+            MethodSpec("mean"), MethodSpec("cf-split", cv_grid=GRID), MethodSpec("zv1"),
+            MethodSpec("cf-simplified"), MethodSpec("riemann"), MethodSpec("cf-multisplit"),
+        )
+        config = small_config(n_grid=(30,), replications=3, methods=methods, n_splits=2)
+        problem = build_problem(config)
+        report = run_experiment(config)
+        for k, row in enumerate(report.rows):
+            index = k % len(methods)
+            if methods[index].method not in ("cf-split", "cf-simplified", "cf-multisplit"):
+                continue
+            split_seed, cv_seed = _streams(config, row.n, row.replication, index)
+            expected = run_estimator(
+                methods[index], cell_dataset(config, problem, row.n, row.replication),
+                split_seed=split_seed, cv_seed=cv_seed, split_fraction=0.5, n_splits=2,
+            )
+            assert (row.estimate, row.lambda_used) == (expected.value, expected.lambda_used)
 
 
 class TestSerialisation:

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
-from scipy.sparse.linalg import ArpackNoConvergence
 
 from cfmc import (
     InvalidInputError,
@@ -201,8 +200,8 @@ def decaying_spectrum(lo, hi, m):
 
 
 class TestGuardedSelectLambda:
-    """From _GUARDED_MIN_SIZE rows on, lambda is decided by ARPACK and
-    Cholesky tests, and must equal the full-spectrum rule."""
+    """From _GUARDED_MIN_SIZE rows on, lambda is decided by a Lanczos top
+    eigenvalue and Cholesky tests, and must equal the full-spectrum rule."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(large_stein_grams())
@@ -232,10 +231,10 @@ class TestGuardedSelectLambda:
         lo = (hi + jitter) / CONDITION_LIMIT - jitter
         k0 = matrix_with_spectrum(decaying_spectrum(lo, hi, m), seed=index)
         expected = eigvalsh_rule(k0)
-        tops = _spy(monkeypatch, estimator, "eigsh")
+        tops = _spy(monkeypatch, estimator, "_top_eigenvalue")
         calls = _spy(monkeypatch, np.linalg, "eigvalsh")
         assert select_lambda(k0) == expected
-        assert len(tops) == 1 and tops[0][0] == pytest.approx(hi, rel=1e-12)
+        assert len(tops) == 1 and tops[0] == pytest.approx(hi, rel=1e-12)
         assert [e.shape for e in calls] == [(m,)]
 
     @pytest.mark.parametrize(
@@ -249,15 +248,11 @@ class TestGuardedSelectLambda:
         assert select_lambda(k0) == expected
         assert len(calls) == 1
 
-    def test_arpack_failure_falls_back(self, monkeypatch, make_gaussian_dataset):
+    def test_lanczos_failure_falls_back(self, monkeypatch, make_gaussian_dataset):
         m = _GUARDED_MIN_SIZE
         k0 = gram_matrix(make_gaussian_dataset(m, seed=5), PARAMS)
         expected = eigvalsh_rule(k0)
-
-        def no_convergence(*args, **kwargs):
-            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((m, 0)))
-
-        monkeypatch.setattr(estimator, "eigsh", no_convergence)
+        monkeypatch.setattr(estimator, "_top_eigenvalue", lambda k0, v0: None)
         calls = _spy(monkeypatch, np.linalg, "eigvalsh")
         assert select_lambda(k0) == expected
         assert len(calls) == 1
@@ -267,12 +262,55 @@ class TestGuardedSelectLambda:
         # even with lambda*m = m, so no grid point is accepted.
         m = _GUARDED_MIN_SIZE
         k0 = matrix_with_spectrum(decaying_spectrum(-2.0 * m, 1e3, m))
-        tops = _spy(monkeypatch, estimator, "eigsh")
+        tops = _spy(monkeypatch, estimator, "_top_eigenvalue")
         calls = _spy(monkeypatch, np.linalg, "eigvalsh")
         with pytest.warns(RuntimeWarning, match="ill-conditioned"):
             assert select_lambda(k0) == 1.0
-        assert len(tops) == 1 and tops[0][0] == pytest.approx(1e3, rel=1e-12)
+        assert len(tops) == 1 and tops[0] == pytest.approx(1e3, rel=1e-12)
         assert len(calls) == 1
+
+
+class TestTopEigenvalue:
+    """The Lanczos top eigenvalue of the guarded lambda search."""
+
+    @staticmethod
+    def start(m):
+        return np.random.default_rng(m).standard_normal(m)
+
+    @pytest.mark.parametrize("m", [200, 500])
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("design", ["iid", "repeated"])
+    def test_within_tolerance_of_eigvalsh(self, m, d, design):
+        rng = np.random.default_rng(m + d)
+        if design == "repeated":
+            states = rng.standard_normal((m // 3 + 1, d))
+            points = states[rng.integers(0, states.shape[0], m)]
+        else:
+            points = rng.standard_normal((m, d))
+        k0 = gram_matrix(ScoredDataset(points, -points, np.zeros(m)), PARAMS)
+        hi = np.linalg.eigvalsh(k0)[-1]
+        top = estimator._top_eigenvalue(k0, self.start(m))
+        assert abs(top - hi) <= estimator._HI_TOL * hi
+
+    @pytest.mark.parametrize("c", [2.5, -1.0])
+    def test_multiple_of_identity_takes_one_step(self, c, monkeypatch):
+        # Every vector is an eigenvector: the first residual vanishes.
+        monkeypatch.setattr(estimator, "_LANCZOS_MAX_STEPS", 1)
+        top = estimator._top_eigenvalue(c * np.eye(50), self.start(50))
+        assert top == pytest.approx(c, rel=1e-15)
+
+    def test_unresolved_top_cluster_falls_back(self, monkeypatch):
+        # 50 eigenvalues within 1e-3 of the top: _LANCZOS_MAX_STEPS steps
+        # leave the residual far above _HI_TOL, so the eigendecomposition
+        # decides lambda.
+        m = _GUARDED_MIN_SIZE
+        evals = np.concatenate([np.linspace(0.0, 0.5, m - 50), 1.0 - np.linspace(0.0, 1e-3, 50)])
+        k0 = matrix_with_spectrum(evals)
+        assert estimator._top_eigenvalue(k0, self.start(m)) is None
+        expected = eigvalsh_rule(k0)
+        calls = _spy(monkeypatch, np.linalg, "eigvalsh")
+        assert select_lambda(k0) == expected
+        assert [e.shape for e in calls] == [(m,)]
 
 
 class TestFitSurrogate:

@@ -93,6 +93,23 @@ class TestBaseKernel:
         with pytest.raises(InvalidInputError):
             SteinKernelParams(alpha1=0.1, alpha2=-1.0)
 
+    @pytest.mark.parametrize("field", ["alpha1", "alpha2"])
+    @pytest.mark.parametrize(
+        "bad",
+        [True, False, np.True_, "0.1", None, [0.1], 1 + 0j, float("nan"), float("inf"),
+         -float("inf"), np.float32("nan"), 0, -0.5, pytest.param(10**400, id="10**400")],
+        ids=repr,
+    )
+    def test_rejects_bad_alpha(self, field, bad):
+        values = {"alpha1": 0.1, "alpha2": 1.0, field: bad}
+        with pytest.raises(InvalidInputError, match=f"^{field} must be"):
+            SteinKernelParams(**values)
+
+    @pytest.mark.parametrize("good", [2, np.int64(2), np.float64(0.5), np.float32(0.5), 1e308])
+    def test_accepts_numbers(self, good):
+        params = SteinKernelParams(alpha1=good, alpha2=good)
+        assert (params.alpha1, params.alpha2) == (good, good)
+
 
 class TestBaseKernelDerivatives:
     def test_matches_finite_differences(self):

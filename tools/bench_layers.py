@@ -9,8 +9,9 @@
   ``stein_kernel_matrix``) and the two kernel estimators at
   n in {20, ..., 2000}, with tracemalloc's peak over the result's bytes for
   the two assembly functions;
-* ``lambda_select``: ``select_lambda`` on a precomputed Gram matrix and the
-  two kernel estimators at system sizes m in {100, ..., 2000};
+* ``lambda_select``: ``select_lambda`` on a precomputed Gram matrix (of an
+  iid sample at d in {1, 3}, and of a d = 3 Metropolis chain) and the two
+  kernel estimators at system sizes m in {100, ..., 2000};
 * ``gram_inplace``: ``gram_matrix``, ``stein_kernel_matrix`` and
   ``cf_split_estimate`` with its discrepancy at d in {1, 3} and
   n in {10, ..., 2000}, with tracemalloc's peak over the result's bytes for
@@ -125,8 +126,10 @@ def _lambda_select_cases(m):
     cfmc, data, _ = _problem(1, m)
     _, data3, _ = _problem(3, m)
     _, pair, _ = _problem(1, 2 * m)
+    chain = metropolis_problem().dataset(np.random.default_rng(m), m)
     params = cfmc.SteinKernelParams(alpha1=0.1, alpha2=1.0)
     k0, k0_d3 = cfmc.gram_matrix(data, params), cfmc.gram_matrix(data3, params)
+    k0_mcmc = cfmc.gram_matrix(chain, params)
     plan = cfmc.random_split(2 * m, m, 0)
 
     def select_guarded():
@@ -136,6 +139,7 @@ def _lambda_select_cases(m):
     return {
         "select_lambda": lambda: cfmc.select_lambda(k0),
         "select_lambda_d3": lambda: cfmc.select_lambda(k0_d3),
+        "select_lambda_mcmc_d3": lambda: cfmc.select_lambda(k0_mcmc),
         "select_lambda_guarded_at_every_size": select_guarded,
         "cf_split_estimate": lambda: cfmc.cf_split_estimate(
             pair, plan, params, compute_discrepancy=True
@@ -320,7 +324,7 @@ TOPICS = {
         ),
     },
     "lambda_select": {
-        "topic": "lambda selection by guarded Cholesky tests instead of eigvalsh",
+        "topic": "lambda selection: guarded Cholesky tests and the top eigenvalue they start from",
         "layer": "estimator: select_lambda (regularisation choice)",
         "sizes": (100, 150, 200, 250, 500, 1000, 2000),
         "cases": _lambda_select_cases,
@@ -328,7 +332,9 @@ TOPICS = {
         "method": (
             f"{SAMPLE}; size = m, the kernel system's size; select_lambda on the "
             "precomputed m x m Gram of a d = 1 sample (select_lambda_d3: of a d = 3 "
-            "sample; select_lambda_guarded_at_every_size: d = 1 with the guarded "
+            "sample; select_lambda_mcmc_d3: of an m-step Metropolis chain targeting "
+            "N(0, I_3), step 1.0, with repeated states, as in the benchmark's "
+            "mcmc_cv_d3; select_lambda_guarded_at_every_size: d = 1 with the guarded "
             "cutoff set to 0 where the source has one, so before is always eigvalsh); "
             "cf_split_estimate on n = 2m points with a random m-point fitting set and "
             "compute_discrepancy=True; cf_simplified_estimate on n = m points"
