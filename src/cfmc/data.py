@@ -190,40 +190,68 @@ def read_sample_file(path) -> ScoredDataset:
         parse as a finite real.  Messages name the offending line.
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: file is empty") from None
-        header = [h.strip() for h in header]
-        if len(header) < 3 or len(header) % 2 == 0:
-            raise DataFormatError(
-                f"{path}: header must be x_1..x_d, f, u_1..u_d, got {header}"
-            )
-        d = (len(header) - 1) // 2
-        if header != sample_file_header(d):
-            raise DataFormatError(
-                f"{path}: header must be x_1..x_d, f, u_1..u_d, got {header}"
-            )
-        points, scores, f_values = [], [], []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2 * d + 1:
-                raise DataFormatError(
-                    f"{path}: line {line_no}: expected {2 * d + 1} fields, got {len(row)}"
-                )
-            try:
-                values = [float(v) for v in row]
-            except ValueError as exc:
-                raise DataFormatError(f"{path}: line {line_no}: {exc}") from None
-            if not all(map(math.isfinite, values)):
-                raise DataFormatError(f"{path}: line {line_no}: non-finite value")
-            points.append(values[:d])
-            f_values.append(values[d])
-            scores.append(values[d + 1 :])
-    if not points:
-        raise DataFormatError(f"{path}: no data rows")
+        lines = fh.readlines()
+    reader = csv.reader(lines)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataFormatError(f"{path}: file is empty") from None
+    header = [h.strip() for h in header]
+    d = (len(header) - 1) // 2
+    if len(header) < 3 or len(header) % 2 == 0 or header != sample_file_header(d):
+        raise DataFormatError(f"{path}: header must be x_1..x_d, f, u_1..u_d, got {header}")
+    table = _parse_table(lines[1:], 2 * d + 1) if reader.line_num == 1 else None
+    if table is None:
+        table = _parse_rows(path, reader, d)
     return ScoredDataset(
-        points=np.asarray(points), scores=np.asarray(scores), f_values=np.asarray(f_values)
+        points=np.ascontiguousarray(table[:, :d]),
+        scores=np.ascontiguousarray(table[:, d + 1 :]),
+        f_values=np.ascontiguousarray(table[:, d]),
     )
+
+
+# Lines the csv module reads as an empty row, which a sample file may hold.
+_EMPTY_LINES = frozenset(("\n", "\r\n", "\r"))
+
+
+def _parse_table(lines: list[str], width: int):
+    """The body ``lines`` of a sample file as a (rows, ``width``) array in
+    one ``np.loadtxt`` call, or None when :func:`_parse_rows` has to read
+    them.  Where ``loadtxt`` reads a value, ``float`` reads the same bits;
+    it refuses the quoted fields, underscores and non-ASCII digits that
+    ``csv`` and ``float`` accept, and a whitespace-only line, which
+    ``_parse_rows`` reports."""
+    body = [line for line in lines if line not in _EMPTY_LINES]
+    if not body:
+        return None
+    try:
+        table = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if table.shape != (len(body), width) or not np.all(np.isfinite(table)):
+        return None
+    return table
+
+
+def _parse_rows(path, reader, d: int) -> np.ndarray:
+    """The rows left in the csv ``reader`` of a sample file, one line at a
+    time, as a (rows, 2d + 1) array; raises the DataFormatError that names
+    the first bad line."""
+    rows = []
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 2 * d + 1:
+            raise DataFormatError(
+                f"{path}: line {line_no}: expected {2 * d + 1} fields, got {len(row)}"
+            )
+        try:
+            values = [float(v) for v in row]
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: line {line_no}: {exc}") from None
+        if not all(map(math.isfinite, values)):
+            raise DataFormatError(f"{path}: line {line_no}: non-finite value")
+        rows.append(values)
+    if not rows:
+        raise DataFormatError(f"{path}: no data rows")
+    return np.array(rows)

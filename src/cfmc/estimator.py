@@ -25,6 +25,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 from scipy.linalg.lapack import dpotrf
 
 from ._lapack import cho_factor, cho_solve
@@ -47,6 +48,17 @@ _GUARDED_MIN_SIZE = 200
 # Cholesky tests' band covers.
 _HI_TOL = 1e-6
 
+# Shortcuts of the guarded tests (gates measured in BENCH_lambda_cert.json).
+# From _CERTIFIED_MIN_SIZE rows on, an accept test with a negative shift first
+# tries a certificate from a partial pivoted Cholesky factor of at most
+# m // _CERTIFIED_RANK_SHARE columns.  From _BLOCK_MIN_SIZE rows on, a reject
+# test that runs first factorises the leading _BLOCK_SIZE rows before the
+# whole matrix.
+_CERTIFIED_MIN_SIZE = 800
+_CERTIFIED_RANK_SHARE = 16
+_BLOCK_MIN_SIZE = 400
+_BLOCK_SIZE = 64
+
 # Lanczos steps allowed before select_lambda falls back.  A kernel Gram's top
 # eigenvalue converges within about 20; a flat top of the spectrum could take
 # more matrix-vector products than the eigendecomposition costs.
@@ -62,7 +74,9 @@ def select_lambda(k0: np.ndarray) -> float:
     Returns the smallest ``lam`` in :data:`LAMBDA_GRID` such that
     ``cond_2(k0 + lam*m*I) < 1e10``, where ``m`` is the matrix size and
     ``lam*m*I`` is the jitter actually applied when the system is factorised.
-    If even ``lam = 1`` fails, 1.0 is returned with a warning.
+    If even ``lam = 1`` fails, 1.0 is returned with a warning.  ``k0`` must
+    be symmetric to within ``1e-12*max(1, max|k0|)``; its lower triangle is
+    what is read, as ``eigvalsh`` and the factorisation read it.
 
     With ``lo`` and ``hi`` the extreme eigenvalues of ``k0`` and ``hi > 0``,
     a grid point is accepted exactly when ``lo > t(lam) = (hi + lam*m)/L -
@@ -70,31 +84,61 @@ def select_lambda(k0: np.ndarray) -> float:
     ``_GUARDED_MIN_SIZE`` rows both eigenvalues come from one full
     ``eigvalsh``.  From that size on, ``hi`` comes from a Lanczos iteration
     with full reorthogonalisation, stopped once its residual bound is within
-    ``_HI_TOL = 1e-6`` of ``hi``, and the sign of ``lo - t`` from Cholesky
-    factorisations: a point is proven accepted when ``k0 - (t + band)*I``
-    factorises, and proven rejected when ``k0 - (t - band)*I`` does not,
-    with ``band = 16*m*eps*(hi + lam*m) + _HI_TOL*hi/L``.  The first term is
-    far wider than the rounding of either test; the second covers the error
-    of ``hi``, which moves ``t`` by at most ``_HI_TOL*hi/L``.  Each verdict
-    settles every grid point on one side.  The search tests the first point
-    with ``t < 0`` (the answer whenever ``lo`` is about 0), then the point
-    just below it, where a nearly singular ``k0`` fails within a few pivots,
-    then the grid minimum if that point was accepted too, and bisects what
-    is left.  If ``lo`` falls inside a band, ``hi <= 0``, the Lanczos
-    iteration does not converge within ``_LANCZOS_MAX_STEPS`` steps or no
-    grid point is accepted, the ``eigvalsh`` rule decides instead, so both
-    paths return the same ``lam``.  At ``m = 1000`` the guarded path costs
-    about a quarter of the eigendecomposition (``BENCH_lambda_select.json``,
-    ``BENCH_lambda_hi.json``).
+    ``_HI_TOL = 1e-6`` of ``hi``, and the sign of ``lo - t`` from proofs: a
+    point is accepted when ``lo > tau = t + band`` is proven, and rejected
+    when ``k0 - (t - band)*I`` has no Cholesky factor, with ``band =
+    16*m*eps*(hi + lam*m) + _HI_TOL*hi/L``.  The first term is far wider
+    than the rounding of any test; the second covers the error of ``hi``,
+    which moves ``t`` by at most ``_HI_TOL*hi/L``.
+
+    ``lo > tau`` is proven by a Cholesky factor of ``k0 - tau*I`` or, from
+    ``_CERTIFIED_MIN_SIZE`` rows on when ``tau < 0``, first by a certificate
+    that costs O(m^2 r) instead of O(m^3).  A diagonal-pivoted Cholesky
+    factor ``F`` of ``r <= m/_CERTIFIED_RANK_SHARE`` columns, stopped once
+    every remaining pivot is at most ``|tau|/(4m)``, splits ``k0 = F F' + S``
+    exactly, with ``S = k0 - F F'``; since ``F F'`` is positive
+    semidefinite, ``lo >= lambda_min(S)`` (Weyl) for any ``F``, rounded or
+    not.  One BLAS product gives ``S^ = fl(k0 - F F')``, with ``|S^ - S| <=
+    g*(|k0| + |F||F'|)`` and ``g = gamma_(r+1)`` (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., 3.5).  Summing the rows of
+    ``|k0| <= |F||F'| + |S^| + |S^ - S|`` bounds ``|k0| 1`` by ``((1 + g) p
+    + R)/(1 - g)``, with ``p = |F||F'| 1`` and ``R``, ``C`` the row and
+    column sums of ``|S^|``.  Gershgorin's theorem on ``S``, whose entries
+    lie within that error of the symmetric part of ``S^``, then gives for
+    every row i
+
+        lo >= S^_ii + |S^_ii| - (R_i + C_i)/2 - g/(1 - g) * (2 p_i + R_i),
+
+    and the certificate accepts when this exceeds ``tau`` for every row,
+    with the subtracted sums inflated by ``1 + gamma_(2m)`` to cover their
+    own rounding.  From ``_BLOCK_MIN_SIZE`` rows on, a reject test that runs
+    first factorises the leading ``_BLOCK_SIZE`` rows before the whole
+    matrix: a principal submatrix of a positive definite matrix is positive
+    definite, so its failure proves the whole one's.  When a shortcut
+    decides nothing, the full Cholesky test runs, so every verdict and
+    ``lam`` is the one the factorisations alone would give.
+
+    Each verdict settles every grid point on one side.  The search tests the
+    first point with ``t < 0`` (the answer whenever ``lo`` is about 0), then
+    the point just below it, where a nearly singular ``k0`` fails within a
+    few pivots, then the grid minimum if that point was accepted too, and
+    bisects what is left.  If ``lo`` falls inside a band, ``hi <= 0``, the
+    Lanczos iteration does not converge within ``_LANCZOS_MAX_STEPS`` steps
+    or no grid point is accepted, the ``eigvalsh`` rule decides instead, so
+    both paths return the same ``lam``.  On a d = 1 Gram at ``m = 1000``
+    the guarded path costs less than a tenth of the eigendecomposition
+    (``BENCH_lambda_select.json``, ``BENCH_lambda_hi.json``,
+    ``BENCH_lambda_cert.json``).
     """
     k0 = np.asarray(k0, dtype=float)
     if k0.ndim != 2 or k0.shape[0] != k0.shape[1]:
         raise InvalidInputError(f"k0 must be square, got shape {k0.shape}")
     _check_finite(k0)
     scale = max(1.0, float(np.max(np.abs(k0))))
-    if np.max(np.abs(k0 - k0.T)) > 1e-12 * scale:
+    skew = np.abs(k0 - k0.T)
+    if np.max(skew) > 1e-12 * scale:
         raise InvalidInputError("k0 must be symmetric")
-    return _lambda_search(k0)
+    return _lambda_search(_lower_symmetric(k0) if np.any(skew) else k0)
 
 
 def _check_finite(k0: np.ndarray) -> None:
@@ -102,9 +146,18 @@ def _check_finite(k0: np.ndarray) -> None:
         raise InvalidInputError("k0 contains non-finite entries")
 
 
+def _lower_symmetric(k0: np.ndarray) -> np.ndarray:
+    """The exactly symmetric matrix with the lower triangle of ``k0``.  The
+    λ tests and the factorisation copy ``k0.T``, which has the bytes of
+    ``k0`` only when it is symmetric; an estimator's Gram is."""
+    sym = np.array(k0, dtype=float)
+    np.copyto(sym, sym.T, where=~np.tri(k0.shape[0], dtype=bool))
+    return sym
+
+
 def _lambda_search(k0: np.ndarray) -> float:
-    """The :func:`select_lambda` rule on a square, finite and symmetric
-    ``k0``, such as a Gram matrix built by ``gram_matrix``."""
+    """The :func:`select_lambda` rule on a square, finite and exactly
+    symmetric ``k0``, such as a Gram matrix built by ``gram_matrix``."""
     m = k0.shape[0]
     if m >= _GUARDED_MIN_SIZE:
         lam = _guarded_lambda(k0)
@@ -126,23 +179,94 @@ def _lambda_search(k0: np.ndarray) -> float:
 
 
 def _exceeds(k0: np.ndarray, shift: float, work: np.ndarray) -> bool:
-    """Whether ``k0 - shift*I`` has a Cholesky factor, computed in the
-    Fortran-ordered ``work`` from the lower triangle as in :func:`_factorise`."""
-    np.copyto(work, k0)
+    """Whether the symmetric ``k0 - shift*I`` has a Cholesky factor, computed
+    in the Fortran-ordered ``work`` as in :func:`_factorise`."""
+    np.copyto(work, k0.T)  # k0' is Fortran-ordered: a straight copy
     diag = np.arange(k0.shape[0])
     work[diag, diag] -= shift
     return dpotrf(work, lower=1, clean=0, overwrite_a=1)[1] == 0
+
+
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k*u/(1 - k*u), with u the unit roundoff."""
+    ku = k * np.finfo(float).eps / 2
+    return ku / (1.0 - ku)
+
+
+def _pivoted_rows(k0: np.ndarray, tol: float, cap: int):
+    """The rows of a diagonal-pivoted partial Cholesky factor of the
+    symmetric ``k0`` (as an r x m array, r <= ``cap``), taken until every
+    remaining pivot is at most ``tol``; None if ``cap`` rows leave a larger
+    one."""
+    factor = np.empty((cap, k0.shape[0]))
+    pivots = k0.diagonal().copy()
+    for r in range(cap):
+        p = int(np.argmax(pivots))
+        if not pivots[p] > tol:
+            return factor[:r]
+        row = k0[p] - factor[:r, p] @ factor[:r]
+        row /= math.sqrt(pivots[p])
+        factor[r] = row
+        pivots -= row * row
+        pivots[p] = 0.0  # rounding may leave a speck; a pivot is taken once
+    return None if np.max(pivots) > tol else factor
+
+
+def _certified_above(k0: np.ndarray, shift: float, work: np.ndarray) -> bool:
+    """True if a partial pivoted Cholesky factor proves that every
+    eigenvalue of the symmetric ``k0`` exceeds the negative ``shift``; False
+    if it does not.  The proof is in :func:`select_lambda`; ``work`` is a
+    Fortran-ordered m x m scratch."""
+    m = k0.shape[0]
+    rows = _pivoted_rows(k0, -shift / (4.0 * m), m // _CERTIFIED_RANK_SHARE)
+    if rows is None:
+        return False
+    np.copyto(work, k0.T)
+    if rows.shape[0]:
+        # S^ = k0 - F F' in place; F = rows' is Fortran-ordered.
+        work = dgemm(-1.0, rows.T, rows.T, beta=1.0, c=work, trans_b=1, overwrite_c=1)
+    diag = work.diagonal()
+    lead = diag + np.abs(diag)  # S^_ii + |S^_ii|: 0 or 2 S^_ii, exact
+    mags = np.abs(work, out=work)
+    ones = np.ones(m)
+    row_sums, col_sums = mags @ ones, ones @ mags
+    spans = np.abs(rows)
+    p = spans.sum(axis=1) @ spans
+    g = _gamma(rows.shape[0] + 1)
+    slack = (0.5 * (row_sums + col_sums) + g / (1.0 - g) * (2.0 * p + row_sums)) * (
+        1.0 + _gamma(2 * m)
+    )
+    return bool(np.all(lead - shift > slack))
+
+
+def _accepted(k0: np.ndarray, shift: float, work: np.ndarray) -> bool:
+    """True if every eigenvalue of ``k0`` is proven above ``shift``."""
+    if shift < 0.0 and k0.shape[0] >= _CERTIFIED_MIN_SIZE and _certified_above(k0, shift, work):
+        return True
+    return _exceeds(k0, shift, work)
+
+
+def _rejected(k0: np.ndarray, shift: float, work: np.ndarray, first: bool) -> bool:
+    """True if some eigenvalue of ``k0`` is proven below ``shift``.  When the
+    test runs ``first``, the leading block is tried before the whole."""
+    if first and k0.shape[0] >= _BLOCK_MIN_SIZE:
+        block = slice(0, _BLOCK_SIZE)
+        if not _exceeds(k0[block, block], shift, work[block, block]):
+            return True
+    return not _exceeds(k0, shift, work)
 
 
 def _guarded_verdict(k0, threshold, band, work, expect_accept):
     """True if the smallest eigenvalue of ``k0`` is proven above
     ``threshold``, False if proven below it, None if it lies within ``band``
     of it.  The test for the expected verdict runs first."""
-    tests = [(True, threshold + band), (False, threshold - band)]
-    for verdict, shift in tests if expect_accept else tests[::-1]:
-        if _exceeds(k0, shift, work) == verdict:
-            return verdict
-    return None
+    if expect_accept:
+        if _accepted(k0, threshold + band, work):
+            return True
+        return False if _rejected(k0, threshold - band, work, first=False) else None
+    if _rejected(k0, threshold - band, work, first=True):
+        return False
+    return True if _accepted(k0, threshold + band, work) else None
 
 
 def _top_eigenvalue(k0: np.ndarray, v0: np.ndarray) -> float | None:
@@ -222,8 +346,9 @@ def _factorise(k0: np.ndarray, lam: float):
     if not (math.isfinite(lam) and lam >= 0.0):
         raise InvalidInputError(f"lambda must be non-negative and finite, got {lam!r}")
     m = k0.shape[0]
-    # A Fortran-ordered copy lets LAPACK factorise it in place.
-    system = np.array(k0, dtype=float, order="F")
+    # A Fortran-ordered copy lets LAPACK factorise it in place; k0 is
+    # symmetric, so copying k0' is a straight copy.
+    system = np.array(k0.T, dtype=float, order="F")
     diag = np.arange(m)
     system[diag, diag] += lam * m
     try:
@@ -603,7 +728,8 @@ def discrepancy_from_matrices(
     which equals (1'w - 1)^2 + w'Kw for the estimator weight vector w and the
     full Gram matrix K, i.e. the squared worst-case estimation error over the
     unit ball of the hypothesis space.  For a kernel with k0(x, x) = 1 and no
-    off-diagonal mass it reduces to 1/(n - m).
+    off-diagonal mass it reduces to 1/(n - m).  Only the lower triangle of
+    ``k0`` is read.
     """
     k0 = np.asarray(k0, dtype=float)
     k10 = np.asarray(k10, dtype=float)
@@ -617,7 +743,7 @@ def discrepancy_from_matrices(
             f"{k0.shape}, {k10.shape} and {k1.shape}"
         )
     _check_finite(k0)
-    chol, z = _factorise(k0, lambda_)
+    chol, z = _factorise(_lower_symmetric(k0), lambda_)
     return _discrepancy_from_factor(chol, z, k10, k1)
 
 

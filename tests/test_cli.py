@@ -1,7 +1,9 @@
 import contextlib
+import csv
 import inspect
 import io
 import json
+import math
 import subprocess
 import sys
 
@@ -24,6 +26,7 @@ from cfmc import (
     zv_estimate,
 )
 from cfmc.bench import ExperimentConfig, MethodSpec
+from cfmc.data import sample_file_header
 
 
 def run_cli(*args):
@@ -82,6 +85,122 @@ class TestSampleFileRoundTrip:
         path.write_text(f"x_1,f,u_1\n0.5,1.0,-0.5\n0.25,{bad},-0.25\n")
         with pytest.raises(DataFormatError, match=r"bad\.csv: line 3: non-finite value$"):
             read_sample_file(path)
+
+
+def line_by_line_read(path):
+    """The csv-module reader that ``read_sample_file`` must reproduce: the
+    result as arrays, or the (class, message) of the error it raises."""
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataFormatError(f"{path}: file is empty") from None
+            header = [h.strip() for h in header]
+            d = (len(header) - 1) // 2
+            if len(header) < 3 or len(header) % 2 == 0 or header != sample_file_header(d):
+                raise DataFormatError(
+                    f"{path}: header must be x_1..x_d, f, u_1..u_d, got {header}"
+                )
+            points, scores, f_values = [], [], []
+            for line_no, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != 2 * d + 1:
+                    raise DataFormatError(
+                        f"{path}: line {line_no}: expected {2 * d + 1} fields, got {len(row)}"
+                    )
+                try:
+                    values = [float(v) for v in row]
+                except ValueError as exc:
+                    raise DataFormatError(f"{path}: line {line_no}: {exc}") from None
+                if not all(map(math.isfinite, values)):
+                    raise DataFormatError(f"{path}: line {line_no}: non-finite value")
+                points.append(values[:d])
+                f_values.append(values[d])
+                scores.append(values[d + 1 :])
+        if not points:
+            raise DataFormatError(f"{path}: no data rows")
+        return np.asarray(points), np.asarray(scores), np.asarray(f_values)
+    except DataFormatError as exc:
+        return type(exc), str(exc)
+
+
+HEADER_D1 = "x_1,f,u_1\n"
+SAMPLE_FILES = {
+    "plain": HEADER_D1 + "0.5,1.0,-0.5\n-1.25,2.0,1.25\n",
+    "d2": "x_1,x_2,f,u_1,u_2\n" + "".join(
+        f"{0.1 * i!r},{-0.3 * i!r},{i / 7!r},{-0.1 * i!r},{0.3 * i!r}\n" for i in range(40)
+    ),
+    "no_final_newline": HEADER_D1 + "0.5,1.0,-0.5",
+    "blank_lines": HEADER_D1 + "\n0.5,1.0,-0.5\n\n\n-1.25,2.0,1.25\n\n",
+    "whitespace_only_line": HEADER_D1 + "0.5,1.0,-0.5\n   \n",
+    "tab_only_line": HEADER_D1 + "0.5,1.0,-0.5\n\t\n",
+    "crlf": "x_1,f,u_1\r\n0.5,1.0,-0.5\r\n\r\n-1.25,2.0,1.25\r\n",
+    "cr_only": "x_1,f,u_1\r0.5,1.0,-0.5\r-1.25,2.0,1.25\r",
+    "padded_fields": HEADER_D1 + " 0.5 ,\t1.0, -0.5\n",
+    "quoted_fields": HEADER_D1 + '"0.5",1.0,"-0.5"\n',
+    "quoted_comma": HEADER_D1 + '"0,5",1.0,-0.5\n',
+    "quoted_header_newline": '"x_1\n",f,u_1\n0.5,1.0,-0.5\n',
+    "comment_line": HEADER_D1 + "# written by hand\n0.5,1.0,-0.5\n",
+    "comment_with_fields": HEADER_D1 + "#0.5,1.0,-0.5\n",
+    "nan": HEADER_D1 + "0.5,nan,-0.5\n",
+    "inf": HEADER_D1 + "0.5,1.0,inf\n",
+    "overflow": HEADER_D1 + "1e999,1.0,-0.5\n",
+    "underscore": HEADER_D1 + "1_0,1.0,-1_0\n",
+    "arabic_indic_digit": HEADER_D1 + "١,1.0,-0.5\n",
+    "signed_zero_subnormal": HEADER_D1 + "-0.0,1e-320,0.0\n",
+    "short_row": HEADER_D1 + "0.5,1.0,-0.5\n0.5,1.0\n",
+    "long_row": HEADER_D1 + "0.5,1.0,-0.5,2.0\n",
+    "trailing_comma": HEADER_D1 + "0.5,1.0,-0.5,\n",
+    "empty_field": HEADER_D1 + "0.5,,-0.5\n",
+    "text": HEADER_D1 + "a,b,c\n",
+    "nul": HEADER_D1 + "0.5,1.0,-0.5\x00\n",
+    "header_only": HEADER_D1,
+    "header_only_blank_lines": HEADER_D1 + "\n\n",
+    "empty": "",
+    "bad_header": "x,f,u\n0.5,1.0,-0.5\n",
+}
+
+
+class TestReadSampleFile:
+    """read_sample_file parses the body in one np.loadtxt call where it can,
+    and otherwise line by line; either way it must give the csv reader's
+    arrays bit for bit, or its error class and message."""
+
+    @pytest.mark.parametrize("name", sorted(SAMPLE_FILES))
+    def test_same_as_line_by_line(self, name, tmp_path):
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(SAMPLE_FILES[name].encode())
+        want = line_by_line_read(path)
+        try:
+            back = read_sample_file(path)
+        except DataFormatError as exc:
+            assert (type(exc), str(exc)) == want
+            return
+        assert not isinstance(want[0], type), want
+        for got, ref in zip((back.points, back.scores, back.f_values), want):
+            assert got.tobytes() == ref.tobytes()
+            assert got.shape == ref.shape and got.flags.c_contiguous
+
+    @pytest.mark.parametrize("name", ["plain", "d2", "blank_lines", "crlf", "padded_fields"])
+    def test_well_formed_file_read_in_one_call(self, name, tmp_path, monkeypatch):
+        def line_by_line(*args):
+            raise AssertionError("read line by line")
+
+        monkeypatch.setattr("cfmc.data._parse_rows", line_by_line)
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(SAMPLE_FILES[name].encode())
+        read_sample_file(path)
+
+    def test_written_file_bits(self, tmp_path):
+        data_in = gaussian_problem(3).dataset(np.random.default_rng(4), 300)
+        path = tmp_path / "written.csv"
+        write_sample_file(path, data_in)
+        back = read_sample_file(path)
+        for got, ref in zip((back.points, back.scores, back.f_values), line_by_line_read(path)):
+            assert got.tobytes() == ref.tobytes()
 
 
 class TestEstimateCommand:

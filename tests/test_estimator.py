@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
@@ -311,6 +311,218 @@ class TestTopEigenvalue:
         calls = _spy(monkeypatch, np.linalg, "eigvalsh")
         assert select_lambda(k0) == expected
         assert [e.shape for e in calls] == [(m,)]
+
+
+def _lower_mirror(k0):
+    """k0 with its upper triangle replaced by the transpose of its lower."""
+    return np.tril(k0) + np.tril(k0, -1).T
+
+
+@st.composite
+def certificate_cases(draw):
+    """(k0, tau, lo): a symmetric k0, a negative shift tau and eigvalsh's
+    smallest eigenvalue lo of k0.  The designs are indefinite low-rank plus
+    shifted-identity matrices, with or without symmetric noise, and Stein
+    Grams of samples with repeated rows or large scores.  tau is placed just
+    above or just below lo (by 2 or 1e3 times eigvalsh's error bound), or
+    well below it."""
+    m = draw(st.integers(20, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    design = draw(st.sampled_from(("low_rank", "low_rank_noise", "repeated", "large_scores")))
+    if design.startswith("low_rank"):
+        rank = draw(st.integers(1, 8))
+        factor = rng.standard_normal((m, rank)) * 10.0 ** rng.uniform(-1.0, 3.0, rank)
+        k0 = factor @ factor.T
+        shift = -(10.0 ** rng.uniform(-12.0, -2.0)) * np.abs(k0).max()
+        k0[np.diag_indices(m)] += shift
+        if design == "low_rank_noise":
+            k0 += 1e-3 * abs(shift) * rng.standard_normal((m, m))
+    else:
+        d = draw(st.sampled_from((1, 2, 3)))
+        if design == "repeated":
+            states = rng.standard_normal((m // 4 + 1, d))
+            points = states[rng.integers(0, states.shape[0], m)]
+            scores = -points
+        else:
+            points = rng.standard_normal((m, d))
+            scores = -points * 10.0 ** rng.uniform(2.0, 6.0)
+        params = SteinKernelParams(draw(st.sampled_from((0.05, 0.1, 1.0))), 1.0)
+        k0 = gram_matrix(ScoredDataset(points, scores, np.zeros(m)), params)
+    k0 = _lower_mirror(k0)
+    evals = np.linalg.eigvalsh(k0)
+    lo = float(evals[0])
+    error = 4.0 * m * np.finfo(float).eps * float(np.linalg.norm(k0))
+    offset = draw(st.sampled_from((-1e3, -2.0, 2.0, 1e3, "lo", "10lo", "hi")))
+    if offset == "lo":
+        tau = lo - abs(lo) - error
+    elif offset == "10lo":
+        tau = lo - 10.0 * abs(lo) - error
+    elif offset == "hi":
+        tau = lo - 1e-6 * float(evals[-1]) - error
+    else:
+        tau = lo - offset * error
+    assume(tau < 0.0)
+    return k0, tau, lo
+
+
+def _factorised_sizes(monkeypatch):
+    """The size of every matrix a guarded Cholesky test factorises, in call
+    order."""
+    sizes = []
+    original = estimator._exceeds
+
+    def spy(k0, shift, work):
+        sizes.append(k0.shape[0])
+        return original(k0, shift, work)
+
+    monkeypatch.setattr(estimator, "_exceeds", spy)
+    return sizes
+
+
+class TestCertificate:
+    """The partial pivoted Cholesky certificate of an accept test must be a
+    proof, and the searches it serves must decide without full-size
+    factorisations where it applies."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(certificate_cases())
+    def test_never_accepts_at_or_above_the_smallest_eigenvalue(self, case):
+        k0, tau, lo = case
+        work = np.empty(k0.shape, order="F")
+        if estimator._certified_above(k0, tau, work):
+            assert lo > tau
+
+    @pytest.mark.parametrize("m", [500, 1000])
+    def test_decides_a_low_rank_gram(self, m, make_gaussian_dataset):
+        k0 = gram_matrix(make_gaussian_dataset(m, seed=m), PARAMS)
+        lo, hi = np.linalg.eigvalsh(k0)[[0, -1]]
+        tau = -1e-10 * hi
+        assert lo > tau
+        assert estimator._certified_above(k0, tau, np.empty(k0.shape, order="F"))
+
+    def test_exact_diagonal_bound(self):
+        # A rank-one block [[4, 2], [2, 1]] and -0.5 on the rest of the
+        # diagonal: one pivot takes the block exactly, the residual is
+        # diag(0, 0, -0.5, ...), and lo = -0.5, so only shifts below pass.
+        m = 40
+        k0 = np.diag(np.full(m, -0.5))
+        k0[:2, :2] = [[4.0, 2.0], [2.0, 1.0]]
+        work = np.empty((m, m), order="F")
+        assert estimator._certified_above(k0, -0.51, work)
+        assert not estimator._certified_above(k0, -0.5, work)
+
+    def test_gives_up_at_the_rank_cap(self, monkeypatch):
+        # A well-conditioned matrix keeps pivots above the tolerance, so the
+        # factor stops at m // _CERTIFIED_RANK_SHARE rows and proves nothing.
+        m = 64
+        rows = _spy(monkeypatch, estimator, "_pivoted_rows")
+        assert not estimator._certified_above(np.eye(m), -1e-3, np.empty((m, m), order="F"))
+        assert rows == [None]
+
+    def test_d1_search_runs_no_full_size_factorisation(self, monkeypatch, make_gaussian_dataset):
+        m = 1000
+        k0 = gram_matrix(make_gaussian_dataset(m, seed=7), PARAMS)
+        expected = eigvalsh_rule(k0)
+        sizes = _factorised_sizes(monkeypatch)
+        certified = _spy(monkeypatch, estimator, "_certified_above")
+        assert estimator._lambda_search(k0) == expected
+        assert certified == [True]
+        assert sizes and max(sizes) < m
+
+    def test_leading_block_rejects(self, monkeypatch, make_gaussian_dataset):
+        m = estimator._BLOCK_MIN_SIZE
+        k0 = gram_matrix(make_gaussian_dataset(m, seed=11), PARAMS)
+        expected = eigvalsh_rule(k0)
+        sizes = _factorised_sizes(monkeypatch)
+        assert select_lambda(k0) == expected
+        assert estimator._BLOCK_SIZE in sizes and sizes.count(m) == 1
+
+    def test_band_falls_back_above_the_gates(self, monkeypatch):
+        # As in TestGuardedSelectLambda, lo sits on one grid threshold; at
+        # this size the certificate and the leading block run and must not
+        # settle that point either.
+        m, hi, index = estimator._CERTIFIED_MIN_SIZE, 1.0, 8
+        jitter = LAMBDA_GRID[index] * m
+        lo = (hi + jitter) / CONDITION_LIMIT - jitter
+        k0 = _lower_mirror(matrix_with_spectrum(decaying_spectrum(lo, hi, m), seed=index))
+        expected = eigvalsh_rule(k0)
+        calls = _spy(monkeypatch, np.linalg, "eigvalsh")
+        assert select_lambda(k0) == expected
+        assert [e.shape for e in calls] == [(m,)]
+
+
+class TestSymmetricSystems:
+    """The lambda tests and the factorisation copy k0' and read its lower
+    triangle, so every k0 that reaches them must be exactly symmetric, and
+    the public entries read only the lower triangle of theirs."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(6, 40),
+        d=st.sampled_from((1, 2, 3)),
+        route=st.sampled_from(("view_split", "fresh_split", "simplified", "cv", "fit_surrogate",
+                               "multisplit")),
+        seed=st.integers(0, 2**16),
+    )
+    def test_every_fitted_k0_equals_its_transpose_bitwise(self, n, d, route, seed):
+        rng = np.random.default_rng(seed)
+        states = rng.standard_normal((n // 2 + 1, d))
+        points = states[rng.integers(0, states.shape[0], n)]
+        data = ScoredDataset(points, -points, np.sin(points.sum(axis=1)))
+        plan = random_split(n, n // 2, seed)
+        grid = [PARAMS, SteinKernelParams(0.3, 2.0)]
+        fitted = []
+        real = estimator._fit_coefficients
+
+        def record(k0, *args):
+            fitted.append(np.array(k0))
+            return real(k0, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimator, "_fit_coefficients", record)
+            if route == "view_split":
+                cf_split_estimate(estimator._GramRows(data, (PARAMS,)), plan, PARAMS,
+                                  compute_discrepancy=True)
+            elif route == "fresh_split":
+                cf_split_estimate(data, plan, PARAMS, compute_discrepancy=True)
+            elif route == "simplified":
+                cf_simplified_estimate(data, PARAMS)
+            elif route == "cv":
+                cross_validate(estimator._GramRows(data, grid[:1]), grid, seed=seed)
+                cross_validate(data, grid, seed=seed)
+            elif route == "fit_surrogate":
+                fit_surrogate(data, PARAMS)
+            else:
+                cf_multisplit_estimate(data, 3, 0.5, PARAMS, seed)
+        assert fitted
+        for k0 in fitted:
+            assert k0.tobytes() == np.ascontiguousarray(k0.T).tobytes()
+
+    def test_select_lambda_reads_the_lower_triangle(self, monkeypatch):
+        m = _GUARDED_MIN_SIZE
+        k0 = matrix_with_spectrum(decaying_spectrum(1e-12, 1.0, m), seed=3)
+        skewed = k0.copy()
+        skewed[np.triu_indices(m, 1)] *= 1.0 + 5e-13
+        searched = []
+        search = estimator._lambda_search
+
+        def spy(k0):
+            searched.append(k0)
+            return search(k0)
+
+        monkeypatch.setattr(estimator, "_lambda_search", spy)
+        assert select_lambda(skewed) == eigvalsh_rule(_lower_mirror(skewed))
+        assert searched[0].tobytes() == _lower_mirror(skewed).tobytes()
+        assert select_lambda(k0) and searched[1] is k0  # exactly symmetric: not copied
+
+    def test_discrepancy_from_matrices_reads_the_lower_triangle(self, make_gaussian_dataset):
+        data = make_gaussian_dataset(30, seed=2)
+        k = gram_matrix(data, PARAMS)
+        k0, k10, k1 = k[:20, :20].copy(), k[20:, :20], k[20:, 20:]
+        junk = k0 + np.triu(np.full((20, 20), 0.25), 1)
+        assert discrepancy_from_matrices(junk, k10, k1, 1e-6) == discrepancy_from_matrices(
+            k0, k10, k1, 1e-6
+        )
 
 
 class TestFitSurrogate:

@@ -20,11 +20,12 @@ from floats (``n_grid``, ``replications``, ``master_seed``, ``methods``,
 deviation of each study and says whether each pair of reports is
 byte-identical.
 
-It also writes one d = 2 sample file (``BOUND_SAMPLE_SIZE`` standard normal
-draws from a fixed seed) and runs ``python -m cfmc estimate FILE --method
-cf-split --bound --fnorm 1 --output json`` from both checkouts; the two
-outputs, which hold the discrepancy D and the bound radius, must be
-byte-identical.
+It also writes the sample files of ``BOUND_SAMPLES`` (standard normal draws
+from a fixed seed: 400 rows at d = 2, and 2000 rows at d = 1, whose
+1000-row kernel system is large enough for the lambda certificate) and runs
+``python -m cfmc estimate FILE --method cf-split --bound --fnorm 1 --output
+json`` on each from both checkouts; the two outputs of each, which hold the
+discrepancy D and the bound radius, must be byte-identical.
 """
 
 from __future__ import annotations
@@ -81,9 +82,10 @@ CV_STUDY = {
     ],
 }
 
-# The sample file of the --bound check: x ~ N(0, I_2), u = -x and
-# f = sin((x_1 + x_2) pi / 2), the gaussian problem's integrand at d = 2.
-BOUND_SAMPLE_SIZE = 400
+# The sample files of the --bound check, as (rows, dimension): x ~ N(0, I_d),
+# u = -x and f = sin((x_1 + ... + x_d) pi / d), the gaussian problem's
+# integrand.
+BOUND_SAMPLES = ((400, 2), (2000, 1))
 BOUND_COMMAND = ("--method", "cf-split", "--bound", "--fnorm", "1", "--output", "json")
 
 
@@ -102,14 +104,15 @@ def run_bench(checkout: Path, config: str, out_dir: Path) -> Path:
     return out_dir
 
 
-def write_bound_sample(path: Path) -> None:
-    """Write the --bound check's sample file; the same bytes on every run."""
+def write_bound_sample(path: Path, rows: int, d: int) -> None:
+    """Write a --bound check's sample file; the same bytes on every run."""
     rng = random.Random(20140917)
-    lines = ["x_1,x_2,f,u_1,u_2"]
-    for _ in range(BOUND_SAMPLE_SIZE):
-        x1, x2 = rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)
-        f = math.sin((math.pi / 2) * (x1 + x2))
-        lines.append(",".join(repr(v) for v in (x1, x2, f, -x1, -x2)))
+    names = [f"x_{j + 1}" for j in range(d)] + ["f"] + [f"u_{j + 1}" for j in range(d)]
+    lines = [",".join(names)]
+    for _ in range(rows):
+        x = [rng.gauss(0.0, 1.0) for _ in range(d)]
+        f = math.sin((math.pi / d) * sum(x))
+        lines.append(",".join(repr(v) for v in (*x, f, *(-v for v in x))))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -121,10 +124,10 @@ def run_bound(checkout: Path, sample: Path) -> bytes:
     ).stdout
 
 
-def check_bound(base: bytes, head: bytes) -> bool:
+def check_bound(sample: str, base: bytes, head: bytes) -> bool:
     """Print whether the two --bound outputs are byte-identical; True if so."""
     same = base == head
-    print(f"bound: cfmc estimate --bound JSON byte-identical: {same}")
+    print(f"bound {sample}: cfmc estimate --bound JSON byte-identical: {same}")
     if not same:
         print(f"  base {base.decode()!r}\n  head {head.decode()!r}")
     return same
@@ -233,10 +236,11 @@ def main(argv=None) -> int:
             head = run_bench(HERE, config, out / study / "head")
             passed = check(study, base / "report.csv", head / "report.csv") and passed
             passed = check_json(study, base / "report.json", head / "report.json") and passed
-        sample = Path(tmp) / "bound_sample.csv"
-        write_bound_sample(sample)
-        outputs = [run_bound(checkout, sample) for checkout in (args.base.resolve(), HERE)]
-        passed = check_bound(*outputs) and passed
+        for rows, d in BOUND_SAMPLES:
+            sample = Path(tmp) / f"bound_n{rows}_d{d}.csv"
+            write_bound_sample(sample, rows, d)
+            outputs = [run_bound(checkout, sample) for checkout in (args.base.resolve(), HERE)]
+            passed = check_bound(sample.stem, *outputs) and passed
     return 0 if passed else 1
 
 
