@@ -41,7 +41,6 @@ from .estimator import (
     cf_weights,
     cross_validate,
     discrepancy,
-    discrepancy_from_matrices,
     fit_surrogate,
     select_lambda,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "cf_weights",
     "cross_validate",
     "discrepancy",
-    "discrepancy_from_matrices",
     "estimate_slope",
     "fit_surrogate",
     "gaussian_problem",

@@ -52,12 +52,6 @@ class ZvFit:
             raise InvalidInputError(f"degree must be 1 or 2, got {self.degree}")
 
 
-def zv_basis_size(dimension: int, degree: int) -> int:
-    if degree == 1:
-        return dimension
-    return dimension + dimension * (dimension + 1) // 2
-
-
 def zv_basis(points: np.ndarray, scores: np.ndarray, degree: int) -> np.ndarray:
     """Mean-zero basis columns psi_P = laplacian P + grad P . u per monomial P.
 

@@ -17,8 +17,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
-import sys
 import warnings
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -28,11 +26,12 @@ import numpy as np
 
 from . import baselines
 from .data import ScoredDataset, _split_size, random_split
-from .errors import CfmcError, InvalidInputError
+from .errors import CfmcError, InvalidInputError, _bad, _count, _fraction
 from .estimator import (
     _CV_TRAIN_FRACTION,
     Estimate,
     _GramRows,
+    _lambda_value,
     cf_multisplit_estimate,
     cf_simplified_estimate,
     cf_split_estimate,
@@ -66,11 +65,10 @@ class MethodSpec:
     def __post_init__(self):
         if not (isinstance(self.method, str) and self.method in METHODS):
             raise _bad("method", f"one of {', '.join(METHODS)}", self.method)
-        for name in ("alpha1", "alpha2"):
-            object.__setattr__(self, name, _alpha(name, getattr(self, name)))
-        lam, what = self.lambda_, "'auto' (None) or a non-negative finite number"
-        if lam is not None:
-            object.__setattr__(self, "lambda_", _real("lambda", lam, lambda x: x >= 0, what))
+        params = SteinKernelParams(self.alpha1, self.alpha2)
+        object.__setattr__(self, "alpha1", params.alpha1)
+        object.__setattr__(self, "alpha2", params.alpha2)
+        object.__setattr__(self, "lambda_", _lambda_value(self.lambda_))
         if self.cv_grid is not None:
             grid = _items("cv_grid", self.cv_grid)
             if not grid or not all(isinstance(p, SteinKernelParams) for p in grid):
@@ -125,41 +123,6 @@ class ExperimentConfig:
         object.__setattr__(self, "split_fraction", fraction)
 
 
-def _bad(key: str, what: str, value) -> InvalidInputError:
-    """The error for the setting ``key`` holding ``value``, not ``what``; it
-    opens with ``key``, which :func:`load_config` prefixes with its path."""
-    return InvalidInputError(f"{key} must be {what}, got {value!r}")
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _real(key: str, value, accept, what: str) -> float:
-    """``value`` as a float: a finite number, not a boolean, that ``accept``
-    holds for."""
-    if not (_is_number(value) and abs(value) <= sys.float_info.max and accept(value)):
-        raise _bad(key, what, value)
-    return float(value)
-
-
-def _alpha(key: str, value) -> float:
-    return _real(key, value, lambda x: x > 0.0, "a positive finite number")
-
-
-def _fraction(key: str, value) -> float:
-    return _real(key, value, lambda x: 0.0 < x < 1.0, "a number strictly between 0 and 1")
-
-
-def _count(key: str, value, minimum: int) -> int:
-    """``value`` as an int of at least ``minimum``: an integral number, not a
-    boolean (an integral float such as ``20.0`` is taken as ``20``)."""
-    if _is_number(value) and (isinstance(value, numbers.Integral) or float(value).is_integer()):
-        if value >= minimum:
-            return int(value)
-    raise _bad(key, f"an integer >= {minimum}", value)
-
-
 def _items(key: str, value) -> tuple:
     """``value`` as a tuple; errors name the setting ``key``."""
     try:
@@ -173,10 +136,10 @@ def _kernel_grid(value) -> tuple[SteinKernelParams, ...]:
     pairs = _items("cv_grid", value)
     if not all(isinstance(pair, list) and len(pair) == 2 for pair in pairs):
         raise _bad("cv_grid", "a list of [alpha1, alpha2] pairs", value)
-    return tuple(
-        SteinKernelParams(_alpha("cv_grid alpha1", a1), _alpha("cv_grid alpha2", a2))
-        for a1, a2 in pairs
-    )
+    try:
+        return tuple(SteinKernelParams(a1, a2) for a1, a2 in pairs)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"cv_grid {exc}") from None
 
 
 def _method(index: int, entry) -> MethodSpec:

@@ -19,6 +19,7 @@ import json
 import math
 import re
 import sys
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -33,35 +34,22 @@ from .errors import (
     InvalidInputError,
     NumericalError,
     SingularMatrixError,
+    _count,
+    _fraction,
+    _real,
 )
 from .estimator import Estimate
 from .kernel import SteinKernelParams
 from .targets import gaussian_problem, mixture_problem
 
 
-def _finite_float(accept, what: str):
-    """An argparse type for finite numbers that ``accept`` holds for, ``what``
-    naming them in the error."""
-
-    def parse(text: str) -> float:
-        try:
-            value = float(text)
-        except ValueError:
-            value = math.nan
-        if not (math.isfinite(value) and accept(value)):
-            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
-        return value
-
-    return parse
-
-
-_non_negative_float = _finite_float(lambda value: value >= 0, "a non-negative finite number")
-_positive_float = _finite_float(lambda value: value > 0, "a positive finite number")
-_open_fraction = _finite_float(lambda value: 0 < value < 1, "a number strictly between 0 and 1")
-
-
 def _lambda_arg(text: str):
-    return None if text == "auto" else _non_negative_float(text)
+    if text == "auto":
+        return None
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be auto or a number, got {text!r}") from None
 
 
 def _int_at_least(minimum: int):
@@ -75,6 +63,29 @@ def _int_at_least(minimum: int):
         return value
 
     return parse
+
+
+# The flags whose names differ from the keys that open their errors.
+_FLAGS = {"split_fraction": "split-fraction", "n_splits": "splits"}
+
+
+def _settings(args, parser: argparse.ArgumentParser):
+    """The kernel of ``diagnose`` or the method of ``estimate``, built from
+    the number flags, which the library's rules judge: those of
+    ``SteinKernelParams``, ``MethodSpec`` and the run settings, and for
+    ``--fnorm`` a non-negative finite number.  A value they refuse is a
+    usage error that names its flag."""
+    try:
+        if args.command == "diagnose":
+            return SteinKernelParams(args.alpha1, args.alpha2)
+        _fraction("split_fraction", args.split_fraction)
+        _count("n_splits", args.splits, 1)
+        if args.fnorm is not None:
+            _real("fnorm", args.fnorm, lambda x: x >= 0.0, "a non-negative finite number")
+        return bench_mod.MethodSpec(args.method, args.alpha1, args.alpha2, args.lambda_)
+    except InvalidInputError as exc:
+        key = str(exc).split(" ", 1)[0]
+        parser.error(f"argument --{_FLAGS.get(key, key)}: {exc}")
 
 
 def _load_cv_grid(path) -> tuple[SteinKernelParams, ...]:
@@ -124,12 +135,10 @@ def _print_estimate(est: Estimate, args, radius: float | None) -> None:
         print(f"{key} = {value}")
 
 
-def cmd_estimate(args) -> int:
+def cmd_estimate(args, spec) -> int:
     data = read_sample_file(args.input)
-    spec = bench_mod.MethodSpec(
-        method=args.method, alpha1=args.alpha1, alpha2=args.alpha2, lambda_=args.lambda_,
-        cv_grid=_load_cv_grid(args.cv_grid) if args.cv_grid else None,
-    )
+    if args.cv_grid:
+        spec = replace(spec, cv_grid=_load_cv_grid(args.cv_grid))
     est = bench_mod.run_estimator(
         spec, data, split_seed=args.seed, cv_seed=args.seed + 1,
         split_fraction=args.split_fraction, n_splits=args.splits, compute_discrepancy=args.bound,
@@ -185,13 +194,12 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def cmd_diagnose(args, parser: argparse.ArgumentParser) -> int:
+def cmd_diagnose(args, params, parser: argparse.ArgumentParser) -> int:
     problem = _builtin_target(args.target)
     if problem is None:
         parser.error(
             f"unknown target {args.target!r}; use gaussian-d<k> or bimodal-mixture"
         )
-    params = SteinKernelParams(alpha1=args.alpha1, alpha2=args.alpha2)
     print(f"target = {problem.name}")
     print(f"alpha1 = {params.alpha1}")
     print(f"alpha2 = {params.alpha2}")
@@ -227,18 +235,18 @@ def build_parser() -> argparse.ArgumentParser:
         default="cf-simplified",
     )
     spec, config = bench_mod.MethodSpec, bench_mod.ExperimentConfig
-    est.add_argument("--alpha1", type=_positive_float, default=spec.alpha1)
-    est.add_argument("--alpha2", type=_positive_float, default=spec.alpha2)
+    est.add_argument("--alpha1", type=float, default=spec.alpha1)
+    est.add_argument("--alpha2", type=float, default=spec.alpha2)
     est.add_argument("--cv-grid", help="JSON file with [alpha1, alpha2] candidate pairs")
-    est.add_argument("--split-fraction", type=_open_fraction, default=config.split_fraction)
-    est.add_argument("--splits", type=_int_at_least(1), default=config.n_splits)
+    est.add_argument("--split-fraction", type=float, default=config.split_fraction)
+    est.add_argument("--splits", type=int, default=config.n_splits)
     est.add_argument("--seed", type=_int_at_least(0), default=0)
     est.add_argument("--lambda", dest="lambda_", type=_lambda_arg, default=None,
                      metavar="auto|VALUE", help="regularisation (default: auto rule)")
     est.add_argument("--output", choices=("text", "json"), default="text")
     est.add_argument("--bound", action="store_true",
                      help="also report the worst-case error radius sqrt(D)*fnorm")
-    est.add_argument("--fnorm", type=_non_negative_float, default=None,
+    est.add_argument("--fnorm", type=float, default=None,
                      help="hypothesis-space norm of f, required with --bound")
 
     ben = sub.add_parser("bench", help="run a replicated convergence study")
@@ -252,8 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     dia = sub.add_parser("diagnose", help="numerical health checks for a built-in target")
     dia.add_argument("--target", default="gaussian-d1")
-    dia.add_argument("--alpha1", type=_positive_float, default=spec.alpha1)
-    dia.add_argument("--alpha2", type=_positive_float, default=spec.alpha2)
+    dia.add_argument("--alpha1", type=float, default=spec.alpha1)
+    dia.add_argument("--alpha2", type=float, default=spec.alpha2)
     dia.add_argument("--probes", type=_int_at_least(1), default=10)
     dia.add_argument("--sample-size", type=_int_at_least(1), default=1000)
     dia.add_argument("--seed", type=_int_at_least(0), default=0)
@@ -264,6 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    settings = None if args.command == "bench" else _settings(args, parser)
     if args.command == "estimate":
         if args.bound and args.fnorm is None:
             parser.error("--bound requires --fnorm")
@@ -273,10 +282,10 @@ def main(argv=None) -> int:
             parser.error("--fnorm only makes sense together with --bound")
     try:
         if args.command == "estimate":
-            return cmd_estimate(args)
+            return cmd_estimate(args, settings)
         if args.command == "bench":
             return cmd_bench(args)
-        return cmd_diagnose(args, parser)
+        return cmd_diagnose(args, settings, parser)
     except (DataFormatError, InvalidInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataFormatError, InvalidInputError
+from .errors import DataFormatError, InvalidInputError, _bad, _count, _fraction
 
 
 def _as_finite_array(values, name: str, ndim: int) -> np.ndarray:
@@ -134,8 +134,9 @@ def random_split(n: int, m: int, seed, index: int = 0) -> SplitPlan:
     ``index`` selects an independent stream derived from ``seed``, so a family
     of splits (e.g. for multi-splitting) is reproducible and order-free.
     """
-    if not (1 <= m <= n):
-        raise InvalidInputError(f"m={m} must satisfy 1 <= m <= n={n}")
+    m = _count("m", m, 1)
+    if m > n:
+        raise _bad("m", f"at most n={n}", m)
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     stream = np.random.SeedSequence(entropy=seq.entropy, spawn_key=tuple(seq.spawn_key) + (index,))
     rng = np.random.Generator(np.random.Philox(stream))
@@ -146,8 +147,7 @@ def random_split(n: int, m: int, seed, index: int = 0) -> SplitPlan:
 def _split_size(n: int, fraction: float) -> int:
     """|D0| = ceil(fraction * n) of a split of ``n`` samples, which must leave
     both sides non-empty."""
-    if not math.isfinite(fraction):
-        raise InvalidInputError(f"split fraction must be finite, got {fraction}")
+    fraction = _fraction("split_fraction", fraction)
     m = math.ceil(fraction * n)
     if not 1 <= m < n:
         raise InvalidInputError(f"split fraction {fraction} of n={n} gives degenerate m={m}")

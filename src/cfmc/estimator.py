@@ -30,7 +30,9 @@ from scipy.linalg.lapack import dpotrf
 
 from ._lapack import cho_factor, cho_solve
 from .data import ScoredDataset, SplitPlan, _row_indices, _split_size, random_split
-from .errors import InvalidInputError, NumericalError, SingularMatrixError
+from .errors import (
+    InvalidInputError, NumericalError, SingularMatrixError, _count, _fraction, _real,
+)
 from .kernel import SteinKernelParams, _symmetric_gram, gram_matrix, stein_kernel_matrix
 
 # Regularisation grid: powers of 10 from 1e-16 up to 1.
@@ -341,10 +343,16 @@ def _guarded_lambda(k0: np.ndarray) -> float | None:
     return LAMBDA_GRID[first] if first < grid else None
 
 
+def _lambda_value(value) -> float | None:
+    """The regularisation setting ``value``: None for the automatic rule,
+    else a non-negative finite number, returned as a float."""
+    if value is None:
+        return None
+    return _real("lambda", value, lambda x: x >= 0.0, "non-negative and finite, or 'auto' (None)")
+
+
 def _factorise(k0: np.ndarray, lam: float):
     """Cholesky factor of A = k0 + lam*m*I, and z = A^-1 1."""
-    if not (math.isfinite(lam) and lam >= 0.0):
-        raise InvalidInputError(f"lambda must be non-negative and finite, got {lam!r}")
     m = k0.shape[0]
     # A Fortran-ordered copy lets LAPACK factorise it in place; k0 is
     # symmetric, so copying k0' is a straight copy.
@@ -373,7 +381,9 @@ def _fit_coefficients(k0: np.ndarray, f0: np.ndarray, lambda_: float | None):
     whichever way lam is chosen.
     """
     _check_finite(k0)
-    lam = _lambda_search(k0) if lambda_ is None else float(lambda_)
+    lam = _lambda_value(lambda_)
+    if lam is None:
+        lam = _lambda_search(k0)
     chol, z = _factorise(k0, lam)
     ones = np.ones(k0.shape[0])
     y = cho_solve(chol, f0)
@@ -399,7 +409,17 @@ def _split_solve(chol, z: np.ndarray, k10: np.ndarray):
 
 
 def _discrepancy_from_factor(chol, z: np.ndarray, k10: np.ndarray, k1: np.ndarray) -> float:
-    """D(D0, D1) of :func:`discrepancy_from_matrices` from an existing factor."""
+    """Worst-case error constant D(D0, D1) from the factor ``chol`` of
+    A = K0 + lam*m*I, z = A^-1 1 and the blocks K10 and K1:
+
+        D = [ (1'K10 A^-1 1)^2 / (1 + 1'A^-1 1) - 1'K10 A^-1 K01 1 + 1'K1 1 ]
+            / (n - m)^2,
+
+    which equals (1'w - 1)^2 + w'Kw for the estimator weight vector w and the
+    full Gram matrix K, i.e. the squared worst-case estimation error over the
+    unit ball of the hypothesis space.  For a kernel with k0(x, x) = 1 and no
+    off-diagonal mass it reduces to 1/(n - m).
+    """
     n_minus_m = k10.shape[0]
     g, h, s, q = _split_solve(chol, z, k10)
     ones_eval = np.ones(n_minus_m)
@@ -441,10 +461,6 @@ class RkhsFunction:
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "center_scores", center_scores)
         object.__setattr__(self, "gamma", gamma)
-
-    @property
-    def exact_mean(self) -> float:
-        return self.c
 
     def evaluate(self, points, scores) -> np.ndarray:
         """Values of f at the given points (scores must match the points)."""
@@ -691,8 +707,7 @@ def cf_multisplit_estimate(
     ``params`` (a bench cell's dataset), that Gram is the view's; otherwise
     the call wraps ``data`` in a view of its own that shares ``params``.
     """
-    if n_splits < 1:
-        raise InvalidInputError(f"n_splits must be >= 1, got {n_splits}")
+    n_splits = _count("n_splits", n_splits, 1)
     if n_splits >= 2 and not (isinstance(data, _GramRows) and params in data.shared):
         data = _GramRows(data, (params,))
     n = data.n
@@ -713,38 +728,6 @@ def cf_multisplit_estimate(
         lambda_used=lam_used,
         n_splits=n_splits,
     )
-
-
-def discrepancy_from_matrices(
-    k0: np.ndarray, k10: np.ndarray, k1: np.ndarray, lambda_: float = 0.0
-) -> float:
-    """Worst-case error constant D(D0, D1) from pre-computed kernel blocks.
-
-    With A = K0 + lam*m*I,
-
-        D = [ (1'K10 A^-1 1)^2 / (1 + 1'A^-1 1) - 1'K10 A^-1 K01 1 + 1'K1 1 ]
-            / (n - m)^2,
-
-    which equals (1'w - 1)^2 + w'Kw for the estimator weight vector w and the
-    full Gram matrix K, i.e. the squared worst-case estimation error over the
-    unit ball of the hypothesis space.  For a kernel with k0(x, x) = 1 and no
-    off-diagonal mass it reduces to 1/(n - m).  Only the lower triangle of
-    ``k0`` is read.
-    """
-    k0 = np.asarray(k0, dtype=float)
-    k10 = np.asarray(k10, dtype=float)
-    k1 = np.asarray(k1, dtype=float)
-    if k10.shape[0] < 1:
-        raise InvalidInputError("discrepancy requires at least one evaluation sample")
-    m, p = k0.shape[0], k10.shape[0]
-    if k0.shape != (m, m) or k10.shape != (p, m) or k1.shape != (p, p):
-        raise InvalidInputError(
-            f"blocks must be m x m, (n-m) x m and (n-m) x (n-m), got shapes "
-            f"{k0.shape}, {k10.shape} and {k1.shape}"
-        )
-    _check_finite(k0)
-    chol, z = _factorise(_lower_symmetric(k0), lambda_)
-    return _discrepancy_from_factor(chol, z, k10, k1)
 
 
 def discrepancy(
@@ -789,8 +772,7 @@ def cross_validate(
     grid = list(grid)
     if not grid:
         raise InvalidInputError("grid must contain at least one candidate")
-    if not 0.0 < train_fraction < 1.0:
-        raise InvalidInputError(f"train_fraction must lie in (0, 1), got {train_fraction}")
+    train_fraction = _fraction("train_fraction", train_fraction)
     m = d0.n
     m_train = math.ceil(train_fraction * m)
     if m_train < 2 or m - m_train < 1:

@@ -21,14 +21,12 @@ of them against central finite differences.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import ScoredDataset
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _real
 
 
 @dataclass(frozen=True)
@@ -37,7 +35,7 @@ class SteinKernelParams:
 
     ``alpha1`` is the dimensionless prefactor weight; ``alpha2`` is the
     length-scale, in the same units as the sample coordinates.  Both must be
-    strictly positive.
+    positive finite numbers (not booleans); they are stored as floats.
     """
 
     alpha1: float
@@ -45,20 +43,8 @@ class SteinKernelParams:
 
     def __post_init__(self):
         for name in ("alpha1", "alpha2"):
-            value = getattr(self, name)
-            if not _positive_finite(value):
-                raise InvalidInputError(f"{name} must be a positive finite real, got {value!r}")
-
-
-def _positive_finite(value) -> bool:
-    """Whether ``value`` is a number, not a boolean, that is positive and
-    finite as a float."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
-        return False
-    try:
-        return 0.0 < float(value) < math.inf
-    except OverflowError:  # an int beyond the float range
-        return False
+            value = _real(name, getattr(self, name), lambda x: x > 0.0, "a positive finite number")
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)

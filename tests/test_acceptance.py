@@ -18,12 +18,12 @@ from cfmc import (
     cf_split_estimate,
     cf_weights,
     discrepancy,
-    discrepancy_from_matrices,
     gaussian_problem,
     gram_matrix,
     stein_kernel_matrix,
     zv_estimate,
 )
+from cfmc import estimator
 from cfmc.bench import (
     ExperimentConfig,
     MethodSpec,
@@ -293,8 +293,9 @@ def test_criterion_09_discrepancy_specialisation():
     ok = True
     details = []
     for m, n_minus_m in [(5, 5), (8, 4), (3, 9)]:
-        value = discrepancy_from_matrices(
-            np.eye(m), np.zeros((n_minus_m, m)), np.eye(n_minus_m), lambda_=0.0
+        chol, z = estimator._factorise(np.eye(m), 0.0)
+        value = estimator._discrepancy_from_factor(
+            chol, z, np.zeros((n_minus_m, m)), np.eye(n_minus_m)
         )
         ok = ok and value == 1.0 / n_minus_m
         details.append(f"m={m},n-m={n_minus_m}: D={value!r}")
