@@ -7,7 +7,7 @@ n^(-1/2), together with computable worst-case error bounds and standard
 baselines for comparison.
 """
 
-from .baselines import ZvFit, arithmetic_mean, riemann_1d, zv_estimate
+from .baselines import arithmetic_mean, riemann_1d, zv_estimate
 from .bench import (
     ConvergenceReport,
     ExperimentConfig,
@@ -74,7 +74,6 @@ __all__ = [
     "SplitPlan",
     "SteinKernelParams",
     "TargetProblem",
-    "ZvFit",
     "arithmetic_mean",
     "base_kernel",
     "base_kernel_derivatives",

@@ -13,8 +13,6 @@ the normalised density.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .data import ScoredDataset
@@ -32,24 +30,6 @@ def arithmetic_mean(f_values) -> float:
     if not np.all(np.isfinite(f)):
         raise InvalidInputError("f_values contains non-finite entries")
     return float(np.mean(f))
-
-
-@dataclass(frozen=True)
-class ZvFit:
-    """Fitted polynomial control-variate coefficients.
-
-    Degree 1 has d coefficients (one per linear monomial); degree 2 adds
-    d(d+1)/2 more for the squares and cross terms.  ``basis`` holds the
-    :func:`zv_basis` columns of the sample the fit was made on.
-    """
-
-    degree: int
-    coefficients: np.ndarray
-    basis: np.ndarray
-
-    def __post_init__(self):
-        if self.degree not in (1, 2):
-            raise InvalidInputError(f"degree must be 1 or 2, got {self.degree}")
 
 
 def zv_basis(points: np.ndarray, scores: np.ndarray, degree: int) -> np.ndarray:
@@ -73,13 +53,12 @@ def zv_basis(points: np.ndarray, scores: np.ndarray, degree: int) -> np.ndarray:
     return np.column_stack(columns)
 
 
-def fit_zv(data: ScoredDataset, degree: int) -> ZvFit:
-    """Least-squares control-variate coefficients on the full sample.
-
-    Regresses the centred integrand on the centred basis (equivalent to OLS
-    with an intercept).  Degenerate basis columns, e.g. a score that is
-    identically zero, get zero coefficients via the minimum-norm solution.
-    """
+def zv_estimate(data: ScoredDataset, degree: int) -> Estimate:
+    """Polynomial control-variate estimate: mean of f minus the fitted
+    combination of the mean-zero :func:`zv_basis` columns, whose coefficients
+    regress the centred f on the centred columns (OLS with an intercept).
+    Degenerate columns, e.g. an identically zero score, get zero
+    coefficients via the minimum-norm solution."""
     basis = zv_basis(data.points, data.scores, degree)
     n, p = basis.shape
     if n <= p:
@@ -87,19 +66,10 @@ def fit_zv(data: ScoredDataset, degree: int) -> ZvFit:
             f"regression needs more samples than basis functions (n={n}, basis={p}); "
             "use a lower degree"
         )
-    centred_basis = basis - basis.mean(axis=0)
     centred_f = data.f_values - data.f_values.mean()
-    coef, *_ = np.linalg.lstsq(centred_basis, centred_f, rcond=None)
-    return ZvFit(degree=degree, coefficients=coef, basis=basis)
-
-
-def zv_estimate(data: ScoredDataset, degree: int) -> Estimate:
-    """Polynomial control-variate estimate: mean of f minus the fitted
-    mean-zero combination."""
-    fit = fit_zv(data, degree)
-    value = float(np.mean(data.f_values - fit.basis @ fit.coefficients))
+    coef, *_ = np.linalg.lstsq(basis - basis.mean(axis=0), centred_f, rcond=None)
     return Estimate(
-        value=value,
+        value=float(np.mean(data.f_values - basis @ coef)),
         method=f"zv{degree}",
         n=data.n,
         m=data.n,

@@ -34,6 +34,7 @@ from .errors import (
     InvalidInputError,
     NumericalError,
     SingularMatrixError,
+    _bad,
     _count,
     _fraction,
     _real,
@@ -52,40 +53,43 @@ def _lambda_arg(text: str):
         raise argparse.ArgumentTypeError(f"must be auto or a number, got {text!r}") from None
 
 
-def _int_at_least(minimum: int):
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            value = minimum - 1
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {text!r}")
-        return value
-
-    return parse
+# A refused flag is named by the key that opens its error, dashes stripped
+# and underscores read as dashes; these keys name other flags.
+_FLAGS = {"n_splits": "splits"}
 
 
-# The flags whose names differ from the keys that open their errors.
-_FLAGS = {"split_fraction": "split-fraction", "n_splits": "splits"}
-
-
-def _settings(args, parser: argparse.ArgumentParser):
-    """The kernel of ``diagnose`` or the method of ``estimate``, built from
-    the number flags, which the library's rules judge: those of
-    ``SteinKernelParams``, ``MethodSpec`` and the run settings, and for
-    ``--fnorm`` a non-negative finite number.  A value they refuse is a
-    usage error that names its flag."""
-    try:
-        if args.command == "diagnose":
-            return SteinKernelParams(args.alpha1, args.alpha2)
-        _fraction("split_fraction", args.split_fraction)
-        _count("n_splits", args.splits, 1)
-        if args.fnorm is not None:
-            _real("fnorm", args.fnorm, lambda x: x >= 0.0, "a non-negative finite number")
-        return bench_mod.MethodSpec(args.method, args.alpha1, args.alpha2, args.lambda_)
-    except InvalidInputError as exc:
-        key = str(exc).split(" ", 1)[0]
-        parser.error(f"argument --{_FLAGS.get(key, key)}: {exc}")
+def _settings(args):
+    """The arguments after ``args`` of the subcommand's ``cmd_*`` function,
+    once every flag value is judged: the method of ``estimate``, the target
+    and kernel of ``diagnose``, nothing for ``bench``.  The
+    library's rules judge the numbers (those of ``SteinKernelParams``,
+    ``MethodSpec`` and the run settings, ``_count`` for the integer flags,
+    and for ``--fnorm`` a non-negative finite number); a refused value raises
+    an ``InvalidInputError`` whose message opens with the flag's key."""
+    if args.command == "bench":
+        _count("threads", args.threads, 1)
+        return ()
+    _count("seed", args.seed, 0)
+    if args.command == "diagnose":
+        _count("probes", args.probes, 1)
+        _count("sample_size", args.sample_size, 1)
+        params = SteinKernelParams(args.alpha1, args.alpha2)
+        problem = _builtin_target(args.target)
+        if problem is None:
+            raise _bad("target", "gaussian-d<k> or bimodal-mixture", args.target)
+        return problem, params
+    _fraction("split_fraction", args.split_fraction)
+    _count("n_splits", args.splits, 1)
+    if args.fnorm is not None:
+        _real("fnorm", args.fnorm, lambda x: x >= 0.0, "a non-negative finite number")
+    spec = bench_mod.MethodSpec(args.method, args.alpha1, args.alpha2, args.lambda_)
+    if args.bound and args.fnorm is None:
+        raise InvalidInputError("--bound requires --fnorm")
+    if args.bound and args.method != "cf-split":
+        raise InvalidInputError("--bound is only available with --method cf-split")
+    if args.fnorm is not None and not args.bound:
+        raise InvalidInputError("--fnorm only makes sense together with --bound")
+    return (spec,)
 
 
 def _load_cv_grid(path) -> tuple[SteinKernelParams, ...]:
@@ -101,7 +105,7 @@ def _load_cv_grid(path) -> tuple[SteinKernelParams, ...]:
 
 
 def _builtin_target(name: str):
-    match = re.fullmatch(r"gaussian-d(\d+)", name)
+    match = re.fullmatch(r"gaussian-d([1-9]\d*)", name)
     if match:
         return gaussian_problem(int(match.group(1)))
     if name == "bimodal-mixture":
@@ -194,12 +198,7 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def cmd_diagnose(args, params, parser: argparse.ArgumentParser) -> int:
-    problem = _builtin_target(args.target)
-    if problem is None:
-        parser.error(
-            f"unknown target {args.target!r}; use gaussian-d<k> or bimodal-mixture"
-        )
+def cmd_diagnose(args, problem, params) -> int:
     print(f"target = {problem.name}")
     print(f"alpha1 = {params.alpha1}")
     print(f"alpha2 = {params.alpha2}")
@@ -228,6 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     est = sub.add_parser("estimate", help="estimate an expectation from a sample file")
+    est.set_defaults(parser=est, run=cmd_estimate)
     est.add_argument("input", help="sample file with columns x_1..x_d, f, u_1..u_d")
     est.add_argument(
         "--method",
@@ -240,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--cv-grid", help="JSON file with [alpha1, alpha2] candidate pairs")
     est.add_argument("--split-fraction", type=float, default=config.split_fraction)
     est.add_argument("--splits", type=int, default=config.n_splits)
-    est.add_argument("--seed", type=_int_at_least(0), default=0)
+    est.add_argument("--seed", type=int, default=0)
     est.add_argument("--lambda", dest="lambda_", type=_lambda_arg, default=None,
                      metavar="auto|VALUE", help="regularisation (default: auto rule)")
     est.add_argument("--output", choices=("text", "json"), default="text")
@@ -250,42 +250,36 @@ def build_parser() -> argparse.ArgumentParser:
                      help="hypothesis-space norm of f, required with --bound")
 
     ben = sub.add_parser("bench", help="run a replicated convergence study")
+    ben.set_defaults(parser=ben, run=cmd_bench)
     ben.add_argument("config", help="config file path or bundled name (e.g. paper_d1)")
     ben.add_argument("--out-dir", default="bench_out")
-    ben.add_argument("--threads", type=_int_at_least(1), default=1)
+    ben.add_argument("--threads", type=int, default=1)
     ben.add_argument("--dry-run", action="store_true",
                      help="validate the config and print the cell count only")
     ben.add_argument("--emit-samples", metavar="DIR", default=None,
                      help="also write every replication's dataset as a sample file")
 
     dia = sub.add_parser("diagnose", help="numerical health checks for a built-in target")
+    dia.set_defaults(parser=dia, run=cmd_diagnose)
     dia.add_argument("--target", default="gaussian-d1")
     dia.add_argument("--alpha1", type=float, default=spec.alpha1)
     dia.add_argument("--alpha2", type=float, default=spec.alpha2)
-    dia.add_argument("--probes", type=_int_at_least(1), default=10)
-    dia.add_argument("--sample-size", type=_int_at_least(1), default=1000)
-    dia.add_argument("--seed", type=_int_at_least(0), default=0)
+    dia.add_argument("--probes", type=int, default=10)
+    dia.add_argument("--sample-size", type=int, default=1000)
+    dia.add_argument("--seed", type=int, default=0)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    settings = None if args.command == "bench" else _settings(args, parser)
-    if args.command == "estimate":
-        if args.bound and args.fnorm is None:
-            parser.error("--bound requires --fnorm")
-        if args.bound and args.method != "cf-split":
-            parser.error("--bound is only available with --method cf-split")
-        if args.fnorm is not None and not args.bound:
-            parser.error("--fnorm only makes sense together with --bound")
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "estimate":
-            return cmd_estimate(args, settings)
-        if args.command == "bench":
-            return cmd_bench(args)
-        return cmd_diagnose(args, settings, parser)
+        settings = _settings(args)
+    except InvalidInputError as exc:
+        key = str(exc).split(" ", 1)[0].lstrip("-")
+        args.parser.error(f"argument --{_FLAGS.get(key, key.replace('_', '-'))}: {exc}")
+    try:
+        return args.run(args, *settings)
     except (DataFormatError, InvalidInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -28,12 +28,13 @@ import numpy as np
 from scipy.linalg.blas import dgemm
 from scipy.linalg.lapack import dpotrf
 
+from . import kernel
 from ._lapack import cho_factor, cho_solve
 from .data import ScoredDataset, SplitPlan, _row_indices, _split_size, random_split
 from .errors import (
     InvalidInputError, NumericalError, SingularMatrixError, _count, _fraction, _real,
 )
-from .kernel import SteinKernelParams, _symmetric_gram, gram_matrix, stein_kernel_matrix
+from .kernel import SteinKernelParams, gram_matrix, stein_kernel_matrix
 
 # Regularisation grid: powers of 10 from 1e-16 up to 1.
 LAMBDA_GRID = tuple(10.0**k for k in range(-16, 1))
@@ -472,7 +473,8 @@ class RkhsFunction:
 
     def norm_hplus(self) -> float:
         """Hypothesis-space norm sqrt(c^2 + gamma' K0 gamma)."""
-        k0 = _symmetric_gram(self.centers, self.center_scores, self.params)
+        x, u = self.centers, self.center_scores
+        k0 = kernel._assemble(x, u, x, u, self.params, upper=True)
         quad = float(self.gamma @ k0 @ self.gamma)
         return math.sqrt(self.c**2 + max(quad, 0.0))
 

@@ -311,13 +311,7 @@ def stein_kernel_diag(x, u_x, params: SteinKernelParams) -> np.ndarray:
     return k * (div_part - 4.0 * a1 * ux_x / pref + np.sum(u_x * u_x, axis=1))
 
 
-def _symmetric_gram(x, u_x, params: SteinKernelParams) -> np.ndarray:
-    """Stein-kernel Gram matrix of one point set, exactly symmetric: only
-    its upper triangle is evaluated."""
-    x, u_x, _, _ = _check_sets(x, u_x, x, u_x)
-    return _assemble(x, u_x, x, u_x, params, upper=True)
-
-
 def gram_matrix(data: ScoredDataset, params: SteinKernelParams) -> np.ndarray:
-    """Stein-kernel Gram matrix of a dataset, exactly symmetric."""
-    return _symmetric_gram(data.points, data.scores, params)
+    """Stein-kernel Gram matrix of a dataset, exactly symmetric: only its
+    upper triangle is evaluated."""
+    return _assemble(data.points, data.scores, data.points, data.scores, params, upper=True)

@@ -24,9 +24,10 @@ class TargetProblem:
     ``score`` and ``integrand`` are vectorised over (n, d) point arrays.
     ``true_mean`` is the analytic expectation of the integrand when known;
     ``None`` marks problems whose ground truth must come from
-    :func:`oracle_mean`.  ``normalised_density`` (d = 1 only) and
-    ``log_density`` exist for oracles, the Riemann baseline and diagnostics,
-    never for estimation.
+    :func:`oracle_mean`.  ``normalised_density`` takes one point as a (d,)
+    array (at d = 1 also a vector of points), and it and ``log_density``
+    exist for oracles, the Riemann baseline and diagnostics, never for
+    estimation.
     """
 
     name: str
@@ -161,9 +162,9 @@ def oracle_mean(problem: TargetProblem, tol: float = 1e-10) -> float:
     """Ground-truth mean of the problem's integrand, to absolute tolerance tol.
 
     Returns the analytic mean when the problem carries one; otherwise falls
-    back to adaptive quadrature, supported for d <= 2 with a normalised
-    density.  Higher dimensions without an analytic mean are refused rather
-    than silently mis-integrated.
+    back to adaptive quadrature (one ``nquad`` over R^d), supported for
+    d <= 2 with a normalised density.  Higher dimensions without an analytic
+    mean are refused rather than silently mis-integrated.
     """
     if problem.true_mean is not None:
         return float(problem.true_mean)
@@ -171,37 +172,22 @@ def oracle_mean(problem: TargetProblem, tol: float = 1e-10) -> float:
         raise InvalidInputError(
             f"problem {problem.name!r} has neither an analytic mean nor a density"
         )
-    if problem.dimension == 1:
-
-        def integrand(x):
-            return float(
-                problem.integrand(np.array([[x]]))[0] * problem.normalised_density(x)
-            )
-
-        value, err = integrate.quad(
-            integrand, -np.inf, np.inf, epsabs=tol / 10.0, epsrel=1e-12, limit=400
+    if problem.dimension > 2:
+        raise InvalidInputError(
+            f"oracle mean unsupported for d={problem.dimension} without an analytic mean"
         )
-        if err > tol:
-            raise InvalidInputError(
-                f"quadrature error estimate {err} exceeds requested tolerance {tol}"
-            )
-        return float(value)
-    if problem.dimension == 2:
 
-        def integrand2(y, x):
-            return float(
-                problem.integrand(np.array([[x, y]]))[0]
-                * problem.normalised_density(np.array([x, y]))
-            )
+    def integrand(*x):
+        point = np.array([x])
+        density = problem.normalised_density(point[0])
+        return float(problem.integrand(point)[0] * np.reshape(density, ()))
 
-        value, err = integrate.dblquad(
-            integrand2, -np.inf, np.inf, -np.inf, np.inf, epsabs=tol / 10.0
-        )
-        if err > tol:
-            raise InvalidInputError(
-                f"quadrature error estimate {err} exceeds requested tolerance {tol}"
-            )
-        return float(value)
-    raise InvalidInputError(
-        f"oracle mean unsupported for d={problem.dimension} without an analytic mean"
+    value, err = integrate.nquad(
+        integrand, [(-np.inf, np.inf)] * problem.dimension,
+        opts={"epsabs": tol / 10.0, "epsrel": 1e-12, "limit": 400},
     )
+    if err > tol:
+        raise InvalidInputError(
+            f"quadrature error estimate {err} exceeds requested tolerance {tol}"
+        )
+    return float(value)

@@ -657,3 +657,30 @@ def test_parser_defaults_are_the_dataclass_defaults():
     assert estimate.splits == ExperimentConfig.n_splits
     train_fraction = inspect.signature(cross_validate).parameters["train_fraction"]
     assert train_fraction.default == MethodSpec.cv_train_fraction
+
+
+@pytest.mark.parametrize(
+    "command, args, flag",
+    [
+        ("estimate", ("--alpha1", "-1"), "--alpha1"),
+        ("estimate", ("--lambda", "-1"), "--lambda"),
+        ("estimate", ("--split-fraction", "1.5"), "--split-fraction"),
+        ("estimate", ("--splits", "0"), "--splits"),
+        ("estimate", ("--seed", "-1"), "--seed"),
+        ("estimate", ("--bound",), "--bound"),
+        ("estimate", ("--fnorm", "1"), "--fnorm"),
+        ("estimate", ("--method", "cf-simplified", "--bound", "--fnorm", "1"), "--bound"),
+        ("bench", ("paper_d1", "--dry-run", "--threads", "0"), "--threads"),
+        ("diagnose", ("--alpha2", "0"), "--alpha2"),
+        ("diagnose", ("--probes", "0"), "--probes"),
+        ("diagnose", ("--target", "nope"), "--target"),
+        ("diagnose", ("--target", "gaussian-d0"), "--target"),
+    ],
+)
+def test_refused_flag_prints_the_subcommand_usage(sin_gaussian_file, command, args, flag):
+    # A value refused after parsing reads like one argparse refuses itself.
+    inputs = (str(sin_gaussian_file),) if command == "estimate" else ()
+    result = run_cli(command, *inputs, *args)
+    assert result.returncode == 2
+    assert f"argument {flag}" in result.stderr
+    assert result.stderr.startswith(f"usage: cfmc {command}")

@@ -24,6 +24,7 @@ from cfmc import (
     discrepancy,
     fit_surrogate,
     gram_matrix,
+    mixture_problem,
     random_split,
     select_lambda,
     stein_kernel,
@@ -1221,21 +1222,31 @@ class TestRkhsFunction:
             )
 
 
+# Two well-separated modes, d = 1: samples whose analytic scores are large
+# between the modes.
+BIMODAL = mixture_problem(weights=[0.5, 0.5], means=[-2.0, 2.0], scales=[0.5, 0.5])
+
+
 @st.composite
 def split_instances(draw, repeats=True):
-    """A random split of a standard-Gaussian sample: n in [3, 30], d in {1, 2}.
-    With ``repeats``, some samples are MCMC-shaped: their n rows repeat a few
+    """A random split of a sample, n in [3, 30]: standard-Gaussian points in
+    d in {1, 2}, or draws of ``BIMODAL`` with its scores and f(x) = x.  With
+    ``repeats``, some samples are MCMC-shaped: their n rows repeat a few
     states, as a chain's rejected moves do."""
     n = draw(st.integers(3, 30))
     m = draw(st.integers(1, n - 1))
-    d = draw(st.sampled_from((1, 2)))
+    bimodal = draw(st.booleans())
+    d = 1 if bimodal else draw(st.sampled_from((1, 2)))
     states = draw(st.none() | st.integers(1, n - 1)) if repeats else None
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
-    points = rng.standard_normal((n, d))
+    points = BIMODAL.sampler(rng, n) if bimodal else rng.standard_normal((n, d))
     if states is not None:
         points = points[rng.integers(states, size=n)]
-    data = ScoredDataset(points, -points, np.sin((np.pi / d) * points.sum(axis=1)))
+    if bimodal:
+        data = ScoredDataset(points, BIMODAL.score(points), BIMODAL.integrand(points))
+    else:
+        data = ScoredDataset(points, -points, np.sin((np.pi / d) * points.sum(axis=1)))
     return data, random_split(n, m, seed=seed)
 
 

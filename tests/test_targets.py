@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import integrate
 
 from cfmc import InvalidInputError, TargetProblem, gaussian_problem, mixture_problem, oracle_mean
 
@@ -143,6 +144,31 @@ class TestOracleMean:
             log_density=base.log_density,
         )
         assert oracle_mean(problem, tol=1e-10) == pytest.approx(1.0, abs=1e-10)
+
+    def test_two_dimensional_second_moment(self):
+        # E[x_1^2] = 1 under N(0, I_2), to the default tolerance of 1e-10.
+        base = gaussian_problem(2)
+        problem = TargetProblem(
+            name="x1-squared-d2",
+            dimension=2,
+            score=base.score,
+            sampler=base.sampler,
+            integrand=lambda pts: np.atleast_2d(pts)[:, 0] ** 2,
+            true_mean=None,
+            normalised_density=lambda x: np.exp(-0.5 * np.sum(x * x)) / (2.0 * np.pi),
+        )
+        assert oracle_mean(problem) == pytest.approx(1.0, abs=1e-10)
+
+    def test_one_dimensional_oracle_is_plain_quad(self):
+        problem = mixture_problem(weights=[0.3, 0.7], means=[-1.0, 2.0], scales=[0.5, 1.2])
+
+        def integrand(x):
+            return float(problem.integrand(np.array([[x]]))[0] * problem.normalised_density(x))
+
+        direct, _ = integrate.quad(
+            integrand, -np.inf, np.inf, epsabs=1e-11, epsrel=1e-12, limit=400
+        )
+        assert oracle_mean(problem, tol=1e-10) == direct
 
     def test_unsupported_dimension_rejected(self):
         base = gaussian_problem(3)

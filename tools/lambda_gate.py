@@ -1,6 +1,6 @@
 """Output gate: the ``lambda_used`` column of three studies must not change,
-no estimate may move by more than 1e-12 relative, and ``cfmc estimate
---bound`` must print the same bytes.
+no estimate may move by more than 1e-12 relative, and ``cfmc estimate``
+must print the same bytes for every method and for ``--bound``.
 
     python tools/lambda_gate.py BASE_CHECKOUT [--out-dir DIR]
 
@@ -25,7 +25,10 @@ from a fixed seed: 400 rows at d = 2, and 2000 rows at d = 1, whose
 1000-row kernel system is large enough for the lambda certificate) and runs
 ``python -m cfmc estimate FILE --method cf-split --bound --fnorm 1 --output
 json`` on each from both checkouts; the two outputs of each, which hold the
-discrepancy D and the bound radius, must be byte-identical.
+discrepancy D and the bound radius, must be byte-identical.  On the d = 2
+file it also runs ``--output json`` for every method of ``METHOD_COMMANDS``
+(``mean``, ``zv1``, ``zv2``, ``cf-split``, ``cf-simplified`` and
+``cf-multisplit --splits 3``), whose two outputs must be byte-identical too.
 """
 
 from __future__ import annotations
@@ -87,6 +90,13 @@ CV_STUDY = {
 # integrand.
 BOUND_SAMPLES = ((400, 2), (2000, 1))
 BOUND_COMMAND = ("--method", "cf-split", "--bound", "--fnorm", "1", "--output", "json")
+# The per-method runs on the d = 2 sample file, which passes through the
+# CLI's flag judge and every estimator, the baselines too.
+METHOD_COMMANDS = tuple(
+    ("--method", *method, "--output", "json")
+    for method in (("mean",), ("zv1",), ("zv2",), ("cf-split",), ("cf-simplified",),
+                   ("cf-multisplit", "--splits", "3"))
+)
 
 
 def checkout_env(checkout: Path) -> dict[str, str]:
@@ -116,18 +126,19 @@ def write_bound_sample(path: Path, rows: int, d: int) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def run_bound(checkout: Path, sample: Path) -> bytes:
-    """What ``cfmc estimate SAMPLE --bound`` prints from ``checkout``."""
+def run_estimate(checkout: Path, sample: Path, command: tuple[str, ...]) -> bytes:
+    """What ``cfmc estimate SAMPLE COMMAND`` prints from ``checkout``."""
     return subprocess.run(
-        [sys.executable, "-m", "cfmc", "estimate", str(sample), *BOUND_COMMAND],
+        [sys.executable, "-m", "cfmc", "estimate", str(sample), *command],
         cwd=checkout, env=checkout_env(checkout), check=True, stdout=subprocess.PIPE,
     ).stdout
 
 
-def check_bound(sample: str, base: bytes, head: bytes) -> bool:
-    """Print whether the two --bound outputs are byte-identical; True if so."""
+def check_output(label: str, base: bytes, head: bytes) -> bool:
+    """Print whether the two ``cfmc estimate`` outputs are byte-identical;
+    True if so."""
     same = base == head
-    print(f"bound {sample}: cfmc estimate --bound JSON byte-identical: {same}")
+    print(f"{label}: cfmc estimate JSON byte-identical: {same}")
     if not same:
         print(f"  base {base.decode()!r}\n  head {head.decode()!r}")
     return same
@@ -239,8 +250,12 @@ def main(argv=None) -> int:
         for rows, d in BOUND_SAMPLES:
             sample = Path(tmp) / f"bound_n{rows}_d{d}.csv"
             write_bound_sample(sample, rows, d)
-            outputs = [run_bound(checkout, sample) for checkout in (args.base.resolve(), HERE)]
-            passed = check_bound(sample.stem, *outputs) and passed
+            commands = (BOUND_COMMAND, *METHOD_COMMANDS) if d == 2 else (BOUND_COMMAND,)
+            for command in commands:
+                outputs = [run_estimate(checkout, sample, command)
+                           for checkout in (args.base.resolve(), HERE)]
+                label = f"{sample.stem} {' '.join(command[1:-2])}"
+                passed = check_output(label, *outputs) and passed
     return 0 if passed else 1
 
 
