@@ -119,14 +119,6 @@ class SplitPlan:
     def n(self) -> int:
         return self.index_d0.size + self.index_d1.size
 
-    def apply(self, data: ScoredDataset) -> tuple[ScoredDataset, "ScoredDataset | None"]:
-        """Split ``data`` into (fitting set, evaluation set or ``None``)."""
-        if data.n != self.n:
-            raise InvalidInputError(f"plan covers {self.n} samples, dataset has {data.n}")
-        d0 = data.subset(self.index_d0)
-        d1 = data.subset(self.index_d1) if self.index_d1.size else None
-        return d0, d1
-
 
 def random_split(n: int, m: int, seed, index: int = 0) -> SplitPlan:
     """Draw a uniformly random split of ``n`` samples with ``|D0| = m``.

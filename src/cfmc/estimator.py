@@ -137,8 +137,9 @@ def select_lambda(k0: np.ndarray) -> float:
     if k0.ndim != 2 or k0.shape[0] != k0.shape[1]:
         raise InvalidInputError(f"k0 must be square, got shape {k0.shape}")
     _check_finite(k0)
-    scale = max(1.0, float(np.max(np.abs(k0))))
-    skew = np.abs(k0 - k0.T)
+    scale = max(1.0, abs(float(k0.max())), abs(float(k0.min())))
+    skew = k0 - k0.T
+    np.abs(skew, out=skew)
     if np.max(skew) > 1e-12 * scale:
         raise InvalidInputError("k0 must be symmetric")
     return _lambda_search(_lower_symmetric(k0) if np.any(skew) else k0)
@@ -183,7 +184,7 @@ def _lambda_search(k0: np.ndarray) -> float:
 
 def _exceeds(k0: np.ndarray, shift: float, work: np.ndarray) -> bool:
     """Whether the symmetric ``k0 - shift*I`` has a Cholesky factor, computed
-    in the Fortran-ordered ``work`` as in :func:`_factorise`."""
+    in the Fortran-ordered ``work`` as in :func:`_fit_coefficients`."""
     np.copyto(work, k0.T)  # k0' is Fortran-ordered: a straight copy
     diag = np.arange(k0.shape[0])
     work[diag, diag] -= shift
@@ -352,8 +353,80 @@ def _lambda_value(value) -> float | None:
     return _real("lambda", value, lambda x: x >= 0.0, "non-negative and finite, or 'auto' (None)")
 
 
-def _factorise(k0: np.ndarray, lam: float):
-    """Cholesky factor of A = k0 + lam*m*I, and z = A^-1 1."""
+@dataclass(frozen=True)
+class _Fit:
+    """The factorised kernel system of one fitting set, which every kernel
+    estimate reads: ``lam``, the Cholesky factor ``chol`` of A = K0 + lam*m*I,
+    z = A^-1 1 and q = 1'z.  It holds no integrand: one fit serves every f."""
+
+    lam: float
+    chol: tuple
+    z: np.ndarray
+    q: float
+
+    def surrogate(self, f0: np.ndarray):
+        """(c_hat, beta) of the surrogate fitted to the values ``f0`` on the
+        fitting set: c_hat = 1'A^-1 f0 / (1 + q), beta = A^-1 (f0 - c_hat*1)."""
+        y = cho_solve(self.chol, f0)
+        c_hat = float(np.ones(y.shape[0]) @ y) / (1.0 + self.q)
+        return c_hat, y - c_hat * self.z
+
+    def held_out(self, k10: np.ndarray):
+        """(g, h, s) with g = K10'1, h = A^-1 g and s = 1'h for the cross block
+        K10 of a held-out set.  A non-finite entry of K10 makes its column sum
+        in g non-finite, which raises InvalidInputError."""
+        g = k10.T @ np.ones(k10.shape[0])
+        if not np.all(np.isfinite(g)):
+            raise InvalidInputError("k10 contains non-finite entries")
+        h = cho_solve(self.chol, g)
+        return g, h, float(np.ones(h.shape[0]) @ h)
+
+    def split_weights(self, k10: np.ndarray) -> np.ndarray:
+        """The weights of the fitting set in the split estimate whose
+        held-out cross block is K10: -h/(n - m) + s z / ((n - m)(1 + q))."""
+        _, h, s = self.held_out(k10)
+        n_minus_m = k10.shape[0]
+        return -h / n_minus_m + (s / (n_minus_m * (1.0 + self.q))) * self.z
+
+    def discrepancy(self, k10: np.ndarray, k1: np.ndarray) -> float:
+        """Worst-case error constant D(D0, D1) of the split whose held-out
+        blocks are K10 and K1:
+
+            D = [ (1'K10 A^-1 1)^2 / (1 + 1'A^-1 1) - 1'K10 A^-1 K01 1 + 1'K1 1 ]
+                / (n - m)^2
+              = [ s^2 / (1 + q) - g'h + 1'K1 1 ] / (n - m)^2,
+
+        which equals (1'w - 1)^2 + w'Kw for the estimator weight vector w and
+        the full Gram matrix K (its D0 block jittered by lam*m*I), i.e. the
+        squared worst-case estimation error over the unit ball of the
+        hypothesis space.  For a kernel with k0(x, x) = 1 and no off-diagonal
+        mass it reduces to 1/(n - m).
+        """
+        n_minus_m = k10.shape[0]
+        g, h, s = self.held_out(k10)
+        ones_eval = np.ones(n_minus_m)
+        k1_sum = float(ones_eval @ k1 @ ones_eval)
+        if not math.isfinite(k1_sum):
+            raise InvalidInputError(
+                f"k1 sums to {k1_sum}: it has non-finite or overflowing entries"
+            )
+        value = (s * s / (1.0 + self.q) - float(g @ h) + k1_sum) / (n_minus_m * n_minus_m)
+        if value < -1e-10:
+            raise NumericalError(f"discrepancy evaluated to {value}, below tolerance")
+        return max(value, 0.0)
+
+
+def _fit_coefficients(k0: np.ndarray, lambda_: float | None) -> _Fit:
+    """The :class:`_Fit` of the Gram matrix ``k0`` of a fitting set.
+
+    ``lambda_`` None applies the automatic conditioning rule.  A non-finite
+    ``k0`` raises InvalidInputError whichever way lam is chosen, and a system
+    without a Cholesky factor SingularMatrixError.
+    """
+    _check_finite(k0)
+    lam = _lambda_value(lambda_)
+    if lam is None:
+        lam = _lambda_search(k0)
     m = k0.shape[0]
     # A Fortran-ordered copy lets LAPACK factorise it in place; k0 is
     # symmetric, so copying k0' is a straight copy.
@@ -367,70 +440,9 @@ def _factorise(k0: np.ndarray, lam: float):
             f"kernel system of size {m} could not be factorised with lambda={lam!r}; "
             "try a larger regularisation parameter"
         ) from exc
-    return chol, cho_solve(chol, np.ones(m))
-
-
-def _fit_coefficients(k0: np.ndarray, f0: np.ndarray, lambda_: float | None):
-    """Choose lam and solve for (c_hat, beta) given the Gram matrix of the
-    fitting set.
-
-    ``lambda_`` None applies the automatic conditioning rule.  With
-    A = K0 + lam*m*I, c_hat = 1'A^-1 f0 / (1 + 1'A^-1 1) and
-    beta = A^-1 (f0 - c_hat*1).  Returns (lam, c_hat, beta, chol, z): the
-    factor of A and z = A^-1 1 too, so callers can reuse them in
-    :func:`_split_solve`.  A non-finite ``k0`` raises InvalidInputError
-    whichever way lam is chosen.
-    """
-    _check_finite(k0)
-    lam = _lambda_value(lambda_)
-    if lam is None:
-        lam = _lambda_search(k0)
-    chol, z = _factorise(k0, lam)
-    ones = np.ones(k0.shape[0])
-    y = cho_solve(chol, f0)
-    c_hat = float(ones @ y) / (1.0 + float(ones @ z))
-    beta = y - c_hat * z
-    return lam, c_hat, beta, chol, z
-
-
-def _split_solve(chol, z: np.ndarray, k10: np.ndarray):
-    """The solve shared by the split weights and the discrepancy.
-
-    For the factor ``chol`` of A = K0 + lam*m*I, z = A^-1 1 and the cross
-    block K10, returns g = K10'1, h = A^-1 g, s = 1'h and q = 1'z.  A
-    non-finite entry of K10 makes its column sum in g non-finite, which raises
-    InvalidInputError.
-    """
-    ones_m = np.ones(z.shape[0])
-    g = k10.T @ np.ones(k10.shape[0])
-    if not np.all(np.isfinite(g)):
-        raise InvalidInputError("k10 contains non-finite entries")
-    h = cho_solve(chol, g)
-    return g, h, float(ones_m @ h), float(ones_m @ z)
-
-
-def _discrepancy_from_factor(chol, z: np.ndarray, k10: np.ndarray, k1: np.ndarray) -> float:
-    """Worst-case error constant D(D0, D1) from the factor ``chol`` of
-    A = K0 + lam*m*I, z = A^-1 1 and the blocks K10 and K1:
-
-        D = [ (1'K10 A^-1 1)^2 / (1 + 1'A^-1 1) - 1'K10 A^-1 K01 1 + 1'K1 1 ]
-            / (n - m)^2,
-
-    which equals (1'w - 1)^2 + w'Kw for the estimator weight vector w and the
-    full Gram matrix K, i.e. the squared worst-case estimation error over the
-    unit ball of the hypothesis space.  For a kernel with k0(x, x) = 1 and no
-    off-diagonal mass it reduces to 1/(n - m).
-    """
-    n_minus_m = k10.shape[0]
-    g, h, s, q = _split_solve(chol, z, k10)
-    ones_eval = np.ones(n_minus_m)
-    k1_sum = float(ones_eval @ k1 @ ones_eval)
-    if not math.isfinite(k1_sum):
-        raise InvalidInputError(f"k1 sums to {k1_sum}: it has non-finite or overflowing entries")
-    value = (s * s / (1.0 + q) - float(g @ h) + k1_sum) / (n_minus_m * n_minus_m)
-    if value < -1e-10:
-        raise NumericalError(f"discrepancy evaluated to {value}, below tolerance")
-    return max(value, 0.0)
+    ones = np.ones(m)
+    z = cho_solve(chol, ones)
+    return _Fit(lam, chol, z, float(ones @ z))
 
 
 @dataclass(frozen=True)
@@ -519,7 +531,7 @@ def fit_surrogate(
 
     ``lambda_`` defaults to the automatic conditioning rule.
     """
-    _, c_hat, beta, _, _ = _fit_coefficients(gram_matrix(d0, params), d0.f_values, lambda_)
+    c_hat, beta = _fit_coefficients(gram_matrix(d0, params), lambda_).surrogate(d0.f_values)
     return RkhsFunction(
         c=c_hat, centers=d0.points, center_scores=d0.scores, gamma=beta, params=params
     )
@@ -587,17 +599,15 @@ def _block(data: ScoredDataset, params: SteinKernelParams, rows, cols) -> np.nda
     return stein_kernel_matrix(points[rows], scores[rows], points[cols], scores[cols], params)
 
 
-def _fit_split(data: ScoredDataset, plan: SplitPlan, params, lambda_, no_evaluation: str):
-    """(K0, K10) of the split ``plan``, K0 assembled first, followed by the
-    :func:`_fit_coefficients` fit on K0; ``no_evaluation`` is the message
-    when the plan leaves no evaluation set."""
+def _split_blocks(data: ScoredDataset, plan: SplitPlan, params, no_evaluation: str):
+    """(K0, K10) of the split ``plan``, K0 assembled first; ``no_evaluation``
+    is the message when the plan leaves no evaluation set."""
     if data.n != plan.n:
         raise InvalidInputError(f"plan covers {plan.n} samples, dataset has {data.n}")
     if not plan.index_d1.size:
         raise InvalidInputError(no_evaluation)
     i0, i1 = plan.index_d0, plan.index_d1
-    k0, k10 = _block(data, params, i0, i0), _block(data, params, i1, i0)
-    return (k0, k10, *_fit_coefficients(k0, data.f_values[i0], lambda_))
+    return _block(data, params, i0, i0), _block(data, params, i1, i0)
 
 
 def cf_split_estimate(
@@ -619,22 +629,21 @@ def cf_split_estimate(
     attached to the estimate.
     """
     # Holding K0 until return keeps K1 out of its freed pages (CHANGES.md).
-    k0, k10, lam, c_hat, beta, chol, z = _fit_split(
-        data, plan, params, lambda_,
-        "plan leaves no evaluation samples; use cf_simplified_estimate",
+    k0, k10 = _split_blocks(
+        data, plan, params, "plan leaves no evaluation samples; use cf_simplified_estimate"
     )
+    fit = _fit_coefficients(k0, lambda_)
+    c_hat, beta = fit.surrogate(data.f_values[plan.index_d0])
     f1_hat = c_hat + k10 @ beta
-    star = float(np.mean(data.f_values[plan.index_d1] - f1_hat))
-    disc = None
-    if compute_discrepancy:
-        i1 = plan.index_d1
-        disc = _discrepancy_from_factor(chol, z, k10, _block(data, params, i1, i1))
+    i1 = plan.index_d1
+    star = float(np.mean(data.f_values[i1] - f1_hat))
+    disc = fit.discrepancy(k10, _block(data, params, i1, i1)) if compute_discrepancy else None
     return Estimate(
         value=star + c_hat,
         method="cf-split",
         n=data.n,
         m=plan.m,
-        lambda_used=lam,
+        lambda_used=fit.lam,
         term_star=star,
         term_star_star=c_hat,
         discrepancy=disc,
@@ -651,13 +660,14 @@ def cf_simplified_estimate(
     """
     every = slice(None)
     k0 = _block(data, params, every, every)
-    lam, c_hat, _, _, _ = _fit_coefficients(k0, data.f_values, lambda_)
+    fit = _fit_coefficients(k0, lambda_)
+    c_hat, _ = fit.surrogate(data.f_values)
     return Estimate(
         value=c_hat,
         method="cf-simplified",
         n=data.n,
         m=data.n,
-        lambda_used=lam,
+        lambda_used=fit.lam,
         term_star=None,
         term_star_star=c_hat,
     )
@@ -679,14 +689,12 @@ def cf_weights(
     K10 have zero mean under the target, so E[1'w | D0] = 1 whenever D1 is an
     IID sample from it.
     """
-    _, k10, _, _, _, chol, z = _fit_split(
-        data, plan, params, lambda_, "weights require at least one evaluation sample (m < n)"
+    k0, k10 = _split_blocks(
+        data, plan, params, "weights require at least one evaluation sample (m < n)"
     )
-    _, h, s, q = _split_solve(chol, z, k10)
-    n_minus_m = plan.index_d1.size
     w = np.empty(data.n)
-    w[plan.index_d0] = -h / n_minus_m + (s / (n_minus_m * (1.0 + q))) * z
-    w[plan.index_d1] = 1.0 / n_minus_m
+    w[plan.index_d0] = _fit_coefficients(k0, lambda_).split_weights(k10)
+    w[plan.index_d1] = 1.0 / k10.shape[0]
     return w
 
 
@@ -749,10 +757,9 @@ def discrepancy(
         raise InvalidInputError("d0 and d1 must both be non-empty")
     if d0.dimension != d1.dimension:
         raise InvalidInputError("d0 and d1 must have the same dimension")
-    pairs = zip((d0.points, d0.scores, d0.f_values), (d1.points, d1.scores, d1.f_values))
-    stacked = ScoredDataset(*map(np.concatenate, pairs))
-    plan = SplitPlan(m=d0.n, index_d0=np.arange(d0.n), index_d1=np.arange(d0.n, stacked.n))
-    return cf_split_estimate(stacked, plan, params, lambda_, compute_discrepancy=True).discrepancy
+    fit = _fit_coefficients(gram_matrix(d0, params), lambda_)
+    k10 = stein_kernel_matrix(d1.points, d1.scores, d0.points, d0.scores, params)
+    return fit.discrepancy(k10, gram_matrix(d1, params))
 
 
 def cross_validate(
@@ -790,8 +797,8 @@ def cross_validate(
     failures = []
     for i, cand in enumerate(grid):
         try:
-            _, c_hat, beta, _, _ = _fit_coefficients(
-                _block(d0, cand, train, train), d0.f_values[train], None
+            c_hat, beta = _fit_coefficients(_block(d0, cand, train, train), None).surrogate(
+                d0.f_values[train]
             )
             predicted = c_hat + _block(d0, cand, test, train) @ beta
             errors[i] = float(np.linalg.norm(d0.f_values[test] - predicted))

@@ -214,7 +214,7 @@ def test_criterion_05_error_bound():
         plan = SplitPlan(m=m, index_d0=np.arange(m), index_d1=np.arange(m, n))
         lam = 1e-12
         est = cf_split_estimate(data, plan, PARAMS, lambda_=lam)
-        d0, d1 = plan.apply(data)
+        d0, d1 = data.subset(plan.index_d0), data.subset(plan.index_d1)
         radius = np.sqrt(discrepancy(d0, d1, PARAMS, lambda_=lam)) * func.norm_hplus()
         error = abs(est.value - func.c)
         ok = ok and error <= radius * (1 + 1e-6)
@@ -268,7 +268,7 @@ def test_criterion_08_weight_identities():
         w = cf_weights(data_f, plan, PARAMS, lambda_=lam)
         est_f = cf_split_estimate(data_f, plan, PARAMS, lambda_=lam)
         est_g = cf_split_estimate(data_g, plan, PARAMS, lambda_=lam)
-        d0, d1 = plan.apply(data_f)
+        d0, d1 = data_f.subset(plan.index_d0), data_f.subset(plan.index_d1)
         k10 = stein_kernel_matrix(d1.points, d1.scores, d0.points, d0.scores, PARAMS)
         a_inv_1 = np.linalg.solve(gram_matrix(d0, PARAMS) + lam * m * np.eye(m), np.ones(m))
         closed = 1.0 - float(k10.sum(axis=0) @ a_inv_1) / ((n - m) * (1.0 + a_inv_1.sum()))
@@ -293,9 +293,8 @@ def test_criterion_09_discrepancy_specialisation():
     ok = True
     details = []
     for m, n_minus_m in [(5, 5), (8, 4), (3, 9)]:
-        chol, z = estimator._factorise(np.eye(m), 0.0)
-        value = estimator._discrepancy_from_factor(
-            chol, z, np.zeros((n_minus_m, m)), np.eye(n_minus_m)
+        value = estimator._fit_coefficients(np.eye(m), 0.0).discrepancy(
+            np.zeros((n_minus_m, m)), np.eye(n_minus_m)
         )
         ok = ok and value == 1.0 / n_minus_m
         details.append(f"m={m},n-m={n_minus_m}: D={value!r}")

@@ -49,10 +49,9 @@ def make_rkhs_function(seed, d=1, n_centers=8, params=PARAMS, gamma_scale=0.5):
 
 
 def discrepancy_of_blocks(k0, k10, k1, lambda_):
-    """D from the blocks K0, K10 and K1, by the factorisation and the formula
-    that every estimator's discrepancy goes through."""
-    chol, z = estimator._factorise(k0, lambda_)
-    return estimator._discrepancy_from_factor(chol, z, k10, k1)
+    """D from the blocks K0, K10 and K1, by the fit and the formula that every
+    estimator's discrepancy goes through."""
+    return estimator._fit_coefficients(k0, lambda_).discrepancy(k10, k1)
 
 
 def dataset_from_function(func, n, seed, d=1):
@@ -106,11 +105,11 @@ class TestSelectLambda:
 
 
 def _fit_coefficients_auto(k0):
-    return estimator._fit_coefficients(k0, np.zeros(k0.shape[0]), None)
+    return estimator._fit_coefficients(k0, None)
 
 
 def _fit_coefficients_explicit(k0):
-    return estimator._fit_coefficients(k0, np.zeros(k0.shape[0]), 1e-3)
+    return estimator._fit_coefficients(k0, 1e-3)
 
 
 class TestGramLambdaEntry:
@@ -610,7 +609,7 @@ class TestPredictSurrogate:
         # K10 (K0 + lam*m*I)^-1 f0 + (1 - K10 (K0+lam*m*I)^-1 1) c_hat.
         data = make_gaussian_dataset(20, d=2, seed=6)
         plan = random_split(20, 12, seed=0)
-        d0, d1 = plan.apply(data)
+        d0, d1 = data.subset(plan.index_d0), data.subset(plan.index_d1)
         lam = 1e-8
         fit = fit_surrogate(d0, PARAMS, lambda_=lam)
         via_predict = fit.evaluate(d1.points, d1.scores)
@@ -653,7 +652,8 @@ class TestLambdaValidation:
     @pytest.mark.parametrize("lam", [-1e-12, np.nan])
     def test_discrepancy_rejects_invalid_lambda(self, lam, make_gaussian_dataset):
         data = make_gaussian_dataset(12)
-        d0, d1 = random_split(12, 6, seed=0).apply(data)
+        plan = random_split(12, 6, seed=0)
+        d0, d1 = data.subset(plan.index_d0), data.subset(plan.index_d1)
         with pytest.raises(InvalidInputError, match="lambda must be non-negative"):
             discrepancy(d0, d1, PARAMS, lambda_=lam)
 
@@ -729,12 +729,12 @@ class TestNonFiniteSystem:
                     call()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_split_solve_checks_the_cross_block(self, bad):
-        chol, z = estimator._factorise(np.eye(3), 1e-3)
+    def test_held_out_solve_checks_the_cross_block(self, bad):
+        fit = estimator._fit_coefficients(np.eye(3), 1e-3)
         k10 = np.ones((2, 3))
         k10[1, 2] = bad
         with pytest.raises(InvalidInputError, match="k10 contains non-finite"):
-            estimator._split_solve(chol, z, k10)
+            fit.held_out(k10)
 
     def test_overflowing_cross_block_refused(self):
         # u = 1e150 in D0 keeps K0 finite; u = 1e200 in D1 overflows K10.
@@ -755,10 +755,10 @@ class TestNonFiniteSystem:
             with pytest.raises(InvalidInputError, match="k1 sums to"):
                 cf_split_estimate(data, plan, PARAMS, compute_discrepancy=True)
             with pytest.raises(InvalidInputError, match="k1 sums to"):
-                discrepancy(*plan.apply(data), PARAMS)
+                discrepancy(data.subset(plan.index_d0), data.subset(plan.index_d1), PARAMS)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_discrepancy_from_factor_checks_k1(self, bad):
+    def test_fit_discrepancy_checks_k1(self, bad):
         k1 = np.eye(2)
         k1[1, 1] = bad
         with pytest.raises(InvalidInputError, match="k1 sums to"):
@@ -766,7 +766,7 @@ class TestNonFiniteSystem:
 
     def test_one_check_per_system(self, monkeypatch, make_gaussian_dataset):
         checked = _spy(monkeypatch, estimator, "_check_finite")
-        factorised = _spy(monkeypatch, estimator, "_factorise")
+        factorised = _spy(monkeypatch, estimator, "cho_factor")
         data = make_gaussian_dataset(40, seed=5)
         cf_split_estimate(data, random_split(40, 20, 0), PARAMS, compute_discrepancy=True)
         cf_simplified_estimate(data, PARAMS, lambda_=1e-6)
@@ -792,7 +792,8 @@ class TestLapackCholesky:
     )
     def test_same_bytes_as_scipy(self, m, lam, seed):
         k0 = _spd_system(seed, m)
-        chol, z = estimator._factorise(k0, lam)
+        fit = estimator._fit_coefficients(k0, lam)
+        chol, z = fit.chol, fit.z
         system = k0.copy(order="F")
         system[np.arange(m), np.arange(m)] += lam * m
         ref = cho_factor(system, lower=True)
@@ -821,7 +822,7 @@ class TestLapackCholesky:
         with pytest.raises(np.linalg.LinAlgError):
             cho_factor(system, lower=True)
         with pytest.raises(SingularMatrixError, match=re.escape(f"lambda={lam!r}")):
-            estimator._factorise(k0, lam)
+            estimator._fit_coefficients(k0, lam)
 
     def test_factor_overwrites_its_argument(self):
         a = _spd_system(0, 5)
@@ -868,7 +869,7 @@ class TestSplitEstimate:
             plan = random_split(24, 12, seed=seed)
             lam = 1e-12
             est = cf_split_estimate(data, plan, PARAMS, lambda_=lam)
-            d0, d1 = plan.apply(data)
+            d0, d1 = data.subset(plan.index_d0), data.subset(plan.index_d1)
             radius = np.sqrt(discrepancy(d0, d1, PARAMS, lambda_=lam)) * func.norm_hplus()
             assert abs(est.value - func.c) <= radius * (1.0 + 1e-6)
 
@@ -940,7 +941,7 @@ class TestWeights:
         plan = random_split(18, 9, seed=5)
         lam = 1e-8
         w = cf_weights(data, plan, PARAMS, lambda_=lam)
-        d0, d1 = plan.apply(data)
+        d0, d1 = data.subset(plan.index_d0), data.subset(plan.index_d1)
         k0 = gram_matrix(d0, PARAMS)
         k10 = stein_kernel_matrix(d1.points, d1.scores, d0.points, d0.scores, PARAMS)
         chol = cho_factor(k0 + lam * d0.n * np.eye(d0.n), lower=True)
@@ -1084,7 +1085,7 @@ class TestDiscrepancy:
             data = make_gaussian_dataset(14 + seed, d=2, seed=400 + seed)
             n = data.n
             plan = random_split(n, n // 2, seed=seed)
-            d0, d1 = plan.apply(data)
+            d0, d1 = data.subset(plan.index_d0), data.subset(plan.index_d1)
             dval = discrepancy(d0, d1, PARAMS, lambda_=0.0)
             w = cf_weights(data, plan, PARAMS, lambda_=0.0)
             full = gram_matrix(data, PARAMS)
@@ -1272,7 +1273,7 @@ class TestSplitCoreProperties:
         # D = (1'w - 1)^2 + w'Kw, where the D0 block of K carries the same
         # jitter lam*m*I as the factorised system (none at lambda = 0).
         data, plan = instance
-        d0, d1 = plan.apply(data)
+        d0, d1 = data.subset(plan.index_d0), data.subset(plan.index_d1)
         dval = discrepancy(d0, d1, PARAMS, lambda_=lam)
         w = cf_weights(data, plan, PARAMS, lambda_=lam)
         full = gram_matrix(data, PARAMS)
@@ -1287,7 +1288,7 @@ class TestSplitCoreProperties:
     def test_attached_discrepancy_equals_standalone(self, instance, lam):
         data, plan = instance
         est = cf_split_estimate(data, plan, PARAMS, lambda_=lam, compute_discrepancy=True)
-        d0, d1 = plan.apply(data)
+        d0, d1 = data.subset(plan.index_d0), data.subset(plan.index_d1)
         assert est.discrepancy == discrepancy(d0, d1, PARAMS, lambda_=lam)
 
 

@@ -1,3 +1,4 @@
+import importlib.util
 import inspect
 import os
 import re
@@ -6,6 +7,7 @@ import sys
 from pathlib import Path
 
 import cfmc
+import cfmc.cli
 
 
 def test_every_public_name_is_exported():
@@ -34,3 +36,18 @@ def test_readme_example_runs():
         [sys.executable, "-c", example], env=env, capture_output=True, text=True, timeout=300
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_every_name_the_benchmark_traces_resolves():
+    # perfbench/spans.py finds the callables it wraps by name, private ones
+    # included (_fit_coefficients, cho_factor, cho_solve, bench._run_method);
+    # a renamed one would fail only the traced benchmark run, not this suite.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    targets = spans._targets(cfmc)
+    missing = [(owner.__name__, attr) for owner, attr, _, _ in targets if attr not in vars(owner)]
+    assert not missing, missing
+    names = {name for _, _, name, _ in targets}
+    assert {"estimator.cholesky", "estimator.solve", "estimator.fit", "bench.run_method"} <= names

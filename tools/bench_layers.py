@@ -37,11 +37,14 @@
   ratios on the after side set the gates; and ``cf_split_estimate`` with its
   discrepancy at m = 1000;
 * ``fit_solve``: the kernel system's factorisation and solves, through
-  ``estimator._fit_coefficients`` on a precomputed Gram at
-  m in {12, ..., 1000}, with lambda chosen by the rule and with it given,
-  next to the ``study_d1`` and ``mcmc_cv_d3`` cells of ``gram_cache`` at
-  n = 100; plus the largest relative deviation of the estimates of one whole
-  ``mcmc_cv_d3`` request between the two sides.
+  the fit ``estimator._fit_coefficients(k0, lambda_)`` on a precomputed Gram
+  at m in {12, ..., 1000} and its surrogate solve, with lambda chosen by the
+  rule and with it given, next to the ``study_d1`` and ``mcmc_cv_d3`` cells
+  of ``gram_cache`` at n = 100; plus the largest relative deviation of the
+  estimates of one whole ``mcmc_cv_d3`` request between the two sides.  Both
+  sides must have the kernel fit value: a checkout whose
+  ``_fit_coefficients`` still takes ``(k0, f0, lambda_)`` and returns a
+  tuple cannot be the before side.
 
 Each repeat runs one fresh worker per side, alternating which side goes
 first, with every BLAS/OpenMP thread count pinned to 1.  A worker imports
@@ -227,10 +230,10 @@ def _fit_solve_cases(m):
     cfmc, data, _ = _problem(1, m)
     k0 = cfmc.gram_matrix(data, cfmc.SteinKernelParams(alpha1=0.1, alpha2=1.0))
     fit = cfmc.estimator._fit_coefficients
-    lam = fit(k0, data.f_values, None)[0]
+    lam = fit(k0, None).lam
     cases = {
-        "fit_coefficients_auto": lambda: fit(k0, data.f_values, None),
-        "fit_coefficients_explicit": lambda: fit(k0, data.f_values, lam),
+        "fit_coefficients_auto": lambda: fit(k0, None).surrogate(data.f_values),
+        "fit_coefficients_explicit": lambda: fit(k0, lam).surrogate(data.f_values),
     }
     if m == 100:
         cases["study_d1_cell"] = _study(STUDY_D1, [m], 1, m)
@@ -358,9 +361,10 @@ TOPICS = {
         "deviation_rows": _mcmc_request_rows,
         "method": (
             f"{SAMPLE}; size = m, the kernel system's size; fit_coefficients_auto: "
-            "estimator._fit_coefficients on the precomputed m x m Gram of a d = 1 sample "
-            "with lambda chosen by the rule (finiteness check, lambda selection, one "
-            "factorisation, two solves); fit_coefficients_explicit: the same with that "
+            "estimator._fit_coefficients and the fit's surrogate solve on the "
+            "precomputed m x m Gram of a d = 1 sample with lambda chosen by the rule "
+            "(finiteness check, lambda selection, one factorisation, two solves); "
+            "fit_coefficients_explicit: the same with that "
             "lambda given (check, factorisation, two solves); at m = 100, study_d1_cell "
             "and mcmc_cv_d3_cell as in BENCH_gram_cache.json.  output_deviation: one "
             "whole mcmc_cv_d3 request (master_seed 1), the largest relative estimate "
