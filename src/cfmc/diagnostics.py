@@ -12,7 +12,6 @@ estimators to be well behaved.
 from __future__ import annotations
 
 import numpy as np
-from scipy import integrate
 
 from .data import ScoredDataset
 from .errors import InvalidInputError
@@ -39,6 +38,7 @@ def mean_element_residuals(
     if probes is None:
         probes = np.linspace(-3.0, 3.0, 10)
     probes = np.asarray(probes, dtype=float)
+    from scipy import integrate  # here: no estimate needs it, and it loads scipy.optimize
 
     def score_at(value: float) -> np.ndarray:
         return problem.score(np.array([[value]]))[0]

@@ -11,8 +11,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
-from scipy.special import softmax
 
 from .errors import InvalidInputError
 
@@ -112,6 +110,7 @@ def mixture_problem(weights, means, scales, integrand=None, name=None) -> Target
     if not np.all(np.isfinite(np.concatenate([w, mu, s]))):
         raise InvalidInputError("mixture parameters must be finite")
     w = w / w.sum()
+    from scipy.special import softmax  # here, so that a cfmc process without a mixture skips it
 
     def _component_logs(x: np.ndarray) -> np.ndarray:
         # (n, k) log of w_i * N(x; mu_i, s_i^2) up to the shared constant
@@ -181,6 +180,8 @@ def oracle_mean(problem: TargetProblem, tol: float = 1e-10) -> float:
         point = np.array([x])
         density = problem.normalised_density(point[0])
         return float(problem.integrand(point)[0] * np.reshape(density, ()))
+
+    from scipy import integrate  # here: no estimate needs it, and it loads scipy.optimize
 
     value, err = integrate.nquad(
         integrand, [(-np.inf, np.inf)] * problem.dimension,

@@ -601,15 +601,19 @@ class TestBenchCommand:
         assert "Traceback" not in result.stderr
 
 
+def _mean_element_residuals(stdout: str) -> list[float]:
+    return [
+        float(line.rsplit("=", 1)[1])
+        for line in stdout.splitlines()
+        if line.startswith("mean_element_residual[")
+    ]
+
+
 class TestDiagnoseCommand:
     def test_gaussian_defaults(self):
         result = run_cli("diagnose", "--target", "gaussian-d1", "--sample-size", "200")
         assert result.returncode == 0
-        residuals = [
-            float(line.rsplit("=", 1)[1])
-            for line in result.stdout.splitlines()
-            if line.startswith("mean_element_residual[")
-        ]
+        residuals = _mean_element_residuals(result.stdout)
         assert len(residuals) == 10
         assert max(abs(r) for r in residuals) < 1e-8
         grad_line = next(
@@ -619,10 +623,24 @@ class TestDiagnoseCommand:
         assert float(grad_line.rsplit("=", 1)[1]) < 1e-6
         assert "sampled_sup_k0_diag" in result.stdout
 
-    def test_mixture_target_skips_quadrature_gracefully(self):
+    def test_mixture_target_has_zero_mean_element_residuals(self):
+        # The d = 1 mixture has a density, so its score (softmax) runs under
+        # the quadrature at every probe.
         result = run_cli("diagnose", "--target", "bimodal-mixture", "--sample-size", "100")
         assert result.returncode == 0
-        assert "mean_element" in result.stdout
+        residuals = _mean_element_residuals(result.stdout)
+        assert len(residuals) == 10
+        assert max(abs(r) for r in residuals) < 1e-8
+        assert "skipped" not in result.stdout
+
+    def test_d2_target_skips_the_mean_element_check(self):
+        result = run_cli("diagnose", "--target", "gaussian-d2", "--sample-size", "100")
+        assert result.returncode == 0
+        assert _mean_element_residuals(result.stdout) == []
+        assert (
+            "mean_element_residuals = skipped (needs a d=1 target with a density)"
+            in result.stdout.splitlines()
+        )
 
     @pytest.mark.parametrize(
         "args, option",

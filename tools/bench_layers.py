@@ -44,7 +44,14 @@
   estimates of one whole ``mcmc_cv_d3`` request between the two sides.  Both
   sides must have the kernel fit value: a checkout whose
   ``_fit_coefficients`` still takes ``(k0, f0, lambda_)`` and returns a
-  tuple cannot be the before side.
+  tuple cannot be the before side;
+* ``cold_start``: process start-up, in fresh interpreters: the CPU time of
+  ``import cfmc, cfmc.cli`` and the number of modules loaded after it, and
+  the CPU time, wall time and peak RSS (the child's ``ru_maxrss``) of
+  ``python -m cfmc estimate FILE --method cf-split --bound --fnorm 1
+  --output json`` on d = 1 sample files of n in {200, 2000} rows; these
+  are raw, not scaled, since nothing is warm.  The report says whether the
+  two sides' estimate outputs were byte-identical in every repeat.
 
 Each repeat runs one fresh worker per side, alternating which side goes
 first, with every BLAS/OpenMP thread count pinned to 1.  A worker imports
@@ -66,6 +73,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -282,6 +290,55 @@ def _counting_entries():
         cfmc.kernel._assemble = original
 
 
+# A fresh interpreter: the CPU seconds of ``import cfmc, cfmc.cli`` and the
+# number of modules loaded after it.
+IMPORT_PROBE = """import sys, time
+start = time.process_time()
+import cfmc, cfmc.cli
+print(time.process_time() - start, len(sys.modules))
+"""
+BOUND_COMMAND = ("--method", "cf-split", "--bound", "--fnorm", "1", "--output", "json")
+
+
+def _child(argv: list[str]) -> tuple[bytes, float, float, float]:
+    """Run ``argv`` to its end: its stdout, wall seconds, CPU seconds and
+    peak RSS in MB."""
+    start = time.perf_counter()
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE)
+    out = proc.stdout.read()
+    proc.stdout.close()
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode:
+        raise subprocess.CalledProcessError(proc.returncode, argv)
+    return out, wall, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024
+
+
+def _cold_start(sizes) -> dict:
+    """One repeat of the cold_start topic, each process a fresh interpreter
+    on the worker's PYTHONPATH and thread settings."""
+    import cfmc
+
+    cpu, wall, rss, outputs = {}, {}, {}, {}
+    out, _, _, _ = _child([sys.executable, "-c", IMPORT_PROBE])
+    seconds, modules = out.split()
+    cpu["import_cfmc_cli"] = float(seconds)
+    with tempfile.TemporaryDirectory() as tmp:
+        for n in sizes:
+            sample = Path(tmp) / f"sample_n{n}.csv"
+            rng = np.random.default_rng(n)
+            cfmc.write_sample_file(sample, cfmc.gaussian_problem(1).dataset(rng, n))
+            key = f"cfmc_estimate_bound/{n}"
+            out, wall[key], cpu[key], rss[key] = _child(
+                [sys.executable, "-m", "cfmc", "estimate", str(sample), *BOUND_COMMAND]
+            )
+            outputs[key] = out.decode()
+    return {"cpu_s": cpu, "wall_s": wall, "maxrss_mb": rss, "modules": int(modules),
+            "outputs": outputs, "peak_over_result": {}, "peak_mib": {},
+            "kernel_entries": {}, "rows": []}
+
+
 TOPICS = {
     "gram_blocks": {
         "topic": "Stein-kernel Gram assembly in cache-sized row blocks",
@@ -398,6 +455,25 @@ TOPICS = {
             "the after side, one case over another at each size, which set the gates"
         ),
     },
+    "cold_start": {
+        "topic": "cold start: cfmc imports at module level only what every run uses",
+        "layer": "process start-up: import cfmc, cfmc.cli and one cfmc estimate --bound",
+        "sizes": (200, 2000),
+        "measure": _cold_start,
+        "unit": "ms of CPU time, raw (not scaled), median over repeats",
+        "timing": "one fresh worker per side and repeat, sides alternating; each "
+                  "number from its own fresh interpreter, run once",
+        "method": (
+            "import_cfmc_cli: CPU time of `import cfmc, cfmc.cli` in a fresh "
+            "interpreter (modules_loaded: len(sys.modules) after it); "
+            "cfmc_estimate_bound/n: `python -m cfmc estimate FILE --method cf-split "
+            "--bound --fnorm 1 --output json` on a d = 1 standard Gaussian sample file "
+            "of n rows (f = sin(pi x), default_rng(n)), as a child process: CPU time "
+            "(user + system, from os.wait4), wall time and ru_maxrss.  "
+            "estimate_outputs_identical: every repeat's stdout the same bytes on both "
+            "sides"
+        ),
+    },
     "lambda_select": {
         "topic": "lambda selection: guarded Cholesky tests and the top eigenvalue they start from",
         "layer": "estimator: select_lambda (regularisation choice)",
@@ -423,6 +499,8 @@ def measure(topic: str) -> dict:
     and where the topic asks for them, peaks in MiB, kernel entries and
     output rows."""
     spec = TOPICS[topic]
+    if "measure" in spec:
+        return spec["measure"](spec["sizes"])
     reference = Reference()
     times, peaks, peaks_mib, entries = {}, {}, {}, {}
     for size in spec["sizes"]:
@@ -485,6 +563,15 @@ def _summary(runs: list[dict]) -> dict:
         }
     if runs[0]["kernel_entries"]:
         summary["kernel_entries"] = runs[0]["kernel_entries"]
+    for name, label, scale in (("wall_s", "wall_median_ms", 1e3),
+                               ("maxrss_mb", "maxrss_median_mb", 1.0)):
+        if name in runs[0]:
+            summary[label] = {
+                k: round(scale * statistics.median(r[name][k] for r in runs), 3)
+                for k in runs[0][name]
+            }
+    if "modules" in runs[0]:
+        summary["modules_loaded"] = sorted({r["modules"] for r in runs})
     return summary
 
 
@@ -535,14 +622,16 @@ def main(argv=None) -> int:
     report = {
         "topic": spec["topic"],
         "layer": spec["layer"],
-        "unit": "ms of CPU time per call at the reference speed, median over repeats",
+        "unit": spec.get(
+            "unit", "ms of CPU time per call at the reference speed, median over repeats"
+        ),
         "repeats": args.repeats,
-        "method": (
+        "method": spec.get("timing", (
             "one fresh worker per side and repeat, sides alternating; one warm-up "
             "call, then the mean of max(1, 200000 // size^2) timed calls, scaled by "
             f"{Reference.NOMINAL_S} s over the mean of the perfbench reference rounds "
-            "timed right before and after them; " + spec["method"]
-        ),
+            "timed right before and after them"
+        )) + "; " + spec["method"],
         "sizes": list(spec["sizes"]),
         "environment": {
             "python": platform.python_version(),
@@ -558,6 +647,15 @@ def main(argv=None) -> int:
     }
     before, after = report["before"]["median_ms"], report["after"]["median_ms"]
     report["after_over_before"] = {k: round(after[k] / before[k], 3) for k in before}
+    for name, label in (("wall_median_ms", "wall_after_over_before"),
+                        ("maxrss_median_mb", "maxrss_after_over_before")):
+        if name in report["after"]:
+            old, new = report["before"][name], report["after"][name]
+            report[label] = {k: round(new[k] / old[k], 3) for k in old}
+    if "outputs" in sides["before"][1][0]:
+        report["estimate_outputs_identical"] = all(
+            b["outputs"] == a["outputs"] for b, a in zip(sides["before"][1], sides["after"][1])
+        )
     if "after_ratios" in spec:
         report["after_ratios"] = {
             f"{num}/{den}/{size}": round(after[f"{num}/{size}"] / after[f"{den}/{size}"], 3)

@@ -29,6 +29,12 @@ discrepancy D and the bound radius, must be byte-identical.  On the d = 2
 file it also runs ``--output json`` for every method of ``METHOD_COMMANDS``
 (``mean``, ``zv1``, ``zv2``, ``cf-split``, ``cf-simplified`` and
 ``cf-multisplit --splits 3``), whose two outputs must be byte-identical too.
+
+Last it runs ``python -m cfmc diagnose`` with ``DIAGNOSE_COMMAND`` (the
+bimodal mixture, 200 draws) from both checkouts and requires byte-identical
+stdout.  No study above uses a mixture or a quadrature, so this is the one
+check of the mixture score's ``softmax`` and of the mean-element check's
+``quad``.
 """
 
 from __future__ import annotations
@@ -98,6 +104,10 @@ METHOD_COMMANDS = tuple(
                    ("cf-multisplit", "--splits", "3"))
 )
 
+# The diagnose run: a d = 1 mixture, whose mean-element residuals integrate
+# its score by quadrature.
+DIAGNOSE_COMMAND = ("diagnose", "--target", "bimodal-mixture", "--sample-size", "200")
+
 
 def checkout_env(checkout: Path) -> dict[str, str]:
     """The environment that runs ``cfmc`` from ``checkout`` on one thread."""
@@ -126,19 +136,19 @@ def write_bound_sample(path: Path, rows: int, d: int) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def run_estimate(checkout: Path, sample: Path, command: tuple[str, ...]) -> bytes:
-    """What ``cfmc estimate SAMPLE COMMAND`` prints from ``checkout``."""
+def run_cfmc(checkout: Path, command: tuple[str, ...]) -> bytes:
+    """What ``cfmc COMMAND`` prints from ``checkout``."""
     return subprocess.run(
-        [sys.executable, "-m", "cfmc", "estimate", str(sample), *command],
+        [sys.executable, "-m", "cfmc", *command],
         cwd=checkout, env=checkout_env(checkout), check=True, stdout=subprocess.PIPE,
     ).stdout
 
 
 def check_output(label: str, base: bytes, head: bytes) -> bool:
-    """Print whether the two ``cfmc estimate`` outputs are byte-identical;
-    True if so."""
+    """Print whether the two ``cfmc`` outputs are byte-identical; True if
+    so."""
     same = base == head
-    print(f"{label}: cfmc estimate JSON byte-identical: {same}")
+    print(f"{label}: cfmc output byte-identical: {same}")
     if not same:
         print(f"  base {base.decode()!r}\n  head {head.decode()!r}")
     return same
@@ -252,10 +262,12 @@ def main(argv=None) -> int:
             write_bound_sample(sample, rows, d)
             commands = (BOUND_COMMAND, *METHOD_COMMANDS) if d == 2 else (BOUND_COMMAND,)
             for command in commands:
-                outputs = [run_estimate(checkout, sample, command)
+                outputs = [run_cfmc(checkout, ("estimate", str(sample), *command))
                            for checkout in (args.base.resolve(), HERE)]
                 label = f"{sample.stem} {' '.join(command[1:-2])}"
                 passed = check_output(label, *outputs) and passed
+        outputs = [run_cfmc(checkout, DIAGNOSE_COMMAND) for checkout in (args.base.resolve(), HERE)]
+        passed = check_output(" ".join(DIAGNOSE_COMMAND), *outputs) and passed
     return 0 if passed else 1
 
 
