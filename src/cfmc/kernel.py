@@ -21,6 +21,7 @@ of them against central finite differences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,7 +171,8 @@ class _Pairs:
         if self.whole is None:
             # A length-1 dot product is one rounded multiply, the value dgemm
             # gives, so d = 1 needs no whole-shape matrix.
-            return np.multiply(left[self.rows], right[self.cols, 0], out=buf)
+            np.copyto(buf, right[self.cols, 0])
+            return np.multiply(left[self.rows], buf, out=buf)
         # BLAS picks its kernel by call shape, so at d >= 2 the inner products
         # are whole matmuls: computed per row block, their last bit could
         # change.  A block that is the whole matrix takes the product straight
@@ -182,25 +184,42 @@ class _Pairs:
         return self.whole[i, j][self.rows, self.cols]
 
 
+def _divide(a, c: float, out) -> None:
+    """``out = a / c`` for a scalar c, by the cheapest pass that gives the
+    same bytes (IEEE 754): none when c == 1 and ``out`` is ``a``, and a
+    multiply by 1/c when c is a power of two whose reciprocal is finite."""
+    if c == 1.0 and out is a:
+        return
+    if abs(math.frexp(c)[0]) == 0.5 and math.isfinite(1.0 / c):
+        np.multiply(a, 1.0 / c, out=out)
+    else:
+        np.divide(a, c, out=out)
+
+
 def _stein_block(pairs: _Pairs, params: SteinKernelParams, buf, out) -> None:
     """Write k0(x_i, y_j) for the current block of ``pairs`` into ``out``.
 
     Every operation of the whole-matrix formula runs in place in the seven
     block-shaped buffers ``buf``, in the formula's own order, so no entry
-    depends on the block layout.  Two negations are moved, which IEEE
-    arithmetic leaves exact: (-a)/c = a/(-c), and t + (-k)*s = t - k*s.
+    depends on the block layout.  Passes are saved only where IEEE
+    arithmetic gives the same bytes: (-a)/c = a/(-c), t + (-k)*s = t - k*s,
+    x/1 = x, and x/c = x*(1/c) for a power of two c whose reciprocal is
+    finite.  A row operand broadcast down the block (the column points'
+    terms) is first copied into the buffer the operation overwrites, so the
+    operation reads one contiguous operand; operand order stays as written.
     """
     a1, a2 = params.alpha1, params.alpha2
     rows, cols = pairs.rows, pairs.cols
     k, pref, b2, rho, b4, b5, b6 = buf
-    norms = np.add(pairs.nx[rows], pairs.ny[:, cols], out=k)
+    np.copyto(k, pairs.ny[:, cols])
+    norms = np.add(pairs.nx[rows], k, out=k)
     np.multiply(a1, norms, out=pref)
     pref += 1.0
     gram = pairs.inner(0, 0, b2)
     np.multiply(2.0, gram, out=rho)
     np.subtract(norms, rho, out=rho)
     np.maximum(rho, 0.0, out=rho)
-    np.divide(rho, -(2.0 * a2**2), out=k)
+    _divide(rho, -(2.0 * a2**2), out=k)
     np.exp(k, out=k)
     k /= pref
     # div_grad = k * (d/a2^2 + 8 a1^2 gram/pref^2 - 2 a1 rho/(pref a2^2) - rho/a2^4)
@@ -208,15 +227,15 @@ def _stein_block(pairs: _Pairs, params: SteinKernelParams, buf, out) -> None:
     div_grad /= np.multiply(pref, pref, out=b5)
     div_grad += pairs.d / a2**2
     term = np.multiply(2.0 * a1, rho, out=b5)
-    term /= np.multiply(pref, a2**2, out=b6)
+    term /= pref if a2**2 == 1.0 else np.multiply(pref, a2**2, out=b6)
     div_grad -= term
-    rho /= a2**4
+    _divide(rho, a2**4, out=rho)
     div_grad -= rho
     div_grad *= k
     # t_x = k * ((ux_x - ux_y)/a2^2 - 2 a1 ux_y/pref)
     ux_y = pairs.inner(1, 0, b2)
     t_x = np.subtract(pairs.ux_x[rows], ux_y, out=rho)
-    t_x /= a2**2
+    _divide(t_x, a2**2, out=t_x)
     term = np.multiply(2.0 * a1, ux_y, out=b5)
     term /= pref
     t_x -= term
@@ -226,7 +245,7 @@ def _stein_block(pairs: _Pairs, params: SteinKernelParams, buf, out) -> None:
     s = np.multiply(2.0 * a1, x_uy, out=b5)
     s /= pref
     term = np.subtract(x_uy, pairs.uy_y[:, cols], out=b6)
-    term /= a2**2
+    _divide(term, a2**2, out=term)
     s += term
     s *= k
     # div_grad + (t_x + t_y) + (u_x.u_y) k
@@ -254,6 +273,8 @@ def _assemble(x, u_x, y, u_y, params: SteinKernelParams, upper: bool) -> np.ndar
     step = _block_rows(p, q)
     work = np.empty((_BUFFERS, step * q))
     pairs = _Pairs(x, u_x, y, u_y)
+    # Strict lower triangle of a block's square; a shorter block's is its corner.
+    below = np.tri(step, k=-1, dtype=bool) if upper else None
     for i0 in range(0, p, step):
         i1 = min(i0 + step, p)
         j0 = i0 if upper else 0
@@ -264,7 +285,7 @@ def _assemble(x, u_x, y, u_y, params: SteinKernelParams, upper: bool) -> np.ndar
             # Adding 0.0 turns -0.0 into +0.0, so the two triangles agree.
             strip += 0.0
             square = strip[:, : i1 - i0]
-            np.copyto(square, square.T, where=np.tri(i1 - i0, k=-1, dtype=bool))
+            np.copyto(square, square.T, where=below[: i1 - i0, : i1 - i0])
             out[i1:, i0:i1] = strip[:, i1 - i0 :].T
     return out
 

@@ -1,8 +1,11 @@
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfmc import (
     InvalidInputError,
@@ -314,6 +317,12 @@ def _sample(n, d, seed, spread=1.0):
 # entries of -0.0, which the symmetric assembly must turn into +0.0.
 NARROW = SteinKernelParams(alpha1=0.3, alpha2=0.05)
 
+# Length-scales on both sides of _stein_block's division rule: a power of two
+# alpha2 divides by multiplying with the reciprocal (1.0 skips the pass), any
+# other divides.
+KERNELS = [PARAMS, NARROW] + [SteinKernelParams(alpha1=0.1, alpha2=a2) for a2 in (2.0, 0.5, 1.5)]
+KERNEL_IDS = ["wide", "narrow", "a2=2", "a2=0.5", "a2=1.5"]
+
 
 class TestBlockedAssembly:
     """Row-blocked assembly against the whole-matrix formula, byte for byte."""
@@ -322,7 +331,7 @@ class TestBlockedAssembly:
     # blocks, 101 and 257 end in a shorter block.
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
     @pytest.mark.parametrize("n", [30, 100, 101, 257])
-    @pytest.mark.parametrize("params", [PARAMS, NARROW], ids=["wide", "narrow"])
+    @pytest.mark.parametrize("params", KERNELS, ids=KERNEL_IDS)
     def test_gram_matches_reference(self, monkeypatch, d, n, params):
         monkeypatch.setattr(kernel, "_BLOCK_ENTRIES", 2**10)
         x, u = _sample(n, d, seed=10 * n + d, spread=3.0 if params is NARROW else 1.0)
@@ -332,12 +341,69 @@ class TestBlockedAssembly:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
     @pytest.mark.parametrize("p, q", [(101, 37), (37, 101), (1, 1500), (2500, 1), (64, 16)])
-    def test_cross_matches_reference(self, monkeypatch, d, p, q):
+    @pytest.mark.parametrize("params", KERNELS, ids=KERNEL_IDS)
+    def test_cross_matches_reference(self, monkeypatch, d, p, q, params):
         monkeypatch.setattr(kernel, "_BLOCK_ENTRIES", 2**10)
         x, u = _sample(p, d, seed=p + d)
         y, v = _sample(q, d, seed=1000 + q + d)
-        matrix = stein_kernel_matrix(x, u, y, v, PARAMS)
-        assert matrix.tobytes() == _reference_matrix(x, u, y, v, PARAMS).tobytes()
+        matrix = stein_kernel_matrix(x, u, y, v, params)
+        assert matrix.tobytes() == _reference_matrix(x, u, y, v, params).tobytes()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        scale=st.one_of(st.just(1.0), st.floats(1.0, 2.0, exclude_max=True)),
+        exponent=st.integers(-12, 12),
+        d=st.integers(1, 3),
+        p=st.integers(1, 40),
+        q=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_alpha2_scale_times_power_of_two_matches_reference(self, scale, exponent, d, p, q, seed):
+        # alpha2 = s * 2^e: the constants alpha2^2 and alpha2^4 are powers of
+        # two exactly when s is 1, and the bytes must not tell the two apart.
+        params = SteinKernelParams(alpha1=0.1, alpha2=scale * 2.0**exponent)
+        spread = 2.0 ** (exponent + 1)
+        x, u = _sample(p, d, seed=seed, spread=spread)
+        y, v = _sample(q, d, seed=seed + 1, spread=spread)
+        with mock.patch.object(kernel, "_BLOCK_ENTRIES", 2**6), np.errstate(all="ignore"):
+            gram = gram_matrix(ScoredDataset(x, u, np.zeros(p)), params)
+            cross = stein_kernel_matrix(x, u, y, v, params)
+            assert gram.tobytes() == _reference_gram(x, u, params).tobytes()
+            assert cross.tobytes() == _reference_matrix(x, u, y, v, params).tobytes()
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_tiny_alpha2_falls_back_to_division(self, monkeypatch, d):
+        # alpha2 = 2^-260: alpha2^4 = 2^-1040 is a subnormal power of two
+        # whose reciprocal overflows, so that division must stay one.
+        monkeypatch.setattr(kernel, "_BLOCK_ENTRIES", 2**10)
+        params = SteinKernelParams(alpha1=0.1, alpha2=2.0**-260)
+        x, u = _sample(60, d, seed=d, spread=2.0**-255)
+        y, v = _sample(45, d, seed=10 + d, spread=2.0**-255)
+        with np.errstate(all="ignore"):
+            gram = gram_matrix(ScoredDataset(x, u, np.zeros(60)), params)
+            cross = stein_kernel_matrix(x, u, y, v, params)
+            assert gram.tobytes() == _reference_gram(x, u, params).tobytes()
+            assert cross.tobytes() == _reference_matrix(x, u, y, v, params).tobytes()
+        assert np.isfinite(gram).any()
+
+    @pytest.mark.parametrize(
+        "c", [1.0, 4.0, -2.0, 2.0**-1022, 2.0**-1023, 2.0**-1040, 2.0**1023, np.inf, 1.5, 0.7, -3.0]
+    )
+    def test_divide_matches_division(self, c):
+        # Every form the rule can take, against a plain division: a skipped
+        # pass (1), a reciprocal multiply (powers of two down to 2^-1023),
+        # and a division (a subnormal power of two whose reciprocal
+        # overflows, inf, and other numbers).
+        rng = np.random.default_rng(7)
+        a = np.concatenate([rng.standard_normal(200) * 10.0 ** rng.uniform(-300, 300, 200),
+                            [0.0, -0.0, np.inf, -np.inf, 5e-324, 1.7e308]])
+        out = np.empty_like(a)
+        with np.errstate(all="ignore"):
+            kernel._divide(a, c, out)
+            assert out.tobytes() == np.divide(a, c).tobytes()
+            inplace = a.copy()
+            kernel._divide(inplace, c, inplace)
+            assert inplace.tobytes() == out.tobytes()
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_default_block_size_matches_reference(self, d):

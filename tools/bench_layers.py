@@ -51,7 +51,15 @@
   ``python -m cfmc estimate FILE --method cf-split --bound --fnorm 1
   --output json`` on d = 1 sample files of n in {200, 2000} rows; these
   are raw, not scaled, since nothing is warm.  The report says whether the
-  two sides' estimate outputs were byte-identical in every repeat.
+  two sides' estimate outputs were byte-identical in every repeat;
+* ``gram_exact_passes``: ``gram_matrix`` and ``stein_kernel_matrix`` at
+  n in {200, 500, 1000, 2000}, d in {1, 3} and alpha2 in {1.0, 1.5} (a
+  power of two and not, the two sides of the kernel's division rule), and
+  ``cf_split_estimate`` with its discrepancy at n = 2000.  The report says
+  whether every result (each matrix by its SHA-256, the estimate by its
+  repr) was the same bytes on both sides in every repeat, and gives the
+  largest relative deviation of the estimates of one ``study_d1`` and one
+  ``mcmc_cv_d3`` request.
 
 Each repeat runs one fresh worker per side, alternating which side goes
 first, with every BLAS/OpenMP thread count pinned to 1.  A worker imports
@@ -67,6 +75,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import json
 import os
 import platform
@@ -100,10 +109,10 @@ def _problem(d, size):
     return cfmc, cfmc.gaussian_problem(d).dataset(rng, size), rng
 
 
-def _kernel_cases(n, d=1):
+def _kernel_cases(n, d=1, alpha2=1.0):
     cfmc, data, rng = _problem(d, n)
     other = cfmc.gaussian_problem(d).dataset(rng, n)
-    params = cfmc.SteinKernelParams(alpha1=0.1, alpha2=1.0)
+    params = cfmc.SteinKernelParams(alpha1=0.1, alpha2=alpha2)
     plan = cfmc.random_split(n, n // 2, 0)
     return {
         "gram_matrix": lambda: cfmc.gram_matrix(data, params),
@@ -124,6 +133,26 @@ def _gram_inplace_cases(n):
         for name, call in _kernel_cases(n, d).items()
         if name != "cf_simplified_estimate"
     }
+
+
+def _gram_exact_cases(n):
+    cases = {
+        f"{name}_d{d}_a2={alpha2}": call
+        for d in (1, 3)
+        for alpha2 in (1.0, 1.5)
+        for name, call in _kernel_cases(n, d, alpha2).items()
+        if name in ("gram_matrix", "stein_kernel_matrix")
+    }
+    if n == 2000:
+        cases["cf_split_estimate_bound"] = _kernel_cases(n)["cf_split_estimate"]
+    return cases
+
+
+def _digest(result) -> str:
+    """The SHA-256 of an array's bytes, or the repr of any other result."""
+    if isinstance(result, np.ndarray):
+        return hashlib.sha256(result.tobytes()).hexdigest()
+    return repr(result)
 
 
 @contextlib.contextmanager
@@ -259,6 +288,11 @@ def _mcmc_request_rows():
     return _rows(_study(
         MCMC_CV_D3, MCMC_CV_D3["n_grid"], MCMC_CV_D3["replications"], 1, metropolis_problem()
     ))
+
+
+def _study_d1_and_mcmc_request_rows():
+    """The rows of one study_d1 request, then of one mcmc_cv_d3 request."""
+    return _rows(_study(STUDY_D1, STUDY_D1["n_grid"], 10, 1)) + _mcmc_request_rows()
 
 
 def _gram_rows_request_rows():
@@ -474,6 +508,28 @@ TOPICS = {
             "sides"
         ),
     },
+    "gram_exact_passes": {
+        "topic": "Stein-Gram blocks without the passes IEEE arithmetic makes redundant",
+        "layer": "kernel: gram_matrix / stein_kernel_matrix (Stein-Gram assembly)",
+        "sizes": (200, 500, 1000, 2000),
+        "cases": _gram_exact_cases,
+        "peak": (),
+        "digests": True,
+        "deviation_rows": _study_d1_and_mcmc_request_rows,
+        "method": (
+            "standard Gaussian sample with f = sin(pi x), alpha1 = 0.1, automatic lambda, "
+            "in d = 1 (_d1) and d = 3 (_d3), at alpha2 = 1.0 (a power of two: no "
+            "division pass, or a multiply) and 1.5 (divisions kept); size = n; "
+            "stein_kernel_matrix between two independent n-point samples; "
+            "cf_split_estimate_bound: d = 1, alpha2 = 1.0, m = n/2, compute_discrepancy="
+            "True.  result_bytes_identical: every call's result (matrix bytes by "
+            "SHA-256, estimate by repr) the same on both sides in every repeat.  "
+            "output_deviation: one study_d1 request (10 replications) and one "
+            "mcmc_cv_d3 request (master_seed 1), the largest relative estimate "
+            "deviation per n and method between the sides, and whether every lambda "
+            "is identical"
+        ),
+    },
     "lambda_select": {
         "topic": "lambda selection: guarded Cholesky tests and the top eigenvalue they start from",
         "layer": "estimator: select_lambda (regularisation choice)",
@@ -502,11 +558,14 @@ def measure(topic: str) -> dict:
     if "measure" in spec:
         return spec["measure"](spec["sizes"])
     reference = Reference()
-    times, peaks, peaks_mib, entries = {}, {}, {}, {}
+    times, peaks, peaks_mib, entries, outputs = {}, {}, {}, {}, {}
     for size in spec["sizes"]:
         loops = max(1, 200_000 // (size * size))  # at least ~20 ms per timing at small sizes
         for name, call in spec["cases"](size).items():
-            call()
+            if spec.get("digests"):  # of the warm-up call
+                outputs[f"{name}/{size}"] = _digest(call())
+            else:
+                call()
             before = reference.sample()
             start = time.process_time()
             for _ in range(loops):
@@ -530,8 +589,11 @@ def measure(topic: str) -> dict:
                     call()
                 entries[f"{name}/{size}"] = count[0]
     rows = spec["deviation_rows"]() if "deviation_rows" in spec else []
-    return {"cpu_s": times, "peak_over_result": peaks, "peak_mib": peaks_mib,
-            "kernel_entries": entries, "rows": rows}
+    report = {"cpu_s": times, "peak_over_result": peaks, "peak_mib": peaks_mib,
+              "kernel_entries": entries, "rows": rows}
+    if outputs:
+        report["outputs"] = outputs
+    return report
 
 
 def _run_worker(src: str, topic: str) -> dict:
@@ -653,7 +715,8 @@ def main(argv=None) -> int:
             old, new = report["before"][name], report["after"][name]
             report[label] = {k: round(new[k] / old[k], 3) for k in old}
     if "outputs" in sides["before"][1][0]:
-        report["estimate_outputs_identical"] = all(
+        identical = "result_bytes_identical" if spec.get("digests") else "estimate_outputs_identical"
+        report[identical] = all(
             b["outputs"] == a["outputs"] for b, a in zip(sides["before"][1], sides["after"][1])
         )
     if "after_ratios" in spec:
