@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import dgemm
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.lapack import dpotrf, dstev
 
 from . import kernel
 from ._lapack import cho_factor, cho_solve
@@ -42,8 +42,9 @@ LAMBDA_GRID = tuple(10.0**k for k in range(-16, 1))
 # A factorisation is accepted once cond_2 of the jittered matrix is below this.
 CONDITION_LIMIT = 1e10
 
-# From this matrix size on, select_lambda decides with Cholesky tests instead
-# of a full eigendecomposition (crossover measured in BENCH_lambda_select.json).
+# From this matrix size on, select_lambda decides with bounds and Cholesky
+# tests instead of a full eigendecomposition (crossover measured in
+# BENCH_lambda_select.json).
 _GUARDED_MIN_SIZE = 200
 
 # Relative accuracy of the top eigenvalue on the guarded path.  An error of
@@ -51,14 +52,19 @@ _GUARDED_MIN_SIZE = 200
 # Cholesky tests' band covers.
 _HI_TOL = 1e-6
 
-# Shortcuts of the guarded tests (gates measured in BENCH_lambda_cert.json).
-# From _CERTIFIED_MIN_SIZE rows on, an accept test with a negative shift first
-# tries a certificate from a partial pivoted Cholesky factor of at most
-# m // _CERTIFIED_RANK_SHARE columns.  From _BLOCK_MIN_SIZE rows on, a reject
-# test that runs first factorises the leading _BLOCK_SIZE rows before the
-# whole matrix.
-_CERTIFIED_MIN_SIZE = 800
-_CERTIFIED_RANK_SHARE = 16
+# The pivoted factor of the guarded path (BENCH_lambda_pivoted.json) has at
+# most max(_PIVOT_MIN_COLUMNS, m // _PIVOT_RANK_SHARE) columns.  Every
+# _PIVOT_RATE_STEPS columns, a stop rule gives it up once the geometric decay
+# of its last _PIVOT_RATE_STEPS pivots, kept up, would need more than
+# _PIVOT_STOP_FACTOR times that budget to reach its tolerance: the pivots of a
+# full-rank Gram barely fall, those of a d = 1 Gram fall fast from the start.
+_PIVOT_MIN_COLUMNS = 32
+_PIVOT_RANK_SHARE = 8
+_PIVOT_RATE_STEPS = 2
+_PIVOT_STOP_FACTOR = 4
+
+# From _BLOCK_MIN_SIZE rows on, a reject test that runs first factorises the
+# leading _BLOCK_SIZE rows before the whole matrix (BENCH_lambda_cert.json).
 _BLOCK_MIN_SIZE = 400
 _BLOCK_SIZE = 64
 
@@ -79,59 +85,10 @@ def select_lambda(k0: np.ndarray) -> float:
     ``lam*m*I`` is the jitter actually applied when the system is factorised.
     If even ``lam = 1`` fails, 1.0 is returned with a warning.  ``k0`` must
     be symmetric to within ``1e-12*max(1, max|k0|)``; its lower triangle is
-    what is read, as ``eigvalsh`` and the factorisation read it.
-
-    With ``lo`` and ``hi`` the extreme eigenvalues of ``k0`` and ``hi > 0``,
-    a grid point is accepted exactly when ``lo > t(lam) = (hi + lam*m)/L -
-    lam*m`` with ``L = 1e10``; ``t`` falls as ``lam`` grows.  Below
-    ``_GUARDED_MIN_SIZE`` rows both eigenvalues come from one full
-    ``eigvalsh``.  From that size on, ``hi`` comes from a Lanczos iteration
-    with full reorthogonalisation, stopped once its residual bound is within
-    ``_HI_TOL = 1e-6`` of ``hi``, and the sign of ``lo - t`` from proofs: a
-    point is accepted when ``lo > tau = t + band`` is proven, and rejected
-    when ``k0 - (t - band)*I`` has no Cholesky factor, with ``band =
-    16*m*eps*(hi + lam*m) + _HI_TOL*hi/L``.  The first term is far wider
-    than the rounding of any test; the second covers the error of ``hi``,
-    which moves ``t`` by at most ``_HI_TOL*hi/L``.
-
-    ``lo > tau`` is proven by a Cholesky factor of ``k0 - tau*I`` or, from
-    ``_CERTIFIED_MIN_SIZE`` rows on when ``tau < 0``, first by a certificate
-    that costs O(m^2 r) instead of O(m^3).  A diagonal-pivoted Cholesky
-    factor ``F`` of ``r <= m/_CERTIFIED_RANK_SHARE`` columns, stopped once
-    every remaining pivot is at most ``|tau|/(4m)``, splits ``k0 = F F' + S``
-    exactly, with ``S = k0 - F F'``; since ``F F'`` is positive
-    semidefinite, ``lo >= lambda_min(S)`` (Weyl) for any ``F``, rounded or
-    not.  One BLAS product gives ``S^ = fl(k0 - F F')``, with ``|S^ - S| <=
-    g*(|k0| + |F||F'|)`` and ``g = gamma_(r+1)`` (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, 2nd ed., 3.5).  Summing the rows of
-    ``|k0| <= |F||F'| + |S^| + |S^ - S|`` bounds ``|k0| 1`` by ``((1 + g) p
-    + R)/(1 - g)``, with ``p = |F||F'| 1`` and ``R``, ``C`` the row and
-    column sums of ``|S^|``.  Gershgorin's theorem on ``S``, whose entries
-    lie within that error of the symmetric part of ``S^``, then gives for
-    every row i
-
-        lo >= S^_ii + |S^_ii| - (R_i + C_i)/2 - g/(1 - g) * (2 p_i + R_i),
-
-    and the certificate accepts when this exceeds ``tau`` for every row,
-    with the subtracted sums inflated by ``1 + gamma_(2m)`` to cover their
-    own rounding.  From ``_BLOCK_MIN_SIZE`` rows on, a reject test that runs
-    first factorises the leading ``_BLOCK_SIZE`` rows before the whole
-    matrix: a principal submatrix of a positive definite matrix is positive
-    definite, so its failure proves the whole one's.  When a shortcut
-    decides nothing, the full Cholesky test runs, so every verdict and
-    ``lam`` is the one the factorisations alone would give.
-
-    Each verdict settles every grid point on one side.  The search tests the
-    first point with ``t < 0`` (the answer whenever ``lo`` is about 0), then
-    the point just below it, where a nearly singular ``k0`` fails within a
-    few pivots, then the grid minimum if that point was accepted too, and
-    bisects what is left.  If ``lo`` falls inside a band, ``hi <= 0``, the
-    Lanczos iteration does not converge within ``_LANCZOS_MAX_STEPS`` steps
-    or no grid point is accepted, the ``eigvalsh`` rule decides instead, so
-    both paths return the same ``lam``.  On a d = 1 Gram at ``m = 1000``
-    the guarded path costs less than a tenth of the eigendecomposition
-    (``BENCH_lambda_select.json``, ``BENCH_lambda_hi.json``,
-    ``BENCH_lambda_cert.json``).
+    what is read, as ``eigvalsh`` and the factorisation read it.  Below 200
+    rows the rule is read off a full ``eigvalsh``; from that size on each
+    grid point's verdict is proven without one, and both routes return the
+    same ``lam``.
     """
     k0 = np.asarray(k0, dtype=float)
     if k0.ndim != 2 or k0.shape[0] != k0.shape[1]:
@@ -191,65 +148,6 @@ def _exceeds(k0: np.ndarray, shift: float, work: np.ndarray) -> bool:
     return dpotrf(work, lower=1, clean=0, overwrite_a=1)[1] == 0
 
 
-def _gamma(k: int) -> float:
-    """Higham's gamma_k = k*u/(1 - k*u), with u the unit roundoff."""
-    ku = k * np.finfo(float).eps / 2
-    return ku / (1.0 - ku)
-
-
-def _pivoted_rows(k0: np.ndarray, tol: float, cap: int):
-    """The rows of a diagonal-pivoted partial Cholesky factor of the
-    symmetric ``k0`` (as an r x m array, r <= ``cap``), taken until every
-    remaining pivot is at most ``tol``; None if ``cap`` rows leave a larger
-    one."""
-    factor = np.empty((cap, k0.shape[0]))
-    pivots = k0.diagonal().copy()
-    for r in range(cap):
-        p = int(np.argmax(pivots))
-        if not pivots[p] > tol:
-            return factor[:r]
-        row = k0[p] - factor[:r, p] @ factor[:r]
-        row /= math.sqrt(pivots[p])
-        factor[r] = row
-        pivots -= row * row
-        pivots[p] = 0.0  # rounding may leave a speck; a pivot is taken once
-    return None if np.max(pivots) > tol else factor
-
-
-def _certified_above(k0: np.ndarray, shift: float, work: np.ndarray) -> bool:
-    """True if a partial pivoted Cholesky factor proves that every
-    eigenvalue of the symmetric ``k0`` exceeds the negative ``shift``; False
-    if it does not.  The proof is in :func:`select_lambda`; ``work`` is a
-    Fortran-ordered m x m scratch."""
-    m = k0.shape[0]
-    rows = _pivoted_rows(k0, -shift / (4.0 * m), m // _CERTIFIED_RANK_SHARE)
-    if rows is None:
-        return False
-    np.copyto(work, k0.T)
-    if rows.shape[0]:
-        # S^ = k0 - F F' in place; F = rows' is Fortran-ordered.
-        work = dgemm(-1.0, rows.T, rows.T, beta=1.0, c=work, trans_b=1, overwrite_c=1)
-    diag = work.diagonal()
-    lead = diag + np.abs(diag)  # S^_ii + |S^_ii|: 0 or 2 S^_ii, exact
-    mags = np.abs(work, out=work)
-    ones = np.ones(m)
-    row_sums, col_sums = mags @ ones, ones @ mags
-    spans = np.abs(rows)
-    p = spans.sum(axis=1) @ spans
-    g = _gamma(rows.shape[0] + 1)
-    slack = (0.5 * (row_sums + col_sums) + g / (1.0 - g) * (2.0 * p + row_sums)) * (
-        1.0 + _gamma(2 * m)
-    )
-    return bool(np.all(lead - shift > slack))
-
-
-def _accepted(k0: np.ndarray, shift: float, work: np.ndarray) -> bool:
-    """True if every eigenvalue of ``k0`` is proven above ``shift``."""
-    if shift < 0.0 and k0.shape[0] >= _CERTIFIED_MIN_SIZE and _certified_above(k0, shift, work):
-        return True
-    return _exceeds(k0, shift, work)
-
-
 def _rejected(k0: np.ndarray, shift: float, work: np.ndarray, first: bool) -> bool:
     """True if some eigenvalue of ``k0`` is proven below ``shift``.  When the
     test runs ``first``, the leading block is tried before the whole."""
@@ -260,17 +158,142 @@ def _rejected(k0: np.ndarray, shift: float, work: np.ndarray, first: bool) -> bo
     return not _exceeds(k0, shift, work)
 
 
-def _guarded_verdict(k0, threshold, band, work, expect_accept):
-    """True if the smallest eigenvalue of ``k0`` is proven above
-    ``threshold``, False if proven below it, None if it lies within ``band``
-    of it.  The test for the expected verdict runs first."""
-    if expect_accept:
-        if _accepted(k0, threshold + band, work):
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k*u/(1 - k*u), with u the unit roundoff."""
+    ku = k * np.finfo(float).eps / 2
+    return ku / (1.0 - ku)
+
+
+class _PivotedFactor:
+    """A diagonal-pivoted partial Cholesky factor F of the symmetric ``k0``,
+    whose columns are the rows of :attr:`rows`, extended on demand, and the
+    bounds ``lb <= lambda_min(k0) <= rho`` that its residual S = k0 - F F'
+    gives.  The proofs are in :func:`_guarded_lambda`; ``work`` is a
+    Fortran-ordered m x m scratch."""
+
+    def __init__(self, k0: np.ndarray, work: np.ndarray):
+        m = k0.shape[0]
+        self.k0, self.work = k0, work
+        # At most m - 1 columns, so that F F' is singular.
+        self._rows = np.empty((min(max(_PIVOT_MIN_COLUMNS, m // _PIVOT_RANK_SHARE), m - 1), m))
+        self.pivots = k0.diagonal().copy()  # the diagonal of S, as updated
+        self.taken = []  # the pivots taken, in order
+        self.tol = math.inf
+        self.lb, self.rho = -math.inf, math.inf
+        self.hi = math.nan  # the top eigenvalue, once _pivoted_factor has set it
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self._rows[: len(self.taken)]
+
+    def extend(self, tol: float) -> bool:
+        """Take pivots until every remaining one is at most ``tol``; False if
+        the column budget runs out first, or the stop rule predicts it
+        would."""
+        k0, rows, pivots, taken = self.k0, self._rows, self.pivots, self.taken
+        square = np.empty_like(pivots)
+        while True:
+            p = int(pivots.argmax())
+            top = float(pivots[p])
+            if not top > tol:
+                self.tol = tol
+                return True
+            r = len(taken)
+            if r == rows.shape[0] or self._too_slow(tol, top):
+                return False
+            row = np.dot(rows[:r, p], rows[:r], out=rows[r])
+            np.subtract(k0[p], row, out=row)
+            row *= 1.0 / math.sqrt(top)
+            pivots -= np.square(row, out=square)
+            pivots[p] = 0.0  # rounding may leave a speck; a pivot is taken once
+            taken.append(top)
+
+    def _too_slow(self, tol: float, top: float) -> bool:
+        """The stop rule: whether the last _PIVOT_RATE_STEPS pivots' mean
+        geometric decay, kept up, would take more columns than the budget to
+        bring the pivot ``top`` down to ``tol``."""
+        r, steps = len(self.taken), _PIVOT_RATE_STEPS
+        if r < steps or r % steps:
+            return False
+        rate = math.log(top / self.taken[r - steps]) / steps
+        needed = r + math.log(tol / top) / rate if rate < 0.0 else math.inf
+        return needed > _PIVOT_STOP_FACTOR * self._rows.shape[0]
+
+    def bound(self) -> None:
+        """Set ``lb`` and ``rho`` from one pass over S^ = fl(k0 - F F')."""
+        k0, rows, work = self.k0, self.rows, self.work
+        m = k0.shape[0]
+        np.copyto(work, k0.T)
+        if rows.shape[0]:
+            # S^ = k0 - F F' in place; F = rows' is Fortran-ordered.
+            work = dgemm(-1.0, rows.T, rows.T, beta=1.0, c=work, trans_b=1, overwrite_c=1)
+        diag = work.diagonal()
+        lead = diag + np.abs(diag)  # S^_ii + |S^_ii|: 0 or 2 S^_ii, exact
+        mags = np.abs(work, out=work)
+        ones = np.ones(m)
+        row_sums, col_sums = mags @ ones, ones @ mags
+        spans = np.abs(rows)
+        p = spans.sum(axis=1) @ spans
+        g = _gamma(rows.shape[0] + 1)
+        slack = (0.5 * (row_sums + col_sums) + g / (1.0 - g) * (2.0 * p + row_sums)) * (
+            1.0 + _gamma(2 * m)
+        )
+        # One step down covers the rounding of the subtraction.
+        self.lb = float(np.nextafter(np.min(lead - slack), -np.inf))
+        self.rho = float(np.max(slack))
+
+    def top(self) -> tuple[float, float]:
+        """(hi, err): the largest eigenvalue of F F', from the r x r F' F, and
+        ``rho`` plus the rounding of forming F' F, which bound its distance
+        from the largest eigenvalue of ``k0`` once :meth:`bound` has run."""
+        rows = self.rows
+        gram = rows @ rows.T
+        return (float(np.linalg.eigvalsh(gram)[-1]),
+                self.rho + _gamma(rows.shape[1]) * float(np.trace(gram)))
+
+    def above(self, tau: float) -> bool | None:
+        """True if every eigenvalue of ``k0`` is proven above ``tau``, False
+        if one is proven at or below it, None if the bounds decide neither.  A
+        negative ``tau`` that asks for a smaller tolerance first extends F."""
+        if tau < self.lb:
             return True
-        return False if _rejected(k0, threshold - band, work, first=False) else None
-    if _rejected(k0, threshold - band, work, first=True):
-        return False
-    return True if _accepted(k0, threshold + band, work) else None
+        if tau >= self.rho:
+            return False
+        tol = -tau / (4.0 * self.k0.shape[0])
+        if 0.0 < tol < self.tol and self.extend(tol):
+            self.bound()
+            return self.above(tau)
+        return None
+
+
+def _thresholds(hi: float, m: int):
+    """The thresholds t(lam) and bands of the grid points for the top
+    eigenvalue ``hi``, and the index of the first point with t < 0."""
+    jitters = [lam * m for lam in LAMBDA_GRID]
+    thresholds = [(hi + jitter) / CONDITION_LIMIT - jitter for jitter in jitters]
+    rounding, hi_error = 16.0 * m * np.finfo(float).eps, _HI_TOL * hi / CONDITION_LIMIT
+    bands = [rounding * (hi + jitter) + hi_error for jitter in jitters]
+    guess = next((i for i, t in enumerate(thresholds) if t < 0.0), len(LAMBDA_GRID) - 1)
+    return thresholds, bands, guess
+
+
+def _pivoted_factor(k0: np.ndarray, work: np.ndarray) -> _PivotedFactor | None:
+    """The factor of the guarded search, bounded, with the top eigenvalue
+    ``hi`` of F F' within ``_HI_TOL*hi/2`` of the matrix's; None if it misses
+    its tolerance within its budget or ``hi`` is not that close."""
+    m = k0.shape[0]
+    factor = _PivotedFactor(k0, work)
+    scale = float(np.max(factor.pivots))
+    # A first estimate of hi sets the tolerance the guess's accept test needs.
+    if not (scale > 0.0 and factor.extend(_HI_TOL * scale)):
+        return None
+    thresholds, bands, guess = _thresholds(factor.top()[0], m)
+    tau = thresholds[guess] + bands[guess]
+    if not factor.extend(max(-tau, bands[guess]) / (4.0 * m)):
+        return None
+    factor.bound()
+    factor.hi, err = factor.top()
+    return factor if factor.hi > 0.0 and 2.0 * err <= _HI_TOL * factor.hi else None
 
 
 def _top_eigenvalue(k0: np.ndarray, v0: np.ndarray) -> float | None:
@@ -284,61 +307,146 @@ def _top_eigenvalue(k0: np.ndarray, v0: np.ndarray) -> float | None:
     has the residual norm beta_j*|s_j|, with s the top eigenvector of T_j;
     once that is at most ``_HI_TOL*|theta|``, theta is returned (Parlett,
     *The Symmetric Eigenvalue Problem*, ch. 13).  An exact zero beta_j means
-    the Krylov space is invariant, and theta is exact for it.
+    the Krylov space is invariant, and theta is exact for it.  LAPACK's
+    ``dstev`` eigendecomposes T_j; should it not converge, None is returned.
     """
     m = k0.shape[0]
     steps = min(_LANCZOS_MAX_STEPS, m)
     basis = np.empty((steps, m))  # the Lanczos vectors, one per row
-    tri = np.zeros((steps, steps))  # T, lower triangle only
+    # The diagonal and off-diagonal of T; dstev reads one off-diagonal entry
+    # even when T is 1 x 1.
+    alphas, betas = np.empty(steps), np.zeros(steps)
     q = v0 / np.linalg.norm(v0)
     for j in range(steps):
         basis[j] = q
         w = k0 @ q
-        tri[j, j] = q @ w
+        alphas[j] = q @ w
         done = basis[: j + 1]
         for _ in range(2):
             w -= (done @ w) @ done
         beta = math.sqrt(w @ w)
-        ritz, vectors = np.linalg.eigh(tri[: j + 1, : j + 1], UPLO="L")
+        ritz, vectors, info = dstev(alphas[: j + 1], betas[: max(j, 1)])
+        if info:
+            return None
         theta = float(ritz[-1])
         if beta * abs(vectors[-1, -1]) <= _HI_TOL * abs(theta):
             return theta
-        if j + 1 < steps:
-            tri[j + 1, j] = beta
+        betas[j] = beta
         q = w / beta
     return None
 
 
 def _guarded_lambda(k0: np.ndarray) -> float | None:
-    """The :func:`select_lambda` grid point found by Cholesky tests, or None
-    when the eigendecomposition has to decide."""
+    """The :func:`select_lambda` grid point, proven without an
+    eigendecomposition; None when ``eigvalsh`` has to decide.
+
+    With ``lo`` and ``hi`` the extreme eigenvalues of ``k0`` and ``hi > 0``,
+    a grid point is accepted exactly when ``lo > t(lam) = (hi + lam*m)/L -
+    lam*m`` with ``L = 1e10``; ``t`` falls as ``lam`` grows.  A point is
+    accepted when ``lo > tau = t + band`` is proven, and rejected when ``lo <
+    t - band`` is, with ``band = 16*m*eps*(hi + lam*m) + _HI_TOL*hi/L``.  The
+    first term is far wider than the rounding of any test; the second covers
+    an error of up to ``_HI_TOL*hi`` in ``hi``, which moves ``t`` by at most
+    ``_HI_TOL*hi/L``.
+
+    **Bounds from a pivoted factor.**  A diagonal-pivoted partial Cholesky
+    factor ``F`` of ``r < m`` columns, taken until every remaining pivot is at
+    most a tolerance, splits ``k0 = F F' + S`` exactly, with ``S = k0 - F
+    F'``, for any ``F``, rounded or not (Harbrecht, Peters and Schneider,
+    *Appl. Numer. Math.* 62, 2012).  One BLAS product gives ``S^ = fl(k0 - F
+    F')``, with ``|S^ - S| <= g*(|k0| + |F||F'|)`` and ``g = gamma_(r+1)``
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    3.5).  Summing the rows of ``|k0| <= |F||F'| + |S^| + |S^ - S|`` bounds
+    ``|k0| 1`` by ``((1 + g) p + R)/(1 - g)``, with ``p = |F||F'| 1`` and
+    ``R``, ``C`` the row and column sums of ``|S^|``.  The entries of the
+    symmetric ``S`` lie within that error of the symmetric part of ``S^``, so
+    row i of ``|S|`` sums to at most
+
+        s_i = (R_i + C_i)/2 + g/(1 - g) * (2 p_i + R_i),
+
+    inflated by ``1 + gamma_(2m)`` to cover its own rounding, and Gershgorin's
+    theorem gives ``lambda_min(S) >= lb = min_i (S^_ii + |S^_ii| - s_i)`` and
+    ``||S||_2 <= rho = max_i s_i``.  As ``F F'`` is positive semidefinite and
+    singular, Weyl's inequalities give ``lb <= lo <= rho`` and put the top
+    eigenvalue of ``F F'`` within ``rho`` of ``hi``.  That eigenvalue is the
+    top one of the r x r ``F' F``, whose rounding moves it by at most
+    ``gamma_m*trace(F' F)``; it stands for ``hi`` when ``rho`` plus that is
+    at most ``_HI_TOL*hi/2``, which leaves the other half of the tolerance
+    for ``eigvalsh``'s own error, O(r*eps*hi).  The factor is built first to
+    the tolerance ``_HI_TOL*max_i k0_ii``, for an estimate of ``hi``, then to
+    ``|tau|/(4m)`` for the ``tau`` of the first accept test: a semidefinite
+    ``S`` has entries of at most the tolerance, so then ``lb`` is about ``lo
+    - |tau|/4`` or better.  Every accept test with ``tau < lb`` is decided
+    by that comparison, and one with ``tau >= rho`` fails by it; in between,
+    a negative ``tau`` that asks for a smaller tolerance first extends
+    ``F``.
+
+    **Cholesky tests.**  Otherwise ``lo > tau`` is proven by a Cholesky factor
+    of ``k0 - tau*I``, and a reject test proves ``lo < t - band`` by the
+    failure of one of ``k0 - (t - band)*I``.  From ``_BLOCK_MIN_SIZE`` rows
+    on, a reject test that runs first factorises the leading ``_BLOCK_SIZE``
+    rows before the whole matrix: a principal submatrix of a positive
+    definite matrix is positive definite, so its failure proves the whole
+    one's.  A factor that misses its tolerance within its column budget,
+    which the stop rule foresees early on the full-rank Grams of d >= 2
+    samples, is dropped: ``hi`` comes from :func:`_top_eigenvalue` and
+    every test is a Cholesky test.
+
+    **Search.**  Each verdict settles every grid point on one side.  The
+    search tests the first point with ``t < 0`` (the answer whenever ``lo``
+    is about 0), then the point just below it, where a nearly singular
+    ``k0`` fails within a few pivots.  If that point is not rejected, the
+    grid minimum is tested before that point's accept test: if it is
+    accepted, so is every point, since ``t + band`` falls as ``lam`` grows.
+    Then the search bisects what is left.  If ``lo`` falls inside a band,
+    ``hi <= 0``, the Lanczos iteration does not converge within
+    ``_LANCZOS_MAX_STEPS`` steps or no grid point is accepted, None is
+    returned and ``eigvalsh`` decides, so every route gives the same ``lam``.
+    """
     m = k0.shape[0]
-    # A fixed random start vector: deterministic, and unlike the all-ones
-    # vector it shares no symmetry with the sample.
-    hi = _top_eigenvalue(k0, np.random.default_rng(m).standard_normal(m))
-    if hi is None or not hi > 0.0:
-        return None
-    work = np.empty(k0.shape, order="F")  # scratch for the Cholesky tests
-    jitters = [lam * m for lam in LAMBDA_GRID]
-    thresholds = [(hi + jitter) / CONDITION_LIMIT - jitter for jitter in jitters]
-    grid = len(LAMBDA_GRID)
-    guess = next((i for i, t in enumerate(thresholds) if t < 0.0), grid - 1)
-    # The answer's index lies in [first, last]; last == grid means none is
-    # accepted.  Probe the guess, then the point just below it.  If that is
-    # accepted too, k0 is well conditioned and the thresholds of all lower
-    # points lie within 10% of hi/L, so probe the grid minimum.  Then bisect.
-    first, last = 0, grid
-    planned = ((guess, True), (guess - 1, False), (0, True))
-    while first < last:
-        probe, expect_accept = next(
-            ((i, e) for i, e in planned if first <= i < last), ((first + last) // 2, True)
-        )
-        band = (16.0 * m * np.finfo(float).eps * (hi + jitters[probe])
-                + _HI_TOL * hi / CONDITION_LIMIT)
-        verdict = _guarded_verdict(k0, thresholds[probe], band, work, expect_accept)
-        if verdict is None:
+    work = np.empty(k0.shape, order="F")  # scratch for the bounds and the Cholesky tests
+    factor = _pivoted_factor(k0, work)
+    if factor is None:
+        # A fixed random start vector: deterministic, and unlike the all-ones
+        # vector it shares no symmetry with the sample.
+        hi = _top_eigenvalue(k0, np.random.default_rng(m).standard_normal(m))
+        if hi is None or not hi > 0.0:
             return None
-        if verdict:
+    else:
+        hi = factor.hi
+    thresholds, bands, guess = _thresholds(hi, m)
+
+    def accept(i):
+        tau = thresholds[i] + bands[i]
+        proven = None if factor is None else factor.above(tau)
+        return _exceeds(k0, tau, work) if proven is None else proven
+
+    def reject(i):
+        return _rejected(k0, thresholds[i] - bands[i], work, first=False)
+
+    def reject_first(i):
+        return _rejected(k0, thresholds[i] - bands[i], work, first=True)
+
+    both = (accept, reject)
+    # The answer's index lies in [first, last]; last == grid means none is
+    # accepted.  Each probe runs its tests in order until one proves.
+    grid = len(LAMBDA_GRID)
+    first, last = 0, grid
+    planned = [(guess, both), (guess - 1, (reject_first,))]
+    while first < last:
+        probe, tests = next(
+            ((i, t) for i, t in planned if first <= i < last), ((first + last) // 2, both)
+        )
+        proven = next((test for test in tests if test(probe)), None)
+        if proven is None and tests[0] is reject_first:
+            # Not rejected: k0 is well conditioned.  The grid minimum goes
+            # before this point's accept test.
+            planned = [(probe, (accept,))]
+            if first < probe:
+                planned.insert(0, (first, both))
+        elif proven is None:
+            return None
+        elif proven is accept:
             last = probe
         else:
             first = probe + 1
@@ -802,7 +910,7 @@ def cross_validate(
             )
             predicted = c_hat + _block(d0, cand, test, train) @ beta
             errors[i] = float(np.linalg.norm(d0.f_values[test] - predicted))
-        except (InvalidInputError, SingularMatrixError, NumericalError, OverflowError) as exc:
+        except (InvalidInputError, SingularMatrixError, NumericalError) as exc:
             failures.append(f"candidate {i} ({cand}): {exc}")
     if not np.any(np.isfinite(errors)):
         raise NumericalError("all cross-validation fits failed:\n" + "\n".join(failures))

@@ -36,16 +36,37 @@ class SteinKernelParams:
 
     ``alpha1`` is the dimensionless prefactor weight; ``alpha2`` is the
     length-scale, in the same units as the sample coordinates.  Both must be
-    positive finite numbers (not booleans); they are stored as floats.
+    positive finite numbers (not booleans) whose kernel constants,
+    ``8*alpha1**2`` and ``alpha2**4``, are finite floats too; they are
+    stored as floats.
     """
 
     alpha1: float
     alpha2: float
 
     def __post_init__(self):
-        for name in ("alpha1", "alpha2"):
-            value = _real(name, getattr(self, name), lambda x: x > 0.0, "a positive finite number")
+        for name, (text, constant) in _CONSTANTS.items():
+            value = _real(
+                name, getattr(self, name), lambda x: x > 0.0 and _finite(constant, x),
+                f"a positive finite number with {text} finite",
+            )
             object.__setattr__(self, name, value)
+
+
+# Each parameter's highest power among the kernel's constants, as the kernel
+# forms it; a value that overflows it would make every evaluation raise
+# OverflowError (Python's float power) or go non-finite.
+_CONSTANTS = {
+    "alpha1": ("8*alpha1**2", lambda a1: 8.0 * a1**2),
+    "alpha2": ("alpha2**4", lambda a2: a2**4),
+}
+
+
+def _finite(constant, value: float) -> bool:
+    try:
+        return math.isfinite(constant(value))
+    except OverflowError:  # a float power past the float range
+        return False
 
 
 @dataclass(frozen=True)

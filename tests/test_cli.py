@@ -363,6 +363,9 @@ class TestEstimateCommand:
             (("--alpha1", "0"), "--alpha1"),
             (("--alpha2", "nan"), "--alpha2"),
             (("--alpha2", "inf"), "--alpha2"),
+            # Finite, but 8*alpha1**2 or alpha2**4 overflows.
+            (("--method", "cf-split", "--alpha1", "1e160"), "--alpha1"),
+            (("--method", "cf-split", "--alpha2", "1e80"), "--alpha2"),
         ],
     )
     def test_invalid_number_is_usage_error(self, sin_gaussian_file, args, option):
@@ -577,6 +580,10 @@ class TestBenchCommand:
         ({}, {"cv_train_fraction": True}, "methods[0].cv_train_fraction"),
         ({}, {"cv_grid": [[True, 1.0]]}, "methods[0].cv_grid"),
         ({}, {"cv_grid": [["0.1", 1.0]]}, "methods[0].cv_grid"),
+        # Finite numbers whose kernel constants overflow.
+        ({}, {"alpha1": 1e160}, "methods[0].alpha1"),
+        ({}, {"alpha2": 1e80}, "methods[0].alpha2"),
+        ({}, {"cv_grid": [[0.1, 1e80]]}, "methods[0].cv_grid"),
         ({"problem_params": {"d": 1.5}}, {}, "problem_params"),
         ({"problem_params": {"d": True}}, {}, "problem_params"),
     ])
@@ -651,6 +658,7 @@ class TestDiagnoseCommand:
             (("--alpha1", "0"), "--alpha1"),
             (("--alpha2", "-1"), "--alpha2"),
             (("--alpha1", "nan"), "--alpha1"),
+            (("--alpha2", "1e80"), "--alpha2"),
         ],
     )
     def test_invalid_count_is_usage_error(self, args, option):

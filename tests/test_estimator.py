@@ -1,3 +1,4 @@
+import math
 import re
 import warnings
 
@@ -208,8 +209,9 @@ def decaying_spectrum(lo, hi, m):
 
 
 class TestGuardedSelectLambda:
-    """From _GUARDED_MIN_SIZE rows on, lambda is decided by a Lanczos top
-    eigenvalue and Cholesky tests, and must equal the full-spectrum rule."""
+    """From _GUARDED_MIN_SIZE rows on, lambda is decided by the bounds of a
+    pivoted factor or a Lanczos top eigenvalue, and Cholesky tests, and must
+    equal the full-spectrum rule."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(large_stein_grams())
@@ -221,8 +223,11 @@ class TestGuardedSelectLambda:
         k0 = gram_matrix(make_gaussian_dataset(m, seed=m), PARAMS)
         expected = eigvalsh_rule(k0)
         calls = _spy(monkeypatch, np.linalg, "eigvalsh")
+        tops = _spy(monkeypatch, estimator, "_top_eigenvalue")
         assert select_lambda(k0) == expected
-        assert calls == []
+        # Only the pivoted factor's r x r F'F is eigendecomposed.
+        assert calls and all(len(e) < m // 4 for e in calls)
+        assert tops == []
 
     def test_smaller_matrix_uses_eigendecomposition(self, monkeypatch, make_gaussian_dataset):
         m = _GUARDED_MIN_SIZE - 1
@@ -260,6 +265,7 @@ class TestGuardedSelectLambda:
         m = _GUARDED_MIN_SIZE
         k0 = gram_matrix(make_gaussian_dataset(m, seed=5), PARAMS)
         expected = eigvalsh_rule(k0)
+        monkeypatch.setattr(estimator, "_pivoted_factor", lambda k0, work: None)
         monkeypatch.setattr(estimator, "_top_eigenvalue", lambda k0, v0: None)
         calls = _spy(monkeypatch, np.linalg, "eigvalsh")
         assert select_lambda(k0) == expected
@@ -373,32 +379,100 @@ def certificate_cases(draw):
     return k0, tau, lo
 
 
-def _factorised_sizes(monkeypatch):
+def _factorised_sizes(monkeypatch, shifts=None):
     """The size of every matrix a guarded Cholesky test factorises, in call
-    order."""
+    order; each test's shift is appended to ``shifts`` if given."""
     sizes = []
     original = estimator._exceeds
 
     def spy(k0, shift, work):
         sizes.append(k0.shape[0])
+        if shifts is not None:
+            shifts.append(shift)
         return original(k0, shift, work)
 
     monkeypatch.setattr(estimator, "_exceeds", spy)
     return sizes
 
 
-class TestCertificate:
-    """The partial pivoted Cholesky certificate of an accept test must be a
-    proof, and the searches it serves must decide without full-size
-    factorisations where it applies."""
+def _full_accept_tests(monkeypatch):
+    """The shifts of the Cholesky tests that accept tests run on the whole
+    matrix, as a function of its size: every test of that size whose shift
+    no reject test asked for."""
+    shifts = []
+    sizes = _factorised_sizes(monkeypatch, shifts)
+    rejected = []
+    original = estimator._rejected
+
+    def spy(k0, shift, work, first):
+        rejected.append(shift)
+        return original(k0, shift, work, first)
+
+    monkeypatch.setattr(estimator, "_rejected", spy)
+    return lambda m: [t for n, t in zip(sizes, shifts) if n == m and t not in rejected]
+
+
+def _recorded_factors(monkeypatch):
+    """Every pivoted factor the guarded search builds, in call order."""
+    factors = []
+
+    class Recorded(estimator._PivotedFactor):
+        def __init__(self, k0, work):
+            super().__init__(k0, work)
+            factors.append(self)
+
+    monkeypatch.setattr(estimator, "_PivotedFactor", Recorded)
+    return factors
+
+
+def _bounded_factor(k0):
+    """A pivoted factor of k0 with no columns yet, bounded."""
+    factor = estimator._PivotedFactor(k0, np.empty(k0.shape, order="F"))
+    factor.bound()
+    return factor
+
+
+def metropolis_chain(rng, m, d, step=1.0):
+    """m states of a random-walk Metropolis chain targeting N(0, I_d), from
+    the origin; rejected proposals repeat the previous state."""
+    points, x = np.empty((m, d)), np.zeros(d)
+    for i in range(m):
+        y = x + step * rng.standard_normal(d)
+        if np.log(rng.uniform()) < 0.5 * (x @ x - y @ y):
+            x = y
+        points[i] = x
+    return points
+
+
+@st.composite
+def d1_stein_grams(draw):
+    """Stein Gram matrices of d = 1 iid or Metropolis samples, m in
+    [200, 1200], under the benchmark's kernels with alpha2 >= 1."""
+    m = draw(st.integers(_GUARDED_MIN_SIZE, 1200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.sampled_from(("iid", "metropolis"))) == "metropolis":
+        points = metropolis_chain(rng, m, 1)
+    else:
+        points = rng.standard_normal((m, 1))
+    alphas = draw(st.sampled_from(((0.1, 1.0), (0.1, 2.0), (0.05, 1.5))))
+    return gram_matrix(ScoredDataset(points, -points, np.zeros(m)), SteinKernelParams(*alphas))
+
+
+class TestPivotedBounds:
+    """The bounds of a partial pivoted Cholesky factor must be proofs, and
+    the searches they serve must decide without Lanczos or full-size accept
+    factorisations where they apply."""
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(certificate_cases())
     def test_never_accepts_at_or_above_the_smallest_eigenvalue(self, case):
         k0, tau, lo = case
-        work = np.empty(k0.shape, order="F")
-        if estimator._certified_above(k0, tau, work):
+        verdict = _bounded_factor(k0).above(tau)
+        if verdict:
             assert lo > tau
+        elif verdict is False:
+            # Refused by the upper bound: lo <= rho <= tau, up to eigvalsh's error.
+            assert lo <= tau + 4.0 * k0.shape[0] * np.finfo(float).eps * np.linalg.norm(k0)
 
     @pytest.mark.parametrize("m", [500, 1000])
     def test_decides_a_low_rank_gram(self, m, make_gaussian_dataset):
@@ -406,7 +480,7 @@ class TestCertificate:
         lo, hi = np.linalg.eigvalsh(k0)[[0, -1]]
         tau = -1e-10 * hi
         assert lo > tau
-        assert estimator._certified_above(k0, tau, np.empty(k0.shape, order="F"))
+        assert _bounded_factor(k0).above(tau)
 
     def test_exact_diagonal_bound(self):
         # A rank-one block [[4, 2], [2, 1]] and -0.5 on the rest of the
@@ -415,48 +489,109 @@ class TestCertificate:
         m = 40
         k0 = np.diag(np.full(m, -0.5))
         k0[:2, :2] = [[4.0, 2.0], [2.0, 1.0]]
-        work = np.empty((m, m), order="F")
-        assert estimator._certified_above(k0, -0.51, work)
-        assert not estimator._certified_above(k0, -0.5, work)
+        factor = _bounded_factor(k0)
+        assert factor.above(-0.51)
+        assert not factor.above(-0.5)
+        assert len(factor.taken) == 1 and factor.lb <= -0.5 <= factor.rho
 
     def test_gives_up_at_the_rank_cap(self, monkeypatch):
-        # A well-conditioned matrix keeps pivots above the tolerance, so the
-        # factor stops at m // _CERTIFIED_RANK_SHARE rows and proves nothing.
+        # A well-conditioned matrix keeps pivots above the tolerance: its flat
+        # pivots stop the factor at the stop rule's first check, and without
+        # the rule it stops at the column budget.  The columns it took still
+        # bound the spectrum.
         m = 64
-        rows = _spy(monkeypatch, estimator, "_pivoted_rows")
-        assert not estimator._certified_above(np.eye(m), -1e-3, np.empty((m, m), order="F"))
-        assert rows == [None]
+        work = np.empty((m, m), order="F")
+        factor = estimator._PivotedFactor(np.eye(m), work)
+        assert not factor.extend(1e-3 / (4 * m))
+        assert len(factor.taken) == estimator._PIVOT_RATE_STEPS
+        assert estimator._pivoted_factor(np.eye(m), work) is None
+        monkeypatch.setattr(estimator, "_PIVOT_STOP_FACTOR", math.inf)
+        factor = estimator._PivotedFactor(np.eye(m), work)
+        assert not factor.extend(1e-3 / (4 * m))
+        assert len(factor.taken) == estimator._PIVOT_MIN_COLUMNS
+        factor.bound()
+        assert factor.above(-1e-3) and factor.lb <= 1.0 <= factor.rho
 
     def test_d1_search_runs_no_full_size_factorisation(self, monkeypatch, make_gaussian_dataset):
         m = 1000
         k0 = gram_matrix(make_gaussian_dataset(m, seed=7), PARAMS)
         expected = eigvalsh_rule(k0)
         sizes = _factorised_sizes(monkeypatch)
-        certified = _spy(monkeypatch, estimator, "_certified_above")
+        factors = _spy(monkeypatch, estimator, "_pivoted_factor")
+        tops = _spy(monkeypatch, estimator, "_top_eigenvalue")
         assert estimator._lambda_search(k0) == expected
-        assert certified == [True]
+        assert len(factors) == 1 and factors[0] is not None and tops == []
         assert sizes and max(sizes) < m
 
     def test_leading_block_rejects(self, monkeypatch, make_gaussian_dataset):
+        # The guess is accepted by the factor's lower bound, and the point
+        # below it rejected by the leading block: no whole-size test runs.
         m = estimator._BLOCK_MIN_SIZE
         k0 = gram_matrix(make_gaussian_dataset(m, seed=11), PARAMS)
         expected = eigvalsh_rule(k0)
         sizes = _factorised_sizes(monkeypatch)
         assert select_lambda(k0) == expected
-        assert estimator._BLOCK_SIZE in sizes and sizes.count(m) == 1
+        assert estimator._BLOCK_SIZE in sizes and sizes.count(m) == 0
 
-    def test_band_falls_back_above_the_gates(self, monkeypatch):
+    @pytest.mark.parametrize("low_rank", [False, True], ids=["full_rank", "low_rank"])
+    def test_band_falls_back_above_the_gates(self, low_rank, monkeypatch):
         # As in TestGuardedSelectLambda, lo sits on one grid threshold; at
-        # this size the certificate and the leading block run and must not
-        # settle that point either.
-        m, hi, index = estimator._CERTIFIED_MIN_SIZE, 1.0, 8
+        # this size the leading block runs, and on the low-rank spectrum the
+        # factor's bounds too, and none may settle that point either.
+        m, index = 800, 3 if low_rank else 8
         jitter = LAMBDA_GRID[index] * m
-        lo = (hi + jitter) / CONDITION_LIMIT - jitter
-        k0 = _lower_mirror(matrix_with_spectrum(decaying_spectrum(lo, hi, m), seed=index))
+        if low_rank:
+            # Rank 20, with hi putting this point's threshold on lo = 0.
+            hi = jitter * (CONDITION_LIMIT - 1.0)
+            spectrum = np.concatenate([np.zeros(m - 20), np.logspace(-3, 0, 20) * hi])
+        else:
+            hi = 1.0
+            spectrum = decaying_spectrum((hi + jitter) / CONDITION_LIMIT - jitter, hi, m)
+        k0 = _lower_mirror(matrix_with_spectrum(spectrum, seed=index))
         expected = eigvalsh_rule(k0)
+        factors = _spy(monkeypatch, estimator, "_pivoted_factor")
         calls = _spy(monkeypatch, np.linalg, "eigvalsh")
         assert select_lambda(k0) == expected
-        assert [e.shape for e in calls] == [(m,)]
+        assert [e.shape for e in calls if len(e) == m] == [(m,)]
+        assert (factors[0] is not None) == low_rank
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(d1_stein_grams())
+    def test_d1_grams_need_no_lanczos_and_no_full_accept_test(self, k0):
+        m = k0.shape[0]
+        with pytest.MonkeyPatch.context() as mp:
+            tops = _spy(mp, estimator, "_top_eigenvalue")
+            full_accepts = _full_accept_tests(mp)
+            assert estimator._lambda_search(k0) == eigvalsh_rule(k0)
+            assert tops == [] and full_accepts(m) == []
+        evals = np.linalg.eigvalsh(k0)
+        error = 4.0 * m * np.finfo(float).eps * evals[-1]
+        factor = estimator._pivoted_factor(k0, np.empty(k0.shape, order="F"))
+        assert abs(factor.hi - evals[-1]) <= factor.rho + error
+        assert factor.lb - error <= evals[0] <= factor.rho + error
+
+    @pytest.mark.parametrize("m", [200, 500])
+    def test_full_rank_d3_gram_stops_early_and_falls_back(self, m, monkeypatch,
+                                                         make_gaussian_dataset):
+        k0 = gram_matrix(make_gaussian_dataset(m, d=3, seed=m), PARAMS)
+        expected = eigvalsh_rule(k0)
+        factors = _recorded_factors(monkeypatch)
+        tops = _spy(monkeypatch, estimator, "_top_eigenvalue")
+        assert estimator._lambda_search(k0) == expected
+        assert len(factors) == 1 and len(tops) == 1
+        assert len(factors[0].taken) == estimator._PIVOT_RATE_STEPS
+
+    def test_well_conditioned_gram_takes_three_factorisations(self, monkeypatch,
+                                                             make_gaussian_dataset):
+        # The guess is accepted, the point below it is not rejected, and the
+        # grid minimum is accepted: every point is, with no accept test at
+        # the point below the guess.
+        m = 200
+        k0 = gram_matrix(make_gaussian_dataset(m, d=3, seed=m), PARAMS)
+        assert eigvalsh_rule(k0) == LAMBDA_GRID[0]
+        sizes = _factorised_sizes(monkeypatch)
+        assert estimator._lambda_search(k0) == LAMBDA_GRID[0]
+        assert sizes == [m, m, m]
 
 
 class TestSymmetricSystems:
@@ -1156,12 +1291,14 @@ class TestCrossValidate:
         assert chosen is first
 
     def test_all_failures_reported(self, make_gaussian_dataset):
-        # Overflowing prefactor weights produce non-finite kernel matrices,
-        # so every candidate fails and the error lists each one.
+        # Scores whose products overflow make every candidate's kernel
+        # matrix non-finite, so every candidate fails and the error lists
+        # each one.
         data = make_gaussian_dataset(10, seed=24)
-        bad = [SteinKernelParams(1e200, 1.0), SteinKernelParams(1e300, 1.0)]
-        with pytest.raises(NumericalError, match="candidate 1"):
-            cross_validate(data, bad, seed=0)
+        data = ScoredDataset(data.points, 1e200 * data.scores, data.f_values)
+        grid = [PARAMS, SteinKernelParams(0.3, 2.0)]
+        with pytest.raises(NumericalError, match="candidate 1"), np.errstate(over="ignore"):
+            cross_validate(data, grid, seed=0)
 
     def test_preconditions(self, make_gaussian_dataset):
         data = make_gaussian_dataset(10)

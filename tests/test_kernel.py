@@ -1,4 +1,5 @@
 
+import re
 import tracemalloc
 from unittest import mock
 
@@ -108,10 +109,31 @@ class TestBaseKernel:
         with pytest.raises(InvalidInputError, match=f"^{field} must be"):
             SteinKernelParams(**values)
 
-    @pytest.mark.parametrize("good", [2, np.int64(2), np.float64(0.5), np.float32(0.5), 1e308])
+    @pytest.mark.parametrize("good", [2, np.int64(2), np.float64(0.5), np.float32(0.5), 1e76])
     def test_accepts_numbers(self, good):
         params = SteinKernelParams(alpha1=good, alpha2=good)
         assert (params.alpha1, params.alpha2) == (good, good)
+
+    @pytest.mark.parametrize(
+        "field, bad, constant",
+        [("alpha1", 1e160, "8*alpha1**2"), ("alpha1", 4.8e153, "8*alpha1**2"),
+         ("alpha1", 1e308, "8*alpha1**2"), ("alpha2", 1e80, "alpha2**4"),
+         ("alpha2", 1.2e77, "alpha2**4"), ("alpha2", 1e308, "alpha2**4")],
+    )
+    def test_rejects_alpha_whose_kernel_constant_overflows(self, field, bad, constant):
+        # 8*alpha1**2 overflows to inf from about 4.7e153, and alpha2**4
+        # raises OverflowError from about 1.16e77; either would break every
+        # kernel evaluation.
+        values = {"alpha1": 0.1, "alpha2": 1.0, field: bad}
+        with pytest.raises(InvalidInputError, match=rf"^{field} must be .* {re.escape(constant)} finite"):
+            SteinKernelParams(**values)
+
+    def test_largest_accepted_alphas_evaluate(self):
+        params = SteinKernelParams(alpha1=4.7e153, alpha2=1.1e77)
+        x = np.array([[0.3], [-1.2]])
+        with np.errstate(all="ignore"):
+            k0 = stein_kernel_matrix(x, -x, x, -x, params)
+        assert k0.shape == (2, 2)
 
 
 class TestBaseKernelDerivatives:

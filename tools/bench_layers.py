@@ -59,7 +59,14 @@
   whether every result (each matrix by its SHA-256, the estimate by its
   repr) was the same bytes on both sides in every repeat, and gives the
   largest relative deviation of the estimates of one ``study_d1`` and one
-  ``mcmc_cv_d3`` request.
+  ``mcmc_cv_d3`` request;
+* ``lambda_pivoted``: ``select_lambda`` on d = 1 Grams at
+  m in {200, 250, 500, 1000}, and on the Grams of a d = 3 iid sample and of a
+  d = 3 Metropolis chain at m in {200, 500}, and ``cf_split_estimate`` with
+  its discrepancy at m = 1000.  The report says whether every result (each
+  lambda and the estimate, by repr) was the same on both sides in every
+  repeat, and gives the largest relative deviation of the estimates of one
+  ``study_d1`` and one ``mcmc_cv_d3`` request.
 
 Each repeat runs one fresh worker per side, alternating which side goes
 first, with every BLAS/OpenMP thread count pinned to 1.  A worker imports
@@ -193,6 +200,24 @@ def _lambda_select_cases(m):
         ),
         "cf_simplified_estimate": lambda: cfmc.cf_simplified_estimate(data, params),
     }
+
+
+def _lambda_pivoted_cases(m):
+    cfmc, data, _ = _problem(1, m)
+    params = cfmc.SteinKernelParams(alpha1=0.1, alpha2=1.0)
+    grams = {"select_lambda": cfmc.gram_matrix(data, params)}
+    if m in (200, 500):
+        chain = metropolis_problem().dataset(np.random.default_rng(m), m)
+        grams["select_lambda_d3"] = cfmc.gram_matrix(_problem(3, m)[1], params)
+        grams["select_lambda_mcmc_d3"] = cfmc.gram_matrix(chain, params)
+    cases = {name: (lambda k0=k0: cfmc.select_lambda(k0)) for name, k0 in grams.items()}
+    if m == 1000:
+        _, pair, _ = _problem(1, 2 * m)
+        plan = cfmc.random_split(2 * m, m, 0)
+        cases["cf_split_estimate_bound"] = lambda: cfmc.cf_split_estimate(
+            pair, plan, params, compute_discrepancy=True
+        )
+    return cases
 
 
 # The shortcuts of the guarded lambda tests, by their size gates: never taken,
@@ -528,6 +553,29 @@ TOPICS = {
             "mcmc_cv_d3 request (master_seed 1), the largest relative estimate "
             "deviation per n and method between the sides, and whether every lambda "
             "is identical"
+        ),
+    },
+    "lambda_pivoted": {
+        "topic": "lambda selection: the top eigenvalue and the accept tests' proof from one "
+                 "pivoted Cholesky factor",
+        "layer": "estimator: select_lambda (regularisation choice)",
+        "sizes": (200, 250, 500, 1000),
+        "cases": _lambda_pivoted_cases,
+        "peak": (),
+        "digests": True,
+        "deviation_rows": _study_d1_and_mcmc_request_rows,
+        "method": (
+            f"{SAMPLE}; size = m, the kernel system's size; select_lambda on the "
+            "precomputed m x m Gram of a d = 1 sample (select_lambda_d3: of a d = 3 "
+            "sample; select_lambda_mcmc_d3: of an m-step Metropolis chain targeting "
+            "N(0, I_3), step 1.0, as in the benchmark's mcmc_cv_d3); "
+            "cf_split_estimate_bound: cf_split_estimate on n = 2m points with a random "
+            "m-point fitting set and compute_discrepancy=True.  result_bytes_identical: "
+            "every call's result (lambda and estimate by repr) the same on both sides "
+            "in every repeat.  output_deviation: one study_d1 request (10 "
+            "replications) and one mcmc_cv_d3 request (master_seed 1), the largest "
+            "relative estimate deviation per n and method between the sides, and "
+            "whether every lambda is identical"
         ),
     },
     "lambda_select": {
