@@ -63,11 +63,6 @@ _PIVOT_RANK_SHARE = 8
 _PIVOT_RATE_STEPS = 2
 _PIVOT_STOP_FACTOR = 4
 
-# From _BLOCK_MIN_SIZE rows on, a reject test that runs first factorises the
-# leading _BLOCK_SIZE rows before the whole matrix (BENCH_lambda_cert.json).
-_BLOCK_MIN_SIZE = 400
-_BLOCK_SIZE = 64
-
 # Lanczos steps allowed before select_lambda falls back.  A kernel Gram's top
 # eigenvalue converges within about 20; a flat top of the spectrum could take
 # more matrix-vector products than the eigendecomposition costs.
@@ -146,16 +141,6 @@ def _exceeds(k0: np.ndarray, shift: float, work: np.ndarray) -> bool:
     diag = np.arange(k0.shape[0])
     work[diag, diag] -= shift
     return dpotrf(work, lower=1, clean=0, overwrite_a=1)[1] == 0
-
-
-def _rejected(k0: np.ndarray, shift: float, work: np.ndarray, first: bool) -> bool:
-    """True if some eigenvalue of ``k0`` is proven below ``shift``.  When the
-    test runs ``first``, the leading block is tried before the whole."""
-    if first and k0.shape[0] >= _BLOCK_MIN_SIZE:
-        block = slice(0, _BLOCK_SIZE)
-        if not _exceeds(k0[block, block], shift, work[block, block]):
-            return True
-    return not _exceeds(k0, shift, work)
 
 
 def _gamma(k: int) -> float:
@@ -376,21 +361,18 @@ def _guarded_lambda(k0: np.ndarray) -> float | None:
     the tolerance ``_HI_TOL*max_i k0_ii``, for an estimate of ``hi``, then to
     ``|tau|/(4m)`` for the ``tau`` of the first accept test: a semidefinite
     ``S`` has entries of at most the tolerance, so then ``lb`` is about ``lo
-    - |tau|/4`` or better.  Every accept test with ``tau < lb`` is decided
-    by that comparison, and one with ``tau >= rho`` fails by it; in between,
-    a negative ``tau`` that asks for a smaller tolerance first extends
-    ``F``.
+    - |tau|/4`` or better.  Every test asks whether ``lo > tau``, with ``tau
+    = t + band`` for an accept test and ``tau = t - band`` for a reject test,
+    which a no proves.  ``tau < lb`` answers yes and ``tau >= rho`` no; in
+    between, a negative ``tau`` that asks for a smaller tolerance first
+    extends ``F``.
 
-    **Cholesky tests.**  Otherwise ``lo > tau`` is proven by a Cholesky factor
-    of ``k0 - tau*I``, and a reject test proves ``lo < t - band`` by the
-    failure of one of ``k0 - (t - band)*I``.  From ``_BLOCK_MIN_SIZE`` rows
-    on, a reject test that runs first factorises the leading ``_BLOCK_SIZE``
-    rows before the whole matrix: a principal submatrix of a positive
-    definite matrix is positive definite, so its failure proves the whole
-    one's.  A factor that misses its tolerance within its column budget,
-    which the stop rule foresees early on the full-rank Grams of d >= 2
-    samples, is dropped: ``hi`` comes from :func:`_top_eigenvalue` and
-    every test is a Cholesky test.
+    **Cholesky tests.**  Where the bounds answer neither, a Cholesky factor
+    of ``k0 - tau*I`` proves ``lo > tau``, and its failure proves ``lo``
+    below ``tau`` up to a rounding the band covers.  A factor that misses
+    its tolerance within its column budget, which the stop rule foresees
+    early on the full-rank Grams of d >= 2 samples, is dropped: ``hi``
+    comes from :func:`_top_eigenvalue` and every test is a Cholesky test.
 
     **Search.**  Each verdict settles every grid point on one side.  The
     search tests the first point with ``t < 0`` (the answer whenever ``lo``
@@ -416,29 +398,28 @@ def _guarded_lambda(k0: np.ndarray) -> float | None:
         hi = factor.hi
     thresholds, bands, guess = _thresholds(hi, m)
 
-    def accept(i):
-        tau = thresholds[i] + bands[i]
+    def above(tau):
         proven = None if factor is None else factor.above(tau)
         return _exceeds(k0, tau, work) if proven is None else proven
 
-    def reject(i):
-        return _rejected(k0, thresholds[i] - bands[i], work, first=False)
+    def accept(i):
+        return above(thresholds[i] + bands[i])
 
-    def reject_first(i):
-        return _rejected(k0, thresholds[i] - bands[i], work, first=True)
+    def reject(i):
+        return not above(thresholds[i] - bands[i])
 
     both = (accept, reject)
     # The answer's index lies in [first, last]; last == grid means none is
     # accepted.  Each probe runs its tests in order until one proves.
     grid = len(LAMBDA_GRID)
     first, last = 0, grid
-    planned = [(guess, both), (guess - 1, (reject_first,))]
+    planned = [(guess, both), (guess - 1, (reject,))]
     while first < last:
         probe, tests = next(
             ((i, t) for i, t in planned if first <= i < last), ((first + last) // 2, both)
         )
         proven = next((test for test in tests if test(probe)), None)
-        if proven is None and tests[0] is reject_first:
+        if proven is None and tests == (reject,):
             # Not rejected: k0 is well conditioned.  The grid minimum goes
             # before this point's accept test.
             planned = [(probe, (accept,))]

@@ -379,37 +379,18 @@ def certificate_cases(draw):
     return k0, tau, lo
 
 
-def _factorised_sizes(monkeypatch, shifts=None):
+def _factorised_sizes(monkeypatch):
     """The size of every matrix a guarded Cholesky test factorises, in call
-    order; each test's shift is appended to ``shifts`` if given."""
+    order."""
     sizes = []
     original = estimator._exceeds
 
     def spy(k0, shift, work):
         sizes.append(k0.shape[0])
-        if shifts is not None:
-            shifts.append(shift)
         return original(k0, shift, work)
 
     monkeypatch.setattr(estimator, "_exceeds", spy)
     return sizes
-
-
-def _full_accept_tests(monkeypatch):
-    """The shifts of the Cholesky tests that accept tests run on the whole
-    matrix, as a function of its size: every test of that size whose shift
-    no reject test asked for."""
-    shifts = []
-    sizes = _factorised_sizes(monkeypatch, shifts)
-    rejected = []
-    original = estimator._rejected
-
-    def spy(k0, shift, work, first):
-        rejected.append(shift)
-        return original(k0, shift, work, first)
-
-    monkeypatch.setattr(estimator, "_rejected", spy)
-    return lambda m: [t for n, t in zip(sizes, shifts) if n == m and t not in rejected]
 
 
 def _recorded_factors(monkeypatch):
@@ -460,8 +441,8 @@ def d1_stein_grams(draw):
 
 class TestPivotedBounds:
     """The bounds of a partial pivoted Cholesky factor must be proofs, and
-    the searches they serve must decide without Lanczos or full-size accept
-    factorisations where they apply."""
+    the searches they serve must decide without Lanczos or Cholesky tests
+    where they apply."""
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(certificate_cases())
@@ -521,23 +502,23 @@ class TestPivotedBounds:
         tops = _spy(monkeypatch, estimator, "_top_eigenvalue")
         assert estimator._lambda_search(k0) == expected
         assert len(factors) == 1 and factors[0] is not None and tops == []
-        assert sizes and max(sizes) < m
+        assert sizes == []
 
-    def test_leading_block_rejects(self, monkeypatch, make_gaussian_dataset):
+    def test_factor_bounds_decide_both_tests(self, monkeypatch, make_gaussian_dataset):
         # The guess is accepted by the factor's lower bound, and the point
-        # below it rejected by the leading block: no whole-size test runs.
-        m = estimator._BLOCK_MIN_SIZE
+        # below it rejected by its upper bound: no Cholesky test runs.
+        m = 400
         k0 = gram_matrix(make_gaussian_dataset(m, seed=11), PARAMS)
         expected = eigvalsh_rule(k0)
         sizes = _factorised_sizes(monkeypatch)
         assert select_lambda(k0) == expected
-        assert estimator._BLOCK_SIZE in sizes and sizes.count(m) == 0
+        assert sizes == []
 
     @pytest.mark.parametrize("low_rank", [False, True], ids=["full_rank", "low_rank"])
     def test_band_falls_back_above_the_gates(self, low_rank, monkeypatch):
-        # As in TestGuardedSelectLambda, lo sits on one grid threshold; at
-        # this size the leading block runs, and on the low-rank spectrum the
-        # factor's bounds too, and none may settle that point either.
+        # As in TestGuardedSelectLambda, lo sits on one grid threshold; on
+        # the low-rank spectrum the factor's bounds run too, and neither they
+        # nor the Cholesky tests may settle that point.
         m, index = 800, 3 if low_rank else 8
         jitter = LAMBDA_GRID[index] * m
         if low_rank:
@@ -561,25 +542,36 @@ class TestPivotedBounds:
         m = k0.shape[0]
         with pytest.MonkeyPatch.context() as mp:
             tops = _spy(mp, estimator, "_top_eigenvalue")
-            full_accepts = _full_accept_tests(mp)
+            sizes = _factorised_sizes(mp)
             assert estimator._lambda_search(k0) == eigvalsh_rule(k0)
-            assert tops == [] and full_accepts(m) == []
+            assert tops == [] and sizes == []
         evals = np.linalg.eigvalsh(k0)
         error = 4.0 * m * np.finfo(float).eps * evals[-1]
         factor = estimator._pivoted_factor(k0, np.empty(k0.shape, order="F"))
         assert abs(factor.hi - evals[-1]) <= factor.rho + error
         assert factor.lb - error <= evals[0] <= factor.rho + error
 
-    @pytest.mark.parametrize("m", [200, 500])
-    def test_full_rank_d3_gram_stops_early_and_falls_back(self, m, monkeypatch,
+    @pytest.mark.parametrize("m, design", [(200, "iid"), (500, "iid"), (500, "metropolis")])
+    def test_full_rank_d3_gram_stops_early_and_falls_back(self, m, design, monkeypatch,
                                                          make_gaussian_dataset):
-        k0 = gram_matrix(make_gaussian_dataset(m, d=3, seed=m), PARAMS)
+        if design == "metropolis":
+            points = metropolis_chain(np.random.default_rng(m), m, 3)
+            data = ScoredDataset(points, -points, np.zeros(m))
+        else:
+            data = make_gaussian_dataset(m, d=3, seed=m)
+        k0 = gram_matrix(data, PARAMS)
         expected = eigvalsh_rule(k0)
         factors = _recorded_factors(monkeypatch)
         tops = _spy(monkeypatch, estimator, "_top_eigenvalue")
+        sizes = _factorised_sizes(monkeypatch)
+        verdicts = _spy(monkeypatch, estimator, "_exceeds")
         assert estimator._lambda_search(k0) == expected
         assert len(factors) == 1 and len(tops) == 1
         assert len(factors[0].taken) == estimator._PIVOT_RATE_STEPS
+        if design == "metropolis":
+            # Repeated states make k0 singular: the guess's accept test
+            # passes, and the point below it fails one whole-size reject test.
+            assert list(zip(sizes, verdicts)) == [(m, True), (m, False)]
 
     def test_well_conditioned_gram_takes_three_factorisations(self, monkeypatch,
                                                              make_gaussian_dataset):

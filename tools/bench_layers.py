@@ -31,11 +31,10 @@
   two lone cells, and the largest relative deviation of their estimates and
   of one ``mcmc_cv_d3`` request between the two sides;
 * ``lambda_cert``: ``select_lambda`` on d = 1 Grams at m in {200, ..., 2000}
-  and on d = 3 Grams at m in {500, 1000}, each also with the size gates of
-  its shortcuts (the partial Cholesky certificate, the leading-block reject
-  test) moved so that none or one of them is taken at every size, whose
-  ratios on the after side set the gates; and ``cf_split_estimate`` with its
-  discrepancy at m = 1000;
+  and on d = 3 Grams at m in {500, 1000}, each also with the size gate of
+  its shortcut (the partial Cholesky certificate) moved so that it is taken
+  never or at every size, whose ratios on the after side set the gate; and
+  ``cf_split_estimate`` with its discrepancy at m = 1000;
 * ``fit_solve``: the kernel system's factorisation and solves, through
   the fit ``estimator._fit_coefficients(k0, lambda_)`` on a precomputed Gram
   at m in {12, ..., 1000} and its surrogate solve, with lambda chosen by the
@@ -66,16 +65,25 @@
   its discrepancy at m = 1000.  The report says whether every result (each
   lambda and the estimate, by repr) was the same on both sides in every
   repeat, and gives the largest relative deviation of the estimates of one
-  ``study_d1`` and one ``mcmc_cv_d3`` request.
+  ``study_d1`` and one ``mcmc_cv_d3`` request;
+* ``lambda_one_test``: the lambda search ``estimator._lambda_search``, without
+  ``select_lambda``'s input checks, on d = 1 Grams at m in
+  {200, 250, 500, 1000}, and on the Grams of a d = 3 iid sample and of a
+  d = 3 Metropolis chain at m in {200, 500, 1000}, with the size of every
+  Cholesky test (``estimator._exceeds``) one call runs.  The report says
+  whether every lambda was the same on both sides in every repeat, and gives
+  the largest relative deviation of the estimates of one ``study_d1`` and
+  one ``mcmc_cv_d3`` request.
 
 Each repeat runs one fresh worker per side, alternating which side goes
 first, with every BLAS/OpenMP thread count pinned to 1.  A worker imports
 ``cfmc`` from the given source directory, makes one warm-up call per function
 and size, then times each in CPU time (``time.process_time``), averaging
-over enough calls at small sizes to span about 20 ms.  Each timing is scaled
-to the benchmark's reference speed: by ``Reference.NOMINAL_S`` over the mean
-of one ``perfbench/worker.py`` reference round timed right before it and one
-right after it, so a slow spell of the shared host does not move a worker.
+over enough calls at small sizes to span about 20 ms (a topic may ask for
+more calls).  Each timing is scaled to the benchmark's reference speed: by
+``Reference.NOMINAL_S`` over the mean of one ``perfbench/worker.py``
+reference round timed right before it and one right after it, so a slow
+spell of the shared host does not move a worker.
 """
 
 from __future__ import annotations
@@ -220,10 +228,10 @@ def _lambda_pivoted_cases(m):
     return cases
 
 
-# The shortcuts of the guarded lambda tests, by their size gates: never taken,
-# or taken at every size.
-NO_SHORTCUTS = {"_CERTIFIED_MIN_SIZE": 10**9, "_BLOCK_MIN_SIZE": 10**9}
-SHORTCUT_ALWAYS = {"certificate": "_CERTIFIED_MIN_SIZE", "block": "_BLOCK_MIN_SIZE"}
+# The shortcut of the guarded lambda tests, by its size gate: never taken, or
+# taken at every size.
+NO_SHORTCUTS = {"_CERTIFIED_MIN_SIZE": 10**9}
+SHORTCUT_ALWAYS = {"certificate": "_CERTIFIED_MIN_SIZE"}
 
 
 def _lambda_cert_cases(m):
@@ -256,6 +264,18 @@ def _lambda_cert_cases(m):
             pair, plan, params, compute_discrepancy=True
         )
     return cases
+
+
+def _lambda_one_test_cases(m):
+    cfmc, data, _ = _problem(1, m)
+    params = cfmc.SteinKernelParams(alpha1=0.1, alpha2=1.0)
+    grams = {"lambda_search": cfmc.gram_matrix(data, params)}
+    if m != 250:
+        chain = metropolis_problem().dataset(np.random.default_rng(m), m)
+        grams["lambda_search_d3"] = cfmc.gram_matrix(_problem(3, m)[1], params)
+        grams["lambda_search_mcmc_d3"] = cfmc.gram_matrix(chain, params)
+    search = cfmc.estimator._lambda_search
+    return {name: (lambda k0=k0: search(k0)) for name, k0 in grams.items()}
 
 
 def _study(workload, n_grid, replications, seed, problem=None):
@@ -347,6 +367,26 @@ def _counting_entries():
         yield count
     finally:
         cfmc.kernel._assemble = original
+
+
+@contextlib.contextmanager
+def _recording_cholesky_tests():
+    """Record the size of every Cholesky test of the guarded lambda search
+    run inside the block, in call order."""
+    import cfmc
+
+    sizes = []
+    original = cfmc.estimator._exceeds
+
+    def spy(k0, shift, work):
+        sizes.append(k0.shape[0])
+        return original(k0, shift, work)
+
+    cfmc.estimator._exceeds = spy
+    try:
+        yield sizes
+    finally:
+        cfmc.estimator._exceeds = original
 
 
 # A fresh interpreter: the CPU seconds of ``import cfmc, cfmc.cli`` and the
@@ -490,7 +530,7 @@ TOPICS = {
     },
     "lambda_cert": {
         "topic": "lambda selection: accept tests proven by a partial pivoted Cholesky "
-                 "certificate, reject tests by a leading block",
+                 "certificate",
         "layer": "estimator: select_lambda (regularisation choice)",
         "sizes": (200, 300, 400, 500, 600, 800, 1000, 2000),
         "cases": _lambda_cert_cases,
@@ -505,13 +545,12 @@ TOPICS = {
             f"{SAMPLE}; size = m, the kernel system's size; select_lambda on the "
             "precomputed m x m Gram of a d = 1 sample (select_lambda_d3: of a d = 3 "
             "sample, where the certificate gives up, at m in {500, 1000}).  The "
-            "_no_shortcuts cases set both "
-            "size gates (_CERTIFIED_MIN_SIZE, _BLOCK_MIN_SIZE) beyond every size, and "
-            "_certificate_always / _block_always set one of them to 0, where the source "
-            "has them; on a source without them they are select_lambda.  "
+            "_no_shortcuts cases set the size gate _CERTIFIED_MIN_SIZE beyond every "
+            "size, and _certificate_always sets it to 0, where the source has it; on "
+            "a source without it they are select_lambda.  "
             "cf_split_estimate_bound: cf_split_estimate on n = 2m points with a random "
             "m-point fitting set and compute_discrepancy=True.  after_ratios: medians of "
-            "the after side, one case over another at each size, which set the gates"
+            "the after side, one case over another at each size, which set the gate"
         ),
     },
     "cold_start": {
@@ -578,6 +617,32 @@ TOPICS = {
             "whether every lambda is identical"
         ),
     },
+    "lambda_one_test": {
+        "topic": "lambda selection: one test of lambda_min(K0) > tau, answered by the "
+                 "pivoted factor's bounds where they can, for accept and reject tests alike",
+        "layer": "estimator: select_lambda (regularisation choice)",
+        "sizes": (200, 250, 500, 1000),
+        "cases": _lambda_one_test_cases,
+        "loops": lambda size: max(5, 4_000_000 // (size * size)),
+        "peak": (),
+        "digests": True,
+        "cholesky_tests": True,
+        "deviation_rows": _study_d1_and_mcmc_request_rows,
+        "method": (
+            f"{SAMPLE}; size = m, the kernel system's size; lambda_search: "
+            "estimator._lambda_search (select_lambda without its input checks) on the "
+            "precomputed m x m Gram of a d = 1 sample (lambda_search_d3: of a d = 3 "
+            "sample; lambda_search_mcmc_d3: of an m-step Metropolis chain targeting "
+            "N(0, I_3), step 1.0, as in the benchmark's mcmc_cv_d3), timed over "
+            "max(5, 4000000 // m^2) calls.  cholesky_test_sizes: the matrix size of "
+            "every Cholesky test (estimator._exceeds) one call runs, in call order; "
+            "cholesky_tests: their number.  result_bytes_identical: every lambda, by "
+            "repr, the same on both sides in every repeat.  output_deviation: one "
+            "study_d1 request (10 replications) and one mcmc_cv_d3 request (master_seed "
+            "1), the largest relative estimate deviation per n and method between the "
+            "sides, and whether every lambda is identical"
+        ),
+    },
     "lambda_select": {
         "topic": "lambda selection: guarded Cholesky tests and the top eigenvalue they start from",
         "layer": "estimator: select_lambda (regularisation choice)",
@@ -606,9 +671,10 @@ def measure(topic: str) -> dict:
     if "measure" in spec:
         return spec["measure"](spec["sizes"])
     reference = Reference()
-    times, peaks, peaks_mib, entries, outputs = {}, {}, {}, {}, {}
+    times, peaks, peaks_mib, entries, cholesky, outputs = {}, {}, {}, {}, {}, {}
     for size in spec["sizes"]:
-        loops = max(1, 200_000 // (size * size))  # at least ~20 ms per timing at small sizes
+        # At least ~20 ms per timing at small sizes, unless the topic asks for more.
+        loops = spec.get("loops", lambda size: max(1, 200_000 // (size * size)))(size)
         for name, call in spec["cases"](size).items():
             if spec.get("digests"):  # of the warm-up call
                 outputs[f"{name}/{size}"] = _digest(call())
@@ -636,11 +702,17 @@ def measure(topic: str) -> dict:
                 with _counting_entries() as count:
                     call()
                 entries[f"{name}/{size}"] = count[0]
+            if spec.get("cholesky_tests"):
+                with _recording_cholesky_tests() as sizes:
+                    call()
+                cholesky[f"{name}/{size}"] = sizes
     rows = spec["deviation_rows"]() if "deviation_rows" in spec else []
     report = {"cpu_s": times, "peak_over_result": peaks, "peak_mib": peaks_mib,
               "kernel_entries": entries, "rows": rows}
     if outputs:
         report["outputs"] = outputs
+    if cholesky:
+        report["cholesky_test_sizes"] = cholesky
     return report
 
 
@@ -673,6 +745,10 @@ def _summary(runs: list[dict]) -> dict:
         }
     if runs[0]["kernel_entries"]:
         summary["kernel_entries"] = runs[0]["kernel_entries"]
+    if "cholesky_test_sizes" in runs[0]:
+        sizes = runs[0]["cholesky_test_sizes"]
+        summary["cholesky_tests"] = {k: len(v) for k, v in sizes.items()}
+        summary["cholesky_test_sizes"] = sizes
     for name, label, scale in (("wall_s", "wall_median_ms", 1e3),
                                ("maxrss_mb", "maxrss_median_mb", 1.0)):
         if name in runs[0]:
