@@ -45,12 +45,9 @@ from .estimator import (
     select_lambda,
 )
 from .kernel import (
-    KernelDerivatives,
     SteinKernelParams,
     base_kernel,
-    base_kernel_derivatives,
     gram_matrix,
-    stein_kernel,
     stein_kernel_diag,
     stein_kernel_matrix,
 )
@@ -65,7 +62,6 @@ __all__ = [
     "Estimate",
     "ExperimentConfig",
     "InvalidInputError",
-    "KernelDerivatives",
     "MethodSpec",
     "NumericalError",
     "RkhsFunction",
@@ -76,7 +72,6 @@ __all__ = [
     "TargetProblem",
     "arithmetic_mean",
     "base_kernel",
-    "base_kernel_derivatives",
     "cf_multisplit_estimate",
     "cf_simplified_estimate",
     "cf_split_estimate",
@@ -95,7 +90,6 @@ __all__ = [
     "riemann_1d",
     "run_experiment",
     "select_lambda",
-    "stein_kernel",
     "stein_kernel_diag",
     "stein_kernel_matrix",
     "write_csv",

@@ -93,27 +93,28 @@ class ScoredDataset:
 class SplitPlan:
     """A dichotomy of ``0..n-1`` into a fitting set and an evaluation set.
 
-    ``index_d0`` selects the ``m`` fitting samples, ``index_d1`` the remaining
-    evaluation samples; together they must cover every index exactly once.
+    ``index_d0`` selects the ``m`` fitting samples (at least one),
+    ``index_d1`` the remaining evaluation samples; together they must cover
+    every index exactly once.
     """
 
-    m: int
     index_d0: np.ndarray
     index_d1: np.ndarray
 
     def __post_init__(self):
         d0 = np.asarray(self.index_d0, dtype=int)
         d1 = np.asarray(self.index_d1, dtype=int)
-        n = d0.size + d1.size
-        if not (1 <= self.m <= n):
-            raise InvalidInputError(f"m={self.m} must satisfy 1 <= m <= n={n}")
-        if d0.size != self.m:
-            raise InvalidInputError(f"index_d0 has {d0.size} entries, expected m={self.m}")
+        if d0.size == 0:
+            raise InvalidInputError("index_d0 must select at least one sample")
         combined = np.concatenate([d0, d1])
-        if not np.array_equal(np.sort(combined), np.arange(n)):
+        if not np.array_equal(np.sort(combined), np.arange(combined.size)):
             raise InvalidInputError("index_d0 and index_d1 must partition 0..n-1")
         object.__setattr__(self, "index_d0", d0)
         object.__setattr__(self, "index_d1", d1)
+
+    @property
+    def m(self) -> int:
+        return self.index_d0.size
 
     @property
     def n(self) -> int:
@@ -133,7 +134,7 @@ def random_split(n: int, m: int, seed, index: int = 0) -> SplitPlan:
     stream = np.random.SeedSequence(entropy=seq.entropy, spawn_key=tuple(seq.spawn_key) + (index,))
     rng = np.random.Generator(np.random.Philox(stream))
     perm = rng.permutation(n)
-    return SplitPlan(m=m, index_d0=perm[:m], index_d1=perm[m:])
+    return SplitPlan(index_d0=perm[:m], index_d1=perm[m:])
 
 
 def _split_size(n: int, fraction: float) -> int:

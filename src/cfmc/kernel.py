@@ -1,4 +1,4 @@
-"""Base kernel, its derivatives, and the gradient-based (Stein) kernel.
+"""Base kernel and the gradient-based (Stein) kernel.
 
 The base kernel is
 
@@ -14,9 +14,12 @@ the reproducing kernel of a space of functions whose mean under pi is zero
 whenever the usual tail conditions hold.  The prefactor above decays in |x|
 so that k0(x, x) stays bounded even for scores growing linearly.
 
-All derivative formulae below are analytic, derived from the product form
-k = A*E with A the prefactor and E the Gaussian factor.  Unit tests pin each
-of them against central finite differences.
+:func:`stein_kernel_matrix` (with :func:`gram_matrix`, its exactly symmetric
+Gram form) is the one evaluation of k0; its derivative terms are analytic,
+derived from the product form k = A*E with A the prefactor and E the
+Gaussian factor.  ``cfmc.diagnostics`` checks it against the Stein operator
+applied to :func:`base_kernel` by central differences, and its zero mean by
+quadrature.  :func:`stein_kernel_diag` is its diagonal in O(n).
 """
 
 from __future__ import annotations
@@ -69,81 +72,21 @@ def _finite(constant, value: float) -> bool:
         return False
 
 
-@dataclass(frozen=True)
-class KernelDerivatives:
-    """First and mixed derivatives of the base kernel at one pair of points."""
-
-    k_value: float
-    grad_x: np.ndarray
-    grad_xp: np.ndarray
-    div_grad: float
-
-
-def _check_pair(x, xp) -> tuple[np.ndarray, np.ndarray]:
+def base_kernel(x, xp, params: SteinKernelParams) -> np.ndarray:
+    """Evaluate k(x, x') over the last axis of two arrays that broadcast
+    against each other: one value per pair of points, each in (0, 1] and
+    symmetric in its arguments.  Two single points give a 0-d value."""
     x = np.asarray(x, dtype=float)
     xp = np.asarray(xp, dtype=float)
-    if x.ndim != 1 or xp.ndim != 1:
-        raise InvalidInputError("points must be 1-d vectors")
-    if x.shape != xp.shape:
-        raise InvalidInputError(f"point dimensions differ: {x.shape[0]} vs {xp.shape[0]}")
+    if x.ndim == 0 or xp.ndim == 0:
+        raise InvalidInputError("points must be vectors along the last axis")
+    if x.shape[-1] != xp.shape[-1]:
+        raise InvalidInputError(f"point dimensions differ: {x.shape[-1]} vs {xp.shape[-1]}")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(xp))):
         raise InvalidInputError("points must be finite")
-    return x, xp
-
-
-def base_kernel(x, xp, params: SteinKernelParams) -> float:
-    """Evaluate k(x, x').  Always in (0, 1], symmetric in its arguments."""
-    x, xp = _check_pair(x, xp)
-    pref = 1.0 + params.alpha1 * (x @ x + xp @ xp)
-    rho = float(np.sum((x - xp) ** 2))
-    return float(np.exp(-rho / (2.0 * params.alpha2**2)) / pref)
-
-
-def base_kernel_derivatives(x, xp, params: SteinKernelParams) -> KernelDerivatives:
-    """Evaluate k, grad_x k, grad_x' k and div_x div_x' k analytically.
-
-    With P = 1 + a1*(|x|^2 + |x'|^2), r = x - x' and k = exp(-|r|^2/(2 a2^2))/P:
-
-        grad_x  k = -k * (2 a1 x / P + r / a2^2)
-        grad_x' k =  k * (r / a2^2 - 2 a1 x' / P)
-        div_x div_x' k = k * (d/a2^2 + 8 a1^2 (x.x')/P^2
-                              - 2 a1 |r|^2 / (P a2^2) - |r|^2 / a2^4)
-    """
-    x, xp = _check_pair(x, xp)
-    a1, a2 = params.alpha1, params.alpha2
-    d = x.shape[0]
-    pref = 1.0 + a1 * (x @ x + xp @ xp)
-    r = x - xp
-    rho = float(r @ r)
-    k = float(np.exp(-rho / (2.0 * a2**2)) / pref)
-    grad_x = -k * (2.0 * a1 * x / pref + r / a2**2)
-    grad_xp = k * (r / a2**2 - 2.0 * a1 * xp / pref)
-    div_grad = k * (
-        d / a2**2
-        + 8.0 * a1**2 * (x @ xp) / pref**2
-        - 2.0 * a1 * rho / (pref * a2**2)
-        - rho / a2**4
-    )
-    return KernelDerivatives(k_value=k, grad_x=grad_x, grad_xp=grad_xp, div_grad=float(div_grad))
-
-
-def stein_kernel(x, u_x, xp, u_xp, params: SteinKernelParams) -> float:
-    """Evaluate the Stein kernel k0 at one pair of (point, score) tuples.
-
-    This is the definition, built from :func:`base_kernel_derivatives`; the
-    matrix path is tested against it.  Symmetric under the joint swap
-    (x, u_x) <-> (x', u_x'), exactly as computed: the swap exchanges the two
-    score terms, which are added first.
-    """
-    derivs = base_kernel_derivatives(x, xp, params)
-    u_x = np.asarray(u_x, dtype=float)
-    u_xp = np.asarray(u_xp, dtype=float)
-    if u_x.shape != derivs.grad_x.shape or u_xp.shape != derivs.grad_xp.shape:
-        raise InvalidInputError("score vectors must match point dimension")
-    if not (np.all(np.isfinite(u_x)) and np.all(np.isfinite(u_xp))):
-        raise InvalidInputError("scores must be finite")
-    score_terms = u_x @ derivs.grad_xp + u_xp @ derivs.grad_x
-    return float(derivs.div_grad + score_terms + (u_x @ u_xp) * derivs.k_value)
+    pref = 1.0 + params.alpha1 * (np.sum(x * x, axis=-1) + np.sum(xp * xp, axis=-1))
+    rho = np.sum((x - xp) ** 2, axis=-1)
+    return np.exp(-rho / (2.0 * params.alpha2**2)) / pref
 
 
 # Entries in one row block of the elementwise Stein-kernel work, so that the

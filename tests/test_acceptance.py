@@ -176,7 +176,7 @@ def test_criterion_03_simplified_bias():
 def test_criterion_04_split_unbiasedness():
     problem = gaussian_problem(1)
     reps = 20_000
-    plan = SplitPlan(m=10, index_d0=np.arange(10), index_d1=np.arange(10, 20))
+    plan = SplitPlan(index_d0=np.arange(10), index_d1=np.arange(10, 20))
     values = np.empty(reps)
     for r in range(reps):
         data = problem.dataset(_stream(4004, r), 20)
@@ -211,7 +211,7 @@ def test_criterion_05_error_bound():
         points = rng.standard_normal((n, d))
         data = ScoredDataset(points, -points, func.evaluate(points, -points))
         m = n // 2
-        plan = SplitPlan(m=m, index_d0=np.arange(m), index_d1=np.arange(m, n))
+        plan = SplitPlan(index_d0=np.arange(m), index_d1=np.arange(m, n))
         lam = 1e-12
         est = cf_split_estimate(data, plan, PARAMS, lambda_=lam)
         d0, d1 = data.subset(plan.index_d0), data.subset(plan.index_d1)
@@ -263,7 +263,7 @@ def test_criterion_08_weight_identities():
         g_values = -3.0 + 0.5 * rng.standard_normal(n)
         data_f = ScoredDataset(points, -points, f_values)
         data_g = ScoredDataset(points, -points, g_values)
-        plan = SplitPlan(m=m, index_d0=np.arange(m), index_d1=np.arange(m, n))
+        plan = SplitPlan(index_d0=np.arange(m), index_d1=np.arange(m, n))
         lam = 1e-5  # identity is regularisation-independent; keep solves well posed
         w = cf_weights(data_f, plan, PARAMS, lambda_=lam)
         est_f = cf_split_estimate(data_f, plan, PARAMS, lambda_=lam)

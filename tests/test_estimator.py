@@ -28,11 +28,11 @@ from cfmc import (
     mixture_problem,
     random_split,
     select_lambda,
-    stein_kernel,
     stein_kernel_matrix,
 )
 from cfmc import estimator
 from cfmc.estimator import _GUARDED_MIN_SIZE, CONDITION_LIMIT, LAMBDA_GRID
+from kernel_oracle import stein_kernel
 
 PARAMS = SteinKernelParams(alpha1=0.1, alpha2=1.0)
 
@@ -1002,13 +1002,21 @@ class TestSplitEstimate:
 
     def test_requires_evaluation_samples(self, make_gaussian_dataset):
         data = make_gaussian_dataset(6)
-        plan = SplitPlan(m=6, index_d0=np.arange(6), index_d1=np.arange(0))
+        plan = SplitPlan(index_d0=np.arange(6), index_d1=np.arange(0))
         with pytest.raises(InvalidInputError):
             cf_split_estimate(data, plan, PARAMS)
 
+    def test_plan_m_is_the_fitting_set_size(self):
+        plan = SplitPlan(index_d0=np.array([3, 0]), index_d1=np.array([1, 2, 4]))
+        assert (plan.m, plan.n) == (2, 5)
+        with pytest.raises(InvalidInputError, match="index_d0 must select at least one sample"):
+            SplitPlan(index_d0=np.arange(0), index_d1=np.arange(4))
+        with pytest.raises(InvalidInputError, match="must partition"):
+            SplitPlan(index_d0=np.arange(2), index_d1=np.arange(3, 5))
+
     def test_weights_require_evaluation_samples(self, make_gaussian_dataset):
         data = make_gaussian_dataset(6)
-        plan = SplitPlan(m=6, index_d0=np.arange(6), index_d1=np.arange(0))
+        plan = SplitPlan(index_d0=np.arange(6), index_d1=np.arange(0))
         with pytest.raises(InvalidInputError, match=r"weights require .* \(m < n\)"):
             cf_weights(data, plan, PARAMS)
 
@@ -1089,7 +1097,7 @@ class TestWeights:
         scores = -points
         f = rng.standard_normal(10)
         data = ScoredDataset(points, scores, f)
-        plan = SplitPlan(m=6, index_d0=np.arange(6), index_d1=np.arange(6, 10))
+        plan = SplitPlan(index_d0=np.arange(6), index_d1=np.arange(6, 10))
         w = cf_weights(data, plan, PARAMS, lambda_=1e-10)
         np.testing.assert_array_equal(w[:6], np.zeros(6))
         np.testing.assert_allclose(w[6:], 0.25)

@@ -13,15 +13,14 @@ from cfmc import (
     ScoredDataset,
     SteinKernelParams,
     base_kernel,
-    base_kernel_derivatives,
     discrepancy,
     gram_matrix,
-    stein_kernel,
     stein_kernel_diag,
     stein_kernel_matrix,
 )
 from cfmc import kernel
 from cfmc.diagnostics import gradient_check, mean_element_residuals
+from kernel_oracle import base_kernel_derivatives, stein_kernel
 
 PARAMS = SteinKernelParams(alpha1=0.1, alpha2=1.0)
 
@@ -81,6 +80,19 @@ class TestBaseKernel:
             assert 0.0 < k <= 1.0
             assert k == base_kernel(xp, x, PARAMS)
 
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_stacked_pairs_match_per_pair_calls(self, d):
+        # One call over stacked pairs, and over one point broadcast against
+        # many, gives each pair's value bit for bit.
+        rng = np.random.default_rng(d + 20)
+        x, xp = rng.normal(size=(7, d)), rng.normal(size=(7, d))
+        per_pair = [base_kernel(x[i], xp[i], PARAMS) for i in range(7)]
+        np.testing.assert_array_equal(base_kernel(x, xp, PARAMS), per_pair)
+        np.testing.assert_array_equal(
+            base_kernel(x[0], xp, PARAMS), [base_kernel(x[0], xp[i], PARAMS) for i in range(7)]
+        )
+        assert base_kernel(x[:, None], xp[None], PARAMS).shape == (7, 7)
+
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidInputError):
             base_kernel(np.array([np.inf]), np.array([0.0]), PARAMS)
@@ -90,6 +102,8 @@ class TestBaseKernel:
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(InvalidInputError):
             base_kernel(np.zeros(2), np.zeros(3), PARAMS)
+        with pytest.raises(InvalidInputError, match="vectors along the last axis"):
+            base_kernel(0.0, np.zeros(1), PARAMS)
 
     def test_rejects_bad_params(self):
         with pytest.raises(InvalidInputError):
@@ -139,7 +153,7 @@ class TestBaseKernel:
 class TestBaseKernelDerivatives:
     def test_matches_finite_differences(self):
         report = gradient_check(n_configs=100, dims=(1, 2, 5), step=1e-5, seed=42)
-        assert report["max"] < 1e-6
+        assert isinstance(report["max"], float) and report["max"] < 1e-6
 
     def test_coincident_gradient_closed_form(self):
         # At x = x' the Gaussian factor's gradient vanishes, leaving only the
@@ -229,7 +243,9 @@ class TestSteinKernel:
 
     def test_dimension_mismatch_raises(self):
         with pytest.raises(InvalidInputError):
-            stein_kernel(np.zeros(2), np.zeros(3), np.zeros(2), np.zeros(2), PARAMS)
+            stein_kernel_matrix(
+                np.zeros((1, 2)), np.zeros((1, 3)), np.zeros((1, 2)), np.zeros((1, 2)), PARAMS
+            )
 
     # Dimensions and score scales for the fast paths against the definition;
     # scores of about 1e3 make the score terms cancel the most.
@@ -537,6 +553,27 @@ class TestBlockedAssembly:
         # At d = 1 the inner products are formed per block, so beyond the
         # result only the block workspace is held (about 0.8x here).
         assert self._peak_over_result(which, 1) < 2.5
+
+
+class TestDiagnosticsCheckTheMatrixPath:
+    """Both diagnose checks evaluate k0 through stein_kernel_matrix, so an
+    offset on every entry that the assembly writes shows in each of them."""
+
+    @pytest.fixture
+    def offset_blocks(self, monkeypatch):
+        block = kernel._stein_block
+
+        def offset(pairs, params, buf, out):
+            block(pairs, params, buf, out)
+            out += 1e-4
+
+        monkeypatch.setattr(kernel, "_stein_block", offset)
+
+    def test_gradient_check_sees_an_offset(self, offset_blocks):
+        assert gradient_check()["max"] > 1e-6
+
+    def test_mean_element_residuals_see_an_offset(self, offset_blocks):
+        assert np.max(np.abs(mean_element_residuals(PARAMS))) > 1e-8
 
 
 class TestZeroMeanProperty:

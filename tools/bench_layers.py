@@ -30,11 +30,6 @@
   the Stein-kernel entries of each call, tracemalloc's peak in MiB for the
   two lone cells, and the largest relative deviation of their estimates and
   of one ``mcmc_cv_d3`` request between the two sides;
-* ``lambda_cert``: ``select_lambda`` on d = 1 Grams at m in {200, ..., 2000}
-  and on d = 3 Grams at m in {500, 1000}, each also with the size gate of
-  its shortcut (the partial Cholesky certificate) moved so that it is taken
-  never or at every size, whose ratios on the after side set the gate; and
-  ``cf_split_estimate`` with its discrepancy at m = 1000;
 * ``fit_solve``: the kernel system's factorisation and solves, through
   the fit ``estimator._fit_coefficients(k0, lambda_)`` on a precomputed Gram
   at m in {12, ..., 1000} and its surrogate solve, with lambda chosen by the
@@ -219,44 +214,6 @@ def _lambda_pivoted_cases(m):
         grams["select_lambda_d3"] = cfmc.gram_matrix(_problem(3, m)[1], params)
         grams["select_lambda_mcmc_d3"] = cfmc.gram_matrix(chain, params)
     cases = {name: (lambda k0=k0: cfmc.select_lambda(k0)) for name, k0 in grams.items()}
-    if m == 1000:
-        _, pair, _ = _problem(1, 2 * m)
-        plan = cfmc.random_split(2 * m, m, 0)
-        cases["cf_split_estimate_bound"] = lambda: cfmc.cf_split_estimate(
-            pair, plan, params, compute_discrepancy=True
-        )
-    return cases
-
-
-# The shortcut of the guarded lambda tests, by its size gate: never taken, or
-# taken at every size.
-NO_SHORTCUTS = {"_CERTIFIED_MIN_SIZE": 10**9}
-SHORTCUT_ALWAYS = {"certificate": "_CERTIFIED_MIN_SIZE"}
-
-
-def _lambda_cert_cases(m):
-    cfmc, data, _ = _problem(1, m)
-    params = cfmc.SteinKernelParams(alpha1=0.1, alpha2=1.0)
-    k0 = cfmc.gram_matrix(data, params)
-
-    def select(gram, **sizes):
-        def call():
-            with _gates(cfmc.estimator, **sizes):
-                return cfmc.select_lambda(gram)
-        return call
-
-    cases = {"select_lambda": select(k0)}
-    if m <= 1000:
-        cases["select_lambda_no_shortcuts"] = select(k0, **NO_SHORTCUTS)
-        for shortcut, gate in SHORTCUT_ALWAYS.items():
-            cases[f"select_lambda_{shortcut}_always"] = select(k0, **dict(NO_SHORTCUTS, **{gate: 0}))
-    if m in (500, 1000):
-        k0_d3 = cfmc.gram_matrix(_problem(3, m)[1], params)
-        cases["select_lambda_d3"] = select(k0_d3)
-        cases["select_lambda_d3_no_shortcuts"] = select(k0_d3, **NO_SHORTCUTS)
-        cases["select_lambda_d3_certificate_always"] = select(
-            k0_d3, **dict(NO_SHORTCUTS, _CERTIFIED_MIN_SIZE=0)
-        )
     if m == 1000:
         _, pair, _ = _problem(1, 2 * m)
         plan = cfmc.random_split(2 * m, m, 0)
@@ -526,31 +483,6 @@ TOPICS = {
             "whole mcmc_cv_d3 request (master_seed 1), the largest relative estimate "
             "deviation per n and method between the sides, and whether every lambda is "
             "identical"
-        ),
-    },
-    "lambda_cert": {
-        "topic": "lambda selection: accept tests proven by a partial pivoted Cholesky "
-                 "certificate",
-        "layer": "estimator: select_lambda (regularisation choice)",
-        "sizes": (200, 300, 400, 500, 600, 800, 1000, 2000),
-        "cases": _lambda_cert_cases,
-        "peak": (),
-        "after_ratios": tuple(
-            (f"select_lambda_{shortcut}_always", "select_lambda_no_shortcuts")
-            for shortcut in SHORTCUT_ALWAYS
-        ) + (("select_lambda", "select_lambda_no_shortcuts"),
-             ("select_lambda_d3", "select_lambda_d3_no_shortcuts"),
-             ("select_lambda_d3_certificate_always", "select_lambda_d3_no_shortcuts")),
-        "method": (
-            f"{SAMPLE}; size = m, the kernel system's size; select_lambda on the "
-            "precomputed m x m Gram of a d = 1 sample (select_lambda_d3: of a d = 3 "
-            "sample, where the certificate gives up, at m in {500, 1000}).  The "
-            "_no_shortcuts cases set the size gate _CERTIFIED_MIN_SIZE beyond every "
-            "size, and _certificate_always sets it to 0, where the source has it; on "
-            "a source without it they are select_lambda.  "
-            "cf_split_estimate_bound: cf_split_estimate on n = 2m points with a random "
-            "m-point fitting set and compute_discrepancy=True.  after_ratios: medians of "
-            "the after side, one case over another at each size, which set the gate"
         ),
     },
     "cold_start": {
@@ -843,13 +775,6 @@ def main(argv=None) -> int:
         report[identical] = all(
             b["outputs"] == a["outputs"] for b, a in zip(sides["before"][1], sides["after"][1])
         )
-    if "after_ratios" in spec:
-        report["after_ratios"] = {
-            f"{num}/{den}/{size}": round(after[f"{num}/{size}"] / after[f"{den}/{size}"], 3)
-            for num, den in spec["after_ratios"]
-            for size in spec["sizes"]
-            if f"{num}/{size}" in after and f"{den}/{size}" in after
-        }
     if "deviation_rows" in spec:
         report["output_deviation"] = _row_deviation(
             sides["before"][1][0]["rows"], sides["after"][1][0]["rows"]

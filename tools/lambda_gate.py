@@ -22,7 +22,7 @@ byte-identical.
 
 It also writes the sample files of ``BOUND_SAMPLES`` (standard normal draws
 from a fixed seed: 400 rows at d = 2, and 2000 rows at d = 1, whose
-1000-row kernel system is large enough for the lambda certificate) and runs
+1000-row kernel system takes the lambda rule's pivoted-factor path) and runs
 ``python -m cfmc estimate FILE --method cf-split --bound --fnorm 1 --output
 json`` on each from both checkouts; the two outputs of each, which hold the
 discrepancy D and the bound radius, must be byte-identical.  On the d = 2
@@ -34,7 +34,9 @@ Last it runs ``python -m cfmc diagnose`` with ``DIAGNOSE_COMMAND`` (the
 bimodal mixture, 200 draws) from both checkouts and requires byte-identical
 stdout.  No study above uses a mixture or a quadrature, so this is the one
 check of the mixture score's ``softmax`` and of the mean-element check's
-``quad``.
+quadrature (``quad_vec``).  Both ``diagnose`` checks, the mean-element
+residuals and the gradient check, evaluate the Stein kernel through
+``stein_kernel_matrix``, the path every estimate uses.
 """
 
 from __future__ import annotations
