@@ -40,7 +40,6 @@ from .estimator import (
     cf_split_estimate,
     cf_weights,
     cross_validate,
-    discrepancy,
     fit_surrogate,
     select_lambda,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "cf_split_estimate",
     "cf_weights",
     "cross_validate",
-    "discrepancy",
     "estimate_slope",
     "fit_surrogate",
     "gaussian_problem",

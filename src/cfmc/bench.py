@@ -28,7 +28,6 @@ from . import baselines
 from .data import ScoredDataset, _split_size, random_split
 from .errors import CfmcError, InvalidInputError, _bad, _count, _fraction
 from .estimator import (
-    _CV_TRAIN_FRACTION,
     Estimate,
     _GramRows,
     _lambda_value,
@@ -59,7 +58,6 @@ class MethodSpec:
     alpha2: float = 1.0
     lambda_: float | None = None
     cv_grid: tuple[SteinKernelParams, ...] | None = None
-    cv_train_fraction: float = _CV_TRAIN_FRACTION
     label: str | None = None
 
     def __post_init__(self):
@@ -74,8 +72,6 @@ class MethodSpec:
             if not grid or not all(isinstance(p, SteinKernelParams) for p in grid):
                 raise _bad("cv_grid", "None or a non-empty sequence of SteinKernelParams", grid)
             object.__setattr__(self, "cv_grid", grid)
-        fraction = _fraction("cv_train_fraction", self.cv_train_fraction)
-        object.__setattr__(self, "cv_train_fraction", fraction)
         if not (self.label is None or isinstance(self.label, str)):
             raise _bad("label", "a string or None", self.label)
 
@@ -309,9 +305,7 @@ def run_estimator(
         if method == "cf-multisplit":
             cv_plan = random_split(data.n, _split_size(data.n, split_fraction), cv_seed)
         cv_set = data if method == "cf-simplified" else data.subset(cv_plan.index_d0)
-        params = cross_validate(
-            cv_set, spec.cv_grid, train_fraction=spec.cv_train_fraction, seed=cv_seed
-        )
+        params = cross_validate(cv_set, spec.cv_grid, seed=cv_seed)
     if method == "cf-split":
         return cf_split_estimate(
             data, plan, params, lambda_=spec.lambda_, compute_discrepancy=compute_discrepancy

@@ -27,11 +27,18 @@ def _as_finite_array(values, name: str, ndim: int) -> np.ndarray:
 
 
 def _row_indices(indices) -> np.ndarray:
-    """``indices`` as an integer index array.  A boolean mask is refused:
-    converted to int it would pick rows 0 and 1, not the rows it marks."""
+    """``indices`` as a 1-D integer index array.  A boolean mask is refused,
+    since as int it would pick rows 0 and 1, not the rows it marks, and so is
+    any other non-integer array but an empty one, whose values int would
+    truncate."""
     idx = np.asarray(indices)
-    if idx.dtype == bool:
-        raise InvalidInputError("subset takes row indices, not a boolean mask")
+    kind = idx.dtype.kind
+    if kind == "b":
+        raise InvalidInputError("row indices must be integers, not a boolean mask")
+    if idx.ndim != 1:
+        raise InvalidInputError(f"row indices must be a 1-D array, got shape {idx.shape}")
+    if kind not in "iu" and idx.size:
+        raise InvalidInputError(f"row indices must be integers, got dtype {idx.dtype}")
     return idx.astype(int, copy=False)
 
 
@@ -102,8 +109,7 @@ class SplitPlan:
     index_d1: np.ndarray
 
     def __post_init__(self):
-        d0 = np.asarray(self.index_d0, dtype=int)
-        d1 = np.asarray(self.index_d1, dtype=int)
+        d0, d1 = _row_indices(self.index_d0), _row_indices(self.index_d1)
         if d0.size == 0:
             raise InvalidInputError("index_d0 must select at least one sample")
         combined = np.concatenate([d0, d1])

@@ -4,10 +4,10 @@ zero-mean property, derivative correctness, kernel boundedness.
 The zero-mean check integrates x' -> k0(x, x') pi(x') by adaptive quadrature
 at probe points; for a valid target/kernel pair every residual should sit at
 quadrature noise level.  The gradient check compares k0 with the Stein
-operator applied to the base kernel by central differences.  Both evaluate
-k0 through :func:`stein_kernel_matrix`.  The boundedness diagnostic reports
-the sampled sup of k0(x, x), which must stay finite for the estimators to be
-well behaved.
+operator applied to the base kernel by central differences.  The
+boundedness diagnostic reports the sampled sup of k0(x, x), which must stay
+finite for the estimators to be well behaved.  All three evaluate k0 by the
+assembly of :func:`stein_kernel_matrix`.
 """
 
 from __future__ import annotations
@@ -19,13 +19,20 @@ from .errors import InvalidInputError
 from .kernel import SteinKernelParams, base_kernel, stein_kernel_diag, stein_kernel_matrix
 from .targets import TargetProblem, gaussian_problem
 
+# The mean-element check integrates over [-_QUAD_LIMIT, _QUAD_LIMIT].
+_QUAD_LIMIT = 12.0
+
+# The gradient check: _FD_CONFIGS random configurations, cycling through the
+# dimensions _FD_DIMS, with central-difference steps _FD_STEP for the first
+# derivatives and _FD_DIV_STEP for the mixed second one.
+_FD_CONFIGS = 100
+_FD_DIMS = (1, 2, 5)
+_FD_STEP = 1e-5
+_FD_DIV_STEP = 1e-4
+
 
 def mean_element_residuals(
-    params: SteinKernelParams,
-    probes=None,
-    problem: TargetProblem | None = None,
-    lower: float = -12.0,
-    upper: float = 12.0,
+    params: SteinKernelParams, probes=None, problem: TargetProblem | None = None
 ) -> np.ndarray:
     """Quadrature values of integral k0(x, .) d pi at each probe point.
 
@@ -48,12 +55,12 @@ def mean_element_residuals(
         return k0 * float(problem.normalised_density(xp))
 
     residuals, _ = integrate.quad_vec(
-        integrand, lower, upper, epsabs=1e-13, epsrel=1e-13, limit=400
+        integrand, -_QUAD_LIMIT, _QUAD_LIMIT, epsabs=1e-13, epsrel=1e-13, limit=400
     )
     return residuals
 
 
-def _fd_stein_kernel(x, u_x, xp, u_xp, params: SteinKernelParams, step: float, div_step: float):
+def _fd_stein_kernel(x, u_x, xp, u_xp, params: SteinKernelParams):
     """The Stein operator applied to the base kernel by central differences,
     at one pair of points.
 
@@ -61,6 +68,7 @@ def _fd_stein_kernel(x, u_x, xp, u_xp, params: SteinKernelParams, step: float, d
     difference carries rounding noise of order eps/step^2, so the
     first-derivative step would drown the signal.
     """
+    step, div_step = _FD_STEP, _FD_DIV_STEP
     e, f = step * np.eye(x.size), div_step * np.eye(x.size)
     grad_x = (base_kernel(x + e, xp, params) - base_kernel(x - e, xp, params)) / (2 * step)
     grad_xp = (base_kernel(x, xp + e, params) - base_kernel(x, xp - e, params)) / (2 * step)
@@ -73,13 +81,7 @@ def _fd_stein_kernel(x, u_x, xp, u_xp, params: SteinKernelParams, step: float, d
     return div + u_x @ grad_xp + u_xp @ grad_x + (u_x @ u_xp) * base_kernel(x, xp, params)
 
 
-def gradient_check(
-    n_configs: int = 100,
-    dims=(1, 2, 5),
-    step: float = 1e-5,
-    div_step: float = 1e-4,
-    seed: int = 0,
-) -> dict:
+def gradient_check(seed: int = 0) -> dict:
     """Worst relative disagreement between :func:`stein_kernel_matrix` and
     the Stein operator applied to :func:`base_kernel` by central differences,
     over random points, scores and kernels.
@@ -89,13 +91,13 @@ def gradient_check(
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for j in range(n_configs):
-        x, u_x, xp, u_xp = rng.normal(size=(4, dims[j % len(dims)]))
+    for j in range(_FD_CONFIGS):
+        x, u_x, xp, u_xp = rng.normal(size=(4, _FD_DIMS[j % len(_FD_DIMS)]))
         params = SteinKernelParams(
             alpha1=float(rng.uniform(0.05, 0.5)), alpha2=float(rng.uniform(0.5, 2.0))
         )
         k0 = stein_kernel_matrix(x, u_x, xp, u_xp, params)[0, 0]
-        fd = _fd_stein_kernel(x, u_x, xp, u_xp, params, step, div_step)
+        fd = _fd_stein_kernel(x, u_x, xp, u_xp, params)
         worst = max(worst, float(abs(k0 - fd) / max(1.0, abs(k0))))
     return {"max": worst}
 

@@ -12,8 +12,9 @@ the surrogate mean with the residual average over the held-out subset D1,
 
 which is unbiased when D1 is an IID sample from pi.  The simplified estimator
 keeps only c_hat with all samples used for fitting; it trades a small bias for
-lower variance.  A computable discrepancy D(D0, D1) bounds the worst-case
-error over the unit ball of the hypothesis space:
+lower variance.  A computable discrepancy D(D0, D1), which
+:func:`cf_split_estimate` attaches on request, bounds the worst-case error
+over the unit ball of the hypothesis space:
 
     |mu_hat - mu(f)| <= sqrt(D(D0, D1)) * ||f||.
 """
@@ -32,7 +33,7 @@ from . import kernel
 from ._lapack import cho_factor, cho_solve
 from .data import ScoredDataset, SplitPlan, _row_indices, _split_size, random_split
 from .errors import (
-    InvalidInputError, NumericalError, SingularMatrixError, _count, _fraction, _real,
+    InvalidInputError, NumericalError, SingularMatrixError, _count, _real,
 )
 from .kernel import SteinKernelParams, gram_matrix, stein_kernel_matrix
 
@@ -449,7 +450,7 @@ class _Fit:
     z = A^-1 1 and q = 1'z.  It holds no integrand: one fit serves every f."""
 
     lam: float
-    chol: tuple
+    chol: np.ndarray
     z: np.ndarray
     q: float
 
@@ -523,7 +524,7 @@ def _fit_coefficients(k0: np.ndarray, lambda_: float | None) -> _Fit:
     diag = np.arange(m)
     system[diag, diag] += lam * m
     try:
-        chol = cho_factor(system, lower=True)
+        chol = cho_factor(system)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(
             f"kernel system of size {m} could not be factorised with lambda={lam!r}; "
@@ -542,8 +543,10 @@ class RkhsFunction:
     Because every Stein-kernel function has zero mean under the target, the
     exact mean of f is the constant c, and the squared norm decomposes as
     c^2 + gamma' K0 gamma over the centers.  :func:`fit_surrogate` returns
-    one; built by hand, one is an integrand with known mean and norm, which
-    verifies the worst-case error bound by construction.
+    one; built by hand, one is an integrand with known mean c and norm
+    :meth:`norm_hplus`, so a split estimate of it must lie within
+    sqrt(D) * norm_hplus() of c, with the D that :func:`cf_split_estimate`
+    attaches.
     """
 
     c: float
@@ -688,13 +691,15 @@ def _block(data: ScoredDataset, params: SteinKernelParams, rows, cols) -> np.nda
     return stein_kernel_matrix(points[rows], scores[rows], points[cols], scores[cols], params)
 
 
-def _split_blocks(data: ScoredDataset, plan: SplitPlan, params, no_evaluation: str):
-    """(K0, K10) of the split ``plan``, K0 assembled first; ``no_evaluation``
-    is the message when the plan leaves no evaluation set."""
+def _split_blocks(data: ScoredDataset, plan: SplitPlan, params):
+    """(K0, K10) of the split ``plan``, K0 assembled first."""
     if data.n != plan.n:
         raise InvalidInputError(f"plan covers {plan.n} samples, dataset has {data.n}")
     if not plan.index_d1.size:
-        raise InvalidInputError(no_evaluation)
+        raise InvalidInputError(
+            "plan leaves no evaluation samples (a split needs m < n); "
+            "use cf_simplified_estimate"
+        )
     i0, i1 = plan.index_d0, plan.index_d1
     return _block(data, params, i0, i0), _block(data, params, i1, i0)
 
@@ -718,9 +723,7 @@ def cf_split_estimate(
     attached to the estimate.
     """
     # Holding K0 until return keeps K1 out of its freed pages (CHANGES.md).
-    k0, k10 = _split_blocks(
-        data, plan, params, "plan leaves no evaluation samples; use cf_simplified_estimate"
-    )
+    k0, k10 = _split_blocks(data, plan, params)
     fit = _fit_coefficients(k0, lambda_)
     c_hat, beta = fit.surrogate(data.f_values[plan.index_d0])
     f1_hat = c_hat + k10 @ beta
@@ -778,9 +781,7 @@ def cf_weights(
     K10 have zero mean under the target, so E[1'w | D0] = 1 whenever D1 is an
     IID sample from it.
     """
-    k0, k10 = _split_blocks(
-        data, plan, params, "weights require at least one evaluation sample (m < n)"
-    )
+    k0, k10 = _split_blocks(data, plan, params)
     w = np.empty(data.n)
     w[plan.index_d0] = _fit_coefficients(k0, lambda_).split_weights(k10)
     w[plan.index_d1] = 1.0 / k10.shape[0]
@@ -829,40 +830,13 @@ def cf_multisplit_estimate(
     )
 
 
-def discrepancy(
-    d0: ScoredDataset,
-    d1: ScoredDataset,
-    params: SteinKernelParams,
-    lambda_: float | None = None,
-) -> float:
-    """Worst-case error constant D(D0, D1) for the given split datasets.
-
-    ``lambda_`` defaults to the same conditioning rule used for estimation;
-    pass an explicit (small) value to approximate the unregularised constant.
-    The value is the one :func:`cf_split_estimate` attaches to the split of
-    d0 followed by d1 into its first ``d0.n`` rows and the rest.
-    """
-    if d0 is None or d0.n < 1 or d1 is None or d1.n < 1:
-        raise InvalidInputError("d0 and d1 must both be non-empty")
-    if d0.dimension != d1.dimension:
-        raise InvalidInputError("d0 and d1 must have the same dimension")
-    fit = _fit_coefficients(gram_matrix(d0, params), lambda_)
-    k10 = stein_kernel_matrix(d1.points, d1.scores, d0.points, d0.scores, params)
-    return fit.discrepancy(k10, gram_matrix(d1, params))
-
-
-def cross_validate(
-    d0: ScoredDataset,
-    grid,
-    train_fraction: float = _CV_TRAIN_FRACTION,
-    seed=0,
-) -> SteinKernelParams:
+def cross_validate(d0: ScoredDataset, grid, seed=0) -> SteinKernelParams:
     """Select kernel hyper-parameters by hold-out prediction error on ``d0``.
 
-    ``d0`` is split once into a training part of ``ceil(train_fraction * m)``
-    samples and a test part; every candidate is fitted on the training part
+    ``d0`` is split once, at random, into a training half of ``ceil(m / 2)``
+    samples and a test half; every candidate is fitted on the training half
     (with the automatic regularisation rule) and scored by the l2 norm of its
-    prediction error on the test part.  The candidate with the smallest error
+    prediction error on the test half.  The candidate with the smallest error
     wins; ties go to the earliest grid entry.  The split uses a dedicated
     stream derived from ``seed`` so selection never perturbs estimation
     randomness.
@@ -870,12 +844,11 @@ def cross_validate(
     grid = list(grid)
     if not grid:
         raise InvalidInputError("grid must contain at least one candidate")
-    train_fraction = _fraction("train_fraction", train_fraction)
     m = d0.n
-    m_train = math.ceil(train_fraction * m)
+    m_train = math.ceil(_CV_TRAIN_FRACTION * m)
     if m_train < 2 or m - m_train < 1:
         raise InvalidInputError(
-            f"train_fraction {train_fraction} of {m} samples leaves too few points "
+            f"{m} samples leave too few points to cross-validate "
             f"(train={m_train}, test={m - m_train})"
         )
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)

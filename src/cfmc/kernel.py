@@ -19,7 +19,8 @@ Gram form) is the one evaluation of k0; its derivative terms are analytic,
 derived from the product form k = A*E with A the prefactor and E the
 Gaussian factor.  ``cfmc.diagnostics`` checks it against the Stein operator
 applied to :func:`base_kernel` by central differences, and its zero mean by
-quadrature.  :func:`stein_kernel_diag` is its diagonal in O(n).
+quadrature.  :func:`stein_kernel_diag`, for the boundedness diagnostic,
+reads k0(x, x) off Gram blocks of the same assembly.
 """
 
 from __future__ import annotations
@@ -279,21 +280,24 @@ def stein_kernel_matrix(x, u_x, y, u_y, params: SteinKernelParams) -> np.ndarray
     return _assemble(x, u_x, y, u_y, params, upper=False)
 
 
-def stein_kernel_diag(x, u_x, params: SteinKernelParams) -> np.ndarray:
-    """Evaluate k0(x_i, x_i) for each row of ``x`` in O(n).
+# Rows of each Gram block whose diagonal stein_kernel_diag reads: each is one
+# block of the assembly.
+_DIAG_ROWS = 128
 
-    Matches the general formula with x = x'; used for the boundedness
-    diagnostic sup k0(x, x).
+
+def stein_kernel_diag(x, u_x, params: SteinKernelParams) -> np.ndarray:
+    """Evaluate k0(x_i, x_i) for each row of ``x``, in O(n * _DIAG_ROWS):
+    the diagonal of the Gram of each block of ``_DIAG_ROWS`` rows.  At d = 1
+    it has the bytes of the whole Gram's diagonal; at d >= 2 BLAS may round
+    a block's inner products and the whole Gram's differently in the last
+    bit.  Used for the boundedness diagnostic sup k0(x, x).
     """
     x, u_x, _, _ = _check_sets(x, u_x, x, u_x)
-    a1, a2 = params.alpha1, params.alpha2
-    d = x.shape[1]
-    nx = np.sum(x * x, axis=1)
-    pref = 1.0 + a1 * (nx + nx)
-    k = 1.0 / pref
-    ux_x = np.sum(u_x * x, axis=1)
-    div_part = d / a2**2 + 8.0 * a1**2 * nx / pref**2
-    return k * (div_part - 4.0 * a1 * ux_x / pref + np.sum(u_x * u_x, axis=1))
+    diag = np.empty(x.shape[0])
+    for i in range(0, x.shape[0], _DIAG_ROWS):
+        rows, scores = x[i : i + _DIAG_ROWS], u_x[i : i + _DIAG_ROWS]
+        diag[i : i + _DIAG_ROWS] = np.diag(_assemble(rows, scores, rows, scores, params, upper=True))
+    return diag
 
 
 def gram_matrix(data: ScoredDataset, params: SteinKernelParams) -> np.ndarray:

@@ -157,8 +157,12 @@ def mixture_problem(weights, means, scales, integrand=None, name=None) -> Target
     )
 
 
-def oracle_mean(problem: TargetProblem, tol: float = 1e-10) -> float:
-    """Ground-truth mean of the problem's integrand, to absolute tolerance tol.
+# Absolute tolerance of a quadrature oracle mean.
+_ORACLE_TOL = 1e-10
+
+
+def oracle_mean(problem: TargetProblem) -> float:
+    """Ground-truth mean of the problem's integrand, to absolute tolerance 1e-10.
 
     Returns the analytic mean when the problem carries one; otherwise falls
     back to adaptive quadrature (one ``nquad`` over R^d), supported for
@@ -185,10 +189,10 @@ def oracle_mean(problem: TargetProblem, tol: float = 1e-10) -> float:
 
     value, err = integrate.nquad(
         integrand, [(-np.inf, np.inf)] * problem.dimension,
-        opts={"epsabs": tol / 10.0, "epsrel": 1e-12, "limit": 400},
+        opts={"epsabs": _ORACLE_TOL / 10.0, "epsrel": 1e-12, "limit": 400},
     )
-    if err > tol:
+    if err > _ORACLE_TOL:
         raise InvalidInputError(
-            f"quadrature error estimate {err} exceeds requested tolerance {tol}"
+            f"quadrature error estimate {err} exceeds the tolerance {_ORACLE_TOL}"
         )
     return float(value)

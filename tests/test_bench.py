@@ -153,18 +153,18 @@ class TestConfig:
         with pytest.raises(InvalidInputError, match="lambda"):
             MethodSpec("cf-split", lambda_=lam)
 
-    @pytest.mark.parametrize("fraction", [0.0, 1.0, 1.5, -0.5, float("nan"), float("inf")])
-    def test_invalid_cv_train_fraction_rejected(self, fraction):
-        with pytest.raises(InvalidInputError, match="cv_train_fraction"):
-            MethodSpec("cf-split", cv_train_fraction=fraction)
+    def test_cv_train_fraction_is_an_unknown_key(self):
+        # Cross-validation always trains on half of its set.
         raw = {
             "problem": "gaussian",
             "n_grid": [10, 20],
             "replications": 2,
             "master_seed": 5,
-            "methods": [{"method": "cf-split", "cv_train_fraction": fraction}],
+            "methods": [{"method": "cf-split", "cv_train_fraction": 0.5}],
         }
-        with pytest.raises(InvalidInputError, match="cv_train_fraction"):
+        with pytest.raises(
+            InvalidInputError, match=r"^unknown config keys: methods\[0\]\.cv_train_fraction$"
+        ):
             load_config(raw)
 
     def test_unset_keys_take_the_dataclass_defaults(self):
@@ -193,7 +193,7 @@ class TestConfig:
             "n_splits": 3,
             "methods": [{
                 "method": "cf-split", "alpha1": 0.2, "alpha2": 2, "lambda": 1e-6,
-                "cv_grid": [[0.1, 1], [0.2, 3.0]], "cv_train_fraction": 0.75, "label": "x",
+                "cv_grid": [[0.1, 1], [0.2, 3.0]], "label": "x",
             }],
         }
         # Every key is set, so a field without a parser would fail here.
@@ -204,13 +204,13 @@ class TestConfig:
         assert config.methods == (MethodSpec(
             "cf-split", alpha1=0.2, alpha2=2.0, lambda_=1e-6,
             cv_grid=(SteinKernelParams(0.1, 1.0), SteinKernelParams(0.2, 3.0)),
-            cv_train_fraction=0.75, label="x",
+            label="x",
         ),)
         assert build_problem(config).dimension == 1
 
     @pytest.mark.parametrize("key, value", [
         ("alpha1", "abc"), ("lambda", "abc"), ("cv_grid", [[0.1]]), ("cv_grid", 5),
-        ("label", ["a"]), ("method", ["mean"]), ("cv_train_fraction", None),
+        ("label", ["a"]), ("method", ["mean"]),
     ])
     def test_malformed_method_value_names_its_key(self, key, value):
         raw = {
@@ -338,7 +338,6 @@ class TestConfig:
         [
             ({"cv_grid": 5}, "cv_grid"),
             ({"lambda_": "1e-3"}, "lambda"),
-            ({"cv_train_fraction": "0.5"}, "cv_train_fraction"),
         ],
     )
     def test_method_spec_rejects_wrong_types(self, overrides, named):
@@ -362,7 +361,7 @@ class TestConfig:
 # is bad.
 _NUMBER_FIELDS = [
     ("method", "alpha1"), ("method", "alpha2"), ("method", "lambda"),
-    ("method", "cv_train_fraction"), ("config", "split_fraction"),
+    ("config", "split_fraction"),
     ("config", "replications"), ("config", "master_seed"), ("config", "n_splits"),
     ("config", "n_grid"),
 ]

@@ -1,6 +1,5 @@
 import contextlib
 import csv
-import inspect
 import io
 import json
 import math
@@ -577,7 +576,6 @@ class TestBenchCommand:
         ({}, {"lambda": True}, "methods[0].lambda"),
         ({}, {"alpha1": "0.1"}, "methods[0].alpha1"),
         ({}, {"alpha2": False}, "methods[0].alpha2"),
-        ({}, {"cv_train_fraction": True}, "methods[0].cv_train_fraction"),
         ({}, {"cv_grid": [[True, 1.0]]}, "methods[0].cv_grid"),
         ({}, {"cv_grid": [["0.1", 1.0]]}, "methods[0].cv_grid"),
         # Finite numbers whose kernel constants overflow.
@@ -681,8 +679,6 @@ def test_parser_defaults_are_the_dataclass_defaults():
     assert estimate.lambda_ == MethodSpec.lambda_
     assert estimate.split_fraction == ExperimentConfig.split_fraction
     assert estimate.splits == ExperimentConfig.n_splits
-    train_fraction = inspect.signature(cross_validate).parameters["train_fraction"]
-    assert train_fraction.default == MethodSpec.cv_train_fraction
 
 
 @pytest.mark.parametrize(

@@ -22,7 +22,6 @@ from cfmc import (
     cf_split_estimate,
     cf_weights,
     cross_validate,
-    discrepancy,
     fit_surrogate,
     gram_matrix,
     mixture_problem,
@@ -33,6 +32,7 @@ from cfmc import (
 from cfmc import estimator
 from cfmc.estimator import _GUARDED_MIN_SIZE, CONDITION_LIMIT, LAMBDA_GRID
 from kernel_oracle import stein_kernel
+from split_discrepancy import split_discrepancy
 
 PARAMS = SteinKernelParams(alpha1=0.1, alpha2=1.0)
 
@@ -782,7 +782,7 @@ class TestLambdaValidation:
         plan = random_split(12, 6, seed=0)
         d0, d1 = data.subset(plan.index_d0), data.subset(plan.index_d1)
         with pytest.raises(InvalidInputError, match="lambda must be non-negative"):
-            discrepancy(d0, d1, PARAMS, lambda_=lam)
+            split_discrepancy(d0, d1, PARAMS, lambda_=lam)
 
 
 class TestSettingRules:
@@ -848,7 +848,7 @@ class TestNonFiniteSystem:
             lambda: cf_weights(data, plan, PARAMS, lambda_=lam),
             lambda: cf_multisplit_estimate(data, 2, 0.5, PARAMS, seed=0, lambda_=lam),
             lambda: fit_surrogate(data, PARAMS, lambda_=lam),
-            lambda: discrepancy(data, data, PARAMS, lambda_=lam),
+            lambda: split_discrepancy(data, data, PARAMS, lambda_=lam),
         ]
         with np.errstate(over="ignore", invalid="ignore"):
             for call in calls:
@@ -882,7 +882,9 @@ class TestNonFiniteSystem:
             with pytest.raises(InvalidInputError, match="k1 sums to"):
                 cf_split_estimate(data, plan, PARAMS, compute_discrepancy=True)
             with pytest.raises(InvalidInputError, match="k1 sums to"):
-                discrepancy(data.subset(plan.index_d0), data.subset(plan.index_d1), PARAMS)
+                split_discrepancy(
+                    data.subset(plan.index_d0), data.subset(plan.index_d1), PARAMS
+                )
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_fit_discrepancy_checks_k1(self, bad):
@@ -924,9 +926,9 @@ class TestLapackCholesky:
         system = k0.copy(order="F")
         system[np.arange(m), np.arange(m)] += lam * m
         ref = cho_factor(system, lower=True)
-        assert chol[1] is True and ref[1] is True
-        assert chol[0].flags.f_contiguous
-        assert chol[0].tobytes(order="F") == ref[0].tobytes(order="F")
+        assert isinstance(chol, np.ndarray) and ref[1] is True
+        assert chol.flags.f_contiguous
+        assert chol.tobytes(order="F") == ref[0].tobytes(order="F")
         assert z.tobytes() == cho_solve(ref, np.ones(m)).tobytes()
         b = np.random.default_rng(seed + 1).standard_normal(m)
         kept = b.copy()
@@ -953,9 +955,8 @@ class TestLapackCholesky:
 
     def test_factor_overwrites_its_argument(self):
         a = _spd_system(0, 5)
-        c, lower = estimator.cho_factor(a, lower=True)
+        c = estimator.cho_factor(a)
         assert c is a or np.shares_memory(c, a)
-        assert lower is True
 
 
 class TestSplitEstimate:
@@ -997,7 +998,7 @@ class TestSplitEstimate:
             lam = 1e-12
             est = cf_split_estimate(data, plan, PARAMS, lambda_=lam)
             d0, d1 = data.subset(plan.index_d0), data.subset(plan.index_d1)
-            radius = np.sqrt(discrepancy(d0, d1, PARAMS, lambda_=lam)) * func.norm_hplus()
+            radius = np.sqrt(split_discrepancy(d0, d1, PARAMS, lambda_=lam)) * func.norm_hplus()
             assert abs(est.value - func.c) <= radius * (1.0 + 1e-6)
 
     def test_requires_evaluation_samples(self, make_gaussian_dataset):
@@ -1014,10 +1015,19 @@ class TestSplitEstimate:
         with pytest.raises(InvalidInputError, match="must partition"):
             SplitPlan(index_d0=np.arange(2), index_d1=np.arange(3, 5))
 
+    def test_plan_takes_only_1d_integer_indices(self):
+        # As int, [0.9, 1.2] would be D0 = {0, 1}.
+        with pytest.raises(InvalidInputError, match="must be integers, got dtype float64"):
+            SplitPlan([0.9, 1.2], [2.0])
+        with pytest.raises(InvalidInputError, match=r"1-D array, got shape \(1, 2\)"):
+            SplitPlan(np.array([[0, 1]]), np.array([2]))
+        plan = SplitPlan([1, 0], [])  # an empty list is a float array
+        assert (plan.m, plan.n) == (2, 2)
+
     def test_weights_require_evaluation_samples(self, make_gaussian_dataset):
         data = make_gaussian_dataset(6)
         plan = SplitPlan(index_d0=np.arange(6), index_d1=np.arange(0))
-        with pytest.raises(InvalidInputError, match=r"weights require .* \(m < n\)"):
+        with pytest.raises(InvalidInputError, match=r"no evaluation samples \(a split needs m < n\)"):
             cf_weights(data, plan, PARAMS)
 
     def test_explicit_lambda_recorded(self, make_gaussian_dataset):
@@ -1221,7 +1231,7 @@ class TestDiscrepancy:
             n = data.n
             plan = random_split(n, n // 2, seed=seed)
             d0, d1 = data.subset(plan.index_d0), data.subset(plan.index_d1)
-            dval = discrepancy(d0, d1, PARAMS, lambda_=0.0)
+            dval = split_discrepancy(d0, d1, PARAMS, lambda_=0.0)
             w = cf_weights(data, plan, PARAMS, lambda_=0.0)
             full = gram_matrix(data, PARAMS)
             expected = (w.sum() - 1.0) ** 2 + w @ full @ w
@@ -1235,7 +1245,7 @@ class TestDiscrepancy:
         far = x0 + 6.0
         d_near = ScoredDataset(near, -near, np.zeros(12))
         d_far = ScoredDataset(far, -far, np.zeros(12))
-        assert discrepancy(d0, d_near, PARAMS) < discrepancy(d0, d_far, PARAMS)
+        assert split_discrepancy(d0, d_near, PARAMS) < split_discrepancy(d0, d_far, PARAMS)
 
     def test_small_negative_clamped_to_zero(self):
         value = discrepancy_of_blocks(
@@ -1304,8 +1314,6 @@ class TestCrossValidate:
         data = make_gaussian_dataset(10)
         with pytest.raises(InvalidInputError):
             cross_validate(data, [], seed=0)
-        with pytest.raises(InvalidInputError):
-            cross_validate(data, [PARAMS], train_fraction=1.5, seed=0)
         with pytest.raises(InvalidInputError):
             cross_validate(make_gaussian_dataset(2), [PARAMS], seed=0)
 
@@ -1411,7 +1419,7 @@ class TestSplitCoreProperties:
         # jitter lam*m*I as the factorised system (none at lambda = 0).
         data, plan = instance
         d0, d1 = data.subset(plan.index_d0), data.subset(plan.index_d1)
-        dval = discrepancy(d0, d1, PARAMS, lambda_=lam)
+        dval = split_discrepancy(d0, d1, PARAMS, lambda_=lam)
         w = cf_weights(data, plan, PARAMS, lambda_=lam)
         full = gram_matrix(data, PARAMS)
         full[plan.index_d0, plan.index_d0] += lam * plan.m
@@ -1426,7 +1434,7 @@ class TestSplitCoreProperties:
         data, plan = instance
         est = cf_split_estimate(data, plan, PARAMS, lambda_=lam, compute_discrepancy=True)
         d0, d1 = data.subset(plan.index_d0), data.subset(plan.index_d1)
-        assert est.discrepancy == discrepancy(d0, d1, PARAMS, lambda_=lam)
+        assert est.discrepancy == split_discrepancy(d0, d1, PARAMS, lambda_=lam)
 
 
 # Small length-scale: far pairs underflow to 0, where a freshly assembled
@@ -1496,6 +1504,14 @@ class TestKernelCache:
         for mask in ([True, False, True, False, False], np.arange(5) % 2 == 0):
             with pytest.raises(InvalidInputError, match="boolean mask"):
                 rows.subset(mask)
+
+    @pytest.mark.parametrize("view", [False, True])
+    def test_subset_refuses_fractional_indices(self, make_gaussian_dataset, view):
+        # As int, 0.9 would pick row 0.
+        data = make_gaussian_dataset(5, seed=7)
+        rows = estimator._GramRows(data, {PARAMS}) if view else data
+        with pytest.raises(InvalidInputError, match="must be integers, got dtype float64"):
+            rows.subset([0.9])
 
     @pytest.mark.parametrize("bound", [False, True])
     def test_lone_split_assembles_only_its_blocks(self, assembled, make_gaussian_dataset, bound):

@@ -81,7 +81,7 @@ class TestMixtureProblem:
     def test_symmetric_mixture_identity_integrand_has_zero_mean(self):
         problem = mixture_problem(weights=[0.5, 0.5], means=[-1.0, 1.0], scales=[0.5, 0.5])
         assert problem.true_mean is None  # ground truth comes from the oracle
-        assert oracle_mean(problem, tol=1e-10) == pytest.approx(0.0, abs=1e-10)
+        assert oracle_mean(problem) == pytest.approx(0.0, abs=1e-10)
 
     def test_second_moment_oracle(self):
         # Equal-weight N(-1, 0.5^2) + N(1, 0.5^2), f = x^2: analytic mean
@@ -93,7 +93,7 @@ class TestMixtureProblem:
             scales=[0.5, 0.5],
             integrand=lambda pts: np.atleast_2d(pts)[:, 0] ** 2,
         )
-        value = oracle_mean(problem, tol=1e-10)
+        value = oracle_mean(problem)
         assert value == pytest.approx(1.25, abs=1e-10)
         grid = np.linspace(-30.0, 30.0, 400_001)
         trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -127,8 +127,8 @@ class TestMixtureProblem:
 
 class TestOracleMean:
     def test_analytic_mean_returned_directly(self):
-        assert oracle_mean(gaussian_problem(1), tol=1e-10) == 0.0
-        assert oracle_mean(gaussian_problem(5), tol=1e-10) == 0.0
+        assert oracle_mean(gaussian_problem(1)) == 0.0
+        assert oracle_mean(gaussian_problem(5)) == 0.0
 
     def test_known_second_moment(self):
         # f(x) = x^2 under the standard normal has mean 1.
@@ -143,7 +143,7 @@ class TestOracleMean:
             normalised_density=base.normalised_density,
             log_density=base.log_density,
         )
-        assert oracle_mean(problem, tol=1e-10) == pytest.approx(1.0, abs=1e-10)
+        assert oracle_mean(problem) == pytest.approx(1.0, abs=1e-10)
 
     def test_two_dimensional_second_moment(self):
         # E[x_1^2] = 1 under N(0, I_2), to the default tolerance of 1e-10.
@@ -168,7 +168,7 @@ class TestOracleMean:
         direct, _ = integrate.quad(
             integrand, -np.inf, np.inf, epsabs=1e-11, epsrel=1e-12, limit=400
         )
-        assert oracle_mean(problem, tol=1e-10) == direct
+        assert oracle_mean(problem) == direct
 
     def test_unsupported_dimension_rejected(self):
         base = gaussian_problem(3)

@@ -34,9 +34,10 @@ Last it runs ``python -m cfmc diagnose`` with ``DIAGNOSE_COMMAND`` (the
 bimodal mixture, 200 draws) from both checkouts and requires byte-identical
 stdout.  No study above uses a mixture or a quadrature, so this is the one
 check of the mixture score's ``softmax`` and of the mean-element check's
-quadrature (``quad_vec``).  Both ``diagnose`` checks, the mean-element
-residuals and the gradient check, evaluate the Stein kernel through
-``stein_kernel_matrix``, the path every estimate uses.
+quadrature (``quad_vec``).  All three ``diagnose`` outputs, the
+mean-element residuals, the gradient check and the sampled sup of k0(x, x),
+evaluate the Stein kernel by the assembly of ``stein_kernel_matrix``, the
+path every estimate uses.
 """
 
 from __future__ import annotations
