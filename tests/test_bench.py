@@ -153,14 +153,16 @@ class TestConfig:
         with pytest.raises(InvalidInputError, match="lambda"):
             MethodSpec("cf-split", lambda_=lam)
 
-    def test_cv_train_fraction_is_an_unknown_key(self):
-        # Cross-validation always trains on half of its set.
+    @pytest.mark.parametrize("fraction", [0.5, 0.75, True, "0.5", None, float("nan")])
+    def test_cv_train_fraction_is_an_unknown_key(self, fraction):
+        # Cross-validation always trains on half of its set.  The key is
+        # refused as unknown before its value is read, valid or not.
         raw = {
             "problem": "gaussian",
             "n_grid": [10, 20],
             "replications": 2,
             "master_seed": 5,
-            "methods": [{"method": "cf-split", "cv_train_fraction": 0.5}],
+            "methods": [{"method": "cf-split", "cv_train_fraction": fraction}],
         }
         with pytest.raises(
             InvalidInputError, match=r"^unknown config keys: methods\[0\]\.cv_train_fraction$"
@@ -210,7 +212,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("key, value", [
         ("alpha1", "abc"), ("lambda", "abc"), ("cv_grid", [[0.1]]), ("cv_grid", 5),
-        ("label", ["a"]), ("method", ["mean"]),
+        ("label", ["a"]), ("method", ["mean"]), ("cv_train_fraction", None),
     ])
     def test_malformed_method_value_names_its_key(self, key, value):
         raw = {
@@ -338,6 +340,7 @@ class TestConfig:
         [
             ({"cv_grid": 5}, "cv_grid"),
             ({"lambda_": "1e-3"}, "lambda"),
+            ({"alpha2": "2"}, "alpha2"),
         ],
     )
     def test_method_spec_rejects_wrong_types(self, overrides, named):

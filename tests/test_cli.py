@@ -576,6 +576,7 @@ class TestBenchCommand:
         ({}, {"lambda": True}, "methods[0].lambda"),
         ({}, {"alpha1": "0.1"}, "methods[0].alpha1"),
         ({}, {"alpha2": False}, "methods[0].alpha2"),
+        ({}, {"cv_train_fraction": True}, "methods[0].cv_train_fraction"),
         ({}, {"cv_grid": [[True, 1.0]]}, "methods[0].cv_grid"),
         ({}, {"cv_grid": [["0.1", 1.0]]}, "methods[0].cv_grid"),
         # Finite numbers whose kernel constants overflow.

@@ -1024,6 +1024,19 @@ class TestSplitEstimate:
         plan = SplitPlan([1, 0], [])  # an empty list is a float array
         assert (plan.m, plan.n) == (2, 2)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.complex128, np.str_, object])
+    def test_plan_refuses_every_non_integer_dtype(self, dtype):
+        index_d0 = np.array([0, 1]).astype(dtype)
+        with pytest.raises(InvalidInputError, match="must be integers, got dtype"):
+            SplitPlan(index_d0, np.array([2]))
+        with pytest.raises(InvalidInputError, match="must be integers, got dtype"):
+            SplitPlan(np.array([2]), index_d0)
+
+    def test_plan_takes_unsigned_indices(self):
+        plan = SplitPlan(np.array([2, 0], dtype=np.uint8), np.array([1], dtype=np.uint64))
+        assert plan.index_d0.tolist() == [2, 0] and plan.index_d1.tolist() == [1]
+        assert plan.index_d0.dtype == plan.index_d1.dtype == np.dtype(int)
+
     def test_weights_require_evaluation_samples(self, make_gaussian_dataset):
         data = make_gaussian_dataset(6)
         plan = SplitPlan(index_d0=np.arange(6), index_d1=np.arange(0))

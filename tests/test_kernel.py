@@ -281,6 +281,17 @@ class TestSteinKernel:
         oracle = [stein_kernel(x[i], u[i], x[i], u[i], params) for i in range(300)]
         np.testing.assert_allclose(diag, oracle, rtol=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 127, 128, 129, 257])
+    def test_diag_block_edges(self, n):
+        # Row counts on each side of a diagonal block's edge; at d = 1 each
+        # entry has the bytes of the whole Gram's diagonal.
+        rng = np.random.default_rng(n)
+        x, u = rng.normal(size=(2, n, 1))
+        diag = stein_kernel_diag(x, u, PARAMS)
+        gram = gram_matrix(ScoredDataset(x, u, np.zeros(n)), PARAMS)
+        assert diag.shape == (n,)
+        assert diag.tobytes() == np.diag(gram).tobytes()
+
     def test_diag_rejects_mismatched_scores(self):
         x, u = np.zeros((3, 2)), np.ones((3, 1))
         with pytest.raises(InvalidInputError) as matrix_error:
