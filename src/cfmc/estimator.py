@@ -72,6 +72,10 @@ _LANCZOS_MAX_STEPS = 60
 # Share of the fitting samples cross-validation trains each candidate on.
 _CV_TRAIN_FRACTION = 0.5
 
+# Largest strip, in entries, that select_lambda's symmetry check compares at
+# once (2**14 to 2**17 time alike at m = 250 to 2000).
+_SKEW_STRIP_ENTRIES = 2**15
+
 
 def select_lambda(k0: np.ndarray) -> float:
     """Pick the smallest grid regularisation that conditions the kernel system.
@@ -81,21 +85,23 @@ def select_lambda(k0: np.ndarray) -> float:
     ``lam*m*I`` is the jitter actually applied when the system is factorised.
     If even ``lam = 1`` fails, 1.0 is returned with a warning.  ``k0`` must
     be symmetric to within ``1e-12*max(1, max|k0|)``; its lower triangle is
-    what is read, as ``eigvalsh`` and the factorisation read it.  Below 200
-    rows the rule is read off a full ``eigvalsh``; from that size on each
-    grid point's verdict is proven without one, and both routes return the
-    same ``lam``.
+    what is read, as ``eigvalsh`` and the factorisation read it.  Symmetry
+    is checked strip by strip, so the checks make no m x m temporary; the
+    search runs in one Fortran-ordered m x m scratch array, as an
+    estimator's fit does.  Below 200 rows the rule is read off a full
+    ``eigvalsh``; from that size on each grid point's verdict is proven
+    without one, and both routes return the same ``lam``.
     """
     k0 = np.asarray(k0, dtype=float)
     if k0.ndim != 2 or k0.shape[0] != k0.shape[1]:
         raise InvalidInputError(f"k0 must be square, got shape {k0.shape}")
     _check_finite(k0)
     scale = max(1.0, abs(float(k0.max())), abs(float(k0.min())))
-    skew = k0 - k0.T
-    np.abs(skew, out=skew)
-    if np.max(skew) > 1e-12 * scale:
+    skew = _skew(k0)
+    if skew > 1e-12 * scale:
         raise InvalidInputError("k0 must be symmetric")
-    return _lambda_search(_lower_symmetric(k0) if np.any(skew) else k0)
+    work = np.empty(k0.shape, order="F")
+    return _lambda_search(_lower_symmetric(k0) if skew else k0, work)
 
 
 def _check_finite(k0: np.ndarray) -> None:
@@ -112,12 +118,29 @@ def _lower_symmetric(k0: np.ndarray) -> np.ndarray:
     return sym
 
 
-def _lambda_search(k0: np.ndarray) -> float:
+def _skew(k0: np.ndarray) -> float:
+    """max |k0 - k0'| of the finite square ``k0``, without an m x m
+    temporary: each strip of rows is compared, up to its last row, with the
+    columns of the same indices, so every pair i >= j is compared once and no
+    temporary holds more than ``_SKEW_STRIP_ENTRIES`` entries (or one row)."""
+    m = k0.shape[0]
+    step = max(1, _SKEW_STRIP_ENTRIES // m)
+    skew = 0.0
+    for i0 in range(0, m, step):
+        i1 = min(i0 + step, m)
+        gap = np.subtract(k0[i0:i1, :i1], k0[:i1, i0:i1].T)
+        skew = max(skew, float(np.abs(gap, out=gap).max()))
+    return skew
+
+
+def _lambda_search(k0: np.ndarray, work: np.ndarray) -> float:
     """The :func:`select_lambda` rule on a square, finite and exactly
-    symmetric ``k0``, such as a Gram matrix built by ``gram_matrix``."""
+    symmetric ``k0``, such as a Gram matrix built by ``gram_matrix``.
+    ``work`` is a Fortran-ordered scratch array of ``k0``'s shape, which the
+    search overwrites."""
     m = k0.shape[0]
     if m >= _GUARDED_MIN_SIZE:
-        lam = _guarded_lambda(k0)
+        lam = _guarded_lambda(k0, work)
         if lam is not None:
             return lam
     evals = np.linalg.eigvalsh(k0)
@@ -322,9 +345,10 @@ def _top_eigenvalue(k0: np.ndarray, v0: np.ndarray) -> float | None:
     return None
 
 
-def _guarded_lambda(k0: np.ndarray) -> float | None:
+def _guarded_lambda(k0: np.ndarray, work: np.ndarray) -> float | None:
     """The :func:`select_lambda` grid point, proven without an
-    eigendecomposition; None when ``eigvalsh`` has to decide.
+    eigendecomposition; None when ``eigvalsh`` has to decide.  The bounds
+    and the Cholesky tests run in the Fortran-ordered m x m scratch ``work``.
 
     With ``lo`` and ``hi`` the extreme eigenvalues of ``k0`` and ``hi > 0``,
     a grid point is accepted exactly when ``lo > t(lam) = (hi + lam*m)/L -
@@ -387,7 +411,6 @@ def _guarded_lambda(k0: np.ndarray) -> float | None:
     returned and ``eigvalsh`` decides, so every route gives the same ``lam``.
     """
     m = k0.shape[0]
-    work = np.empty(k0.shape, order="F")  # scratch for the bounds and the Cholesky tests
     factor = _pivoted_factor(k0, work)
     if factor is None:
         # A fixed random start vector: deterministic, and unlike the all-ones
@@ -463,8 +486,9 @@ class _Fit:
 
     def held_out(self, k10: np.ndarray):
         """(g, h, s) with g = K10'1, h = A^-1 g and s = 1'h for the cross block
-        K10 of a held-out set.  A non-finite entry of K10 makes its column sum
-        in g non-finite, which raises InvalidInputError."""
+        K10 of a held-out set: all that :meth:`split_weights` and
+        :meth:`discrepancy` read of K10.  A non-finite entry of K10 makes its
+        column sum in g non-finite, which raises InvalidInputError."""
         g = k10.T @ np.ones(k10.shape[0])
         if not np.all(np.isfinite(g)):
             raise InvalidInputError("k10 contains non-finite entries")
@@ -478,9 +502,11 @@ class _Fit:
         n_minus_m = k10.shape[0]
         return -h / n_minus_m + (s / (n_minus_m * (1.0 + self.q))) * self.z
 
-    def discrepancy(self, k10: np.ndarray, k1: np.ndarray) -> float:
+    def discrepancy(self, held, k1: np.ndarray) -> float:
         """Worst-case error constant D(D0, D1) of the split whose held-out
-        blocks are K10 and K1:
+        set has the block K1 and the triple ``held = (g, h, s)`` that
+        :meth:`held_out` gives for its cross block K10, so K10 need not be
+        alive when K1 is:
 
             D = [ (1'K10 A^-1 1)^2 / (1 + 1'A^-1 1) - 1'K10 A^-1 K01 1 + 1'K1 1 ]
                 / (n - m)^2
@@ -492,8 +518,8 @@ class _Fit:
         hypothesis space.  For a kernel with k0(x, x) = 1 and no off-diagonal
         mass it reduces to 1/(n - m).
         """
-        n_minus_m = k10.shape[0]
-        g, h, s = self.held_out(k10)
+        n_minus_m = k1.shape[0]
+        g, h, s = held
         ones_eval = np.ones(n_minus_m)
         k1_sum = float(ones_eval @ k1 @ ones_eval)
         if not math.isfinite(k1_sum):
@@ -511,16 +537,21 @@ def _fit_coefficients(k0: np.ndarray, lambda_: float | None) -> _Fit:
 
     ``lambda_`` None applies the automatic conditioning rule.  A non-finite
     ``k0`` raises InvalidInputError whichever way lam is chosen, and a system
-    without a Cholesky factor SingularMatrixError.
+    without a Cholesky factor SingularMatrixError.  The fit allocates one
+    m x m array: the lambda search's scratch, then the system A, factorised in
+    place into the fit's ``chol``.  So beside ``k0`` it holds one m x m
+    matrix (and ``eigvalsh``'s copy, where the rule reads it), and the caller
+    can let ``k0`` go once the fit returns.
     """
     _check_finite(k0)
     lam = _lambda_value(lambda_)
-    if lam is None:
-        lam = _lambda_search(k0)
     m = k0.shape[0]
-    # A Fortran-ordered copy lets LAPACK factorise it in place; k0 is
+    system = np.empty((m, m), order="F")
+    if lam is None:
+        lam = _lambda_search(k0, system)
+    # LAPACK factorises the Fortran-ordered system in place; k0 is
     # symmetric, so copying k0' is a straight copy.
-    system = np.array(k0.T, dtype=float, order="F")
+    np.copyto(system, k0.T)
     diag = np.arange(m)
     system[diag, diag] += lam * m
     try:
@@ -691,8 +722,8 @@ def _block(data: ScoredDataset, params: SteinKernelParams, rows, cols) -> np.nda
     return stein_kernel_matrix(points[rows], scores[rows], points[cols], scores[cols], params)
 
 
-def _split_blocks(data: ScoredDataset, plan: SplitPlan, params):
-    """(K0, K10) of the split ``plan``, K0 assembled first."""
+def _split_indices(data: ScoredDataset, plan: SplitPlan):
+    """(D0 indices, D1 indices) of the split ``plan`` of ``data``, checked."""
     if data.n != plan.n:
         raise InvalidInputError(f"plan covers {plan.n} samples, dataset has {data.n}")
     if not plan.index_d1.size:
@@ -700,8 +731,7 @@ def _split_blocks(data: ScoredDataset, plan: SplitPlan, params):
             "plan leaves no evaluation samples (a split needs m < n); "
             "use cf_simplified_estimate"
         )
-    i0, i1 = plan.index_d0, plan.index_d1
-    return _block(data, params, i0, i0), _block(data, params, i1, i0)
+    return plan.index_d0, plan.index_d1
 
 
 def cf_split_estimate(
@@ -720,16 +750,28 @@ def cf_split_estimate(
 
     ``lambda_`` defaults to the automatic conditioning rule.  With
     ``compute_discrepancy=True`` the worst-case error constant D(D0, D1) is
-    attached to the estimate.
+    attached to the estimate.  A non-finite entry of the cross block K10
+    raises InvalidInputError, with or without D.
+
+    The kernel blocks are assembled in the order of use, and each is let go
+    once read: K0 for the fit, then K10 for the held-out predictions (and
+    for the triple :meth:`_Fit.held_out` that D reads of it), then K1 for D.
+    Beside the fit's m x m factor at most one block is alive, so with
+    n - m <= m the call holds at most two m x m matrices at a time.
     """
-    # Holding K0 until return keeps K1 out of its freed pages (CHANGES.md).
-    k0, k10 = _split_blocks(data, plan, params)
-    fit = _fit_coefficients(k0, lambda_)
-    c_hat, beta = fit.surrogate(data.f_values[plan.index_d0])
+    i0, i1 = _split_indices(data, plan)
+    fit = _fit_coefficients(_block(data, params, i0, i0), lambda_)
+    c_hat, beta = fit.surrogate(data.f_values[i0])
+    k10 = _block(data, params, i1, i0)
     f1_hat = c_hat + k10 @ beta
-    i1 = plan.index_d1
+    # A non-finite K10 entry makes its row's prediction non-finite (inf*0
+    # is NaN): an O(n - m) check.
+    if not np.all(np.isfinite(f1_hat)):
+        raise InvalidInputError("k10 contains non-finite entries")
+    held = fit.held_out(k10) if compute_discrepancy else None
+    del k10
     star = float(np.mean(data.f_values[i1] - f1_hat))
-    disc = fit.discrepancy(k10, _block(data, params, i1, i1)) if compute_discrepancy else None
+    disc = fit.discrepancy(held, _block(data, params, i1, i1)) if compute_discrepancy else None
     return Estimate(
         value=star + c_hat,
         method="cf-split",
@@ -779,12 +821,14 @@ def cf_weights(
     sum is 1 - 1'K10 A^-1 1 / ((n-m)(1 + 1'A^-1 1)) with A = K0 + lam*m*I,
     not 1, because the constant is penalised like the kernel part.  Rows of
     K10 have zero mean under the target, so E[1'w | D0] = 1 whenever D1 is an
-    IID sample from it.
+    IID sample from it.  As in :func:`cf_split_estimate`, K0 is let go after
+    the fit and K10 assembled after it.
     """
-    k0, k10 = _split_blocks(data, plan, params)
+    i0, i1 = _split_indices(data, plan)
+    fit = _fit_coefficients(_block(data, params, i0, i0), lambda_)
     w = np.empty(data.n)
-    w[plan.index_d0] = _fit_coefficients(k0, lambda_).split_weights(k10)
-    w[plan.index_d1] = 1.0 / k10.shape[0]
+    w[i0] = fit.split_weights(_block(data, params, i1, i0))
+    w[i1] = 1.0 / i1.size
     return w
 
 

@@ -293,9 +293,8 @@ def test_criterion_09_discrepancy_specialisation():
     ok = True
     details = []
     for m, n_minus_m in [(5, 5), (8, 4), (3, 9)]:
-        value = estimator._fit_coefficients(np.eye(m), 0.0).discrepancy(
-            np.zeros((n_minus_m, m)), np.eye(n_minus_m)
-        )
+        fit = estimator._fit_coefficients(np.eye(m), 0.0)
+        value = fit.discrepancy(fit.held_out(np.zeros((n_minus_m, m))), np.eye(n_minus_m))
         ok = ok and value == 1.0 / n_minus_m
         details.append(f"m={m},n-m={n_minus_m}: D={value!r}")
     _report(9, "diagonal-kernel discrepancy equals 1/(n-m)", ok, "; ".join(details))

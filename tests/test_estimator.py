@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -52,7 +53,13 @@ def make_rkhs_function(seed, d=1, n_centers=8, params=PARAMS, gamma_scale=0.5):
 def discrepancy_of_blocks(k0, k10, k1, lambda_):
     """D from the blocks K0, K10 and K1, by the fit and the formula that every
     estimator's discrepancy goes through."""
-    return estimator._fit_coefficients(k0, lambda_).discrepancy(k10, k1)
+    fit = estimator._fit_coefficients(k0, lambda_)
+    return fit.discrepancy(fit.held_out(k10), k1)
+
+
+def lambda_search(k0):
+    """The lambda search on ``k0`` in a fresh scratch array, as a fit runs it."""
+    return estimator._lambda_search(k0, np.empty(k0.shape, order="F"))
 
 
 def dataset_from_function(func, n, seed, d=1):
@@ -99,6 +106,22 @@ class TestSelectLambda:
         with pytest.raises(InvalidInputError, match="symmetric"):
             select_lambda(k0)
 
+    @pytest.mark.parametrize("m", [1, 2, 33, 300])
+    def test_skew_checked_in_strips_is_the_whole_gap(self, m):
+        # m = 300 spans three strips: every pair is compared once, across
+        # strip edges too, and the largest gap is the one of k0 - k0'.
+        rng = np.random.default_rng(m)
+        k0 = rng.standard_normal((m, m))
+        assert estimator._skew(k0) == np.max(np.abs(k0 - k0.T))
+        sym = k0 + k0.T
+        assert estimator._skew(sym) == 0.0
+        for i, j in {(m - 1, 0), (0, m - 1), (m // 3, m // 3 + 1), (m - 1, m // 2)}:
+            if i != j and max(i, j) < m:
+                skewed = sym.copy()
+                skewed[i, j] += 1.0
+                gap = estimator._skew(skewed)
+                assert gap == np.max(np.abs(skewed - skewed.T)) and gap > 0.5
+
     def test_hopeless_matrix_warns_and_returns_one(self):
         k0 = np.diag([1e12, -1.0])
         with pytest.warns(RuntimeWarning):
@@ -121,13 +144,13 @@ class TestGramLambdaEntry:
     @pytest.mark.parametrize("m", [30, _GUARDED_MIN_SIZE, 400])
     def test_same_lambda_as_public_entry(self, m, make_gaussian_dataset):
         k0 = gram_matrix(make_gaussian_dataset(m, seed=m), PARAMS)
-        assert estimator._lambda_search(k0) == select_lambda(k0)
+        assert lambda_search(k0) == select_lambda(k0)
 
     def test_near_duplicates_same_lambda(self):
         rng = np.random.default_rng(0)
         points = rng.standard_normal(2) + 1e-9 * rng.standard_normal((20, 2))
         k0 = gram_matrix(ScoredDataset(points, -points, np.zeros(20)), PARAMS)
-        assert estimator._lambda_search(k0) == select_lambda(k0) > 1e-16
+        assert lambda_search(k0) == select_lambda(k0) > 1e-16
 
     @pytest.mark.parametrize(
         "select", [select_lambda, _fit_coefficients_auto, _fit_coefficients_explicit]
@@ -500,7 +523,7 @@ class TestPivotedBounds:
         sizes = _factorised_sizes(monkeypatch)
         factors = _spy(monkeypatch, estimator, "_pivoted_factor")
         tops = _spy(monkeypatch, estimator, "_top_eigenvalue")
-        assert estimator._lambda_search(k0) == expected
+        assert lambda_search(k0) == expected
         assert len(factors) == 1 and factors[0] is not None and tops == []
         assert sizes == []
 
@@ -543,7 +566,7 @@ class TestPivotedBounds:
         with pytest.MonkeyPatch.context() as mp:
             tops = _spy(mp, estimator, "_top_eigenvalue")
             sizes = _factorised_sizes(mp)
-            assert estimator._lambda_search(k0) == eigvalsh_rule(k0)
+            assert lambda_search(k0) == eigvalsh_rule(k0)
             assert tops == [] and sizes == []
         evals = np.linalg.eigvalsh(k0)
         error = 4.0 * m * np.finfo(float).eps * evals[-1]
@@ -565,7 +588,7 @@ class TestPivotedBounds:
         tops = _spy(monkeypatch, estimator, "_top_eigenvalue")
         sizes = _factorised_sizes(monkeypatch)
         verdicts = _spy(monkeypatch, estimator, "_exceeds")
-        assert estimator._lambda_search(k0) == expected
+        assert lambda_search(k0) == expected
         assert len(factors) == 1 and len(tops) == 1
         assert len(factors[0].taken) == estimator._PIVOT_RATE_STEPS
         if design == "metropolis":
@@ -582,7 +605,7 @@ class TestPivotedBounds:
         k0 = gram_matrix(make_gaussian_dataset(m, d=3, seed=m), PARAMS)
         assert eigvalsh_rule(k0) == LAMBDA_GRID[0]
         sizes = _factorised_sizes(monkeypatch)
-        assert estimator._lambda_search(k0) == LAMBDA_GRID[0]
+        assert lambda_search(k0) == LAMBDA_GRID[0]
         assert sizes == [m, m, m]
 
 
@@ -641,9 +664,9 @@ class TestSymmetricSystems:
         searched = []
         search = estimator._lambda_search
 
-        def spy(k0):
+        def spy(k0, work):
             searched.append(k0)
-            return search(k0)
+            return search(k0, work)
 
         monkeypatch.setattr(estimator, "_lambda_search", spy)
         assert select_lambda(skewed) == eigvalsh_rule(_lower_mirror(skewed))
@@ -873,6 +896,30 @@ class TestNonFiniteSystem:
             with pytest.raises(InvalidInputError, match="k10 contains non-finite"):
                 cf_split_estimate(data, plan, PARAMS, lambda_=1e-3, compute_discrepancy=True)
 
+    def test_non_finite_cross_block_refused_with_or_without_bound(self):
+        # u = 1e308 on the last D1 row overflows nine of its K10 entries,
+        # and K0 stays finite.  Without D the prediction of that row is
+        # non-finite; it must raise as the bound path and cf_weights do,
+        # not return NaN.
+        x = np.random.default_rng(0).standard_normal((40, 1))
+        u = -x.copy()
+        u[39] = 1e308
+        data = ScoredDataset(x, u, np.sin(x[:, 0]))
+        plan = SplitPlan(np.arange(20), np.arange(20, 40))
+        seed = next(s for s in range(100) if 39 in random_split(40, 20, s).index_d1)
+        calls = [
+            lambda: cf_split_estimate(data, plan, PARAMS),
+            lambda: cf_split_estimate(data, plan, PARAMS, compute_discrepancy=True),
+            lambda: cf_weights(data, plan, PARAMS),
+            lambda: cf_multisplit_estimate(data, 1, 0.5, PARAMS, seed=seed),
+        ]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.all(np.isfinite(stein_kernel_matrix(x[20:], u[20:], x[:20],
+                                                              u[:20], PARAMS)))
+            for call in calls:
+                with pytest.raises(InvalidInputError, match="k10 contains non-finite"):
+                    call()
+
     def test_overflowing_evaluation_block_refused(self):
         # u = 1e200 on one D1 row keeps K0 and K10 finite but overflows K1,
         # whose sum would otherwise make D NaN.
@@ -957,6 +1004,61 @@ class TestLapackCholesky:
         a = _spd_system(0, 5)
         c = estimator.cho_factor(a)
         assert c is a or np.shares_memory(c, a)
+
+
+def _traced_peak(call) -> int:
+    """tracemalloc's peak, in bytes, over one call made after a warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingSet:
+    """A kernel fit allocates one m x m array beside K0 and factorises in it,
+    and a split assembles K0, K10 and K1 in order of use, letting each go
+    once read.  The fit keeps the bytes of a factor of a fresh copy of k0."""
+
+    @pytest.mark.parametrize("n, m", [(1000, 600), (2000, 1000)])
+    def test_split_holds_two_square_matrices(self, n, m, make_gaussian_dataset):
+        # Two m x m matrices are 2.0; the rest is the kernel assembly's
+        # workspace (seven buffers of about 2**15 entries: 0.23 and 0.58 of
+        # 8m^2 here) and the pivoted factor's rows.
+        data = make_gaussian_dataset(n, seed=n)
+        plan = random_split(n, m, seed=0)
+        unit = 8 * m * m
+        split = _traced_peak(
+            lambda: cf_split_estimate(data, plan, PARAMS, compute_discrepancy=True)
+        )
+        weights = _traced_peak(lambda: cf_weights(data, plan, PARAMS))
+        assert split < 2.5 * unit
+        assert weights < 2.5 * unit
+
+    def test_select_lambda_checks_make_no_square_temporary(self, make_gaussian_dataset):
+        # The search's scratch is the one m x m array.
+        m = 1000
+        k0 = gram_matrix(make_gaussian_dataset(m, seed=m), PARAMS)
+        assert _traced_peak(lambda: select_lambda(k0)) < 1.5 * 8 * m * m
+
+    @pytest.mark.parametrize("m", [150, 250], ids=["eigvalsh", "guarded"])
+    @pytest.mark.parametrize("given", [False, True], ids=["rule", "given"])
+    def test_fit_has_the_bytes_of_a_fresh_copy(self, m, given, make_gaussian_dataset):
+        k0 = gram_matrix(make_gaussian_dataset(m, seed=m), PARAMS)
+        kept = k0.copy()
+        lam = 1e-6 if given else eigvalsh_rule(k0)
+        fit = estimator._fit_coefficients(k0, lam if given else None)
+        system = np.array(k0.T, order="F")
+        system[np.arange(m), np.arange(m)] += lam * m
+        ref = cho_factor(system, lower=True)
+        z = cho_solve(ref, np.ones(m))
+        assert fit.lam == lam
+        assert fit.chol.tobytes(order="F") == ref[0].tobytes(order="F")
+        assert fit.z.tobytes() == z.tobytes()
+        assert repr(fit.q) == repr(float(np.ones(m) @ z))
+        assert k0.tobytes() == kept.tobytes()
 
 
 class TestSplitEstimate:

@@ -62,13 +62,24 @@
   repeat, and gives the largest relative deviation of the estimates of one
   ``study_d1`` and one ``mcmc_cv_d3`` request;
 * ``lambda_one_test``: the lambda search ``estimator._lambda_search``, without
-  ``select_lambda``'s input checks, on d = 1 Grams at m in
+  ``select_lambda``'s input checks (in a fresh scratch array per call, so
+  both sides need the search that takes one), on d = 1 Grams at m in
   {200, 250, 500, 1000}, and on the Grams of a d = 3 iid sample and of a
   d = 3 Metropolis chain at m in {200, 500, 1000}, with the size of every
   Cholesky test (``estimator._exceeds``) one call runs.  The report says
   whether every lambda was the same on both sides in every repeat, and gives
   the largest relative deviation of the estimates of one ``study_d1`` and
-  one ``mcmc_cv_d3`` request.
+  one ``mcmc_cv_d3`` request;
+* ``split_memory``: the working set of the kernel estimators:
+  ``cf_split_estimate`` with its discrepancy, ``cf_weights`` and
+  ``cf_simplified_estimate`` at d in {1, 3} and n in {500, 2000, 4000}, with
+  tracemalloc's peak of one call in MiB and over 8m^2 bytes, the size of one
+  m x m matrix (m = n/2 for a split, n for the simplified estimator), and the
+  peak RSS (the child's ``ru_maxrss``) of one ``python -m cfmc estimate FILE
+  --method cf-split --bound --fnorm 1 --output json`` process on a d = 1
+  sample file of 2000 rows.  The report says whether every result (the
+  estimates by repr, the weights by SHA-256, the process's stdout) was the
+  same bytes on both sides in every repeat.
 
 Each repeat runs one fresh worker per side, alternating which side goes
 first, with every BLAS/OpenMP thread count pinned to 1.  A worker imports
@@ -232,7 +243,9 @@ def _lambda_one_test_cases(m):
         grams["lambda_search_d3"] = cfmc.gram_matrix(_problem(3, m)[1], params)
         grams["lambda_search_mcmc_d3"] = cfmc.gram_matrix(chain, params)
     search = cfmc.estimator._lambda_search
-    return {name: (lambda k0=k0: search(k0)) for name, k0 in grams.items()}
+    # A fresh scratch array per call, as a fit allocates one.
+    return {name: (lambda k0=k0: search(k0, np.empty(k0.shape, order="F")))
+            for name, k0 in grams.items()}
 
 
 def _study(workload, n_grid, replications, seed, problem=None):
@@ -371,15 +384,14 @@ def _child(argv: list[str]) -> tuple[bytes, float, float, float]:
     return out, wall, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024
 
 
-def _cold_start(sizes) -> dict:
-    """One repeat of the cold_start topic, each process a fresh interpreter
-    on the worker's PYTHONPATH and thread settings."""
+def _estimate_processes(sizes) -> tuple[dict, dict, dict, dict]:
+    """(stdout, wall seconds, CPU seconds, peak RSS in MB) of one fresh
+    ``cfmc estimate --bound`` process per sample size, keyed
+    ``cfmc_estimate_bound/<n>``, on the worker's PYTHONPATH and thread
+    settings."""
     import cfmc
 
-    cpu, wall, rss, outputs = {}, {}, {}, {}
-    out, _, _, _ = _child([sys.executable, "-c", IMPORT_PROBE])
-    seconds, modules = out.split()
-    cpu["import_cfmc_cli"] = float(seconds)
+    outputs, wall, cpu, rss = {}, {}, {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         for n in sizes:
             sample = Path(tmp) / f"sample_n{n}.csv"
@@ -390,9 +402,49 @@ def _cold_start(sizes) -> dict:
                 [sys.executable, "-m", "cfmc", "estimate", str(sample), *BOUND_COMMAND]
             )
             outputs[key] = out.decode()
+    return outputs, wall, cpu, rss
+
+
+def _cold_start(spec) -> dict:
+    """One repeat of the cold_start topic, each process a fresh interpreter."""
+    out, _, _, _ = _child([sys.executable, "-c", IMPORT_PROBE])
+    seconds, modules = out.split()
+    outputs, wall, cpu, rss = _estimate_processes(spec["sizes"])
+    cpu["import_cfmc_cli"] = float(seconds)
     return {"cpu_s": cpu, "wall_s": wall, "maxrss_mb": rss, "modules": int(modules),
             "outputs": outputs, "peak_over_result": {}, "peak_mib": {},
             "kernel_entries": {}, "rows": []}
+
+
+SPLIT_MEMORY_NAMES = ("cf_split_estimate_bound", "cf_weights", "cf_simplified_estimate")
+
+
+def _split_memory_cases(n):
+    cases = {}
+    for d in (1, 3):
+        cfmc, data, _ = _problem(d, n)
+        params = cfmc.SteinKernelParams(alpha1=0.1, alpha2=1.0)
+        plan = cfmc.random_split(n, n // 2, 0)
+        calls = (
+            lambda data=data, plan=plan, params=params:
+                cfmc.cf_split_estimate(data, plan, params, compute_discrepancy=True),
+            lambda data=data, plan=plan, params=params: cfmc.cf_weights(data, plan, params),
+            lambda data=data, params=params: cfmc.cf_simplified_estimate(data, params),
+        )
+        cases.update((f"{name}_d{d}", call) for name, call in zip(SPLIT_MEMORY_NAMES, calls))
+    return cases
+
+
+def _split_memory(spec) -> dict:
+    """One repeat of the split_memory topic: one fresh ``cfmc estimate
+    --bound`` process at n = 2000, then the in-process cases.  The process
+    goes first: a child's ``ru_maxrss`` counts the peak of its parent's
+    memory up to the fork, which the cases would raise."""
+    outputs, wall, _, rss = _estimate_processes((2000,))
+    report = _measure_cases(spec)
+    report["outputs"].update(outputs)
+    report.update(wall_s=wall, maxrss_mb=rss)
+    return report
 
 
 TOPICS = {
@@ -575,6 +627,33 @@ TOPICS = {
             "sides, and whether every lambda is identical"
         ),
     },
+    "split_memory": {
+        "topic": "each kernel fit holds at most two m x m matrices: the factor in the lambda "
+                 "search's scratch, K10 and K1 assembled after the fit",
+        "layer": "estimator: the working set of the kernel fit and the split estimators",
+        "sizes": (500, 2000, 4000),
+        "measure": _split_memory,
+        "cases": _split_memory_cases,
+        "peak": (),
+        "peak_mib": tuple(f"{name}_d{d}" for d in (1, 3) for name in SPLIT_MEMORY_NAMES),
+        # m: n/2 for a split, n for the simplified estimator.
+        "peak_square": lambda name, n: n if name.startswith("cf_simplified") else n // 2,
+        "digests": True,
+        "method": (
+            f"{SAMPLE}, in d = 1 (suffix _d1) and d = 3 (_d3); size = n; "
+            "cf_split_estimate_bound: cf_split_estimate with a random m = n/2 fitting "
+            "set and compute_discrepancy=True; cf_weights: the same split's weights; "
+            "cf_simplified_estimate: m = n.  tracemalloc_peak_mib: the largest "
+            "tracemalloc peak of one call over the repeats; tracemalloc_peak_over_8m2: "
+            "that peak over 8m^2 bytes, one m x m float64 matrix.  "
+            "cfmc_estimate_bound/2000: `python -m cfmc estimate FILE --method cf-split "
+            "--bound --fnorm 1 --output json` on a d = 1 standard Gaussian sample file "
+            "of 2000 rows (f = sin(pi x), default_rng(2000)) as a child process, wall "
+            "time and ru_maxrss.  result_bytes_identical: every call's result "
+            "(estimates by repr, weights by SHA-256, the process's stdout) the same on "
+            "both sides in every repeat"
+        ),
+    },
     "lambda_select": {
         "topic": "lambda selection: guarded Cholesky tests and the top eigenvalue they start from",
         "layer": "estimator: select_lambda (regularisation choice)",
@@ -596,14 +675,18 @@ TOPICS = {
 
 
 def measure(topic: str) -> dict:
-    """One repeat: CPU seconds per (function, size), assembly peak ratios,
-    and where the topic asks for them, peaks in MiB, kernel entries and
-    output rows."""
+    """One repeat of ``topic``, by its own ``measure`` if it has one."""
     spec = TOPICS[topic]
-    if "measure" in spec:
-        return spec["measure"](spec["sizes"])
+    return spec.get("measure", _measure_cases)(spec)
+
+
+def _measure_cases(spec) -> dict:
+    """One repeat of the topic's cases: CPU seconds per (function, size),
+    assembly peak ratios, and where the topic asks for them, peaks in MiB
+    (and over 8m^2 bytes), kernel entries and output rows."""
     reference = Reference()
     times, peaks, peaks_mib, entries, cholesky, outputs = {}, {}, {}, {}, {}, {}
+    squares = {}
     for size in spec["sizes"]:
         # At least ~20 ms per timing at small sizes, unless the topic asks for more.
         loops = spec.get("loops", lambda size: max(1, 200_000 // (size * size)))(size)
@@ -630,6 +713,8 @@ def measure(topic: str) -> dict:
                     peaks[f"{name}/{size}"] = peak / result.nbytes
                 else:
                     peaks_mib[f"{name}/{size}"] = peak / 2**20
+                if "peak_square" in spec:
+                    squares[f"{name}/{size}"] = peak / (8 * spec["peak_square"](name, size) ** 2)
             if spec.get("entries"):
                 with _counting_entries() as count:
                     call()
@@ -643,6 +728,8 @@ def measure(topic: str) -> dict:
               "kernel_entries": entries, "rows": rows}
     if outputs:
         report["outputs"] = outputs
+    if squares:
+        report["peak_over_square"] = squares
     if cholesky:
         report["cholesky_test_sizes"] = cholesky
     return report
@@ -674,6 +761,11 @@ def _summary(runs: list[dict]) -> dict:
     if runs[0]["peak_mib"]:
         summary["tracemalloc_peak_mib"] = {
             k: round(max(r["peak_mib"][k] for r in runs), 2) for k in runs[0]["peak_mib"]
+        }
+    if "peak_over_square" in runs[0]:
+        summary["tracemalloc_peak_over_8m2"] = {
+            k: round(max(r["peak_over_square"][k] for r in runs), 2)
+            for k in runs[0]["peak_over_square"]
         }
     if runs[0]["kernel_entries"]:
         summary["kernel_entries"] = runs[0]["kernel_entries"]
