@@ -86,11 +86,10 @@ def select_lambda(k0: np.ndarray) -> float:
     If even ``lam = 1`` fails, 1.0 is returned with a warning.  ``k0`` must
     be symmetric to within ``1e-12*max(1, max|k0|)``; its lower triangle is
     what is read, as ``eigvalsh`` and the factorisation read it.  Symmetry
-    is checked strip by strip, so the checks make no m x m temporary; the
-    search runs in one Fortran-ordered m x m scratch array, as an
-    estimator's fit does.  Below 200 rows the rule is read off a full
-    ``eigvalsh``; from that size on each grid point's verdict is proven
-    without one, and both routes return the same ``lam``.
+    is checked strip by strip, so the checks make no m x m temporary.  Below
+    200 rows the rule is read off a full ``eigvalsh``; from that size on each
+    grid point's verdict is proven without one, and both routes return the
+    same ``lam``.
     """
     k0 = np.asarray(k0, dtype=float)
     if k0.ndim != 2 or k0.shape[0] != k0.shape[1]:
@@ -100,8 +99,7 @@ def select_lambda(k0: np.ndarray) -> float:
     skew = _skew(k0)
     if skew > 1e-12 * scale:
         raise InvalidInputError("k0 must be symmetric")
-    work = np.empty(k0.shape, order="F")
-    return _lambda_search(_lower_symmetric(k0) if skew else k0, work)
+    return _lambda_search(_lower_symmetric(k0) if skew else k0)
 
 
 def _check_finite(k0: np.ndarray) -> None:
@@ -133,14 +131,12 @@ def _skew(k0: np.ndarray) -> float:
     return skew
 
 
-def _lambda_search(k0: np.ndarray, work: np.ndarray) -> float:
+def _lambda_search(k0: np.ndarray) -> float:
     """The :func:`select_lambda` rule on a square, finite and exactly
-    symmetric ``k0``, such as a Gram matrix built by ``gram_matrix``.
-    ``work`` is a Fortran-ordered scratch array of ``k0``'s shape, which the
-    search overwrites."""
+    symmetric ``k0``, such as a Gram matrix built by ``gram_matrix``."""
     m = k0.shape[0]
     if m >= _GUARDED_MIN_SIZE:
-        lam = _guarded_lambda(k0, work)
+        lam = _guarded_lambda(k0)
         if lam is not None:
             return lam
     evals = np.linalg.eigvalsh(k0)
@@ -345,10 +341,9 @@ def _top_eigenvalue(k0: np.ndarray, v0: np.ndarray) -> float | None:
     return None
 
 
-def _guarded_lambda(k0: np.ndarray, work: np.ndarray) -> float | None:
+def _guarded_lambda(k0: np.ndarray) -> float | None:
     """The :func:`select_lambda` grid point, proven without an
-    eigendecomposition; None when ``eigvalsh`` has to decide.  The bounds
-    and the Cholesky tests run in the Fortran-ordered m x m scratch ``work``.
+    eigendecomposition; None when ``eigvalsh`` has to decide.
 
     With ``lo`` and ``hi`` the extreme eigenvalues of ``k0`` and ``hi > 0``,
     a grid point is accepted exactly when ``lo > t(lam) = (hi + lam*m)/L -
@@ -411,6 +406,7 @@ def _guarded_lambda(k0: np.ndarray, work: np.ndarray) -> float | None:
     returned and ``eigvalsh`` decides, so every route gives the same ``lam``.
     """
     m = k0.shape[0]
+    work = np.empty(k0.shape, order="F")  # scratch for the bounds and the Cholesky tests
     factor = _pivoted_factor(k0, work)
     if factor is None:
         # A fixed random start vector: deterministic, and unlike the all-ones
@@ -537,21 +533,20 @@ def _fit_coefficients(k0: np.ndarray, lambda_: float | None) -> _Fit:
 
     ``lambda_`` None applies the automatic conditioning rule.  A non-finite
     ``k0`` raises InvalidInputError whichever way lam is chosen, and a system
-    without a Cholesky factor SingularMatrixError.  The fit allocates one
-    m x m array: the lambda search's scratch, then the system A, factorised in
-    place into the fit's ``chol``.  So beside ``k0`` it holds one m x m
-    matrix (and ``eigvalsh``'s copy, where the rule reads it), and the caller
-    can let ``k0`` go once the fit returns.
+    without a Cholesky factor SingularMatrixError.  Beside ``k0`` the fit
+    holds one m x m matrix at a time: the lambda search's scratch (or
+    ``eigvalsh``'s workspace), freed before the system A is copied, then A,
+    factorised in place into the fit's ``chol``.  The caller can let ``k0``
+    go once the fit returns.
     """
     _check_finite(k0)
     lam = _lambda_value(lambda_)
-    m = k0.shape[0]
-    system = np.empty((m, m), order="F")
     if lam is None:
-        lam = _lambda_search(k0, system)
-    # LAPACK factorises the Fortran-ordered system in place; k0 is
+        lam = _lambda_search(k0)
+    m = k0.shape[0]
+    # A Fortran-ordered copy lets LAPACK factorise it in place; k0 is
     # symmetric, so copying k0' is a straight copy.
-    np.copyto(system, k0.T)
+    system = np.array(k0.T, dtype=float, order="F")
     diag = np.arange(m)
     system[diag, diag] += lam * m
     try:
@@ -722,8 +717,9 @@ def _block(data: ScoredDataset, params: SteinKernelParams, rows, cols) -> np.nda
     return stein_kernel_matrix(points[rows], scores[rows], points[cols], scores[cols], params)
 
 
-def _split_indices(data: ScoredDataset, plan: SplitPlan):
-    """(D0 indices, D1 indices) of the split ``plan`` of ``data``, checked."""
+def _check_split(data: ScoredDataset, plan: SplitPlan) -> None:
+    """Refuse a split ``plan`` that does not fit ``data`` or leaves no
+    evaluation samples."""
     if data.n != plan.n:
         raise InvalidInputError(f"plan covers {plan.n} samples, dataset has {data.n}")
     if not plan.index_d1.size:
@@ -731,7 +727,6 @@ def _split_indices(data: ScoredDataset, plan: SplitPlan):
             "plan leaves no evaluation samples (a split needs m < n); "
             "use cf_simplified_estimate"
         )
-    return plan.index_d0, plan.index_d1
 
 
 def cf_split_estimate(
@@ -759,7 +754,8 @@ def cf_split_estimate(
     Beside the fit's m x m factor at most one block is alive, so with
     n - m <= m the call holds at most two m x m matrices at a time.
     """
-    i0, i1 = _split_indices(data, plan)
+    _check_split(data, plan)
+    i0, i1 = plan.index_d0, plan.index_d1
     fit = _fit_coefficients(_block(data, params, i0, i0), lambda_)
     c_hat, beta = fit.surrogate(data.f_values[i0])
     k10 = _block(data, params, i1, i0)
@@ -824,7 +820,8 @@ def cf_weights(
     IID sample from it.  As in :func:`cf_split_estimate`, K0 is let go after
     the fit and K10 assembled after it.
     """
-    i0, i1 = _split_indices(data, plan)
+    _check_split(data, plan)
+    i0, i1 = plan.index_d0, plan.index_d1
     fit = _fit_coefficients(_block(data, params, i0, i0), lambda_)
     w = np.empty(data.n)
     w[i0] = fit.split_weights(_block(data, params, i1, i0))

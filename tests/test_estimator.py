@@ -57,11 +57,6 @@ def discrepancy_of_blocks(k0, k10, k1, lambda_):
     return fit.discrepancy(fit.held_out(k10), k1)
 
 
-def lambda_search(k0):
-    """The lambda search on ``k0`` in a fresh scratch array, as a fit runs it."""
-    return estimator._lambda_search(k0, np.empty(k0.shape, order="F"))
-
-
 def dataset_from_function(func, n, seed, d=1):
     rng = np.random.default_rng(seed)
     points = rng.standard_normal((n, d))
@@ -144,13 +139,13 @@ class TestGramLambdaEntry:
     @pytest.mark.parametrize("m", [30, _GUARDED_MIN_SIZE, 400])
     def test_same_lambda_as_public_entry(self, m, make_gaussian_dataset):
         k0 = gram_matrix(make_gaussian_dataset(m, seed=m), PARAMS)
-        assert lambda_search(k0) == select_lambda(k0)
+        assert estimator._lambda_search(k0) == select_lambda(k0)
 
     def test_near_duplicates_same_lambda(self):
         rng = np.random.default_rng(0)
         points = rng.standard_normal(2) + 1e-9 * rng.standard_normal((20, 2))
         k0 = gram_matrix(ScoredDataset(points, -points, np.zeros(20)), PARAMS)
-        assert lambda_search(k0) == select_lambda(k0) > 1e-16
+        assert estimator._lambda_search(k0) == select_lambda(k0) > 1e-16
 
     @pytest.mark.parametrize(
         "select", [select_lambda, _fit_coefficients_auto, _fit_coefficients_explicit]
@@ -523,7 +518,7 @@ class TestPivotedBounds:
         sizes = _factorised_sizes(monkeypatch)
         factors = _spy(monkeypatch, estimator, "_pivoted_factor")
         tops = _spy(monkeypatch, estimator, "_top_eigenvalue")
-        assert lambda_search(k0) == expected
+        assert estimator._lambda_search(k0) == expected
         assert len(factors) == 1 and factors[0] is not None and tops == []
         assert sizes == []
 
@@ -566,7 +561,7 @@ class TestPivotedBounds:
         with pytest.MonkeyPatch.context() as mp:
             tops = _spy(mp, estimator, "_top_eigenvalue")
             sizes = _factorised_sizes(mp)
-            assert lambda_search(k0) == eigvalsh_rule(k0)
+            assert estimator._lambda_search(k0) == eigvalsh_rule(k0)
             assert tops == [] and sizes == []
         evals = np.linalg.eigvalsh(k0)
         error = 4.0 * m * np.finfo(float).eps * evals[-1]
@@ -588,7 +583,7 @@ class TestPivotedBounds:
         tops = _spy(monkeypatch, estimator, "_top_eigenvalue")
         sizes = _factorised_sizes(monkeypatch)
         verdicts = _spy(monkeypatch, estimator, "_exceeds")
-        assert lambda_search(k0) == expected
+        assert estimator._lambda_search(k0) == expected
         assert len(factors) == 1 and len(tops) == 1
         assert len(factors[0].taken) == estimator._PIVOT_RATE_STEPS
         if design == "metropolis":
@@ -605,7 +600,7 @@ class TestPivotedBounds:
         k0 = gram_matrix(make_gaussian_dataset(m, d=3, seed=m), PARAMS)
         assert eigvalsh_rule(k0) == LAMBDA_GRID[0]
         sizes = _factorised_sizes(monkeypatch)
-        assert lambda_search(k0) == LAMBDA_GRID[0]
+        assert estimator._lambda_search(k0) == LAMBDA_GRID[0]
         assert sizes == [m, m, m]
 
 
@@ -664,9 +659,9 @@ class TestSymmetricSystems:
         searched = []
         search = estimator._lambda_search
 
-        def spy(k0, work):
+        def spy(k0):
             searched.append(k0)
-            return search(k0, work)
+            return search(k0)
 
         monkeypatch.setattr(estimator, "_lambda_search", spy)
         assert select_lambda(skewed) == eigvalsh_rule(_lower_mirror(skewed))
@@ -1018,9 +1013,9 @@ def _traced_peak(call) -> int:
 
 
 class TestWorkingSet:
-    """A kernel fit allocates one m x m array beside K0 and factorises in it,
-    and a split assembles K0, K10 and K1 in order of use, letting each go
-    once read.  The fit keeps the bytes of a factor of a fresh copy of k0."""
+    """A kernel fit holds one m x m array at a time beside K0 and factorises
+    in it, and a split assembles K0, K10 and K1 in order of use, letting each
+    go once read.  The fit keeps the bytes of a factor of a fresh copy of k0."""
 
     @pytest.mark.parametrize("n, m", [(1000, 600), (2000, 1000)])
     def test_split_holds_two_square_matrices(self, n, m, make_gaussian_dataset):

@@ -62,8 +62,7 @@
   repeat, and gives the largest relative deviation of the estimates of one
   ``study_d1`` and one ``mcmc_cv_d3`` request;
 * ``lambda_one_test``: the lambda search ``estimator._lambda_search``, without
-  ``select_lambda``'s input checks (in a fresh scratch array per call, so
-  both sides need the search that takes one), on d = 1 Grams at m in
+  ``select_lambda``'s input checks, on d = 1 Grams at m in
   {200, 250, 500, 1000}, and on the Grams of a d = 3 iid sample and of a
   d = 3 Metropolis chain at m in {200, 500, 1000}, with the size of every
   Cholesky test (``estimator._exceeds``) one call runs.  The report says
@@ -75,9 +74,10 @@
   ``cf_simplified_estimate`` at d in {1, 3} and n in {500, 2000, 4000}, with
   tracemalloc's peak of one call in MiB and over 8m^2 bytes, the size of one
   m x m matrix (m = n/2 for a split, n for the simplified estimator), and the
-  peak RSS (the child's ``ru_maxrss``) of one ``python -m cfmc estimate FILE
-  --method cf-split --bound --fnorm 1 --output json`` process on a d = 1
-  sample file of 2000 rows.  The report says whether every result (the
+  wall time, CPU time and peak RSS (the child's ``ru_maxrss``) of one
+  ``python -m cfmc estimate FILE --method cf-split --bound --fnorm 1 --output
+  json`` process on a d = 1 sample file of 2000 rows, with every repeat's
+  value beside the medians.  The report says whether every result (the
   estimates by repr, the weights by SHA-256, the process's stdout) was the
   same bytes on both sides in every repeat.
 
@@ -243,9 +243,7 @@ def _lambda_one_test_cases(m):
         grams["lambda_search_d3"] = cfmc.gram_matrix(_problem(3, m)[1], params)
         grams["lambda_search_mcmc_d3"] = cfmc.gram_matrix(chain, params)
     search = cfmc.estimator._lambda_search
-    # A fresh scratch array per call, as a fit allocates one.
-    return {name: (lambda k0=k0: search(k0, np.empty(k0.shape, order="F")))
-            for name, k0 in grams.items()}
+    return {name: (lambda k0=k0: search(k0)) for name, k0 in grams.items()}
 
 
 def _study(workload, n_grid, replications, seed, problem=None):
@@ -440,10 +438,10 @@ def _split_memory(spec) -> dict:
     --bound`` process at n = 2000, then the in-process cases.  The process
     goes first: a child's ``ru_maxrss`` counts the peak of its parent's
     memory up to the fork, which the cases would raise."""
-    outputs, wall, _, rss = _estimate_processes((2000,))
+    outputs, wall, cpu, rss = _estimate_processes((2000,))
     report = _measure_cases(spec)
     report["outputs"].update(outputs)
-    report.update(wall_s=wall, maxrss_mb=rss)
+    report.update(wall_s=wall, process_cpu_s=cpu, maxrss_mb=rss)
     return report
 
 
@@ -628,8 +626,8 @@ TOPICS = {
         ),
     },
     "split_memory": {
-        "topic": "each kernel fit holds at most two m x m matrices: the factor in the lambda "
-                 "search's scratch, K10 and K1 assembled after the fit",
+        "topic": "each kernel fit holds at most two m x m matrices: K0 let go after the "
+                 "fit, K10 and K1 assembled after it",
         "layer": "estimator: the working set of the kernel fit and the split estimators",
         "sizes": (500, 2000, 4000),
         "measure": _split_memory,
@@ -649,7 +647,8 @@ TOPICS = {
             "cfmc_estimate_bound/2000: `python -m cfmc estimate FILE --method cf-split "
             "--bound --fnorm 1 --output json` on a d = 1 standard Gaussian sample file "
             "of 2000 rows (f = sin(pi x), default_rng(2000)) as a child process, wall "
-            "time and ru_maxrss.  result_bytes_identical: every call's result "
+            "time, CPU time (user + system, from os.wait4, not scaled) and ru_maxrss, "
+            "each repeat's value under the matching *_all_* key.  result_bytes_identical: every call's result "
             "(estimates by repr, weights by SHA-256, the process's stdout) the same on "
             "both sides in every repeat"
         ),
@@ -774,11 +773,15 @@ def _summary(runs: list[dict]) -> dict:
         summary["cholesky_tests"] = {k: len(v) for k, v in sizes.items()}
         summary["cholesky_test_sizes"] = sizes
     for name, label, scale in (("wall_s", "wall_median_ms", 1e3),
+                               ("process_cpu_s", "process_cpu_median_ms", 1e3),
                                ("maxrss_mb", "maxrss_median_mb", 1.0)):
         if name in runs[0]:
             summary[label] = {
                 k: round(scale * statistics.median(r[name][k] for r in runs), 3)
                 for k in runs[0][name]
+            }
+            summary[label.replace("median", "all")] = {
+                k: [round(scale * r[name][k], 3) for r in runs] for k in runs[0][name]
             }
     if "modules" in runs[0]:
         summary["modules_loaded"] = sorted({r["modules"] for r in runs})
@@ -858,6 +861,7 @@ def main(argv=None) -> int:
     before, after = report["before"]["median_ms"], report["after"]["median_ms"]
     report["after_over_before"] = {k: round(after[k] / before[k], 3) for k in before}
     for name, label in (("wall_median_ms", "wall_after_over_before"),
+                        ("process_cpu_median_ms", "process_cpu_after_over_before"),
                         ("maxrss_median_mb", "maxrss_after_over_before")):
         if name in report["after"]:
             old, new = report["before"][name], report["after"][name]
