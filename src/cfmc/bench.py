@@ -220,19 +220,24 @@ def load_config(source) -> ExperimentConfig:
 
 
 def build_problem(config: ExperimentConfig) -> TargetProblem:
-    params = config.problem_params
+    """The built-in target of ``config``; unknown problem_params keys are listed in one error."""
+    params, problem = config.problem_params, config.problem
+    takes = {"gaussian": {"d"}, "mixture": {"weights", "means", "scales", "name"}}
+    if problem not in takes:
+        raise InvalidInputError(f"unknown problem {problem!r}; valid names: gaussian, mixture")
+    unknown = sorted(f"problem_params.{key}" for key in set(params) - takes[problem])
+    if unknown:
+        raise InvalidInputError(f"unknown config keys: {', '.join(unknown)}")
+    if not isinstance(params.get("name", ""), str):
+        raise _bad("config key problem_params.name", "a string", params["name"])
     try:
-        if config.problem == "gaussian":
+        if problem == "gaussian":
             return gaussian_problem(_count("d", params.get("d", 1), 1))
-        if config.problem == "mixture":
-            return mixture_problem(**params)
+        return mixture_problem(**params)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(
-            f"config key problem_params: bad value {params!r} for {config.problem}: {exc}"
+            f"config key problem_params: bad value {params!r} for {problem}: {exc}"
         ) from None
-    raise InvalidInputError(
-        f"unknown problem {config.problem!r}; valid names: gaussian, mixture"
-    )
 
 
 def _data_stream(master_seed: int, n: int, replication: int) -> np.random.SeedSequence:

@@ -72,10 +72,6 @@ _LANCZOS_MAX_STEPS = 60
 # Share of the fitting samples cross-validation trains each candidate on.
 _CV_TRAIN_FRACTION = 0.5
 
-# Largest strip, in entries, that select_lambda's symmetry check compares at
-# once (2**14 to 2**17 time alike at m = 250 to 2000).
-_SKEW_STRIP_ENTRIES = 2**15
-
 
 def select_lambda(k0: np.ndarray) -> float:
     """Pick the smallest grid regularisation that conditions the kernel system.
@@ -84,22 +80,18 @@ def select_lambda(k0: np.ndarray) -> float:
     ``cond_2(k0 + lam*m*I) < 1e10``, where ``m`` is the matrix size and
     ``lam*m*I`` is the jitter actually applied when the system is factorised.
     If even ``lam = 1`` fails, 1.0 is returned with a warning.  ``k0`` must
-    be symmetric to within ``1e-12*max(1, max|k0|)``; its lower triangle is
-    what is read, as ``eigvalsh`` and the factorisation read it.  Symmetry
-    is checked strip by strip, so the checks make no m x m temporary.  Below
-    200 rows the rule is read off a full ``eigvalsh``; from that size on each
-    grid point's verdict is proven without one, and both routes return the
-    same ``lam``.
+    be square, finite and exactly symmetric, as :func:`gram_matrix` returns
+    it.  Below 200 rows the rule is read off a full ``eigvalsh``; from that
+    size on each grid point's verdict is proven without one, and both routes
+    return the same ``lam``.
     """
     k0 = np.asarray(k0, dtype=float)
     if k0.ndim != 2 or k0.shape[0] != k0.shape[1]:
         raise InvalidInputError(f"k0 must be square, got shape {k0.shape}")
     _check_finite(k0)
-    scale = max(1.0, abs(float(k0.max())), abs(float(k0.min())))
-    skew = _skew(k0)
-    if skew > 1e-12 * scale:
-        raise InvalidInputError("k0 must be symmetric")
-    return _lambda_search(_lower_symmetric(k0) if skew else k0)
+    if not np.array_equal(k0, k0.T):
+        raise InvalidInputError("k0 must be exactly symmetric, as gram_matrix returns it")
+    return _lambda_search(k0)
 
 
 def _check_finite(k0: np.ndarray) -> None:
@@ -107,33 +99,11 @@ def _check_finite(k0: np.ndarray) -> None:
         raise InvalidInputError("k0 contains non-finite entries")
 
 
-def _lower_symmetric(k0: np.ndarray) -> np.ndarray:
-    """The exactly symmetric matrix with the lower triangle of ``k0``.  The
-    λ tests and the factorisation copy ``k0.T``, which has the bytes of
-    ``k0`` only when it is symmetric; an estimator's Gram is."""
-    sym = np.array(k0, dtype=float)
-    np.copyto(sym, sym.T, where=~np.tri(k0.shape[0], dtype=bool))
-    return sym
-
-
-def _skew(k0: np.ndarray) -> float:
-    """max |k0 - k0'| of the finite square ``k0``, without an m x m
-    temporary: each strip of rows is compared, up to its last row, with the
-    columns of the same indices, so every pair i >= j is compared once and no
-    temporary holds more than ``_SKEW_STRIP_ENTRIES`` entries (or one row)."""
-    m = k0.shape[0]
-    step = max(1, _SKEW_STRIP_ENTRIES // m)
-    skew = 0.0
-    for i0 in range(0, m, step):
-        i1 = min(i0 + step, m)
-        gap = np.subtract(k0[i0:i1, :i1], k0[:i1, i0:i1].T)
-        skew = max(skew, float(np.abs(gap, out=gap).max()))
-    return skew
-
-
 def _lambda_search(k0: np.ndarray) -> float:
     """The :func:`select_lambda` rule on a square, finite and exactly
-    symmetric ``k0``, such as a Gram matrix built by ``gram_matrix``."""
+    symmetric ``k0``, such as a Gram matrix built by ``gram_matrix``; the
+    λ tests and the factorisation copy ``k0.T``, which has the bytes of
+    ``k0`` only then."""
     m = k0.shape[0]
     if m >= _GUARDED_MIN_SIZE:
         lam = _guarded_lambda(k0)
@@ -688,17 +658,16 @@ def _block(data: ScoredDataset, params: SteinKernelParams, rows, cols) -> np.nda
     test blocks of cross-validation) is a sub-block of the Gram of the whole
     sample.  When ``data`` is a :class:`_GramRows` view that shares
     ``params``, the block is a slice of that Gram, assembled once on the
-    first request; the slice may be a read-only view of it.  Otherwise just
-    the block is assembled, which costs fewer entries when only a few blocks
-    of a kernel are wanted.  At d = 1 a slice has the bytes of the freshly
+    first request; the slice may be a read-only view of it.  Otherwise,
+    a view's unshared kernel included, just the block is assembled from the
+    rows of ``data``, which costs fewer entries when only a few blocks of a
+    kernel are wanted.  At d = 1 a slice has the bytes of the freshly
     assembled block.  At d >= 2 the whole-shape inner products of the two
     can differ in the last bit.
     """
-    if isinstance(data, _GramRows):
+    if isinstance(data, _GramRows) and params in data.shared:
         at = data._at(rows)
         rows, cols = at, at if cols is rows else data._at(cols)
-        if params not in data.shared:
-            return _block(data.whole, params, rows, cols)
         gram = data.grams.get(params)
         if gram is None:
             gram = data.grams[params] = gram_matrix(data.whole, params)
@@ -878,9 +847,10 @@ def cross_validate(d0: ScoredDataset, grid, seed=0) -> SteinKernelParams:
     samples and a test half; every candidate is fitted on the training half
     (with the automatic regularisation rule) and scored by the l2 norm of its
     prediction error on the test half.  The candidate with the smallest error
-    wins; ties go to the earliest grid entry.  The split uses a dedicated
-    stream derived from ``seed`` so selection never perturbs estimation
-    randomness.
+    wins; ties go to the earliest grid entry.  A candidate whose fit fails or
+    whose error is not finite loses, and if all do, the error raised lists
+    each with its reason.  The split uses a dedicated stream derived from
+    ``seed`` so selection never perturbs estimation randomness.
     """
     grid = list(grid)
     if not grid:
@@ -904,7 +874,10 @@ def cross_validate(d0: ScoredDataset, grid, seed=0) -> SteinKernelParams:
                 d0.f_values[train]
             )
             predicted = c_hat + _block(d0, cand, test, train) @ beta
-            errors[i] = float(np.linalg.norm(d0.f_values[test] - predicted))
+            error = float(np.linalg.norm(d0.f_values[test] - predicted))
+            if not math.isfinite(error):
+                raise NumericalError(f"held-out error is {error}")
+            errors[i] = error
         except (InvalidInputError, SingularMatrixError, NumericalError) as exc:
             failures.append(f"candidate {i} ({cand}): {exc}")
     if not np.any(np.isfinite(errors)):

@@ -35,6 +35,10 @@ from cfmc.estimator import _GUARDED_MIN_SIZE
 from cfmc.targets import TargetProblem
 
 
+# A valid mixture's problem_params.
+MIXTURE = {"weights": [0.5, 0.5], "means": [-1.0, 1.0], "scales": [0.5, 0.5]}
+
+
 def small_config(**overrides):
     base = dict(
         problem="gaussian",
@@ -247,6 +251,22 @@ class TestConfig:
         config = small_config(problem=problem, problem_params=params)
         with pytest.raises(InvalidInputError, match="problem_params"):
             build_problem(config)
+
+    @pytest.mark.parametrize("problem, params, message", [
+        ("gaussian", {"D": 3}, "unknown config keys: problem_params.D$"),
+        ("gaussian", {"e": 1, "D": 3}, "unknown config keys: problem_params.D, problem_params.e$"),
+        ("mixture", dict(MIXTURE, integrand=3), "unknown config keys: problem_params.integrand$"),
+        ("mixture", dict(MIXTURE, name=7), "config key problem_params.name must be a string"),
+    ], ids=["D", "D-and-e", "integrand", "name"])
+    def test_problem_params_the_problem_does_not_take_refused(self, problem, params, message):
+        config = small_config(problem=problem, problem_params=params)
+        with pytest.raises(InvalidInputError, match=f"^{message}"):
+            build_problem(config)
+
+    def test_problem_params_each_problem_takes(self):
+        assert build_problem(small_config(problem_params={"d": 3})).dimension == 3
+        config = small_config(problem="mixture", problem_params=dict(MIXTURE, name="bimodal"))
+        assert build_problem(config).name == "bimodal"
 
     @pytest.mark.parametrize("method", ["cf-split", "cf-multisplit"])
     @pytest.mark.parametrize("fraction", [float("nan"), float("inf"), -float("inf")])

@@ -477,6 +477,10 @@ BENCH_CONFIG = {
 }
 
 
+# A valid mixture's problem_params.
+MIXTURE = {"weights": [0.5, 0.5], "means": [-1.0, 1.0], "scales": [0.5, 0.5]}
+
+
 class TestBenchCommand:
     def test_dry_run_writes_nothing(self, tmp_path):
         config = tmp_path / "config.json"
@@ -585,6 +589,13 @@ class TestBenchCommand:
         ({}, {"cv_grid": [[0.1, 1e80]]}, "methods[0].cv_grid"),
         ({"problem_params": {"d": 1.5}}, {}, "problem_params"),
         ({"problem_params": {"d": True}}, {}, "problem_params"),
+        # Keys the problem does not take, refused before a d = 1 study, a
+        # crash in the oracle or "problem": 7 in report.json.
+        ({"problem_params": {"D": 3}}, {}, "unknown config keys: problem_params.D"),
+        ({"problem": "mixture", "problem_params": dict(MIXTURE, integrand=3)}, {},
+         "unknown config keys: problem_params.integrand"),
+        ({"problem": "mixture", "problem_params": dict(MIXTURE, name=7)}, {},
+         "problem_params.name must be a string"),
     ])
     def test_malformed_config_value_is_data_error(self, tmp_path, top, entry, named):
         raw = {

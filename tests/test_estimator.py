@@ -90,32 +90,14 @@ class TestSelectLambda:
             select_lambda(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
     @pytest.mark.parametrize("diag", [0.5, 4.0, 1e6])
-    def test_symmetry_tolerance_is_inclusive(self, diag):
-        # The tolerance is 1e-12 * max(1, max|k0|): a gap of exactly that is
-        # accepted, twice that is rejected.
-        tol = 1e-12 * max(1.0, diag)
+    def test_symmetry_must_be_exact(self, diag):
+        # One step of the last bit off symmetry is refused at every scale.
         k0 = diag * np.eye(3)
-        k0[0, 2] = tol
+        k0[0, 2] = k0[2, 0] = 0.25 * diag
         assert select_lambda(k0) in LAMBDA_GRID
-        k0[0, 2] = 2.0 * tol
-        with pytest.raises(InvalidInputError, match="symmetric"):
+        k0[0, 2] = np.nextafter(k0[0, 2], np.inf)
+        with pytest.raises(InvalidInputError, match="exactly symmetric, as gram_matrix returns it"):
             select_lambda(k0)
-
-    @pytest.mark.parametrize("m", [1, 2, 33, 300])
-    def test_skew_checked_in_strips_is_the_whole_gap(self, m):
-        # m = 300 spans three strips: every pair is compared once, across
-        # strip edges too, and the largest gap is the one of k0 - k0'.
-        rng = np.random.default_rng(m)
-        k0 = rng.standard_normal((m, m))
-        assert estimator._skew(k0) == np.max(np.abs(k0 - k0.T))
-        sym = k0 + k0.T
-        assert estimator._skew(sym) == 0.0
-        for i, j in {(m - 1, 0), (0, m - 1), (m // 3, m // 3 + 1), (m - 1, m // 2)}:
-            if i != j and max(i, j) < m:
-                skewed = sym.copy()
-                skewed[i, j] += 1.0
-                gap = estimator._skew(skewed)
-                assert gap == np.max(np.abs(skewed - skewed.T)) and gap > 0.5
 
     def test_hopeless_matrix_warns_and_returns_one(self):
         k0 = np.diag([1e12, -1.0])
@@ -133,8 +115,9 @@ def _fit_coefficients_explicit(k0):
 
 class TestGramLambdaEntry:
     """Estimators select lambda on their own Grams without the symmetry
-    check; the public function keeps both checks, and both give one lambda.
-    An estimator's fit checks finiteness whichever way lambda is chosen."""
+    check; the public function checks that k0 is finite and exactly
+    symmetric, and both give one lambda.  An estimator's fit checks
+    finiteness whichever way lambda is chosen."""
 
     @pytest.mark.parametrize("m", [30, _GUARDED_MIN_SIZE, 400])
     def test_same_lambda_as_public_entry(self, m, make_gaussian_dataset):
@@ -606,8 +589,8 @@ class TestPivotedBounds:
 
 class TestSymmetricSystems:
     """The lambda tests and the factorisation copy k0' and read its lower
-    triangle, so every k0 that reaches them must be exactly symmetric, and
-    the public entries read only the lower triangle of theirs."""
+    triangle, so every k0 that reaches them must be exactly symmetric: each
+    estimator's is, and select_lambda refuses any other."""
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
@@ -651,7 +634,7 @@ class TestSymmetricSystems:
         for k0 in fitted:
             assert k0.tobytes() == np.ascontiguousarray(k0.T).tobytes()
 
-    def test_select_lambda_reads_the_lower_triangle(self, monkeypatch):
+    def test_select_lambda_refuses_skew_and_searches_k0_itself(self, monkeypatch):
         m = _GUARDED_MIN_SIZE
         k0 = matrix_with_spectrum(decaying_spectrum(1e-12, 1.0, m), seed=3)
         skewed = k0.copy()
@@ -664,9 +647,11 @@ class TestSymmetricSystems:
             return search(k0)
 
         monkeypatch.setattr(estimator, "_lambda_search", spy)
-        assert select_lambda(skewed) == eigvalsh_rule(_lower_mirror(skewed))
-        assert searched[0].tobytes() == _lower_mirror(skewed).tobytes()
-        assert select_lambda(k0) and searched[1] is k0  # exactly symmetric: not copied
+        with pytest.raises(InvalidInputError, match="exactly symmetric"):
+            select_lambda(skewed)
+        assert searched == []
+        assert select_lambda(k0) == eigvalsh_rule(k0)
+        assert searched[0] is k0  # not copied
 
 
 class TestFitSurrogate:
@@ -1033,7 +1018,8 @@ class TestWorkingSet:
         assert weights < 2.5 * unit
 
     def test_select_lambda_checks_make_no_square_temporary(self, make_gaussian_dataset):
-        # The search's scratch is the one m x m array.
+        # The search's scratch is the one m x m array; the symmetry check's
+        # m x m boolean is an eighth of one float matrix.
         m = 1000
         k0 = gram_matrix(make_gaussian_dataset(m, seed=m), PARAMS)
         assert _traced_peak(lambda: select_lambda(k0)) < 1.5 * 8 * m * m
@@ -1420,6 +1406,23 @@ class TestCrossValidate:
         with pytest.raises(NumericalError, match="candidate 1"), np.errstate(over="ignore"):
             cross_validate(data, grid, seed=0)
 
+    @pytest.mark.parametrize("score", [1e200, 1e308])
+    def test_non_finite_held_out_errors_are_failures(self, score):
+        # One huge score on the first test row makes every candidate's
+        # held-out error inf (1e200) or nan (1e308) without raising; each is
+        # listed as a failure, with its reason.
+        x = np.random.default_rng(0).standard_normal((40, 1))
+        u = -x
+        perm = np.random.Generator(np.random.Philox(np.random.SeedSequence(0))).permutation(40)
+        u[perm[20]] = score
+        data = ScoredDataset(x, u, np.sin(np.pi * x[:, 0]))
+        grid = [SteinKernelParams(0.1, a2) for a2 in (1.0, 2.0, 0.5)]
+        with np.errstate(all="ignore"), pytest.raises(NumericalError) as failed:
+            cross_validate(data, grid, seed=0)
+        listed = str(failed.value).splitlines()[1:]
+        assert [line.split(" (")[0] for line in listed] == [f"candidate {i}" for i in range(3)]
+        assert all("held-out error is " in line for line in listed)
+
     def test_preconditions(self, make_gaussian_dataset):
         data = make_gaussian_dataset(10)
         with pytest.raises(InvalidInputError):
@@ -1622,6 +1625,24 @@ class TestKernelCache:
         rows = estimator._GramRows(data, {PARAMS}) if view else data
         with pytest.raises(InvalidInputError, match="must be integers, got dtype float64"):
             rows.subset([0.9])
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_unshared_kernel_of_a_view_is_assembled(self, d, assembled, make_gaussian_dataset):
+        # A view's kernel that it does not share is assembled from the view's
+        # own rows, block by block, with the bytes of the plain dataset's.
+        # At d = 3 a slice of the whole Gram differs from this K0 in the
+        # last bit, so the bytes tell an assembled block from a slice.
+        data = make_gaussian_dataset(40, d=d, seed=8)
+        index = random_split(40, 30, seed=2).index_d0
+        view = estimator._GramRows(data, {NARROW}).subset(index)
+        plain = data.subset(index)
+        plan = random_split(30, 20, seed=4)
+        i0, i1 = plan.index_d0, plan.index_d1
+        for rows, cols in ((i0, i0), (i1, i0), (i1, i1)):
+            block = estimator._block(view, PARAMS, rows, cols)
+            assert block.tobytes() == estimator._block(plain, PARAMS, rows, cols).tobytes()
+        blocks = [(20, 20, True, PARAMS), (10, 20, False, PARAMS), (10, 10, True, PARAMS)]
+        assert assembled == [call for block in blocks for call in (block, block)]
 
     @pytest.mark.parametrize("bound", [False, True])
     def test_lone_split_assembles_only_its_blocks(self, assembled, make_gaussian_dataset, bound):
