@@ -72,6 +72,10 @@ _LANCZOS_MAX_STEPS = 60
 # Share of the fitting samples cross-validation trains each candidate on.
 _CV_TRAIN_FRACTION = 0.5
 
+# Side of the square tiles select_lambda's symmetry check compares: each
+# tile pair is read in cache, and the check holds one tile's boolean.
+_SYMMETRY_TILE = 256
+
 
 def select_lambda(k0: np.ndarray) -> float:
     """Pick the smallest grid regularisation that conditions the kernel system.
@@ -89,9 +93,21 @@ def select_lambda(k0: np.ndarray) -> float:
     if k0.ndim != 2 or k0.shape[0] != k0.shape[1]:
         raise InvalidInputError(f"k0 must be square, got shape {k0.shape}")
     _check_finite(k0)
-    if not np.array_equal(k0, k0.T):
+    if not _symmetric(k0):
         raise InvalidInputError("k0 must be exactly symmetric, as gram_matrix returns it")
     return _lambda_search(k0)
+
+
+def _symmetric(k0: np.ndarray) -> bool:
+    """Whether the square ``k0`` equals its transpose, compared tile by
+    tile on and above the diagonal: ``np.array_equal(k0, k0.T)`` without
+    its m x m boolean or its strided read of the whole matrix."""
+    b, m = _SYMMETRY_TILE, k0.shape[0]
+    return all(
+        np.array_equal(k0[i : i + b, j : j + b], k0[j : j + b, i : i + b].T)
+        for i in range(0, m, b)
+        for j in range(i, m, b)
+    )
 
 
 def _check_finite(k0: np.ndarray) -> None:
@@ -674,12 +690,20 @@ def _block(data: ScoredDataset, params: SteinKernelParams, rows, cols) -> np.nda
             gram.flags.writeable = False
         # A block must be C-ordered like a freshly assembled one: the layout
         # picks the BLAS kernel, and so the bits, of every product with it.
-        # Rows, then columns by take, is also about a third of the time of
-        # one np.ix_ gather.
-        picked = gram[rows]
         if isinstance(cols, slice):
-            return np.ascontiguousarray(picked[:, cols])
-        return picked.take(cols, axis=1)
+            return np.ascontiguousarray(gram[rows, cols])
+        # Rows, then columns by take, is about a third of the time of one
+        # np.ix_ gather.  Strips of about _BLOCK_ENTRIES entries are taken
+        # straight into the block, so no |rows| x n copy is held.  The
+        # columns are rows of the view, so mode="wrap" reads what "raise"
+        # would, without the copy of ``out`` that "raise" makes.
+        if isinstance(rows, slice):
+            rows = np.arange(gram.shape[0])[rows]
+        block = np.empty((rows.size, len(cols)))
+        step = max(1, kernel._BLOCK_ENTRIES // gram.shape[1])
+        for i in range(0, rows.size, step):
+            gram[rows[i : i + step]].take(cols, axis=1, out=block[i : i + step], mode="wrap")
+        return block
     if rows is cols:
         return gram_matrix(data if isinstance(rows, slice) else data.subset(rows), params)
     points, scores = data.points, data.scores

@@ -26,6 +26,7 @@ reads k0(x, x) off Gram blocks of the same assembly.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,6 +98,13 @@ def base_kernel(x, xp, params: SteinKernelParams) -> np.ndarray:
 _BLOCK_ENTRIES = 2**15
 # Block-sized buffers of the in-place evaluation in _stein_block.
 _BUFFERS = 7
+# Doubles of block scratch a thread keeps between calls (3.5 MiB): enough for
+# every call with at most 2**15 columns, whose blocks hold at most
+# _BLOCK_ENTRIES + q entries.  A request makes dozens of mid-size assemblies,
+# and a fresh scratch per call is handed back to the OS and faulted in again
+# each time; a larger call allocates its own, which the thread does not keep.
+_KEPT_SCRATCH = 2 * _BUFFERS * _BLOCK_ENTRIES
+_kept = threading.local()
 
 
 def _check_sets(x, u_x, y, u_y):
@@ -226,17 +234,36 @@ def _block_rows(p: int, q: int) -> int:
     return -(-p // blocks)
 
 
+def _scratch(size: int) -> np.ndarray:
+    """``size`` doubles of block scratch: the front of this thread's kept
+    buffer, which grows to the largest size asked for up to
+    ``_KEPT_SCRATCH``, or a buffer of its own past that."""
+    if size > _KEPT_SCRATCH:
+        return np.empty(size)
+    kept = getattr(_kept, "scratch", None)
+    if kept is None or kept.size < size:
+        kept = _kept.scratch = np.empty(size)
+    return kept[:size]
+
+
 def _assemble(x, u_x, y, u_y, params: SteinKernelParams, upper: bool) -> np.ndarray:
     """The (p, q) matrix k0(x_i, y_j), filled row block by row block.
 
     With ``upper`` (a Gram matrix, y = x), a block of rows i0:i1 spans only
     columns i0:, and its transpose fills the lower triangle.  All blocks
-    share one workspace of ``_BUFFERS`` contiguous block-sized buffers.
+    share one workspace of ``_BUFFERS`` contiguous block-sized buffers,
+    taken from the thread's kept scratch (see :func:`_scratch`);
+    ``_stein_block`` writes every buffer before it reads it, so what a
+    previous call left there never reaches the result.  Beyond the result
+    and the kept scratch, a call holds what :func:`stein_kernel_matrix`
+    says.  An empty point set on either side gives the empty matrix.
     """
     p, q = x.shape[0], y.shape[0]
     out = np.empty((p, q))
+    if out.size == 0:
+        return out
     step = _block_rows(p, q)
-    work = np.empty((_BUFFERS, step * q))
+    work = _scratch(_BUFFERS * step * q).reshape(_BUFFERS, step * q)
     pairs = _Pairs(x, u_x, y, u_y)
     # Strict lower triangle of a block's square; a shorter block's is its corner.
     below = np.tri(step, k=-1, dtype=bool) if upper else None
@@ -267,14 +294,18 @@ def stein_kernel_matrix(x, u_x, y, u_y, params: SteinKernelParams) -> np.ndarray
 
     Returns
     -------
-    (p, q) array with entries k0(x_i, y_j).  The elementwise work runs in
-    place in row blocks of about ``_BLOCK_ENTRIES`` entries that share one
-    workspace.  At d = 1 the inner products are formed per block, so beyond
-    the result only the workspace is held: tracemalloc's peak is about
-    1.1-1.7x the result's bytes (p = q = 2000 / 600).  At d >= 2 they are
-    four whole (p, q) matrix products, and the peak is about 5-6x, except
-    that a matrix of one block takes each product into the workspace, which
-    holds the peak at that of d = 1 (about 9x at p = q = 181).
+    (p, q) array with entries k0(x_i, y_j); (p, 0) or (0, q) when a point
+    set is empty.  The elementwise work runs in place in row blocks of about
+    ``_BLOCK_ENTRIES`` entries that share one workspace, which the calling
+    thread keeps for its next call: at most ``_KEPT_SCRATCH`` doubles
+    (3.5 MiB), and 1.8 MiB for blocks of up to 2000 columns.  A call whose
+    workspace is larger allocates its own and keeps none of it.  Beyond
+    the kept workspace, at d = 1 the inner products are formed per block,
+    so little but the result is held: tracemalloc's peak is about 1.0x the
+    result's bytes (p = q = 600 / 2000).  At d >= 2 they are four whole
+    (p, q) matrix products, and the peak is about 5x, except that a matrix
+    of one block takes each product into the workspace, which holds the
+    peak at that of d = 1 (about 1.3x at p = q = 181).
     """
     x, u_x, y, u_y = _check_sets(x, u_x, y, u_y)
     return _assemble(x, u_x, y, u_y, params, upper=False)

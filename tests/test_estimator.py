@@ -30,7 +30,7 @@ from cfmc import (
     select_lambda,
     stein_kernel_matrix,
 )
-from cfmc import estimator
+from cfmc import estimator, kernel
 from cfmc.estimator import _GUARDED_MIN_SIZE, CONDITION_LIMIT, LAMBDA_GRID
 from kernel_oracle import stein_kernel
 from split_discrepancy import split_discrepancy
@@ -96,6 +96,21 @@ class TestSelectLambda:
         k0[0, 2] = k0[2, 0] = 0.25 * diag
         assert select_lambda(k0) in LAMBDA_GRID
         k0[0, 2] = np.nextafter(k0[0, 2], np.inf)
+        with pytest.raises(InvalidInputError, match="exactly symmetric, as gram_matrix returns it"):
+            select_lambda(k0)
+
+    @pytest.mark.parametrize(
+        "i, j",
+        [(590, 580), (580, 590), (599, 598), (10, 300), (300, 10), (599, 0), (255, 256)],
+        ids=["ragged_below", "ragged_above", "ragged_corner", "tile_above", "tile_below",
+             "ragged_row", "tile_edge"],
+    )
+    def test_skew_in_any_tile_is_refused(self, i, j, make_gaussian_dataset):
+        # m = 600 is two whole tiles and a ragged one of 88 rows; one step of
+        # the last bit anywhere off the diagonal is refused.
+        k0 = gram_matrix(make_gaussian_dataset(600, seed=6), PARAMS)
+        assert select_lambda(k0) in LAMBDA_GRID
+        k0[i, j] = np.nextafter(k0[i, j], np.inf)
         with pytest.raises(InvalidInputError, match="exactly symmetric, as gram_matrix returns it"):
             select_lambda(k0)
 
@@ -1018,11 +1033,18 @@ class TestWorkingSet:
         assert weights < 2.5 * unit
 
     def test_select_lambda_checks_make_no_square_temporary(self, make_gaussian_dataset):
-        # The search's scratch is the one m x m array; the symmetry check's
-        # m x m boolean is an eighth of one float matrix.
+        # The search's scratch is the one m x m array.
         m = 1000
         k0 = gram_matrix(make_gaussian_dataset(m, seed=m), PARAMS)
         assert _traced_peak(lambda: select_lambda(k0)) < 1.5 * 8 * m * m
+
+    def test_multisplit_gathers_no_whole_rows(self, make_gaussian_dataset):
+        # The whole Gram (8n^2, 30.5 MiB), a fit's two m x m matrices and K10
+        # (7.6 MiB each).  Gathering each block's rows whole before taking
+        # its columns held a 1000 x 2000 copy more and peaked at 61.1 MiB.
+        data = make_gaussian_dataset(2000, seed=12)
+        peak = _traced_peak(lambda: cf_multisplit_estimate(data, 4, 0.5, PARAMS, seed=3))
+        assert peak < (61.1 - 10.0) * 2**20
 
     @pytest.mark.parametrize("m", [150, 250], ids=["eigvalsh", "guarded"])
     @pytest.mark.parametrize("given", [False, True], ids=["rule", "given"])
@@ -1455,6 +1477,11 @@ class TestRkhsFunction:
             )
             assert values[i] == pytest.approx(expansion, rel=1e-12)
 
+    def test_evaluate_on_no_points(self):
+        func = make_rkhs_function(seed=28, d=2)
+        values = func.evaluate(np.empty((0, 2)), np.empty((0, 2)))
+        assert values.shape == (0,)
+
     def test_quadrature_confirms_exact_mean(self):
         # Independent check of the zero-mean property: the mean of f is c.
         from scipy import integrate
@@ -1591,6 +1618,28 @@ class TestKernelCache:
         for unshared in (data, estimator._GramRows(data, ())):
             assert estimator._block(unshared, params, rows, rows).tobytes() == fresh.tobytes()
             assert estimator._block(unshared, params, rows, cols).tobytes() == cross.tobytes()
+
+    @pytest.mark.parametrize("entries", [2**15, 2**10], ids=["module", "small"])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_strip_gather_has_the_bytes_of_whole_rows(
+        self, monkeypatch, d, entries, make_gaussian_dataset
+    ):
+        # K0 and K10 of a split against the gather of whole rows then columns.
+        # At n = 600 a strip is 54 rows (the module's budget) or 1 row, so the
+        # 300 rows of K0 and K10 take 6 strips, the last one ragged, or 300.
+        monkeypatch.setattr(kernel, "_BLOCK_ENTRIES", entries)
+        data = make_gaussian_dataset(600, d=d, seed=d)
+        view = estimator._GramRows(data, {PARAMS})
+        plan = random_split(600, 300, seed=9)
+        i0, i1 = plan.index_d0, plan.index_d1
+        estimator._block(view, PARAMS, i0, i0)
+        gram = view.grams[PARAMS]
+        for rows, cols in ((i0, i0), (i1, i0)):
+            block = estimator._block(view, PARAMS, rows, cols)
+            assert block.flags.c_contiguous
+            assert block.tobytes() == gram[rows].take(cols, axis=1).tobytes()
+        every = slice(None)
+        assert np.shares_memory(estimator._block(view, PARAMS, every, every), gram)
 
     def test_shared_gram_assembled_once_and_read_only(self, assembled, make_gaussian_dataset):
         data = make_gaussian_dataset(30, d=3, seed=4)

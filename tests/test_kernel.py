@@ -1,6 +1,9 @@
 
 import re
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -334,6 +337,14 @@ class TestAssembleMatrices:
         with pytest.raises(InvalidInputError, match="dimension mismatch: 2 vs 1"):
             stein_kernel_matrix(d1.points, d1.scores, d0.points, d0.scores, PARAMS)
 
+    @pytest.mark.parametrize("p, q", [(3, 0), (0, 3), (0, 0)])
+    def test_empty_point_set_gives_empty_matrix(self, p, q):
+        x, u = _sample(p, 2, seed=1)
+        y, v = _sample(q, 2, seed=2)
+        matrix = stein_kernel_matrix(x, u, y, v, PARAMS)
+        assert matrix.shape == (p, q)
+        assert matrix.dtype == np.float64
+
 
 def _reference_matrix(x, u_x, y, u_y, params):
     """The whole-matrix vectorised Stein-kernel formula, kept as the reference
@@ -562,15 +573,119 @@ class TestBlockedAssembly:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # The seven block buffers and the result (about 9.1x); four whole
-        # products on top of them would reach 13x.
-        assert peak / result.nbytes < 10
+        # The block buffers are the thread's kept scratch from the calls
+        # above, so the result and the copy of each block's triangle remain
+        # (about 2.1x); four whole products on top of them would reach 6x.
+        assert peak / result.nbytes < 5
 
     @pytest.mark.parametrize("which", ["gram", "cross"])
     def test_peak_memory_bounded_d1(self, which):
         # At d = 1 the inner products are formed per block, so beyond the
         # result only the block workspace is held (about 0.8x here).
         assert self._peak_over_result(which, 1) < 2.5
+
+
+# One-block and multi-block shapes at the module's own block budget.
+SCRATCH_SHAPES = [(40, 30), (300, 250)]
+
+
+def _assemble_case(d, upper, shape, alpha2):
+    """A Gram (``upper``) or cross matrix of ``shape`` and the reference bytes
+    it must have."""
+    params = SteinKernelParams(alpha1=0.1, alpha2=alpha2)
+    p, q = shape
+    x, u = _sample(p, d, seed=p + 10 * d)
+    if upper:
+        data = ScoredDataset(x, u, np.zeros(p))
+        return (lambda: gram_matrix(data, params)), _reference_gram(x, u, params).tobytes()
+    y, v = _sample(q, d, seed=q + 20 * d)
+    reference = _reference_matrix(x, u, y, v, params).tobytes()
+    return (lambda: stein_kernel_matrix(x, u, y, v, params)), reference
+
+
+class TestKeptScratch:
+    """Each thread keeps one block scratch between assemblies; nothing a
+    previous call left in it reaches a result."""
+
+    @pytest.mark.parametrize("alpha2", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("shape", SCRATCH_SHAPES, ids=["one_block", "blocks"])
+    @pytest.mark.parametrize("upper", [True, False], ids=["gram", "cross"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_nan_filled_scratch_leaves_the_bytes(self, d, upper, shape, alpha2):
+        assemble, reference = _assemble_case(d, upper, shape, alpha2)
+        assert (kernel._block_rows(*shape) == shape[0]) == (shape == SCRATCH_SHAPES[0])
+        assert assemble().tobytes() == reference
+        kept = kernel._kept.scratch
+        kept.fill(np.nan)
+        assert assemble().tobytes() == reference
+        assert kernel._kept.scratch is kept
+        assert not np.isnan(kept).all()
+
+    def test_threads_assembling_at_once_get_the_serial_bytes(self):
+        cases = [
+            _assemble_case(d, upper, shape, alpha2)
+            for d in (1, 3)
+            for upper in (True, False)
+            for shape in SCRATCH_SHAPES
+            for alpha2 in (0.5, 1.5)
+        ]
+        serial = [assemble().tobytes() for assemble, _ in cases]
+        assert serial == [reference for _, reference in cases]
+
+        start = threading.Barrier(4, timeout=60)
+
+        def run(offset):
+            # All four run at once, each from its own case, so that different
+            # shapes overlap.
+            start.wait()
+            order = [(offset + i) % len(cases) for i in range(2 * len(cases))]
+            return [(i, cases[i][0]().tobytes()) for i in order], id(kernel._kept.scratch)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(run, 3 * t) for t in range(4)]
+                results = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for got, _ in results:
+            assert all(data == serial[i] for i, data in got)
+        assert len({scratch for _, scratch in results}) == 4
+
+    def test_call_past_the_cap_keeps_no_larger_scratch(self):
+        # One row against 70 000 columns: its seven buffers of 70 000
+        # doubles exceed the kept cap of 7 * 2**16 doubles.
+        assemble, reference = _assemble_case(1, False, (40, 30), 1.0)
+        assemble()
+        kept = kernel._kept.scratch
+        x, u = _sample(1, 1, seed=3)
+        y, v = _sample(70_000, 1, seed=4)
+        assert kernel._BUFFERS * 70_000 > kernel._KEPT_SCRATCH == 7 * 2**16
+        matrix = stein_kernel_matrix(x, u, y, v, PARAMS)
+        assert matrix.tobytes() == _reference_matrix(x, u, y, v, PARAMS).tobytes()
+        assert kernel._kept.scratch is kept
+        assert kept.size <= kernel._KEPT_SCRATCH
+
+    @pytest.mark.parametrize("upper", [True, False], ids=["gram", "cross"])
+    def test_second_call_allocates_no_scratch(self, upper):
+        n = 1000
+        x, u = _sample(n, 1, seed=8)
+        data = ScoredDataset(x, u, np.zeros(n))
+        if upper:
+            assemble = lambda: gram_matrix(data, PARAMS)  # noqa: E731
+        else:
+            assemble = lambda: stein_kernel_matrix(x, u, x, u, PARAMS)  # noqa: E731
+        assemble()
+        tracemalloc.start()
+        try:
+            result = assemble()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The result and a few block-sized index arrays; the seven buffers
+        # would add 0.23x.
+        assert peak / result.nbytes < 1.05
 
 
 class TestDiagnosticsCheckTheMatrixPath:

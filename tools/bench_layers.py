@@ -5,6 +5,12 @@
 
 ``--topic`` picks the functions, sizes and description from ``TOPICS``:
 
+* ``assembly_scratch``: the CPU time (scaled and raw) and the minor page
+  faults per call of one ``mcmc_cv_d3`` cell through ``run_experiment`` at
+  n in {25, 50, 100, 200}, and of one ``cfmc estimate --method cf-split
+  --bound`` process on a d = 1 sample file of 2000 rows, with its wall time
+  and peak RSS; plus the largest relative deviation of the estimates of one
+  whole ``mcmc_cv_d3`` request between the two sides;
 * ``gram_blocks``: Stein-kernel assembly (``gram_matrix``,
   ``stein_kernel_matrix``) and the two kernel estimators at
   n in {20, ..., 2000}, with tracemalloc's peak over the result's bytes for
@@ -100,6 +106,7 @@ import hashlib
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -367,9 +374,9 @@ print(time.process_time() - start, len(sys.modules))
 BOUND_COMMAND = ("--method", "cf-split", "--bound", "--fnorm", "1", "--output", "json")
 
 
-def _child(argv: list[str]) -> tuple[bytes, float, float, float]:
-    """Run ``argv`` to its end: its stdout, wall seconds, CPU seconds and
-    peak RSS in MB."""
+def _child(argv: list[str]) -> tuple[bytes, float, float, float, int]:
+    """Run ``argv`` to its end: its stdout, wall seconds, CPU seconds, peak
+    RSS in MB and minor page faults."""
     start = time.perf_counter()
     proc = subprocess.Popen(argv, stdout=subprocess.PIPE)
     out = proc.stdout.read()
@@ -379,35 +386,35 @@ def _child(argv: list[str]) -> tuple[bytes, float, float, float]:
     proc.returncode = os.waitstatus_to_exitcode(status)
     if proc.returncode:
         raise subprocess.CalledProcessError(proc.returncode, argv)
-    return out, wall, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024
+    return out, wall, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024, usage.ru_minflt
 
 
-def _estimate_processes(sizes) -> tuple[dict, dict, dict, dict]:
-    """(stdout, wall seconds, CPU seconds, peak RSS in MB) of one fresh
-    ``cfmc estimate --bound`` process per sample size, keyed
-    ``cfmc_estimate_bound/<n>``, on the worker's PYTHONPATH and thread
+def _estimate_processes(sizes) -> tuple[dict, dict, dict, dict, dict]:
+    """(stdout, wall seconds, CPU seconds, peak RSS in MB, minor page
+    faults) of one fresh ``cfmc estimate --bound`` process per sample size,
+    keyed ``cfmc_estimate_bound/<n>``, on the worker's PYTHONPATH and thread
     settings."""
     import cfmc
 
-    outputs, wall, cpu, rss = {}, {}, {}, {}
+    outputs, wall, cpu, rss, faults = {}, {}, {}, {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         for n in sizes:
             sample = Path(tmp) / f"sample_n{n}.csv"
             rng = np.random.default_rng(n)
             cfmc.write_sample_file(sample, cfmc.gaussian_problem(1).dataset(rng, n))
             key = f"cfmc_estimate_bound/{n}"
-            out, wall[key], cpu[key], rss[key] = _child(
+            out, wall[key], cpu[key], rss[key], faults[key] = _child(
                 [sys.executable, "-m", "cfmc", "estimate", str(sample), *BOUND_COMMAND]
             )
             outputs[key] = out.decode()
-    return outputs, wall, cpu, rss
+    return outputs, wall, cpu, rss, faults
 
 
 def _cold_start(spec) -> dict:
     """One repeat of the cold_start topic, each process a fresh interpreter."""
-    out, _, _, _ = _child([sys.executable, "-c", IMPORT_PROBE])
+    out, _, _, _, _ = _child([sys.executable, "-c", IMPORT_PROBE])
     seconds, modules = out.split()
-    outputs, wall, cpu, rss = _estimate_processes(spec["sizes"])
+    outputs, wall, cpu, rss, _ = _estimate_processes(spec["sizes"])
     cpu["import_cfmc_cli"] = float(seconds)
     return {"cpu_s": cpu, "wall_s": wall, "maxrss_mb": rss, "modules": int(modules),
             "outputs": outputs, "peak_over_result": {}, "peak_mib": {},
@@ -438,14 +445,64 @@ def _split_memory(spec) -> dict:
     --bound`` process at n = 2000, then the in-process cases.  The process
     goes first: a child's ``ru_maxrss`` counts the peak of its parent's
     memory up to the fork, which the cases would raise."""
-    outputs, wall, cpu, rss = _estimate_processes((2000,))
+    outputs, wall, cpu, rss, _ = _estimate_processes((2000,))
     report = _measure_cases(spec)
     report["outputs"].update(outputs)
     report.update(wall_s=wall, process_cpu_s=cpu, maxrss_mb=rss)
     return report
 
 
+def _assembly_scratch_cases(n):
+    return {"mcmc_cv_d3_cell": _study(MCMC_CV_D3, [n], 1, n, metropolis_problem())}
+
+
+def _assembly_scratch(spec) -> dict:
+    """One repeat of the assembly_scratch topic: one fresh ``cfmc estimate
+    --bound`` process at n = 2000, then the in-process cells."""
+    outputs, wall, cpu, rss, faults = _estimate_processes((2000,))
+    report = _measure_cases(spec)
+    report["outputs"] = outputs
+    report["minflt"].update(faults)
+    report.update(wall_s=wall, process_cpu_s=cpu, maxrss_mb=rss)
+    return report
+
+
 TOPICS = {
+    "assembly_scratch": {
+        "topic": "one Stein-Gram block scratch per thread, kept between assemblies",
+        "layer": "kernel: _assemble's block workspace (Stein-Gram assembly)",
+        "sizes": (25, 50, 100, 200),
+        "measure": _assembly_scratch,
+        "cases": _assembly_scratch_cases,
+        "peak": (),
+        "loops": lambda size: max(5, 1000 // size),
+        "faults": True,
+        "deviation_rows": _mcmc_request_rows,
+        "timing": (
+            "one fresh worker per side and repeat, sides alternating; one warm-up "
+            "call, then the mean of max(5, 1000 // n) timed calls, scaled by "
+            f"{Reference.NOMINAL_S} s over the mean of the perfbench reference rounds "
+            "timed right before and after them"
+        ),
+        "method": (
+            "size = n; mcmc_cv_d3_cell: run_experiment of the benchmark's mcmc_cv_d3 "
+            "study on one cell of n rows (one replication, master_seed n): a "
+            "Metropolis chain targeting N(0, I_3) and cf-split, cf-simplified and a "
+            "4-split cf-multisplit, each cross-validated over the benchmark's four "
+            "CV_GRID kernels.  raw_cpu_*: the same CPU time unscaled; "
+            "minor_faults_*: getrusage(RUSAGE_SELF).ru_minflt over the timed calls, "
+            "per call.  cfmc_estimate_bound/2000: `python -m "
+            "cfmc estimate FILE --method cf-split --bound --fnorm 1 --output json` on "
+            "a d = 1 standard Gaussian sample file of 2000 rows (f = sin(pi x), "
+            "default_rng(2000)) as a child process: wall time, CPU time (user + "
+            "system, from os.wait4, not scaled), ru_maxrss and ru_minflt, each "
+            "repeat's value under the matching *_all_* key.  "
+            "estimate_outputs_identical: the process's stdout the same on both sides "
+            "in every repeat.  output_deviation: one mcmc_cv_d3 request (master_seed "
+            "1), the largest relative estimate deviation per n and method between the "
+            "sides, and whether every lambda is identical"
+        ),
+    },
     "gram_blocks": {
         "topic": "Stein-kernel Gram assembly in cache-sized row blocks",
         "layer": "kernel: gram_matrix / stein_kernel_matrix (Stein-Gram assembly)",
@@ -685,6 +742,7 @@ def _measure_cases(spec) -> dict:
     (and over 8m^2 bytes), kernel entries and output rows."""
     reference = Reference()
     times, peaks, peaks_mib, entries, cholesky, outputs = {}, {}, {}, {}, {}, {}
+    raw, minflt = {}, {}
     squares = {}
     for size in spec["sizes"]:
         # At least ~20 ms per timing at small sizes, unless the topic asks for more.
@@ -695,12 +753,17 @@ def _measure_cases(spec) -> dict:
             else:
                 call()
             before = reference.sample()
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             start = time.process_time()
             for _ in range(loops):
                 call()
             cpu = (time.process_time() - start) / loops
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
             speed = Reference.NOMINAL_S / (0.5 * (before + reference.sample()))
             times[f"{name}/{size}"] = cpu * speed
+            if spec.get("faults"):
+                raw[f"{name}/{size}"] = cpu
+                minflt[f"{name}/{size}"] = faults / loops
             if name in spec["peak"] or name in spec.get("peak_mib", ()):
                 tracemalloc.start()
                 try:
@@ -731,6 +794,8 @@ def _measure_cases(spec) -> dict:
         report["peak_over_square"] = squares
     if cholesky:
         report["cholesky_test_sizes"] = cholesky
+    if spec.get("faults"):
+        report.update(raw_cpu_s=raw, minflt=minflt)
     return report
 
 
@@ -774,6 +839,8 @@ def _summary(runs: list[dict]) -> dict:
         summary["cholesky_test_sizes"] = sizes
     for name, label, scale in (("wall_s", "wall_median_ms", 1e3),
                                ("process_cpu_s", "process_cpu_median_ms", 1e3),
+                               ("raw_cpu_s", "raw_cpu_median_ms", 1e3),
+                               ("minflt", "minor_faults_median", 1.0),
                                ("maxrss_mb", "maxrss_median_mb", 1.0)):
         if name in runs[0]:
             summary[label] = {
@@ -862,10 +929,12 @@ def main(argv=None) -> int:
     report["after_over_before"] = {k: round(after[k] / before[k], 3) for k in before}
     for name, label in (("wall_median_ms", "wall_after_over_before"),
                         ("process_cpu_median_ms", "process_cpu_after_over_before"),
+                        ("raw_cpu_median_ms", "raw_cpu_after_over_before"),
+                        ("minor_faults_median", "minor_faults_after_over_before"),
                         ("maxrss_median_mb", "maxrss_after_over_before")):
         if name in report["after"]:
             old, new = report["before"][name], report["after"][name]
-            report[label] = {k: round(new[k] / old[k], 3) for k in old}
+            report[label] = {k: round(new[k] / old[k], 3) if old[k] else None for k in old}
     if "outputs" in sides["before"][1][0]:
         identical = "result_bytes_identical" if spec.get("digests") else "estimate_outputs_identical"
         report[identical] = all(
