@@ -36,7 +36,7 @@ from .estimator import (
     cf_split_estimate,
     cross_validate,
 )
-from .kernel import SteinKernelParams
+from .kernel import SteinKernelParams, _cv_grid
 from .targets import TargetProblem, gaussian_problem, mixture_problem, oracle_mean
 
 # Version of the report and ``cfmc estimate --output json`` layouts.
@@ -68,10 +68,7 @@ class MethodSpec:
         object.__setattr__(self, "alpha2", params.alpha2)
         object.__setattr__(self, "lambda_", _lambda_value(self.lambda_))
         if self.cv_grid is not None:
-            grid = _items("cv_grid", self.cv_grid)
-            if not grid or not all(isinstance(p, SteinKernelParams) for p in grid):
-                raise _bad("cv_grid", "None or a non-empty sequence of SteinKernelParams", grid)
-            object.__setattr__(self, "cv_grid", grid)
+            object.__setattr__(self, "cv_grid", _cv_grid(self.cv_grid))
         if not (self.label is None or isinstance(self.label, str)):
             raise _bad("label", "a string or None", self.label)
 

@@ -26,11 +26,11 @@ def _as_finite_array(values, name: str, ndim: int) -> np.ndarray:
     return arr
 
 
-def _row_indices(indices) -> np.ndarray:
-    """``indices`` as a 1-D integer index array.  A boolean mask is refused,
-    since as int it would pick rows 0 and 1, not the rows it marks, and so is
-    any other non-integer array but an empty one, whose values int would
-    truncate."""
+def _row_indices(indices, n: int | None = None) -> np.ndarray:
+    """``indices`` as a 1-D integer index array, each in 0..n-1 when ``n``
+    is given.  A boolean mask is refused, since as int it would pick rows 0
+    and 1, not the rows it marks, and so is any other non-integer array but
+    an empty one, whose values int would truncate."""
     idx = np.asarray(indices)
     kind = idx.dtype.kind
     if kind == "b":
@@ -39,7 +39,10 @@ def _row_indices(indices) -> np.ndarray:
         raise InvalidInputError(f"row indices must be a 1-D array, got shape {idx.shape}")
     if kind not in "iu" and idx.size:
         raise InvalidInputError(f"row indices must be integers, got dtype {idx.dtype}")
-    return idx.astype(int, copy=False)
+    idx = idx.astype(int, copy=False)
+    if n is not None and idx.size and not 0 <= idx.min() <= idx.max() < n:
+        raise InvalidInputError(f"row indices must lie in 0..{n - 1}, got {idx.min()}..{idx.max()}")
+    return idx
 
 
 @dataclass(frozen=True)
@@ -92,7 +95,7 @@ class ScoredDataset:
         return self.n
 
     def subset(self, indices) -> "ScoredDataset":
-        idx = _row_indices(indices)
+        idx = _row_indices(indices, self.n)
         return ScoredDataset(self.points[idx], self.scores[idx], self.f_values[idx])
 
 
@@ -136,11 +139,18 @@ def random_split(n: int, m: int, seed, index: int = 0) -> SplitPlan:
     m = _count("m", m, 1)
     if m > n:
         raise _bad("m", f"at most n={n}", m)
-    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    seq = _seed_sequence(seed)
     stream = np.random.SeedSequence(entropy=seq.entropy, spawn_key=tuple(seq.spawn_key) + (index,))
     rng = np.random.Generator(np.random.Philox(stream))
     perm = rng.permutation(n)
     return SplitPlan(index_d0=perm[:m], index_d1=perm[m:])
+
+
+def _seed_sequence(seed) -> np.random.SeedSequence:
+    """``seed`` as a SeedSequence: one as it is, else an integer >= 0."""
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
+    return np.random.SeedSequence(_count("seed", seed, 0))
 
 
 def _split_size(n: int, fraction: float) -> int:

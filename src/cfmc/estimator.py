@@ -31,11 +31,13 @@ from scipy.linalg.lapack import dpotrf, dstev
 
 from . import kernel
 from ._lapack import cho_factor, cho_solve
-from .data import ScoredDataset, SplitPlan, _row_indices, _split_size, random_split
+from .data import (
+    ScoredDataset, SplitPlan, _row_indices, _seed_sequence, _split_size, random_split,
+)
 from .errors import (
     InvalidInputError, NumericalError, SingularMatrixError, _count, _real,
 )
-from .kernel import SteinKernelParams, gram_matrix, stein_kernel_matrix
+from .kernel import SteinKernelParams, _cv_grid, gram_matrix, stein_kernel_matrix
 
 # Regularisation grid: powers of 10 from 1e-16 up to 1.
 LAMBDA_GRID = tuple(10.0**k for k in range(-16, 1))
@@ -157,10 +159,10 @@ def _gamma(k: int) -> float:
 
 class _PivotedFactor:
     """A diagonal-pivoted partial Cholesky factor F of the symmetric ``k0``,
-    whose columns are the rows of :attr:`rows`, extended on demand, and the
-    bounds ``lb <= lambda_min(k0) <= rho`` that its residual S = k0 - F F'
-    gives.  The proofs are in :func:`_guarded_lambda`; ``work`` is a
-    Fortran-ordered m x m scratch."""
+    whose columns are the rows of :attr:`rows`, and the bounds ``lb <=
+    lambda_min(k0) <= rho`` that its residual S = k0 - F F' gives.  The
+    proofs are in :func:`_guarded_lambda`; ``work`` is a Fortran-ordered
+    m x m scratch."""
 
     def __init__(self, k0: np.ndarray, work: np.ndarray):
         m = k0.shape[0]
@@ -169,7 +171,6 @@ class _PivotedFactor:
         self._rows = np.empty((min(max(_PIVOT_MIN_COLUMNS, m // _PIVOT_RANK_SHARE), m - 1), m))
         self.pivots = k0.diagonal().copy()  # the diagonal of S, as updated
         self.taken = []  # the pivots taken, in order
-        self.tol = math.inf
         self.lb, self.rho = -math.inf, math.inf
         self.hi = math.nan  # the top eigenvalue, once _pivoted_factor has set it
 
@@ -187,7 +188,6 @@ class _PivotedFactor:
             p = int(pivots.argmax())
             top = float(pivots[p])
             if not top > tol:
-                self.tol = tol
                 return True
             r = len(taken)
             if r == rows.shape[0] or self._too_slow(tol, top):
@@ -244,16 +244,11 @@ class _PivotedFactor:
 
     def above(self, tau: float) -> bool | None:
         """True if every eigenvalue of ``k0`` is proven above ``tau``, False
-        if one is proven at or below it, None if the bounds decide neither.  A
-        negative ``tau`` that asks for a smaller tolerance first extends F."""
+        if one is proven at or below it, None if the bounds decide neither."""
         if tau < self.lb:
             return True
         if tau >= self.rho:
             return False
-        tol = -tau / (4.0 * self.k0.shape[0])
-        if 0.0 < tol < self.tol and self.extend(tol):
-            self.bound()
-            return self.above(tau)
         return None
 
 
@@ -365,13 +360,14 @@ def _guarded_lambda(k0: np.ndarray) -> float | None:
     at most ``_HI_TOL*hi/2``, which leaves the other half of the tolerance
     for ``eigvalsh``'s own error, O(r*eps*hi).  The factor is built first to
     the tolerance ``_HI_TOL*max_i k0_ii``, for an estimate of ``hi``, then to
-    ``|tau|/(4m)`` for the ``tau`` of the first accept test: a semidefinite
-    ``S`` has entries of at most the tolerance, so then ``lb`` is about ``lo
-    - |tau|/4`` or better.  Every test asks whether ``lo > tau``, with ``tau
-    = t + band`` for an accept test and ``tau = t - band`` for a reject test,
-    which a no proves.  ``tau < lb`` answers yes and ``tau >= rho`` no; in
-    between, a negative ``tau`` that asks for a smaller tolerance first
-    extends ``F``.
+    ``max(|tau|, band)/(4m)`` for the ``tau`` and ``band`` of the guess's
+    accept test: a semidefinite ``S`` has entries of at most the tolerance,
+    so then ``lb`` is about ``lo - |tau|/4`` or better.  No later test needs
+    a smaller one: below the guess ``t >= 0``, so a reject test there has
+    ``tau >= -band``, and the grid minimum's accept test has ``tau > 0``.
+    Every test asks whether ``lo > tau``, with ``tau = t + band`` for an
+    accept test and ``tau = t - band`` for a reject test, which a no proves.
+    ``tau < lb`` answers yes and ``tau >= rho`` no.
 
     **Cholesky tests.**  Where the bounds answer neither, a Cholesky factor
     of ``k0 - tau*I`` proves ``lo > tau``, and its failure proves ``lo``
@@ -380,16 +376,17 @@ def _guarded_lambda(k0: np.ndarray) -> float | None:
     early on the full-rank Grams of d >= 2 samples, is dropped: ``hi``
     comes from :func:`_top_eigenvalue` and every test is a Cholesky test.
 
-    **Search.**  Each verdict settles every grid point on one side.  The
-    search tests the first point with ``t < 0`` (the answer whenever ``lo``
-    is about 0), then the point just below it, where a nearly singular
-    ``k0`` fails within a few pivots.  If that point is not rejected, the
-    grid minimum is tested before that point's accept test: if it is
-    accepted, so is every point, since ``t + band`` falls as ``lam`` grows.
-    Then the search bisects what is left.  If ``lo`` falls inside a band,
-    ``hi <= 0``, the Lanczos iteration does not converge within
-    ``_LANCZOS_MAX_STEPS`` steps or no grid point is accepted, None is
-    returned and ``eigvalsh`` decides, so every route gives the same ``lam``.
+    **Search.**  Three proofs at fixed grid points.  The guess, the first
+    point with ``t < 0``, is the answer whenever ``lo`` is about 0: it must
+    be accepted, and then the point just below it rejected, where a nearly
+    singular ``k0`` fails within a few pivots; as ``t - band`` rises as
+    ``lam`` falls, that rejects every smaller point too.  If that point is
+    not rejected, ``k0`` is well conditioned, and the grid minimum is the
+    answer if it is accepted.  Otherwise (an answer above the guess or
+    strictly between it and the grid minimum, ``lo`` inside a band, ``hi <=
+    0``, or a Lanczos iteration that does not converge within
+    ``_LANCZOS_MAX_STEPS`` steps) None is returned and ``eigvalsh`` decides,
+    so every route gives the same ``lam``.
     """
     m = k0.shape[0]
     work = np.empty(k0.shape, order="F")  # scratch for the bounds and the Cholesky tests
@@ -414,30 +411,12 @@ def _guarded_lambda(k0: np.ndarray) -> float | None:
     def reject(i):
         return not above(thresholds[i] - bands[i])
 
-    both = (accept, reject)
-    # The answer's index lies in [first, last]; last == grid means none is
-    # accepted.  Each probe runs its tests in order until one proves.
-    grid = len(LAMBDA_GRID)
-    first, last = 0, grid
-    planned = [(guess, both), (guess - 1, (reject,))]
-    while first < last:
-        probe, tests = next(
-            ((i, t) for i, t in planned if first <= i < last), ((first + last) // 2, both)
-        )
-        proven = next((test for test in tests if test(probe)), None)
-        if proven is None and tests == (reject,):
-            # Not rejected: k0 is well conditioned.  The grid minimum goes
-            # before this point's accept test.
-            planned = [(probe, (accept,))]
-            if first < probe:
-                planned.insert(0, (first, both))
-        elif proven is None:
-            return None
-        elif proven is accept:
-            last = probe
-        else:
-            first = probe + 1
-    return LAMBDA_GRID[first] if first < grid else None
+    if not accept(guess):
+        return None
+    if guess == 0 or reject(guess - 1):
+        return LAMBDA_GRID[guess]
+    # Not rejected: k0 is well conditioned.
+    return LAMBDA_GRID[0] if accept(0) else None
 
 
 def _lambda_value(value) -> float | None:
@@ -662,19 +641,20 @@ class _GramRows(ScoredDataset):
         return local if isinstance(self.index, slice) else self.index[local]
 
     def subset(self, indices) -> "_GramRows":
-        return _GramRows(self.whole, self.shared, self._at(_row_indices(indices)), self.grams)
+        return _GramRows(self.whole, self.shared, self._at(_row_indices(indices, self.n)),
+                         self.grams)
 
 
 def _block(data: ScoredDataset, params: SteinKernelParams, rows, cols) -> np.ndarray:
     """The matrix k0(x_i, x_j) for i in ``rows`` and j in ``cols`` of
-    ``data``, index arrays or ``slice(None)`` for all rows; exactly symmetric
-    when ``rows is cols``.
+    ``data``, both index arrays or both ``slice(None)`` for all rows; exactly
+    symmetric when ``rows is cols``.
 
     Every block an estimate uses (K0, K10 and K1 of a split, the train and
     test blocks of cross-validation) is a sub-block of the Gram of the whole
     sample.  When ``data`` is a :class:`_GramRows` view that shares
     ``params``, the block is a slice of that Gram, assembled once on the
-    first request; the slice may be a read-only view of it.  Otherwise,
+    first request; the whole view's block is that read-only Gram.  Otherwise,
     a view's unshared kernel included, just the block is assembled from the
     rows of ``data``, which costs fewer entries when only a few blocks of a
     kernel are wanted.  At d = 1 a slice has the bytes of the freshly
@@ -688,17 +668,15 @@ def _block(data: ScoredDataset, params: SteinKernelParams, rows, cols) -> np.nda
         if gram is None:
             gram = data.grams[params] = gram_matrix(data.whole, params)
             gram.flags.writeable = False
+        if isinstance(rows, slice):
+            return gram  # the whole view's block: its Gram itself
         # A block must be C-ordered like a freshly assembled one: the layout
         # picks the BLAS kernel, and so the bits, of every product with it.
-        if isinstance(cols, slice):
-            return np.ascontiguousarray(gram[rows, cols])
         # Rows, then columns by take, is about a third of the time of one
         # np.ix_ gather.  Strips of about _BLOCK_ENTRIES entries are taken
         # straight into the block, so no |rows| x n copy is held.  The
         # columns are rows of the view, so mode="wrap" reads what "raise"
         # would, without the copy of ``out`` that "raise" makes.
-        if isinstance(rows, slice):
-            rows = np.arange(gram.shape[0])[rows]
         block = np.empty((rows.size, len(cols)))
         step = max(1, kernel._BLOCK_ENTRIES // gram.shape[1])
         for i in range(0, rows.size, step):
@@ -876,9 +854,7 @@ def cross_validate(d0: ScoredDataset, grid, seed=0) -> SteinKernelParams:
     each with its reason.  The split uses a dedicated stream derived from
     ``seed`` so selection never perturbs estimation randomness.
     """
-    grid = list(grid)
-    if not grid:
-        raise InvalidInputError("grid must contain at least one candidate")
+    grid = _cv_grid(grid)
     m = d0.n
     m_train = math.ceil(_CV_TRAIN_FRACTION * m)
     if m_train < 2 or m - m_train < 1:
@@ -886,8 +862,7 @@ def cross_validate(d0: ScoredDataset, grid, seed=0) -> SteinKernelParams:
             f"{m} samples leave too few points to cross-validate "
             f"(train={m_train}, test={m - m_train})"
         )
-    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    rng = np.random.Generator(np.random.Philox(seq))
+    rng = np.random.Generator(np.random.Philox(_seed_sequence(seed)))
     perm = rng.permutation(m)
     train, test = perm[:m_train], perm[m_train:]
     errors = np.full(len(grid), np.inf)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import ScoredDataset
-from .errors import InvalidInputError, _real
+from .errors import InvalidInputError, _bad, _real
 
 
 @dataclass(frozen=True)
@@ -65,6 +65,15 @@ _CONSTANTS = {
     "alpha1": ("8*alpha1**2", lambda a1: 8.0 * a1**2),
     "alpha2": ("alpha2**4", lambda a2: a2**4),
 }
+
+
+def _cv_grid(grid) -> tuple[SteinKernelParams, ...]:
+    """``grid`` as a tuple of cross-validation candidates: a non-empty
+    sequence of SteinKernelParams."""
+    candidates = tuple(grid) if np.iterable(grid) else ()
+    if not candidates or not all(isinstance(p, SteinKernelParams) for p in candidates):
+        raise _bad("cv_grid", "a non-empty sequence of SteinKernelParams", grid)
+    return candidates
 
 
 def _finite(constant, value: float) -> bool:
@@ -257,7 +266,10 @@ def _assemble(x, u_x, y, u_y, params: SteinKernelParams, upper: bool) -> np.ndar
     previous call left there never reaches the result.  Beyond the result
     and the kept scratch, a call holds what :func:`stein_kernel_matrix`
     says.  An empty point set on either side gives the empty matrix.
+    ``params`` that are not a :class:`SteinKernelParams` are refused.
     """
+    if not isinstance(params, SteinKernelParams):
+        raise _bad("params", "a SteinKernelParams", params)
     p, q = x.shape[0], y.shape[0]
     out = np.empty((p, q))
     if out.size == 0:
@@ -277,7 +289,11 @@ def _assemble(x, u_x, y, u_y, params: SteinKernelParams, upper: bool) -> np.ndar
             # Adding 0.0 turns -0.0 into +0.0, so the two triangles agree.
             strip += 0.0
             square = strip[:, : i1 - i0]
-            np.copyto(square, square.T, where=below[: i1 - i0, : i1 - i0])
+            # The transpose goes through a free buffer: copyto from the
+            # overlapping square.T would first copy the whole square.
+            mirror = work[0, : square.size].reshape(square.shape)
+            np.copyto(mirror, square.T)
+            np.copyto(square, mirror, where=below[: i1 - i0, : i1 - i0])
             out[i1:, i0:i1] = strip[:, i1 - i0 :].T
     return out
 

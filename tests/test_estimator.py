@@ -266,6 +266,20 @@ class TestGuardedSelectLambda:
         assert len(tops) == 1 and tops[0] == pytest.approx(hi, rel=1e-12)
         assert [e.shape for e in calls] == [(m,)]
 
+    def test_answer_between_grid_minimum_and_guess_falls_back(self, monkeypatch):
+        # hi = 1 puts the guess at 1e-12; lo = 9e-11 lies between t(1e-13)
+        # and t(1e-14), so the rule's answer is 1e-13.  The guess is
+        # accepted, the point below it not rejected and the grid minimum not
+        # accepted: eigvalsh decides.
+        m = _GUARDED_MIN_SIZE
+        k0 = matrix_with_spectrum(decaying_spectrum(9e-11, 1.0, m), seed=13)
+        assert eigvalsh_rule(k0) == 1e-13
+        calls = _spy(monkeypatch, np.linalg, "eigvalsh")
+        verdicts = _spy(monkeypatch, estimator, "_exceeds")
+        assert select_lambda(k0) == 1e-13
+        assert verdicts == [True, True, False]
+        assert [e.shape for e in calls if len(e) == m] == [(m,)]
+
     @pytest.mark.parametrize(
         "k0",
         [np.zeros((_GUARDED_MIN_SIZE, _GUARDED_MIN_SIZE)), -np.eye(_GUARDED_MIN_SIZE)],
@@ -422,9 +436,11 @@ def _recorded_factors(monkeypatch):
     return factors
 
 
-def _bounded_factor(k0):
-    """A pivoted factor of k0 with no columns yet, bounded."""
+def _bounded_factor(k0, tau):
+    """A pivoted factor of k0 taken to the tolerance |tau|/(4m) that the
+    guarded search gives it for a test at tau, bounded."""
     factor = estimator._PivotedFactor(k0, np.empty(k0.shape, order="F"))
+    factor.extend(abs(tau) / (4 * k0.shape[0]))
     factor.bound()
     return factor
 
@@ -464,7 +480,7 @@ class TestPivotedBounds:
     @given(certificate_cases())
     def test_never_accepts_at_or_above_the_smallest_eigenvalue(self, case):
         k0, tau, lo = case
-        verdict = _bounded_factor(k0).above(tau)
+        verdict = _bounded_factor(k0, tau).above(tau)
         if verdict:
             assert lo > tau
         elif verdict is False:
@@ -477,7 +493,7 @@ class TestPivotedBounds:
         lo, hi = np.linalg.eigvalsh(k0)[[0, -1]]
         tau = -1e-10 * hi
         assert lo > tau
-        assert _bounded_factor(k0).above(tau)
+        assert _bounded_factor(k0, tau).above(tau)
 
     def test_exact_diagonal_bound(self):
         # A rank-one block [[4, 2], [2, 1]] and -0.5 on the rest of the
@@ -486,7 +502,7 @@ class TestPivotedBounds:
         m = 40
         k0 = np.diag(np.full(m, -0.5))
         k0[:2, :2] = [[4.0, 2.0], [2.0, 1.0]]
-        factor = _bounded_factor(k0)
+        factor = _bounded_factor(k0, -0.51)
         assert factor.above(-0.51)
         assert not factor.above(-0.5)
         assert len(factor.taken) == 1 and factor.lb <= -0.5 <= factor.rho

@@ -574,9 +574,27 @@ class TestBlockedAssembly:
         finally:
             tracemalloc.stop()
         # The block buffers are the thread's kept scratch from the calls
-        # above, so the result and the copy of each block's triangle remain
-        # (about 2.1x); four whole products on top of them would reach 6x.
+        # above, so little but the result remains (about 1.4x); four whole
+        # products on top of it would reach 5.4x.
         assert peak / result.nbytes < 5
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_one_block_gram_mirrors_without_copying_its_square(self, d):
+        # The lower triangle is copied from the transpose written into a
+        # free block buffer (about 1.4x of the result at peak); copying from
+        # the overlapping square itself makes numpy copy the whole square
+        # first (2.1x).
+        n = 181
+        x, u = _sample(n, d, seed=60 + d)
+        data = ScoredDataset(x, u, np.zeros(n))
+        assert gram_matrix(data, PARAMS).tobytes() == _reference_gram(x, u, PARAMS).tobytes()
+        tracemalloc.start()
+        try:
+            result = gram_matrix(data, PARAMS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / result.nbytes < 1.6
 
     @pytest.mark.parametrize("which", ["gram", "cross"])
     def test_peak_memory_bounded_d1(self, which):

@@ -663,6 +663,12 @@ TOPICS = {
         "sizes": (200, 250, 500, 1000),
         "cases": _lambda_one_test_cases,
         "loops": lambda size: max(5, 4_000_000 // (size * size)),
+        "timing": (
+            "one fresh worker per side and repeat, sides alternating; one warm-up "
+            "call, then the mean of max(5, 4000000 // size^2) timed calls, scaled by "
+            f"{Reference.NOMINAL_S} s over the mean of the perfbench reference rounds "
+            "timed right before and after them"
+        ),
         "peak": (),
         "digests": True,
         "cholesky_tests": True,
@@ -672,8 +678,7 @@ TOPICS = {
             "estimator._lambda_search (select_lambda without its input checks) on the "
             "precomputed m x m Gram of a d = 1 sample (lambda_search_d3: of a d = 3 "
             "sample; lambda_search_mcmc_d3: of an m-step Metropolis chain targeting "
-            "N(0, I_3), step 1.0, as in the benchmark's mcmc_cv_d3), timed over "
-            "max(5, 4000000 // m^2) calls.  cholesky_test_sizes: the matrix size of "
+            "N(0, I_3), step 1.0, as in the benchmark's mcmc_cv_d3).  cholesky_test_sizes: the matrix size of "
             "every Cholesky test (estimator._exceeds) one call runs, in call order; "
             "cholesky_tests: their number.  result_bytes_identical: every lambda, by "
             "repr, the same on both sides in every repeat.  output_deviation: one "
@@ -906,12 +911,14 @@ def main(argv=None) -> int:
             "unit", "ms of CPU time per call at the reference speed, median over repeats"
         ),
         "repeats": args.repeats,
-        "method": spec.get("timing", (
+        # A topic that sets its own number of timed calls states it in its own
+        # timing sentence; the default sentence gives the default number.
+        "method": (spec["timing"] if "loops" in spec else spec.get("timing", (
             "one fresh worker per side and repeat, sides alternating; one warm-up "
             "call, then the mean of max(1, 200000 // size^2) timed calls, scaled by "
             f"{Reference.NOMINAL_S} s over the mean of the perfbench reference rounds "
             "timed right before and after them"
-        )) + "; " + spec["method"],
+        ))) + "; " + spec["method"],
         "sizes": list(spec["sizes"]),
         "environment": {
             "python": platform.python_version(),
