@@ -569,7 +569,7 @@ class RkhsFunction:
     def norm_hplus(self) -> float:
         """Hypothesis-space norm sqrt(c^2 + gamma' K0 gamma)."""
         x, u = self.centers, self.center_scores
-        k0 = kernel._assemble(x, u, x, u, self.params, upper=True)
+        k0 = kernel._assemble(x, u, x, u, (self.params,), upper=True)[0]
         quad = float(self.gamma @ k0 @ self.gamma)
         return math.sqrt(self.c**2 + max(quad, 0.0))
 
@@ -623,9 +623,10 @@ def fit_surrogate(
 class _GramRows(ScoredDataset):
     """The rows ``index`` of the dataset ``whole`` (``slice(None)`` for all
     of them) as a dataset whose kernel blocks :func:`_block` slices from one
-    Gram of ``whole`` per kernel in ``shared``.  Each Gram is assembled on
-    first use into ``grams``, which every subset of the view shares, so a
-    fitting set or a cross-validation set of it keeps the Grams.
+    Gram of ``whole`` per kernel in ``shared``.  The first use of any of
+    them assembles all of them, in one pass, into ``grams``, which every
+    subset of the view shares, so a fitting set or a cross-validation set of
+    it keeps the Grams.
     """
 
     def __init__(self, whole: ScoredDataset, shared, index=slice(None), grams=None):
@@ -653,8 +654,9 @@ def _block(data: ScoredDataset, params: SteinKernelParams, rows, cols) -> np.nda
     Every block an estimate uses (K0, K10 and K1 of a split, the train and
     test blocks of cross-validation) is a sub-block of the Gram of the whole
     sample.  When ``data`` is a :class:`_GramRows` view that shares
-    ``params``, the block is a slice of that Gram, assembled once on the
-    first request; the whole view's block is that read-only Gram.  Otherwise,
+    ``params``, the block is a slice of that Gram, assembled on the first
+    request in one pass with the view's other shared Grams, all of which a
+    cell reads; the whole view's block is that read-only Gram.  Otherwise,
     a view's unshared kernel included, just the block is assembled from the
     rows of ``data``, which costs fewer entries when only a few blocks of a
     kernel are wanted.  At d = 1 a slice has the bytes of the freshly
@@ -664,10 +666,12 @@ def _block(data: ScoredDataset, params: SteinKernelParams, rows, cols) -> np.nda
     if isinstance(data, _GramRows) and params in data.shared:
         at = data._at(rows)
         rows, cols = at, at if cols is rows else data._at(cols)
-        gram = data.grams.get(params)
-        if gram is None:
-            gram = data.grams[params] = gram_matrix(data.whole, params)
-            gram.flags.writeable = False
+        if params not in data.grams:
+            shared, x, u = tuple(data.shared), data.whole.points, data.whole.scores
+            for each, gram in zip(shared, kernel._assemble(x, u, x, u, shared, upper=True)):
+                gram.flags.writeable = False
+                data.grams[each] = gram
+        gram = data.grams[params]
         if isinstance(rows, slice):
             return gram  # the whole view's block: its Gram itself
         # A block must be C-ordered like a freshly assembled one: the layout

@@ -42,28 +42,32 @@ class SteinKernelParams:
     ``alpha1`` is the dimensionless prefactor weight; ``alpha2`` is the
     length-scale, in the same units as the sample coordinates.  Both must be
     positive finite numbers (not booleans) whose kernel constants,
-    ``8*alpha1**2`` and ``alpha2**4``, are finite floats too; they are
-    stored as floats.
+    ``8*alpha1**2`` and ``alpha2**4``, are finite floats too, and
+    ``alpha2**4``, which the kernel divides by, non-zero; they are stored as
+    floats.
     """
 
     alpha1: float
     alpha2: float
 
     def __post_init__(self):
-        for name, (text, constant) in _CONSTANTS.items():
+        for name, (text, holds) in _CONSTANTS.items():
             value = _real(
-                name, getattr(self, name), lambda x: x > 0.0 and _finite(constant, x),
-                f"a positive finite number with {text} finite",
+                name, getattr(self, name), lambda x: x > 0.0 and _holds(holds, x),
+                f"a positive finite number with {text}",
             )
             object.__setattr__(self, name, value)
 
 
 # Each parameter's highest power among the kernel's constants, as the kernel
-# forms it; a value that overflows it would make every evaluation raise
-# OverflowError (Python's float power) or go non-finite.
+# forms it, and what that power must be.  A value that overflows it would
+# make every evaluation raise OverflowError (Python's float power) or go
+# non-finite; an alpha2 whose fourth power underflows to zero (below about
+# 1.5e-81) would make every Gram non-finite, and past 1e-162 the division by
+# alpha2**2 raise ZeroDivisionError.
 _CONSTANTS = {
-    "alpha1": ("8*alpha1**2", lambda a1: 8.0 * a1**2),
-    "alpha2": ("alpha2**4", lambda a2: a2**4),
+    "alpha1": ("8*alpha1**2 finite", lambda a1: math.isfinite(8.0 * a1**2)),
+    "alpha2": ("alpha2**4 finite and non-zero", lambda a2: 0.0 < a2**4 < math.inf),
 }
 
 
@@ -76,9 +80,9 @@ def _cv_grid(grid) -> tuple[SteinKernelParams, ...]:
     return candidates
 
 
-def _finite(constant, value: float) -> bool:
+def _holds(rule, value: float) -> bool:
     try:
-        return math.isfinite(constant(value))
+        return rule(value)
     except OverflowError:  # a float power past the float range
         return False
 
@@ -100,18 +104,23 @@ def base_kernel(x, xp, params: SteinKernelParams) -> np.ndarray:
     return np.exp(-rho / (2.0 * params.alpha2**2)) / pref
 
 
-# Entries in one row block of the elementwise Stein-kernel work, so that the
-# block's temporaries (256 KiB each) stay in cache instead of streaming n x n
-# arrays through memory.  Of 2**12 .. 2**17, 2**15 was the fastest for Gram
-# matrices of n = 500 .. 2000 on an x86-64 core with 2 MiB of L2.
+# Entries in one row block of the elementwise Stein-kernel work of one
+# kernel, so that the block's temporaries (256 KiB each) stay in cache
+# instead of streaming n x n arrays through memory.  Of 2**12 .. 2**17, 2**15
+# was the fastest for Gram matrices of n = 500 .. 2000 on an x86-64 core with
+# 2 MiB of L2.  A block of several kernels has more buffers and takes fewer
+# entries, so that its workspace stays the same size (see _block_rows).
 _BLOCK_ENTRIES = 2**15
-# Block-sized buffers of the in-place evaluation in _stein_block.
+# Block-sized buffers of the in-place evaluation in _stein_block of one
+# kernel; each further kernel adds _KERNEL_BUFFERS.
 _BUFFERS = 7
+_KERNEL_BUFFERS = 4
 # Doubles of block scratch a thread keeps between calls (3.5 MiB): enough for
-# every call with at most 2**15 columns, whose blocks hold at most
-# _BLOCK_ENTRIES + q entries.  A request makes dozens of mid-size assemblies,
-# and a fresh scratch per call is handed back to the OS and faulted in again
-# each time; a larger call allocates its own, which the thread does not keep.
+# every call whose blocks hold at most twice the one-kernel workspace, which
+# is every call with no more columns than a block has entries.  A request
+# makes dozens of mid-size assemblies, and a fresh scratch per call is handed
+# back to the OS and faulted in again each time; a larger call allocates its
+# own, which the thread does not keep.
 _KEPT_SCRATCH = 2 * _BUFFERS * _BLOCK_ENTRIES
 _kept = threading.local()
 
@@ -166,80 +175,102 @@ class _Pairs:
         return self.whole[i, j][self.rows, self.cols]
 
 
-def _divide(a, c: float, out) -> None:
-    """``out = a / c`` for a scalar c, by the cheapest pass that gives the
-    same bytes (IEEE 754): none when c == 1 and ``out`` is ``a``, and a
-    multiply by 1/c when c is a power of two whose reciprocal is finite."""
-    if c == 1.0 and out is a:
-        return
+def _divide(a, c: float, out):
+    """``a / c`` for a scalar c, by the cheapest pass that gives the same
+    bytes (IEEE 754): none when c == 1, which returns ``a`` itself, and a
+    multiply by 1/c when c is a power of two whose reciprocal is finite.
+    Any other c writes the quotient into ``out`` and returns it."""
+    if c == 1.0:
+        return a
     if abs(math.frexp(c)[0]) == 0.5 and math.isfinite(1.0 / c):
-        np.multiply(a, 1.0 / c, out=out)
-    else:
-        np.divide(a, c, out=out)
+        return np.multiply(a, 1.0 / c, out=out)
+    return np.divide(a, c, out=out)
 
 
-def _stein_block(pairs: _Pairs, params: SteinKernelParams, buf, out) -> None:
-    """Write k0(x_i, y_j) for the current block of ``pairs`` into ``out``.
+def _stein_block(pairs: _Pairs, kernels, buf, outs) -> None:
+    """Write k0(x_i, y_j) of each of ``kernels`` for the current block of
+    ``pairs`` into the matching entry of ``outs``.
 
-    Every operation of the whole-matrix formula runs in place in the seven
-    block-shaped buffers ``buf``, in the formula's own order, so no entry
-    depends on the block layout.  Passes are saved only where IEEE
-    arithmetic gives the same bytes: (-a)/c = a/(-c), t + (-k)*s = t - k*s,
-    x/1 = x, and x/c = x*(1/c) for a power of two c whose reciprocal is
-    finite.  A row operand broadcast down the block (the column points'
-    terms) is first copied into the buffer the operation overwrites, so the
-    operation reads one contiguous operand; operand order stays as written.
+    The terms that do not depend on the kernel, |x_i|^2 + |y_j|^2, the four
+    inner products, rho = |x_i - y_j|^2 and the score differences, are made
+    once per block; each kernel then runs the whole-matrix formula's own
+    operations on them, in the formula's order, so no entry depends on the
+    block layout or on the other kernels.  The work runs in place in the
+    block-shaped buffers ``buf``: five that the kernels share and four of
+    each kernel but the last, which works in the shared buffers as their
+    terms fall free, so one kernel alone runs the formula's operations in
+    seven buffers.  Passes are saved only where IEEE arithmetic gives the same
+    bytes: (-a)/c = a/(-c), t + (-k)*s = t - k*s, x/1 = x, and
+    x/c = x*(1/c) for a power of two c whose reciprocal is finite.  A row
+    operand broadcast down the block (the column points' terms) is first
+    copied into the buffer the operation overwrites, so the operation reads
+    one contiguous operand; operand order stays as written.
     """
-    a1, a2 = params.alpha1, params.alpha2
     rows, cols = pairs.rows, pairs.cols
-    k, pref, b2, rho, b4, b5, b6 = buf
-    np.copyto(k, pairs.ny[:, cols])
-    norms = np.add(pairs.nx[rows], k, out=k)
-    np.multiply(a1, norms, out=pref)
-    pref += 1.0
-    gram = pairs.inner(0, 0, b2)
+    norms, pref, product, rho, div_grad, b5, b6 = buf[:_BUFFERS]
+    # Per kernel: a1, a2, its buffers k, pref, div_grad and t_x, where it
+    # writes rho/a2^4, (x_uy - uy_y)/a2^2 and (u_x.u_y) k, and its result.
+    # The last kernel overwrites the shared terms, which no kernel reads
+    # after it.
+    terms = [
+        (params.alpha1, params.alpha2, *buf[i : i + _KERNEL_BUFFERS], b5, buf[i + 1], b5, out)
+        for params, i, out in zip(kernels[:-1], range(_BUFFERS, len(buf), _KERNEL_BUFFERS), outs)
+    ]
+    last = kernels[-1]
+    terms.append((last.alpha1, last.alpha2, norms, pref, div_grad, rho, rho, b6, product, outs[-1]))
+    np.copyto(norms, pairs.ny[:, cols])
+    np.add(pairs.nx[rows], norms, out=norms)
+    gram = pairs.inner(0, 0, product)
     np.multiply(2.0, gram, out=rho)
     np.subtract(norms, rho, out=rho)
     np.maximum(rho, 0.0, out=rho)
-    _divide(rho, -(2.0 * a2**2), out=k)
-    np.exp(k, out=k)
-    k /= pref
-    # div_grad = k * (d/a2^2 + 8 a1^2 gram/pref^2 - 2 a1 rho/(pref a2^2) - rho/a2^4)
-    div_grad = np.multiply(8.0 * a1**2, gram, out=b4)
-    div_grad /= np.multiply(pref, pref, out=b5)
-    div_grad += pairs.d / a2**2
-    term = np.multiply(2.0 * a1, rho, out=b5)
-    term /= pref if a2**2 == 1.0 else np.multiply(pref, a2**2, out=b6)
-    div_grad -= term
-    _divide(rho, a2**4, out=rho)
-    div_grad -= rho
-    div_grad *= k
+    for a1, a2, k, pref, div_grad, _, rho_out, _, _, _ in terms:
+        np.multiply(a1, norms, out=pref)
+        pref += 1.0
+        _divide(rho, -(2.0 * a2**2), out=k)
+        np.exp(k, out=k)
+        k /= pref
+        # div_grad = k * (d/a2^2 + 8 a1^2 gram/pref^2 - 2 a1 rho/(pref a2^2) - rho/a2^4)
+        np.multiply(8.0 * a1**2, gram, out=div_grad)
+        div_grad /= np.multiply(pref, pref, out=b5)
+        div_grad += pairs.d / a2**2
+        term = np.multiply(2.0 * a1, rho, out=b5)
+        term /= pref if a2**2 == 1.0 else np.multiply(pref, a2**2, out=b6)
+        div_grad -= term
+        div_grad -= _divide(rho, a2**4, out=rho_out)
+        div_grad *= k
     # t_x = k * ((ux_x - ux_y)/a2^2 - 2 a1 ux_y/pref)
-    ux_y = pairs.inner(1, 0, b2)
-    t_x = np.subtract(pairs.ux_x[rows], ux_y, out=rho)
-    _divide(t_x, a2**2, out=t_x)
-    term = np.multiply(2.0 * a1, ux_y, out=b5)
-    term /= pref
-    t_x -= term
-    t_x *= k
+    ux_y = pairs.inner(1, 0, product)
+    difference = np.subtract(pairs.ux_x[rows], ux_y, out=rho)
+    for a1, a2, k, pref, _, t_x, _, _, _, _ in terms:
+        scaled = _divide(difference, a2**2, out=t_x)
+        term = np.multiply(2.0 * a1, ux_y, out=b5)
+        term /= pref
+        np.subtract(scaled, term, out=t_x)
+        t_x *= k
     # t_y = -k * s with s = 2 a1 x_uy/pref + (x_uy - uy_y)/a2^2
-    x_uy = pairs.inner(0, 1, b2)
-    s = np.multiply(2.0 * a1, x_uy, out=b5)
-    s /= pref
-    term = np.subtract(x_uy, pairs.uy_y[:, cols], out=b6)
-    _divide(term, a2**2, out=term)
-    s += term
-    s *= k
-    # div_grad + (t_x + t_y) + (u_x.u_y) k
-    t_x -= s
-    div_grad += t_x
-    np.add(div_grad, np.multiply(pairs.inner(1, 1, b2), k, out=b2), out=out)
+    x_uy = pairs.inner(0, 1, product)
+    difference = np.subtract(x_uy, pairs.uy_y[:, cols], out=b6)
+    for a1, a2, k, pref, div_grad, t_x, _, difference_out, _, _ in terms:
+        s = np.multiply(2.0 * a1, x_uy, out=b5)
+        s /= pref
+        s += _divide(difference, a2**2, out=difference_out)
+        s *= k
+        # div_grad + (t_x + t_y)
+        t_x -= s
+        div_grad += t_x
+    # ... + (u_x.u_y) k
+    ux_uy = pairs.inner(1, 1, product)
+    for _, _, k, _, div_grad, _, _, _, product_out, out in terms:
+        np.add(div_grad, np.multiply(ux_uy, k, out=product_out), out=out)
 
 
-def _block_rows(p: int, q: int) -> int:
+def _block_rows(p: int, q: int, buffers: int = _BUFFERS) -> int:
     """Rows per block: the fewest blocks of at most about ``_BLOCK_ENTRIES``
-    entries, with their rows spread evenly."""
-    blocks = -(-p * q // _BLOCK_ENTRIES)
+    entries, with their rows spread evenly.  A block of ``buffers`` buffers
+    (several kernels) takes ``_BUFFERS / buffers`` of that, so that its
+    workspace keeps the size of one kernel's."""
+    blocks = -(-p * q * buffers // (_BLOCK_ENTRIES * _BUFFERS))
     return -(-p // blocks)
 
 
@@ -255,27 +286,33 @@ def _scratch(size: int) -> np.ndarray:
     return kept[:size]
 
 
-def _assemble(x, u_x, y, u_y, params: SteinKernelParams, upper: bool) -> np.ndarray:
-    """The (p, q) matrix k0(x_i, y_j), filled row block by row block.
+def _assemble(x, u_x, y, u_y, kernels, upper: bool) -> list[np.ndarray]:
+    """The (p, q) matrix k0(x_i, y_j) of each kernel of ``kernels``, in
+    their order, filled row block by row block in one pass: each block's
+    kernel-free terms are made once for all the kernels.
 
-    With ``upper`` (a Gram matrix, y = x), a block of rows i0:i1 spans only
+    With ``upper`` (Gram matrices, y = x), a block of rows i0:i1 spans only
     columns i0:, and its transpose fills the lower triangle.  All blocks
-    share one workspace of ``_BUFFERS`` contiguous block-sized buffers,
-    taken from the thread's kept scratch (see :func:`_scratch`);
-    ``_stein_block`` writes every buffer before it reads it, so what a
-    previous call left there never reaches the result.  Beyond the result
-    and the kept scratch, a call holds what :func:`stein_kernel_matrix`
-    says.  An empty point set on either side gives the empty matrix.
-    ``params`` that are not a :class:`SteinKernelParams` are refused.
+    share one workspace of ``_BUFFERS`` contiguous block-sized buffers and
+    ``_KERNEL_BUFFERS`` more per further kernel, taken from the thread's
+    kept scratch (see :func:`_scratch`); ``_stein_block`` writes every
+    buffer before it reads it, so what a previous call left there never
+    reaches a result.  Every matrix has the bytes that a call with its
+    kernel alone gives.  Beyond the results and the kept scratch, a call
+    holds what :func:`stein_kernel_matrix` says.  An empty point set on
+    either side gives empty matrices.  A kernel that is not a
+    :class:`SteinKernelParams` is refused.
     """
-    if not isinstance(params, SteinKernelParams):
-        raise _bad("params", "a SteinKernelParams", params)
+    for params in kernels:
+        if not isinstance(params, SteinKernelParams):
+            raise _bad("params", "a SteinKernelParams", params)
     p, q = x.shape[0], y.shape[0]
-    out = np.empty((p, q))
-    if out.size == 0:
-        return out
-    step = _block_rows(p, q)
-    work = _scratch(_BUFFERS * step * q).reshape(_BUFFERS, step * q)
+    outs = [np.empty((p, q)) for _ in kernels]
+    if p * q == 0:
+        return outs
+    buffers = _BUFFERS + _KERNEL_BUFFERS * (len(kernels) - 1)
+    step = _block_rows(p, q, buffers)
+    work = _scratch(buffers * step * q).reshape(buffers, step * q)
     pairs = _Pairs(x, u_x, y, u_y)
     # Strict lower triangle of a block's square; a shorter block's is its corner.
     below = np.tri(step, k=-1, dtype=bool) if upper else None
@@ -283,19 +320,24 @@ def _assemble(x, u_x, y, u_y, params: SteinKernelParams, upper: bool) -> np.ndar
         i1 = min(i0 + step, p)
         j0 = i0 if upper else 0
         pairs.rows, pairs.cols = slice(i0, i1), slice(j0, None)
-        strip = out[i0:i1, j0:]
-        _stein_block(pairs, params, work[:, : strip.size].reshape(_BUFFERS, *strip.shape), strip)
-        if upper:
+        strips = [out[i0:i1, j0:] for out in outs]
+        shape = strips[0].shape
+        _stein_block(pairs, kernels, work[:, : shape[0] * shape[1]].reshape(buffers, *shape),
+                     strips)
+        if not upper:
+            continue
+        # The transpose goes through a free buffer: copyto from the
+        # overlapping square.T would first copy the whole square.
+        h = i1 - i0
+        mirror, corner = work[0, : h * h].reshape(h, h), below[:h, :h]
+        for out, strip in zip(outs, strips):
             # Adding 0.0 turns -0.0 into +0.0, so the two triangles agree.
             strip += 0.0
-            square = strip[:, : i1 - i0]
-            # The transpose goes through a free buffer: copyto from the
-            # overlapping square.T would first copy the whole square.
-            mirror = work[0, : square.size].reshape(square.shape)
+            square = strip[:, :h]
             np.copyto(mirror, square.T)
-            np.copyto(square, mirror, where=below[: i1 - i0, : i1 - i0])
-            out[i1:, i0:i1] = strip[:, i1 - i0 :].T
-    return out
+            np.copyto(square, mirror, where=corner)
+            out[i1:, i0:i1] = strip[:, h:].T
+    return outs
 
 
 def stein_kernel_matrix(x, u_x, y, u_y, params: SteinKernelParams) -> np.ndarray:
@@ -324,7 +366,7 @@ def stein_kernel_matrix(x, u_x, y, u_y, params: SteinKernelParams) -> np.ndarray
     peak at that of d = 1 (about 1.3x at p = q = 181).
     """
     x, u_x, y, u_y = _check_sets(x, u_x, y, u_y)
-    return _assemble(x, u_x, y, u_y, params, upper=False)
+    return _assemble(x, u_x, y, u_y, (params,), upper=False)[0]
 
 
 # Rows of each Gram block whose diagonal stein_kernel_diag reads: each is one
@@ -343,11 +385,11 @@ def stein_kernel_diag(x, u_x, params: SteinKernelParams) -> np.ndarray:
     diag = np.empty(x.shape[0])
     for i in range(0, x.shape[0], _DIAG_ROWS):
         rows, scores = x[i : i + _DIAG_ROWS], u_x[i : i + _DIAG_ROWS]
-        diag[i : i + _DIAG_ROWS] = np.diag(_assemble(rows, scores, rows, scores, params, upper=True))
+        diag[i : i + _DIAG_ROWS] = np.diag(_assemble(rows, scores, rows, scores, (params,), True)[0])
     return diag
 
 
 def gram_matrix(data: ScoredDataset, params: SteinKernelParams) -> np.ndarray:
     """Stein-kernel Gram matrix of a dataset, exactly symmetric: only its
     upper triangle is evaluated."""
-    return _assemble(data.points, data.scores, data.points, data.scores, params, upper=True)
+    return _assemble(data.points, data.scores, data.points, data.scores, (params,), True)[0]

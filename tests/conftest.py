@@ -27,14 +27,15 @@ def make_gaussian_dataset():
 
 @pytest.fixture
 def assembled(monkeypatch):
-    """(rows, columns, upper, params) of every Stein-kernel assembly made
-    while the test runs, in call order."""
+    """(rows, columns, upper, *kernels) of every Stein-kernel assembly made
+    while the test runs, in call order: (rows, columns, upper, params) for
+    an assembly of one kernel."""
     calls = []
     original = kernel._assemble
 
-    def spy(x, u_x, y, u_y, params, upper):
-        calls.append((x.shape[0], y.shape[0], upper, params))
-        return original(x, u_x, y, u_y, params, upper)
+    def spy(x, u_x, y, u_y, kernels, upper):
+        calls.append((x.shape[0], y.shape[0], upper, *kernels))
+        return original(x, u_x, y, u_y, kernels, upper)
 
     monkeypatch.setattr(kernel, "_assemble", spy)
     return calls

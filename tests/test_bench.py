@@ -634,6 +634,22 @@ class TestSharedKernels:
         assert picked != common
         assert calls == [(40, 40, True, common)] + candidates + [(40, 40, True, picked)]
 
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_cv_cell_assembles_its_shared_grams_in_one_call(self, assembled, d):
+        # Both methods search GRID, so the cell shares all three kernels:
+        # one pass assembles their Grams, and every block is a slice.
+        methods = (
+            MethodSpec("cf-simplified", cv_grid=GRID), MethodSpec("cf-multisplit", cv_grid=GRID)
+        )
+        config = small_config(
+            problem_params={"d": d}, n_grid=(50,), replications=1, n_splits=3, methods=methods,
+        )
+        report = run_experiment(config)
+        assert all(row.estimate is not None for row in report.rows)
+        calls = list(assembled)
+        assert len(calls) == 1 and calls[0][:3] == (50, 50, True)
+        assert sorted(map(repr, calls[0][3:])) == sorted(map(repr, GRID))
+
     @pytest.mark.parametrize("method", ["cf-simplified", "cf-multisplit"])
     def test_lone_cv_method_assembles_no_gram_for_the_others(self, assembled, method):
         data = gaussian_problem(1).dataset(np.random.default_rng(8), 40)

@@ -365,6 +365,9 @@ class TestEstimateCommand:
             # Finite, but 8*alpha1**2 or alpha2**4 overflows.
             (("--method", "cf-split", "--alpha1", "1e160"), "--alpha1"),
             (("--method", "cf-split", "--alpha2", "1e80"), "--alpha2"),
+            # Positive, but alpha2**4 underflows to zero.
+            (("--method", "cf-split", "--alpha2", "1e-300"), "--alpha2"),
+            (("--method", "cf-simplified", "--alpha2", "1e-100"), "--alpha2"),
         ],
     )
     def test_invalid_number_is_usage_error(self, sin_gaussian_file, args, option):
@@ -587,6 +590,9 @@ class TestBenchCommand:
         ({}, {"alpha1": 1e160}, "methods[0].alpha1"),
         ({}, {"alpha2": 1e80}, "methods[0].alpha2"),
         ({}, {"cv_grid": [[0.1, 1e80]]}, "methods[0].cv_grid"),
+        # A length-scale whose fourth power underflows to zero.
+        ({}, {"alpha2": 1e-300}, "methods[0].alpha2"),
+        ({}, {"cv_grid": [[0.1, 1.0], [0.1, 1e-81]]}, "methods[0].cv_grid"),
         ({"problem_params": {"d": 1.5}}, {}, "problem_params"),
         ({"problem_params": {"d": True}}, {}, "problem_params"),
         # Keys the problem does not take, refused before a d = 1 study, a
@@ -706,6 +712,7 @@ def test_parser_defaults_are_the_dataclass_defaults():
         ("estimate", ("--method", "cf-simplified", "--bound", "--fnorm", "1"), "--bound"),
         ("bench", ("paper_d1", "--dry-run", "--threads", "0"), "--threads"),
         ("diagnose", ("--alpha2", "0"), "--alpha2"),
+        ("diagnose", ("--alpha2", "1e-300"), "--alpha2"),
         ("diagnose", ("--probes", "0"), "--probes"),
         ("diagnose", ("--target", "nope"), "--target"),
         ("diagnose", ("--target", "gaussian-d0"), "--target"),

@@ -1673,6 +1673,26 @@ class TestKernelCache:
         with pytest.raises(ValueError):
             whole[0, 0] = 1.0
 
+    def test_view_assembles_its_shared_kernels_in_one_call(
+        self, assembled, make_gaussian_dataset
+    ):
+        # The first block request for any shared kernel assembles all of
+        # them in one pass; later requests, of every kernel and from
+        # subsets, slice those Grams.
+        data = make_gaussian_dataset(40, d=3, seed=11)
+        grid = [SteinKernelParams(0.1, a2) for a2 in (0.5, 1.0, 1.5)] + [NARROW]
+        view = estimator._GramRows(data, grid)
+        rows, cols = np.arange(0, 40, 3), np.arange(39, 0, -4)
+        estimator._block(view.subset(rows), grid[2], np.arange(5), np.arange(5, 10))
+        for params in grid:
+            estimator._block(view, params, rows, rows)
+            estimator._block(view, params, rows, cols)
+        calls = list(assembled)
+        assert len(calls) == 1 and calls[0][:3] == (40, 40, True)
+        assert sorted(map(repr, calls[0][3:])) == sorted(map(repr, grid))
+        for params in grid:
+            assert view.grams[params].tobytes() == gram_matrix(data, params).tobytes()
+
     @pytest.mark.parametrize("view", [False, True])
     def test_subset_refuses_boolean_mask(self, make_gaussian_dataset, view):
         data = make_gaussian_dataset(5, seed=7)

@@ -144,6 +144,18 @@ class TestBaseKernel:
         with pytest.raises(InvalidInputError, match=rf"^{field} must be .* {re.escape(constant)} finite"):
             SteinKernelParams(**values)
 
+    @pytest.mark.parametrize("bad", [1e-81, 1e-100, 1e-300])
+    def test_rejects_alpha2_whose_fourth_power_underflows(self, bad):
+        # alpha2**4 is 0.0 below about 1.5e-81, so every Gram would be
+        # non-finite, and from about 1e-162 alpha2**2 is 0.0 too, whose
+        # division raises ZeroDivisionError.
+        with pytest.raises(InvalidInputError, match=r"^alpha2 must be .* alpha2\*\*4 finite and non-zero"):
+            SteinKernelParams(alpha1=0.1, alpha2=bad)
+
+    def test_smallest_alpha2_decade_accepted(self):
+        # 1e-80**4 is a subnormal float, not zero.
+        assert SteinKernelParams(alpha1=0.1, alpha2=1e-80).alpha2 == 1e-80
+
     def test_largest_accepted_alphas_evaluate(self):
         params = SteinKernelParams(alpha1=4.7e153, alpha2=1.1e77)
         x = np.array([[0.3], [-1.2]])
@@ -464,13 +476,15 @@ class TestBlockedAssembly:
         rng = np.random.default_rng(7)
         a = np.concatenate([rng.standard_normal(200) * 10.0 ** rng.uniform(-300, 300, 200),
                             [0.0, -0.0, np.inf, -np.inf, 5e-324, 1.7e308]])
+        # c = 1 returns ``a`` itself and writes nothing.
         out = np.empty_like(a)
         with np.errstate(all="ignore"):
-            kernel._divide(a, c, out)
-            assert out.tobytes() == np.divide(a, c).tobytes()
+            result = kernel._divide(a, c, out)
+            assert result is (a if c == 1.0 else out)
+            assert result.tobytes() == np.divide(a, c).tobytes()
             inplace = a.copy()
-            kernel._divide(inplace, c, inplace)
-            assert inplace.tobytes() == out.tobytes()
+            assert kernel._divide(inplace, c, inplace) is inplace
+            assert inplace.tobytes() == result.tobytes()
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_default_block_size_matches_reference(self, d):
@@ -621,6 +635,14 @@ def _assemble_case(d, upper, shape, alpha2):
     return (lambda: stein_kernel_matrix(x, u, y, v, params)), reference
 
 
+def _shared_case(d, n):
+    """The Grams of the ``SHARED`` kernels on n points by one shared pass,
+    stacked, and the reference bytes they must have."""
+    x, u = _sample(n, d, seed=n + 30 * d)
+    reference = b"".join(_reference_gram(x, u, params).tobytes() for params in SHARED)
+    return (lambda: np.concatenate(kernel._assemble(x, u, x, u, SHARED, True))), reference
+
+
 class TestKeptScratch:
     """Each thread keeps one block scratch between assemblies; nothing a
     previous call left in it reaches a result."""
@@ -646,7 +668,7 @@ class TestKeptScratch:
             for upper in (True, False)
             for shape in SCRATCH_SHAPES
             for alpha2 in (0.5, 1.5)
-        ]
+        ] + [_shared_case(d, shape[0]) for d in (1, 3) for shape in SCRATCH_SHAPES]
         serial = [assemble().tobytes() for assemble, _ in cases]
         assert serial == [reference for _, reference in cases]
 
@@ -706,6 +728,61 @@ class TestKeptScratch:
         assert peak / result.nbytes < 1.05
 
 
+# Kernels of one shared pass: alpha2 a power of two (1.0, 0.5) and not.
+SHARED = [SteinKernelParams(0.1, 1.0), SteinKernelParams(0.05, 1.5),
+          SteinKernelParams(0.3, 0.5), SteinKernelParams(0.1, 0.7)]
+
+
+class TestSharedPass:
+    """One assembly of several kernels against each kernel's own assembly,
+    byte for byte, in either kernel order."""
+
+    def test_four_kernels_take_smaller_blocks(self):
+        # 181 x 181 is one block for one kernel and three for four, whose
+        # nineteen buffers share the seven buffers' workspace.
+        buffers = kernel._BUFFERS + 3 * kernel._KERNEL_BUFFERS
+        assert kernel._block_rows(181, 181) == 181
+        assert kernel._block_rows(181, 181, buffers) == 61
+        assert buffers * 61 * 181 <= kernel._BUFFERS * kernel._BLOCK_ENTRIES
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 127, 128, 129, 181, 182, 200, 500])
+    def test_each_gram_has_the_bytes_of_its_own(self, d, n):
+        x, u = _sample(n, d, seed=n + 7 * d)
+        data = ScoredDataset(x, u, np.zeros(n))
+        alone = {params: gram_matrix(data, params).tobytes() for params in SHARED}
+        for kernels in (SHARED, SHARED[::-1], SHARED[1:3]):
+            grams = kernel._assemble(x, u, x, u, kernels, upper=True)
+            assert [gram.tobytes() for gram in grams] == [alone[p] for p in kernels]
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("p, q", [(1, 1), (129, 37), (37, 900), (300, 250)])
+    def test_each_cross_matrix_has_the_bytes_of_its_own(self, d, p, q):
+        x, u = _sample(p, d, seed=p + d)
+        y, v = _sample(q, d, seed=1000 + q + d)
+        alone = {params: stein_kernel_matrix(x, u, y, v, params).tobytes() for params in SHARED}
+        for kernels in (SHARED, SHARED[::-1]):
+            matrices = kernel._assemble(x, u, y, v, kernels, upper=False)
+            assert [m.tobytes() for m in matrices] == [alone[k] for k in kernels]
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_nan_filled_scratch_leaves_the_bytes(self, d):
+        x, u = _sample(300, d, seed=d)
+        data = ScoredDataset(x, u, np.zeros(300))
+        alone = [gram_matrix(data, params).tobytes() for params in SHARED]
+        kernel._assemble(x, u, x, u, SHARED, upper=True)
+        kept = kernel._kept.scratch
+        kept.fill(np.nan)
+        grams = kernel._assemble(x, u, x, u, SHARED, upper=True)
+        assert [gram.tobytes() for gram in grams] == alone
+        assert kernel._kept.scratch is kept
+
+    def test_refuses_a_kernel_that_is_no_params(self):
+        x, u = _sample(5, 1, seed=1)
+        with pytest.raises(InvalidInputError, match="params must be a SteinKernelParams"):
+            kernel._assemble(x, u, x, u, [PARAMS, (0.1, 1.0)], upper=True)
+
+
 class TestDiagnosticsCheckTheMatrixPath:
     """Both diagnose checks evaluate k0 through stein_kernel_matrix, so an
     offset on every entry that the assembly writes shows in each of them."""
@@ -714,9 +791,10 @@ class TestDiagnosticsCheckTheMatrixPath:
     def offset_blocks(self, monkeypatch):
         block = kernel._stein_block
 
-        def offset(pairs, params, buf, out):
-            block(pairs, params, buf, out)
-            out += 1e-4
+        def offset(pairs, kernels, buf, outs):
+            block(pairs, kernels, buf, outs)
+            for out in outs:
+                out += 1e-4
 
         monkeypatch.setattr(kernel, "_stein_block", offset)
 

@@ -11,6 +11,16 @@
   --bound`` process on a d = 1 sample file of 2000 rows, with its wall time
   and peak RSS; plus the largest relative deviation of the estimates of one
   whole ``mcmc_cv_d3`` request between the two sides;
+* ``gram_kernels``: the Grams of K in {2, 4} of the benchmark's CV kernels
+  on one sample, at d in {1, 3} and n in {25, 50, 100, 200, 500}: by one
+  shared assembly call where the source has it and by K ``gram_matrix``
+  calls where it has not (``grams_K*``), and by K ``gram_matrix`` calls on
+  both sides (``gram_matrix_x*``); and the one-kernel ``gram_matrix`` and
+  ``stein_kernel_matrix`` at d in {1, 3} and n in {100, ..., 2000}, with
+  raw CPU time and minor faults beside the scaled time.  The report says
+  whether every result was the same bytes on both sides in every repeat,
+  and gives the largest relative deviation of the estimates of one
+  ``mcmc_cv_d3`` request;
 * ``gram_blocks``: Stein-kernel assembly (``gram_matrix``,
   ``stein_kernel_matrix``) and the two kernel estimators at
   n in {20, ..., 2000}, with tracemalloc's peak over the result's bytes for
@@ -103,6 +113,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import inspect
 import json
 import os
 import platform
@@ -176,11 +187,40 @@ def _gram_exact_cases(n):
     return cases
 
 
-def _digest(result) -> str:
-    """The SHA-256 of an array's bytes, or the repr of any other result."""
+def _digest(result):
+    """The SHA-256 of an array's bytes, a list of those for a list of
+    arrays, or the repr of any other result."""
+    if isinstance(result, list):
+        return [_digest(item) for item in result]
     if isinstance(result, np.ndarray):
         return hashlib.sha256(result.tobytes()).hexdigest()
     return repr(result)
+
+
+def _gram_kernels_cases(n):
+    # The one-kernel calls first, before any call of several kernels at n.
+    cases = {}
+    if n >= 100:
+        for d in (1, 3):
+            for name, call in _kernel_cases(n, d).items():
+                if name in ("gram_matrix", "stein_kernel_matrix"):
+                    cases[f"{name}_d{d}"] = call
+    if n <= 500:
+        for d in (1, 3):
+            cfmc, data, _ = _problem(d, n)
+            grid = [cfmc.SteinKernelParams(a1, a2) for a1, a2 in CV_GRID]
+            x, u = data.points, data.scores
+            # A source before the shared pass assembles one kernel per call.
+            shared = "kernels" in inspect.signature(cfmc.kernel._assemble).parameters
+            for k in (2, 4):
+                kernels = grid[:k]
+                singles = lambda ks=kernels, data=data: [cfmc.gram_matrix(data, p) for p in ks]  # noqa: E731
+                cases[f"grams_K{k}_d{d}"] = (
+                    (lambda ks=kernels, x=x, u=u: cfmc.kernel._assemble(x, u, x, u, ks, True))
+                    if shared else singles
+                )
+                cases[f"gram_matrix_x{k}_d{d}"] = singles
+    return cases
 
 
 @contextlib.contextmanager
@@ -332,10 +372,12 @@ def _counting_entries():
     count = [0]
     original = cfmc.kernel._assemble
 
-    def spy(x, u_x, y, u_y, params, upper):
+    def spy(x, u_x, y, u_y, kernels, upper):
         p, q = x.shape[0], y.shape[0]
-        count[0] += p * (p + 1) // 2 if upper else p * q
-        return original(x, u_x, y, u_y, params, upper)
+        # A source before the shared pass passes one SteinKernelParams.
+        matrices = len(kernels) if isinstance(kernels, (list, tuple)) else 1
+        count[0] += matrices * (p * (p + 1) // 2 if upper else p * q)
+        return original(x, u_x, y, u_y, kernels, upper)
 
     cfmc.kernel._assemble = spy
     try:
@@ -501,6 +543,33 @@ TOPICS = {
             "in every repeat.  output_deviation: one mcmc_cv_d3 request (master_seed "
             "1), the largest relative estimate deviation per n and method between the "
             "sides, and whether every lambda is identical"
+        ),
+    },
+    "gram_kernels": {
+        "topic": "one Stein-Gram pass for all the kernels a cell shares: the kernel-free "
+                 "terms made once, not once per kernel",
+        "layer": "kernel: _assemble (Stein-Gram assembly), several kernels and one",
+        "sizes": (25, 50, 100, 200, 500, 1000, 2000),
+        "cases": _gram_kernels_cases,
+        "peak": (),
+        "faults": True,
+        "digests": True,
+        "deviation_rows": _mcmc_request_rows,
+        "method": (
+            "standard Gaussian sample with scores -x, in d = 1 (_d1) and d = 3 (_d3); "
+            "size = n; the kernels are the benchmark's CV_GRID, (0.1, 1.0), (0.1, 2.0), "
+            "(0.1, 0.5) and (0.05, 1.5), of which K = 2 takes the first two.  "
+            "grams_K<K>: the K Grams by one kernel._assemble call on a source that "
+            "takes a sequence of kernels, and by K gram_matrix calls on one that does "
+            "not; gram_matrix_x<K>: K gram_matrix calls on both sides.  gram_matrix and "
+            "stein_kernel_matrix: one kernel, alpha = (0.1, 1.0), at n >= 100; "
+            "stein_kernel_matrix between two independent n-point samples.  "
+            "result_bytes_identical: every call's result (each matrix by SHA-256) the "
+            "same on both sides in every repeat.  raw_cpu_*: the same CPU time "
+            "unscaled; minor_faults_*: getrusage(RUSAGE_SELF).ru_minflt over the timed "
+            "calls, per call.  output_deviation: one mcmc_cv_d3 "
+            "request (master_seed 1), the largest relative estimate deviation per n and "
+            "method between the sides, and whether every lambda is identical"
         ),
     },
     "gram_blocks": {
