@@ -3,109 +3,25 @@
     python tools/bench_layers.py --topic lambda_select --before OLD/src --after src \
         --before-label <commit> --after-label <commit>
 
-``--topic`` picks the functions, sizes and description from ``TOPICS``:
-
-* ``assembly_scratch``: the CPU time (scaled and raw) and the minor page
-  faults per call of one ``mcmc_cv_d3`` cell through ``run_experiment`` at
-  n in {25, 50, 100, 200}, and of one ``cfmc estimate --method cf-split
-  --bound`` process on a d = 1 sample file of 2000 rows, with its wall time
-  and peak RSS; plus the largest relative deviation of the estimates of one
-  whole ``mcmc_cv_d3`` request between the two sides;
-* ``gram_kernels``: the Grams of K in {2, 4} of the benchmark's CV kernels
-  on one sample, at d in {1, 3} and n in {25, 50, 100, 200, 500}: by one
-  shared assembly call where the source has it and by K ``gram_matrix``
-  calls where it has not (``grams_K*``), and by K ``gram_matrix`` calls on
-  both sides (``gram_matrix_x*``); and the one-kernel ``gram_matrix`` and
-  ``stein_kernel_matrix`` at d in {1, 3} and n in {100, ..., 2000}, with
-  raw CPU time and minor faults beside the scaled time.  The report says
-  whether every result was the same bytes on both sides in every repeat,
-  and gives the largest relative deviation of the estimates of one
-  ``mcmc_cv_d3`` request;
-* ``gram_blocks``: Stein-kernel assembly (``gram_matrix``,
-  ``stein_kernel_matrix``) and the two kernel estimators at
-  n in {20, ..., 2000}, with tracemalloc's peak over the result's bytes for
-  the two assembly functions;
-* ``lambda_select``: ``select_lambda`` on a precomputed Gram matrix (of an
-  iid sample at d in {1, 3}, and of a d = 3 Metropolis chain) and the two
-  kernel estimators at system sizes m in {100, ..., 2000};
-* ``gram_inplace``: ``gram_matrix``, ``stein_kernel_matrix`` and
-  ``cf_split_estimate`` with its discrepancy at d in {1, 3} and
-  n in {10, ..., 2000}, with tracemalloc's peak over the result's bytes for
-  the two assembly functions;
-* ``gram_cache``: one cell of the benchmark's ``study_d1`` study (all six
-  methods, n in {100, 200, 500}) and of its ``mcmc_cv_d3`` study
-  (n in {100, 200}) through ``run_experiment``, and ``cf_split_estimate``
-  with its discrepancy at n = 2000, with the Stein-kernel entries each call
-  assembles; plus the largest relative deviation, per n, of the estimates of
-  one whole ``mcmc_cv_d3`` request between the two sides;
-* ``gram_rows``: the kernel-block path on cells that share no kernel, which
-  no benchmark workload has: a d = 1 cell whose only kernel method is a
-  cf-split, and one whose only kernel method is a 4-split cf-multisplit
-  cross-validated over the benchmark's four kernels (n in {100, ..., 1000}),
-  next to the ``study_d1`` and ``mcmc_cv_d3`` cells of ``gram_cache``; with
-  the Stein-kernel entries of each call, tracemalloc's peak in MiB for the
-  two lone cells, and the largest relative deviation of their estimates and
-  of one ``mcmc_cv_d3`` request between the two sides;
-* ``fit_solve``: the kernel system's factorisation and solves, through
-  the fit ``estimator._fit_coefficients(k0, lambda_)`` on a precomputed Gram
-  at m in {12, ..., 1000} and its surrogate solve, with lambda chosen by the
-  rule and with it given, next to the ``study_d1`` and ``mcmc_cv_d3`` cells
-  of ``gram_cache`` at n = 100; plus the largest relative deviation of the
-  estimates of one whole ``mcmc_cv_d3`` request between the two sides.  Both
-  sides must have the kernel fit value: a checkout whose
-  ``_fit_coefficients`` still takes ``(k0, f0, lambda_)`` and returns a
-  tuple cannot be the before side;
-* ``cold_start``: process start-up, in fresh interpreters: the CPU time of
-  ``import cfmc, cfmc.cli`` and the number of modules loaded after it, and
-  the CPU time, wall time and peak RSS (the child's ``ru_maxrss``) of
-  ``python -m cfmc estimate FILE --method cf-split --bound --fnorm 1
-  --output json`` on d = 1 sample files of n in {200, 2000} rows; these
-  are raw, not scaled, since nothing is warm.  The report says whether the
-  two sides' estimate outputs were byte-identical in every repeat;
-* ``gram_exact_passes``: ``gram_matrix`` and ``stein_kernel_matrix`` at
-  n in {200, 500, 1000, 2000}, d in {1, 3} and alpha2 in {1.0, 1.5} (a
-  power of two and not, the two sides of the kernel's division rule), and
-  ``cf_split_estimate`` with its discrepancy at n = 2000.  The report says
-  whether every result (each matrix by its SHA-256, the estimate by its
-  repr) was the same bytes on both sides in every repeat, and gives the
-  largest relative deviation of the estimates of one ``study_d1`` and one
-  ``mcmc_cv_d3`` request;
-* ``lambda_pivoted``: ``select_lambda`` on d = 1 Grams at
-  m in {200, 250, 500, 1000}, and on the Grams of a d = 3 iid sample and of a
-  d = 3 Metropolis chain at m in {200, 500}, and ``cf_split_estimate`` with
-  its discrepancy at m = 1000.  The report says whether every result (each
-  lambda and the estimate, by repr) was the same on both sides in every
-  repeat, and gives the largest relative deviation of the estimates of one
-  ``study_d1`` and one ``mcmc_cv_d3`` request;
-* ``lambda_one_test``: the lambda search ``estimator._lambda_search``, without
-  ``select_lambda``'s input checks, on d = 1 Grams at m in
-  {200, 250, 500, 1000}, and on the Grams of a d = 3 iid sample and of a
-  d = 3 Metropolis chain at m in {200, 500, 1000}, with the size of every
-  Cholesky test (``estimator._exceeds``) one call runs.  The report says
-  whether every lambda was the same on both sides in every repeat, and gives
-  the largest relative deviation of the estimates of one ``study_d1`` and
-  one ``mcmc_cv_d3`` request;
-* ``split_memory``: the working set of the kernel estimators:
-  ``cf_split_estimate`` with its discrepancy, ``cf_weights`` and
-  ``cf_simplified_estimate`` at d in {1, 3} and n in {500, 2000, 4000}, with
-  tracemalloc's peak of one call in MiB and over 8m^2 bytes, the size of one
-  m x m matrix (m = n/2 for a split, n for the simplified estimator), and the
-  wall time, CPU time and peak RSS (the child's ``ru_maxrss``) of one
-  ``python -m cfmc estimate FILE --method cf-split --bound --fnorm 1 --output
-  json`` process on a d = 1 sample file of 2000 rows, with every repeat's
-  value beside the medians.  The report says whether every result (the
-  estimates by repr, the weights by SHA-256, the process's stdout) was the
-  same bytes on both sides in every repeat.
-
-Each repeat runs one fresh worker per side, alternating which side goes
-first, with every BLAS/OpenMP thread count pinned to 1.  A worker imports
-``cfmc`` from the given source directory, makes one warm-up call per function
-and size, then times each in CPU time (``time.process_time``), averaging
-over enough calls at small sizes to span about 20 ms (a topic may ask for
-more calls).  Each timing is scaled to the benchmark's reference speed: by
-``Reference.NOMINAL_S`` over the mean of one ``perfbench/worker.py``
-reference round timed right before it and one right after it, so a slow
-spell of the shared host does not move a worker.
+``--topic`` picks a layer, its sizes, the builder of its cases and the text
+saying what each case runs from ``TOPICS``.  A case is an in-process call or a
+child command, and every case is measured alike.  Each repeat runs one fresh
+worker per side and case, sides alternating, with ``cfmc`` imported from the
+given source directory and every BLAS/OpenMP thread count pinned to 1
+(``lambda_gate.checkout_env``); the worker builds its topic's inputs and calls
+only its own case, at every size that offers it, so no case is timed after
+another case's calls.  An in-process call gets one warm-up call, then the mean
+CPU time (``time.process_time``) of as many calls as span ``TIMED_S`` at the
+warm-up's pace (at least ``MIN_CALLS``), with the minor page faults per call;
+the time is also scaled to the benchmark's reference speed, by
+``Reference.NOMINAL_S`` over the mean of one ``perfbench/worker.py`` reference
+round timed right before and one right after, so a slow spell of the shared
+host does not move it.  One more call runs under tracemalloc and the spies of
+``_spies``; its result is digested.  A child command runs once, and its CPU
+time, wall time, peak RSS and minor faults come from ``os.wait4``; the sample
+files it reads are written once by the parent and shared by both sides.  The
+report gives each side's medians over the repeats, the after/before ratios,
+and whether every result was the same bytes on both sides in every repeat.
 """
 
 from __future__ import annotations
@@ -115,6 +31,7 @@ import contextlib
 import hashlib
 import inspect
 import json
+import math
 import os
 import platform
 import resource
@@ -129,12 +46,26 @@ from pathlib import Path
 import numpy as np
 import scipy
 
+from lambda_gate import BOUND_COMMAND, checkout_env, write_bound_sample
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from worker import Reference  # noqa: E402  (the benchmark's own reference round)
 from workloads import CV_GRID, MCMC_CV_D3, STUDY_D1, metropolis_problem  # noqa: E402
 
-THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# An in-process case is timed over max(MIN_CALLS, ceil(TIMED_S / warm-up CPU time)) calls.
+TIMED_S = 0.05
+MIN_CALLS = 3
+# The directory of the d = 1 sample files a child command reads, one per row
+# count of SAMPLE_ROWS, named in the worker's environment.
+SAMPLES = "BENCH_LAYERS_SAMPLES"
+SAMPLE_ROWS = (200, 2000)
 SAMPLE = "standard Gaussian sample with f = sin(pi x), alpha = (0.1, 1.0), automatic lambda"
+BOUND_PROCESS = (
+    "`python -m cfmc estimate FILE --method cf-split --bound --fnorm 1 --output json` as a "
+    "child process, on a d = 1 sample file of n rows (x from random.Random(20140917).gauss, "
+    "u = -x, f = sin(pi x); lambda_gate.write_bound_sample) that the parent writes once "
+    "and both sides read"
+)
 # study_d1 with one kernel method, so that the cell shares no kernel.
 LONE_SPLIT = dict(STUDY_D1, methods=[{"method": "cf-split", "alpha1": 0.1, "alpha2": 1.0}])
 LONE_CV_MULTISPLIT = dict(STUDY_D1, n_splits=4,
@@ -362,105 +293,23 @@ def _gram_rows_request_rows():
     return lone[0] + lone[1] + _mcmc_request_rows()
 
 
-@contextlib.contextmanager
-def _counting_entries():
-    """Count the Stein-kernel entries assembled inside the block: p*q for a
-    cross block, p*(p+1)/2 for a Gram, of which only one triangle is
-    evaluated."""
-    import cfmc
-
-    count = [0]
-    original = cfmc.kernel._assemble
-
-    def spy(x, u_x, y, u_y, kernels, upper):
-        p, q = x.shape[0], y.shape[0]
-        # A source before the shared pass passes one SteinKernelParams.
-        matrices = len(kernels) if isinstance(kernels, (list, tuple)) else 1
-        count[0] += matrices * (p * (p + 1) // 2 if upper else p * q)
-        return original(x, u_x, y, u_y, kernels, upper)
-
-    cfmc.kernel._assemble = spy
-    try:
-        yield count
-    finally:
-        cfmc.kernel._assemble = original
+def _bound_process(n):
+    """The child command of ``cfmc estimate --bound`` on the parent's sample
+    file of n rows."""
+    sample = Path(os.environ[SAMPLES]) / f"bound_n{n}.csv"
+    return (sys.executable, "-m", "cfmc", "estimate", str(sample), *BOUND_COMMAND)
 
 
-@contextlib.contextmanager
-def _recording_cholesky_tests():
-    """Record the size of every Cholesky test of the guarded lambda search
-    run inside the block, in call order."""
-    import cfmc
-
-    sizes = []
-    original = cfmc.estimator._exceeds
-
-    def spy(k0, shift, work):
-        sizes.append(k0.shape[0])
-        return original(k0, shift, work)
-
-    cfmc.estimator._exceeds = spy
-    try:
-        yield sizes
-    finally:
-        cfmc.estimator._exceeds = original
+# A fresh interpreter that imports cfmc and its CLI and prints how many
+# modules are loaded.
+IMPORT_PROBE = "import sys, cfmc, cfmc.cli; print(len(sys.modules))"
 
 
-# A fresh interpreter: the CPU seconds of ``import cfmc, cfmc.cli`` and the
-# number of modules loaded after it.
-IMPORT_PROBE = """import sys, time
-start = time.process_time()
-import cfmc, cfmc.cli
-print(time.process_time() - start, len(sys.modules))
-"""
-BOUND_COMMAND = ("--method", "cf-split", "--bound", "--fnorm", "1", "--output", "json")
-
-
-def _child(argv: list[str]) -> tuple[bytes, float, float, float, int]:
-    """Run ``argv`` to its end: its stdout, wall seconds, CPU seconds, peak
-    RSS in MB and minor page faults."""
-    start = time.perf_counter()
-    proc = subprocess.Popen(argv, stdout=subprocess.PIPE)
-    out = proc.stdout.read()
-    proc.stdout.close()
-    _, status, usage = os.wait4(proc.pid, 0)
-    wall = time.perf_counter() - start
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    if proc.returncode:
-        raise subprocess.CalledProcessError(proc.returncode, argv)
-    return out, wall, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024, usage.ru_minflt
-
-
-def _estimate_processes(sizes) -> tuple[dict, dict, dict, dict, dict]:
-    """(stdout, wall seconds, CPU seconds, peak RSS in MB, minor page
-    faults) of one fresh ``cfmc estimate --bound`` process per sample size,
-    keyed ``cfmc_estimate_bound/<n>``, on the worker's PYTHONPATH and thread
-    settings."""
-    import cfmc
-
-    outputs, wall, cpu, rss, faults = {}, {}, {}, {}, {}
-    with tempfile.TemporaryDirectory() as tmp:
-        for n in sizes:
-            sample = Path(tmp) / f"sample_n{n}.csv"
-            rng = np.random.default_rng(n)
-            cfmc.write_sample_file(sample, cfmc.gaussian_problem(1).dataset(rng, n))
-            key = f"cfmc_estimate_bound/{n}"
-            out, wall[key], cpu[key], rss[key], faults[key] = _child(
-                [sys.executable, "-m", "cfmc", "estimate", str(sample), *BOUND_COMMAND]
-            )
-            outputs[key] = out.decode()
-    return outputs, wall, cpu, rss, faults
-
-
-def _cold_start(spec) -> dict:
-    """One repeat of the cold_start topic, each process a fresh interpreter."""
-    out, _, _, _, _ = _child([sys.executable, "-c", IMPORT_PROBE])
-    seconds, modules = out.split()
-    outputs, wall, cpu, rss, _ = _estimate_processes(spec["sizes"])
-    cpu["import_cfmc_cli"] = float(seconds)
-    return {"cpu_s": cpu, "wall_s": wall, "maxrss_mb": rss, "modules": int(modules),
-            "outputs": outputs, "peak_over_result": {}, "peak_mib": {},
-            "kernel_entries": {}, "rows": []}
+def _cold_start_cases(n):
+    cases = {f"cfmc_estimate_bound/{n}": _bound_process(n)}
+    if n == 200:
+        cases["import_cfmc_cli"] = (sys.executable, "-c", IMPORT_PROBE)
+    return cases
 
 
 SPLIT_MEMORY_NAMES = ("cf_split_estimate_bound", "cf_weights", "cf_simplified_estimate")
@@ -479,70 +328,136 @@ def _split_memory_cases(n):
             lambda data=data, params=params: cfmc.cf_simplified_estimate(data, params),
         )
         cases.update((f"{name}_d{d}", call) for name, call in zip(SPLIT_MEMORY_NAMES, calls))
+    if n == 2000:
+        cases["cfmc_estimate_bound/2000"] = _bound_process(2000)
     return cases
 
 
-def _split_memory(spec) -> dict:
-    """One repeat of the split_memory topic: one fresh ``cfmc estimate
-    --bound`` process at n = 2000, then the in-process cases.  The process
-    goes first: a child's ``ru_maxrss`` counts the peak of its parent's
-    memory up to the fork, which the cases would raise."""
-    outputs, wall, cpu, rss, _ = _estimate_processes((2000,))
-    report = _measure_cases(spec)
-    report["outputs"].update(outputs)
-    report.update(wall_s=wall, process_cpu_s=cpu, maxrss_mb=rss)
-    return report
-
-
 def _assembly_scratch_cases(n):
+    if n == 2000:
+        return {"cfmc_estimate_bound/2000": _bound_process(2000)}
     return {"mcmc_cv_d3_cell": _study(MCMC_CV_D3, [n], 1, n, metropolis_problem())}
 
 
-def _assembly_scratch(spec) -> dict:
-    """One repeat of the assembly_scratch topic: one fresh ``cfmc estimate
-    --bound`` process at n = 2000, then the in-process cells."""
-    outputs, wall, cpu, rss, faults = _estimate_processes((2000,))
-    report = _measure_cases(spec)
-    report["outputs"] = outputs
-    report["minflt"].update(faults)
-    report.update(wall_s=wall, process_cpu_s=cpu, maxrss_mb=rss)
-    return report
+@contextlib.contextmanager
+def _spies():
+    """Count the Stein-kernel entries assembled inside the block (p*q for a
+    cross block, p*(p+1)/2 for a Gram, of which only one triangle is
+    evaluated) and record the size of every Cholesky test of the guarded
+    lambda search run inside it, in call order."""
+    import cfmc
+
+    seen = {"kernel_entries": 0, "cholesky_test_sizes": []}
+    assemble, exceeds = cfmc.kernel._assemble, cfmc.estimator._exceeds
+
+    def assemble_spy(x, u_x, y, u_y, kernels, upper):
+        p, q = x.shape[0], y.shape[0]
+        # A source before the shared pass passes one SteinKernelParams.
+        matrices = len(kernels) if isinstance(kernels, (list, tuple)) else 1
+        seen["kernel_entries"] += matrices * (p * (p + 1) // 2 if upper else p * q)
+        return assemble(x, u_x, y, u_y, kernels, upper)
+
+    def exceeds_spy(k0, shift, work):
+        seen["cholesky_test_sizes"].append(k0.shape[0])
+        return exceeds(k0, shift, work)
+
+    cfmc.kernel._assemble, cfmc.estimator._exceeds = assemble_spy, exceeds_spy
+    try:
+        yield seen
+    finally:
+        cfmc.kernel._assemble, cfmc.estimator._exceeds = assemble, exceeds
+
+
+def _call_record(call, reference: Reference) -> dict:
+    """The record of one in-process case at one size."""
+    start = time.process_time()
+    call()
+    warm = time.process_time() - start
+    calls = max(MIN_CALLS, math.ceil(TIMED_S / max(warm, 1e-6)))
+    before = reference.sample()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    start = time.process_time()
+    for _ in range(calls):
+        call()
+    cpu = (time.process_time() - start) / calls
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    speed = Reference.NOMINAL_S / (0.5 * (before + reference.sample()))
+    with _spies() as seen:
+        tracemalloc.start()
+        try:
+            result = call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return {
+        "cpu_s": cpu * speed,
+        "raw_cpu_s": cpu,
+        "minflt": faults / calls,
+        "calls": calls,
+        "peak_mib": peak / 2**20,
+        "peak_over_result": peak / result.nbytes if isinstance(result, np.ndarray) else None,
+        **seen,
+        "result": _digest(result),
+    }
+
+
+def _child(argv) -> dict:
+    """The record of a child command, run to its end: its CPU seconds (user
+    + system), wall seconds, peak RSS in MB, minor page faults and
+    stdout."""
+    start = time.perf_counter()
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE)
+    out = proc.stdout.read()
+    proc.stdout.close()
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode:
+        raise subprocess.CalledProcessError(proc.returncode, argv)
+    return {"cpu_s": usage.ru_utime + usage.ru_stime, "wall_s": wall,
+            "maxrss_mb": usage.ru_maxrss / 1024, "minflt": usage.ru_minflt,
+            "result": _digest(out)}
+
+
+def _measure(spec, name: str) -> dict:
+    """The records of case ``name`` at every size whose cases offer it, keyed
+    ``name/size`` for a call and ``name`` alone for a child command, which
+    names its own input."""
+    reference = Reference()
+    records = {}
+    for size in spec["sizes"]:
+        case = spec["cases"](size).get(name)
+        if isinstance(case, tuple):
+            records[name] = _child(case)
+        elif case is not None:
+            records[f"{name}/{size}"] = _call_record(case, reference)
+    return records
+
+
+def _survey(spec) -> dict:
+    """The names of the topic's cases in the order of their first size, and
+    the rows its output deviation compares."""
+    names = dict.fromkeys(name for size in spec["sizes"] for name in spec["cases"](size))
+    rows = spec["deviation_rows"]() if "deviation_rows" in spec else []
+    return {"cases": list(names), "rows": rows}
 
 
 TOPICS = {
     "assembly_scratch": {
         "topic": "one Stein-Gram block scratch per thread, kept between assemblies",
         "layer": "kernel: _assemble's block workspace (Stein-Gram assembly)",
-        "sizes": (25, 50, 100, 200),
-        "measure": _assembly_scratch,
+        "sizes": (25, 50, 100, 200, 2000),
         "cases": _assembly_scratch_cases,
-        "peak": (),
-        "loops": lambda size: max(5, 1000 // size),
-        "faults": True,
         "deviation_rows": _mcmc_request_rows,
-        "timing": (
-            "one fresh worker per side and repeat, sides alternating; one warm-up "
-            "call, then the mean of max(5, 1000 // n) timed calls, scaled by "
-            f"{Reference.NOMINAL_S} s over the mean of the perfbench reference rounds "
-            "timed right before and after them"
-        ),
         "method": (
-            "size = n; mcmc_cv_d3_cell: run_experiment of the benchmark's mcmc_cv_d3 "
-            "study on one cell of n rows (one replication, master_seed n): a "
+            "size = n; mcmc_cv_d3_cell (n <= 200): run_experiment of the benchmark's "
+            "mcmc_cv_d3 study on one cell of n rows (one replication, master_seed n): a "
             "Metropolis chain targeting N(0, I_3) and cf-split, cf-simplified and a "
             "4-split cf-multisplit, each cross-validated over the benchmark's four "
-            "CV_GRID kernels.  raw_cpu_*: the same CPU time unscaled; "
-            "minor_faults_*: getrusage(RUSAGE_SELF).ru_minflt over the timed calls, "
-            "per call.  cfmc_estimate_bound/2000: `python -m "
-            "cfmc estimate FILE --method cf-split --bound --fnorm 1 --output json` on "
-            "a d = 1 standard Gaussian sample file of 2000 rows (f = sin(pi x), "
-            "default_rng(2000)) as a child process: wall time, CPU time (user + "
-            "system, from os.wait4, not scaled), ru_maxrss and ru_minflt, each "
-            "repeat's value under the matching *_all_* key.  "
-            "estimate_outputs_identical: the process's stdout the same on both sides "
-            "in every repeat.  output_deviation: one mcmc_cv_d3 request (master_seed "
-            "1), the largest relative estimate deviation per n and method between the "
-            "sides, and whether every lambda is identical"
+            f"CV_GRID kernels.  cfmc_estimate_bound/2000: {BOUND_PROCESS}.  "
+            "output_deviation: one mcmc_cv_d3 request (master_seed 1), the largest "
+            "relative estimate deviation per n and method between the sides, and whether "
+            "every lambda is identical"
         ),
     },
     "gram_kernels": {
@@ -551,9 +466,6 @@ TOPICS = {
         "layer": "kernel: _assemble (Stein-Gram assembly), several kernels and one",
         "sizes": (25, 50, 100, 200, 500, 1000, 2000),
         "cases": _gram_kernels_cases,
-        "peak": (),
-        "faults": True,
-        "digests": True,
         "deviation_rows": _mcmc_request_rows,
         "method": (
             "standard Gaussian sample with scores -x, in d = 1 (_d1) and d = 3 (_d3); "
@@ -564,12 +476,9 @@ TOPICS = {
             "not; gram_matrix_x<K>: K gram_matrix calls on both sides.  gram_matrix and "
             "stein_kernel_matrix: one kernel, alpha = (0.1, 1.0), at n >= 100; "
             "stein_kernel_matrix between two independent n-point samples.  "
-            "result_bytes_identical: every call's result (each matrix by SHA-256) the "
-            "same on both sides in every repeat.  raw_cpu_*: the same CPU time "
-            "unscaled; minor_faults_*: getrusage(RUSAGE_SELF).ru_minflt over the timed "
-            "calls, per call.  output_deviation: one mcmc_cv_d3 "
-            "request (master_seed 1), the largest relative estimate deviation per n and "
-            "method between the sides, and whether every lambda is identical"
+            "output_deviation: one mcmc_cv_d3 request (master_seed 1), the largest "
+            "relative estimate deviation per n and method between the sides, and whether "
+            "every lambda is identical"
         ),
     },
     "gram_blocks": {
@@ -577,7 +486,6 @@ TOPICS = {
         "layer": "kernel: gram_matrix / stein_kernel_matrix (Stein-Gram assembly)",
         "sizes": (20, 50, 200, 500, 1000, 2000),
         "cases": _kernel_cases,
-        "peak": ("gram_matrix", "stein_kernel_matrix"),
         "method": (
             f"d = 1 {SAMPLE}; size = n; stein_kernel_matrix between two independent "
             "n-point samples; cf_split_estimate with m = n/2 and compute_discrepancy=True"
@@ -588,8 +496,6 @@ TOPICS = {
         "layer": "kernel: gram_matrix / stein_kernel_matrix (Stein-Gram assembly)",
         "sizes": (10, 25, 50, 100, 150, 200, 500, 1000, 2000),
         "cases": _gram_inplace_cases,
-        "peak": tuple(f"{name}_d{d}" for d in (1, 3)
-                      for name in ("gram_matrix", "stein_kernel_matrix")),
         "method": (
             f"{SAMPLE}, in d = 1 (suffix _d1) and d = 3 (_d3); size = n; "
             "stein_kernel_matrix between two independent n-point samples; "
@@ -601,8 +507,6 @@ TOPICS = {
         "layer": "kernel and estimator: Stein-Gram assembly, shared across the methods of a cell",
         "sizes": (100, 200, 500, 2000),
         "cases": _gram_cache_cases,
-        "peak": (),
-        "entries": True,
         "deviation_rows": _mcmc_request_rows,
         "method": (
             "size = n; study_d1_cell: run_experiment of the benchmark's study_d1 config "
@@ -611,10 +515,9 @@ TOPICS = {
             "same for its mcmc_cv_d3 config (Metropolis N(0, I_3) sample, cf-simplified "
             "and 4-split cf-multisplit, both cross-validated over four kernels); "
             f"cf_split_estimate_bound: the d = 1 {SAMPLE}, m = n/2, compute_discrepancy="
-            "True.  kernel_entries: Stein-kernel entries per call (a Gram counts one "
-            "triangle).  output_deviation: one whole mcmc_cv_d3 request "
-            "(master_seed 1), the largest relative estimate deviation per n and method "
-            "between the sides, and whether every lambda is identical"
+            "True.  output_deviation: one whole mcmc_cv_d3 request (master_seed 1), the "
+            "largest relative estimate deviation per n and method between the sides, and "
+            "whether every lambda is identical"
         ),
     },
     "gram_rows": {
@@ -622,9 +525,6 @@ TOPICS = {
         "layer": "estimator: kernel blocks of cells that share no kernel, and of shared cells",
         "sizes": (100, 200, 500, 1000),
         "cases": _gram_rows_cases,
-        "peak": (),
-        "peak_mib": ("lone_cf_split_cell", "lone_cv_multisplit_cell"),
-        "entries": True,
         "deviation_rows": _gram_rows_request_rows,
         "method": (
             "size = n; lone_cf_split_cell: run_experiment of the benchmark's study_d1 "
@@ -632,13 +532,10 @@ TOPICS = {
             "n_grid [n], one replication, master_seed n; lone_cv_multisplit_cell: the "
             "same with a 4-split cf-multisplit cross-validated over the benchmark's four "
             "kernels as its only method; study_d1_cell and mcmc_cv_d3_cell as in "
-            "BENCH_gram_cache.json.  kernel_entries: Stein-kernel entries per call (a "
-            "Gram counts one triangle).  tracemalloc_peak_mib: the largest tracemalloc "
-            "peak of one call over the repeats.  output_deviation: both lone studies "
-            "over study_d1's n_grid with two replications (master_seed 1), then one "
-            "whole mcmc_cv_d3 request (master_seed 1); the largest relative estimate "
-            "deviation per n and method between the sides, and whether every lambda is "
-            "identical"
+            "BENCH_gram_cache.json.  output_deviation: both lone studies over study_d1's "
+            "n_grid with two replications (master_seed 1), then one whole mcmc_cv_d3 "
+            "request (master_seed 1); the largest relative estimate deviation per n and "
+            "method between the sides, and whether every lambda is identical"
         ),
     },
     "fit_solve": {
@@ -646,7 +543,6 @@ TOPICS = {
         "layer": "estimator: Cholesky and triangular solves (_fit_coefficients)",
         "sizes": (12, 25, 50, 100, 250, 1000),
         "cases": _fit_solve_cases,
-        "peak": (),
         "deviation_rows": _mcmc_request_rows,
         "method": (
             f"{SAMPLE}; size = m, the kernel system's size; fit_coefficients_auto: "
@@ -665,19 +561,11 @@ TOPICS = {
         "topic": "cold start: cfmc imports at module level only what every run uses",
         "layer": "process start-up: import cfmc, cfmc.cli and one cfmc estimate --bound",
         "sizes": (200, 2000),
-        "measure": _cold_start,
-        "unit": "ms of CPU time, raw (not scaled), median over repeats",
-        "timing": "one fresh worker per side and repeat, sides alternating; each "
-                  "number from its own fresh interpreter, run once",
+        "cases": _cold_start_cases,
         "method": (
-            "import_cfmc_cli: CPU time of `import cfmc, cfmc.cli` in a fresh "
-            "interpreter (modules_loaded: len(sys.modules) after it); "
-            "cfmc_estimate_bound/n: `python -m cfmc estimate FILE --method cf-split "
-            "--bound --fnorm 1 --output json` on a d = 1 standard Gaussian sample file "
-            "of n rows (f = sin(pi x), default_rng(n)), as a child process: CPU time "
-            "(user + system, from os.wait4), wall time and ru_maxrss.  "
-            "estimate_outputs_identical: every repeat's stdout the same bytes on both "
-            "sides"
+            f"import_cfmc_cli: `python -c \"{IMPORT_PROBE}\"` as a child process, the "
+            "interpreter's own start-up included; its stdout, the number of modules "
+            f"loaded, is its result.  cfmc_estimate_bound/n: {BOUND_PROCESS}"
         ),
     },
     "gram_exact_passes": {
@@ -685,8 +573,6 @@ TOPICS = {
         "layer": "kernel: gram_matrix / stein_kernel_matrix (Stein-Gram assembly)",
         "sizes": (200, 500, 1000, 2000),
         "cases": _gram_exact_cases,
-        "peak": (),
-        "digests": True,
         "deviation_rows": _study_d1_and_mcmc_request_rows,
         "method": (
             "standard Gaussian sample with f = sin(pi x), alpha1 = 0.1, automatic lambda, "
@@ -694,9 +580,7 @@ TOPICS = {
             "division pass, or a multiply) and 1.5 (divisions kept); size = n; "
             "stein_kernel_matrix between two independent n-point samples; "
             "cf_split_estimate_bound: d = 1, alpha2 = 1.0, m = n/2, compute_discrepancy="
-            "True.  result_bytes_identical: every call's result (matrix bytes by "
-            "SHA-256, estimate by repr) the same on both sides in every repeat.  "
-            "output_deviation: one study_d1 request (10 replications) and one "
+            "True.  output_deviation: one study_d1 request (10 replications) and one "
             "mcmc_cv_d3 request (master_seed 1), the largest relative estimate "
             "deviation per n and method between the sides, and whether every lambda "
             "is identical"
@@ -708,8 +592,6 @@ TOPICS = {
         "layer": "estimator: select_lambda (regularisation choice)",
         "sizes": (200, 250, 500, 1000),
         "cases": _lambda_pivoted_cases,
-        "peak": (),
-        "digests": True,
         "deviation_rows": _study_d1_and_mcmc_request_rows,
         "method": (
             f"{SAMPLE}; size = m, the kernel system's size; select_lambda on the "
@@ -717,12 +599,10 @@ TOPICS = {
             "sample; select_lambda_mcmc_d3: of an m-step Metropolis chain targeting "
             "N(0, I_3), step 1.0, as in the benchmark's mcmc_cv_d3); "
             "cf_split_estimate_bound: cf_split_estimate on n = 2m points with a random "
-            "m-point fitting set and compute_discrepancy=True.  result_bytes_identical: "
-            "every call's result (lambda and estimate by repr) the same on both sides "
-            "in every repeat.  output_deviation: one study_d1 request (10 "
-            "replications) and one mcmc_cv_d3 request (master_seed 1), the largest "
-            "relative estimate deviation per n and method between the sides, and "
-            "whether every lambda is identical"
+            "m-point fitting set and compute_discrepancy=True.  output_deviation: one "
+            "study_d1 request (10 replications) and one mcmc_cv_d3 request (master_seed "
+            "1), the largest relative estimate deviation per n and method between the "
+            "sides, and whether every lambda is identical"
         ),
     },
     "lambda_one_test": {
@@ -731,29 +611,16 @@ TOPICS = {
         "layer": "estimator: select_lambda (regularisation choice)",
         "sizes": (200, 250, 500, 1000),
         "cases": _lambda_one_test_cases,
-        "loops": lambda size: max(5, 4_000_000 // (size * size)),
-        "timing": (
-            "one fresh worker per side and repeat, sides alternating; one warm-up "
-            "call, then the mean of max(5, 4000000 // size^2) timed calls, scaled by "
-            f"{Reference.NOMINAL_S} s over the mean of the perfbench reference rounds "
-            "timed right before and after them"
-        ),
-        "peak": (),
-        "digests": True,
-        "cholesky_tests": True,
         "deviation_rows": _study_d1_and_mcmc_request_rows,
         "method": (
             f"{SAMPLE}; size = m, the kernel system's size; lambda_search: "
             "estimator._lambda_search (select_lambda without its input checks) on the "
             "precomputed m x m Gram of a d = 1 sample (lambda_search_d3: of a d = 3 "
             "sample; lambda_search_mcmc_d3: of an m-step Metropolis chain targeting "
-            "N(0, I_3), step 1.0, as in the benchmark's mcmc_cv_d3).  cholesky_test_sizes: the matrix size of "
-            "every Cholesky test (estimator._exceeds) one call runs, in call order; "
-            "cholesky_tests: their number.  result_bytes_identical: every lambda, by "
-            "repr, the same on both sides in every repeat.  output_deviation: one "
-            "study_d1 request (10 replications) and one mcmc_cv_d3 request (master_seed "
-            "1), the largest relative estimate deviation per n and method between the "
-            "sides, and whether every lambda is identical"
+            "N(0, I_3), step 1.0, as in the benchmark's mcmc_cv_d3).  output_deviation: "
+            "one study_d1 request (10 replications) and one mcmc_cv_d3 request "
+            "(master_seed 1), the largest relative estimate deviation per n and method "
+            "between the sides, and whether every lambda is identical"
         ),
     },
     "split_memory": {
@@ -761,27 +628,13 @@ TOPICS = {
                  "fit, K10 and K1 assembled after it",
         "layer": "estimator: the working set of the kernel fit and the split estimators",
         "sizes": (500, 2000, 4000),
-        "measure": _split_memory,
         "cases": _split_memory_cases,
-        "peak": (),
-        "peak_mib": tuple(f"{name}_d{d}" for d in (1, 3) for name in SPLIT_MEMORY_NAMES),
-        # m: n/2 for a split, n for the simplified estimator.
-        "peak_square": lambda name, n: n if name.startswith("cf_simplified") else n // 2,
-        "digests": True,
         "method": (
             f"{SAMPLE}, in d = 1 (suffix _d1) and d = 3 (_d3); size = n; "
             "cf_split_estimate_bound: cf_split_estimate with a random m = n/2 fitting "
             "set and compute_discrepancy=True; cf_weights: the same split's weights; "
-            "cf_simplified_estimate: m = n.  tracemalloc_peak_mib: the largest "
-            "tracemalloc peak of one call over the repeats; tracemalloc_peak_over_8m2: "
-            "that peak over 8m^2 bytes, one m x m float64 matrix.  "
-            "cfmc_estimate_bound/2000: `python -m cfmc estimate FILE --method cf-split "
-            "--bound --fnorm 1 --output json` on a d = 1 standard Gaussian sample file "
-            "of 2000 rows (f = sin(pi x), default_rng(2000)) as a child process, wall "
-            "time, CPU time (user + system, from os.wait4, not scaled) and ru_maxrss, "
-            "each repeat's value under the matching *_all_* key.  result_bytes_identical: every call's result "
-            "(estimates by repr, weights by SHA-256, the process's stdout) the same on "
-            "both sides in every repeat"
+            "cf_simplified_estimate: m = n.  An m x m float64 matrix takes 8m^2 bytes.  "
+            f"cfmc_estimate_bound/2000: {BOUND_PROCESS}"
         ),
     },
     "lambda_select": {
@@ -789,7 +642,6 @@ TOPICS = {
         "layer": "estimator: select_lambda (regularisation choice)",
         "sizes": (100, 150, 200, 250, 500, 1000, 2000),
         "cases": _lambda_select_cases,
-        "peak": (),
         "method": (
             f"{SAMPLE}; size = m, the kernel system's size; select_lambda on the "
             "precomputed m x m Gram of a d = 1 sample (select_lambda_d3: of a d = 3 "
@@ -803,135 +655,82 @@ TOPICS = {
     },
 }
 
-
-def measure(topic: str) -> dict:
-    """One repeat of ``topic``, by its own ``measure`` if it has one."""
-    spec = TOPICS[topic]
-    return spec.get("measure", _measure_cases)(spec)
-
-
-def _measure_cases(spec) -> dict:
-    """One repeat of the topic's cases: CPU seconds per (function, size),
-    assembly peak ratios, and where the topic asks for them, peaks in MiB
-    (and over 8m^2 bytes), kernel entries and output rows."""
-    reference = Reference()
-    times, peaks, peaks_mib, entries, cholesky, outputs = {}, {}, {}, {}, {}, {}
-    raw, minflt = {}, {}
-    squares = {}
-    for size in spec["sizes"]:
-        # At least ~20 ms per timing at small sizes, unless the topic asks for more.
-        loops = spec.get("loops", lambda size: max(1, 200_000 // (size * size)))(size)
-        for name, call in spec["cases"](size).items():
-            if spec.get("digests"):  # of the warm-up call
-                outputs[f"{name}/{size}"] = _digest(call())
-            else:
-                call()
-            before = reference.sample()
-            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            start = time.process_time()
-            for _ in range(loops):
-                call()
-            cpu = (time.process_time() - start) / loops
-            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-            speed = Reference.NOMINAL_S / (0.5 * (before + reference.sample()))
-            times[f"{name}/{size}"] = cpu * speed
-            if spec.get("faults"):
-                raw[f"{name}/{size}"] = cpu
-                minflt[f"{name}/{size}"] = faults / loops
-            if name in spec["peak"] or name in spec.get("peak_mib", ()):
-                tracemalloc.start()
-                try:
-                    result = call()
-                    peak = tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
-                if name in spec["peak"]:
-                    peaks[f"{name}/{size}"] = peak / result.nbytes
-                else:
-                    peaks_mib[f"{name}/{size}"] = peak / 2**20
-                if "peak_square" in spec:
-                    squares[f"{name}/{size}"] = peak / (8 * spec["peak_square"](name, size) ** 2)
-            if spec.get("entries"):
-                with _counting_entries() as count:
-                    call()
-                entries[f"{name}/{size}"] = count[0]
-            if spec.get("cholesky_tests"):
-                with _recording_cholesky_tests() as sizes:
-                    call()
-                cholesky[f"{name}/{size}"] = sizes
-    rows = spec["deviation_rows"]() if "deviation_rows" in spec else []
-    report = {"cpu_s": times, "peak_over_result": peaks, "peak_mib": peaks_mib,
-              "kernel_entries": entries, "rows": rows}
-    if outputs:
-        report["outputs"] = outputs
-    if squares:
-        report["peak_over_square"] = squares
-    if cholesky:
-        report["cholesky_test_sizes"] = cholesky
-    if spec.get("faults"):
-        report.update(raw_cpu_s=raw, minflt=minflt)
-    return report
+UNIT = ("ms of CPU time per call, median over repeats: scaled to the reference speed for "
+        "an in-process case, raw for a child command")
+TIMING = (
+    "one fresh worker per side, case and repeat, sides alternating; a worker builds its "
+    "topic's inputs and calls only its own case, at every size that offers it.  An "
+    "in-process case (key name/size): one warm-up call, then the mean CPU time of "
+    f"max({MIN_CALLS}, ceil({TIMED_S} s / the warm-up's CPU time)) timed calls "
+    f"(timed_calls_*), scaled by {Reference.NOMINAL_S} s over the mean of the perfbench "
+    "reference rounds timed right before and after them (raw_cpu_*: unscaled; "
+    "minor_faults_*: getrusage(RUSAGE_SELF).ru_minflt per timed call); then one call under "
+    "tracemalloc (tracemalloc_peak_mib: its peak, the largest over the repeats; "
+    "tracemalloc_peak_over_result: that peak over the result's bytes where the result is "
+    "an array) and two spies: kernel_entries, the Stein-kernel entries it assembles (a "
+    "Gram counts one triangle), and cholesky_test_sizes, the size of every Cholesky test "
+    "(estimator._exceeds) of its lambda searches, in call order.  A child command (keyed "
+    "by its name alone) runs once: CPU time (user + system, from os.wait4, not scaled), "
+    "wall time (wall_*), ru_maxrss (maxrss_*) and ru_minflt (minor_faults_*).  "
+    "result_bytes_identical: every result (an array by SHA-256, a child's stdout and any "
+    "other value by repr) the same on both sides in every repeat"
+)
+# (record field, report label, scale) of each number reported by its median
+# over the repeats, beside every repeat's value.
+MEDIANS = (
+    ("cpu_s", "median_ms", 1e3),
+    ("raw_cpu_s", "raw_cpu_median_ms", 1e3),
+    ("minflt", "minor_faults_median", 1.0),
+    ("calls", "timed_calls_median", 1.0),
+    ("wall_s", "wall_median_ms", 1e3),
+    ("maxrss_mb", "maxrss_median_mb", 1.0),
+)
 
 
-def _run_worker(src: str, topic: str) -> dict:
-    env = dict(os.environ, PYTHONPATH=src, **{v: "1" for v in THREAD_VARS})
+def _run_worker(env: dict, topic: str, case: str = "") -> dict:
+    """A worker's answer: the survey of ``topic`` without ``case``, else the
+    records of ``case``."""
+    # The script that started this run, so that a topic a wrapper script adds
+    # to TOPICS is found in the worker too.
     out = subprocess.run(
-        [sys.executable, __file__, "--worker", "--topic", topic],
+        [sys.executable, sys.argv[0], "--topic", topic, "--worker", case],
         env=env, check=True, capture_output=True, text=True,
     ).stdout
     return json.loads(out.splitlines()[-1])
 
 
 def _summary(runs: list[dict]) -> dict:
-    cpu = {k: [r["cpu_s"][k] for r in runs] for k in runs[0]["cpu_s"]}
-    peak = {k: max(r["peak_over_result"][k] for r in runs) for k in runs[0]["peak_over_result"]}
-    summary = {
-        "median_ms": {k: round(1e3 * statistics.median(v), 3) for k, v in cpu.items()},
-        "all_ms": {k: [round(1e3 * t, 3) for t in v] for k, v in cpu.items()},
-        "iqr_over_median": {
-            k: round((q[2] - q[0]) / statistics.median(v), 3)
-            for k, v in cpu.items()
-            for q in [statistics.quantiles(v, n=4)]
-        },
+    """One side's medians over the repeats, every repeat's value, the largest
+    peaks and the spies' counts, each over the cases whose records have
+    them."""
+    def values(field):
+        return {k: [run[k][field] for run in runs]
+                for k, record in runs[0].items() if record.get(field) is not None}
+
+    summary = {}
+    for field, label, scale in MEDIANS:
+        for k, v in values(field).items():
+            summary.setdefault(label, {})[k] = round(scale * statistics.median(v), 3)
+            summary.setdefault(label.replace("median", "all"), {})[k] = [
+                round(scale * x, 3) for x in v
+            ]
+    summary["iqr_over_median"] = {
+        k: round((q[2] - q[0]) / statistics.median(v), 3)
+        for k, v in values("cpu_s").items()
+        for q in [statistics.quantiles(v, n=4)]
     }
-    if peak:
-        summary["tracemalloc_peak_over_result"] = {k: round(v, 2) for k, v in peak.items()}
-    if runs[0]["peak_mib"]:
-        summary["tracemalloc_peak_mib"] = {
-            k: round(max(r["peak_mib"][k] for r in runs), 2) for k in runs[0]["peak_mib"]
-        }
-    if "peak_over_square" in runs[0]:
-        summary["tracemalloc_peak_over_8m2"] = {
-            k: round(max(r["peak_over_square"][k] for r in runs), 2)
-            for k in runs[0]["peak_over_square"]
-        }
-    if runs[0]["kernel_entries"]:
-        summary["kernel_entries"] = runs[0]["kernel_entries"]
-    if "cholesky_test_sizes" in runs[0]:
-        sizes = runs[0]["cholesky_test_sizes"]
-        summary["cholesky_tests"] = {k: len(v) for k, v in sizes.items()}
-        summary["cholesky_test_sizes"] = sizes
-    for name, label, scale in (("wall_s", "wall_median_ms", 1e3),
-                               ("process_cpu_s", "process_cpu_median_ms", 1e3),
-                               ("raw_cpu_s", "raw_cpu_median_ms", 1e3),
-                               ("minflt", "minor_faults_median", 1.0),
-                               ("maxrss_mb", "maxrss_median_mb", 1.0)):
-        if name in runs[0]:
-            summary[label] = {
-                k: round(scale * statistics.median(r[name][k] for r in runs), 3)
-                for k in runs[0][name]
-            }
-            summary[label.replace("median", "all")] = {
-                k: [round(scale * r[name][k], 3) for r in runs] for k in runs[0][name]
-            }
-    if "modules" in runs[0]:
-        summary["modules_loaded"] = sorted({r["modules"] for r in runs})
-    return summary
+    for field, label in (("peak_mib", "tracemalloc_peak_mib"),
+                         ("peak_over_result", "tracemalloc_peak_over_result")):
+        summary[label] = {k: round(max(v), 2) for k, v in values(field).items()}
+    for field in ("kernel_entries", "cholesky_test_sizes"):
+        summary[field] = {k: v[0] for k, v in values(field).items()}
+    return {label: numbers for label, numbers in summary.items() if numbers}
 
 
 def _row_deviation(before: list, after: list) -> dict:
     """Per n and method, the largest relative deviation of the estimates of
-    matching rows, and whether every lambda is identical."""
+    matching rows, and whether every lambda is identical.  An estimate that
+    is empty on one side only deviates by 1."""
     if len(before) != len(after):
         raise ValueError("the two sides returned different rows")
     worst, lambda_diffs = {}, 0
@@ -949,7 +748,7 @@ def _row_deviation(before: list, after: list) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--worker", nargs="?", const="", help=argparse.SUPPRESS)
     parser.add_argument("--topic", choices=sorted(TOPICS), required=True)
     parser.add_argument("--before")
     parser.add_argument("--after")
@@ -958,36 +757,39 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=7)
     parser.add_argument("--out", help="default: BENCH_<topic>.json")
     args = parser.parse_args(argv)
-    if args.worker:
-        print(json.dumps(measure(args.topic)))
+    spec = TOPICS[args.topic]
+    if args.worker is not None:
+        print(json.dumps(_measure(spec, args.worker) if args.worker else _survey(spec)))
         return 0
     if not (args.before and args.after):
         parser.error("--before and --after are required")
     if args.repeats < 2:
         parser.error("--repeats must be at least 2, to give a spread")
-    sides = {"before": (args.before, []), "after": (args.after, [])}
-    for r in range(args.repeats):
-        order = ("before", "after") if r % 2 == 0 else ("after", "before")
-        for side in order:
-            src, runs = sides[side]
-            runs.append(_run_worker(src, args.topic))
-    spec = TOPICS[args.topic]
+    runs = {"before": [], "after": []}
+    with tempfile.TemporaryDirectory() as samples:
+        for rows in SAMPLE_ROWS:
+            write_bound_sample(Path(samples) / f"bound_n{rows}.csv", rows, 1)
+        envs = {side: dict(checkout_env(Path(src)), **{SAMPLES: samples})
+                for side, src in (("before", args.before), ("after", args.after))}
+        surveys = {side: _run_worker(env, args.topic) for side, env in envs.items()}
+        names = surveys["before"]["cases"]
+        if surveys["after"]["cases"] != names:
+            raise SystemExit("the two sides offer different cases")
+        for r in range(args.repeats):
+            order = ("before", "after") if r % 2 == 0 else ("after", "before")
+            records = {side: {} for side in order}
+            for name in names:
+                for side in order:
+                    records[side].update(_run_worker(envs[side], args.topic, name))
+            for side, run in records.items():
+                runs[side].append(run)
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     report = {
         "topic": spec["topic"],
         "layer": spec["layer"],
-        "unit": spec.get(
-            "unit", "ms of CPU time per call at the reference speed, median over repeats"
-        ),
+        "unit": UNIT,
         "repeats": args.repeats,
-        # A topic that sets its own number of timed calls states it in its own
-        # timing sentence; the default sentence gives the default number.
-        "method": (spec["timing"] if "loops" in spec else spec.get("timing", (
-            "one fresh worker per side and repeat, sides alternating; one warm-up "
-            "call, then the mean of max(1, 200000 // size^2) timed calls, scaled by "
-            f"{Reference.NOMINAL_S} s over the mean of the perfbench reference rounds "
-            "timed right before and after them"
-        ))) + "; " + spec["method"],
+        "method": f"{TIMING}; {spec['method']}",
         "sizes": list(spec["sizes"]),
         "environment": {
             "python": platform.python_version(),
@@ -998,27 +800,22 @@ def main(argv=None) -> int:
             "nproc": os.cpu_count(),
             "machine": platform.machine(),
         },
-        "before": {"label": args.before_label, **_summary(sides["before"][1])},
-        "after": {"label": args.after_label, **_summary(sides["after"][1])},
+        "before": {"label": args.before_label, **_summary(runs["before"])},
+        "after": {"label": args.after_label, **_summary(runs["after"])},
     }
-    before, after = report["before"]["median_ms"], report["after"]["median_ms"]
-    report["after_over_before"] = {k: round(after[k] / before[k], 3) for k in before}
-    for name, label in (("wall_median_ms", "wall_after_over_before"),
-                        ("process_cpu_median_ms", "process_cpu_after_over_before"),
-                        ("raw_cpu_median_ms", "raw_cpu_after_over_before"),
-                        ("minor_faults_median", "minor_faults_after_over_before"),
-                        ("maxrss_median_mb", "maxrss_after_over_before")):
-        if name in report["after"]:
-            old, new = report["before"][name], report["after"][name]
-            report[label] = {k: round(new[k] / old[k], 3) if old[k] else None for k in old}
-    if "outputs" in sides["before"][1][0]:
-        identical = "result_bytes_identical" if spec.get("digests") else "estimate_outputs_identical"
-        report[identical] = all(
-            b["outputs"] == a["outputs"] for b, a in zip(sides["before"][1], sides["after"][1])
-        )
+    for _, label, _ in MEDIANS:
+        if label in report["before"]:
+            old, new = report["before"][label], report["after"][label]
+            ratio = label.split("median")[0] + "after_over_before"
+            report[ratio] = {k: round(new[k] / old[k], 3) if old[k] else None for k in old}
+    differ = sorted({k for b, a in zip(runs["before"], runs["after"])
+                     for k in b if b[k]["result"] != a[k]["result"]})
+    report["result_bytes_identical"] = not differ
+    if differ:
+        report["results_differ"] = differ
     if "deviation_rows" in spec:
         report["output_deviation"] = _row_deviation(
-            sides["before"][1][0]["rows"], sides["after"][1][0]["rows"]
+            surveys["before"]["rows"], surveys["after"]["rows"]
         )
     with open(args.out or f"BENCH_{args.topic}.json", "w") as fh:
         json.dump(report, fh, indent=1)

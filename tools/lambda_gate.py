@@ -114,9 +114,10 @@ METHOD_COMMANDS = tuple(
 DIAGNOSE_COMMAND = ("diagnose", "--target", "bimodal-mixture", "--sample-size", "200")
 
 
-def checkout_env(checkout: Path) -> dict[str, str]:
-    """The environment that runs ``cfmc`` from ``checkout`` on one thread."""
-    return dict(os.environ, PYTHONPATH=str(checkout / "src"), **{v: "1" for v in THREAD_VARS})
+def checkout_env(src: Path) -> dict[str, str]:
+    """The environment that runs ``cfmc`` from the source directory ``src`` on
+    one thread."""
+    return dict(os.environ, PYTHONPATH=str(src), **{v: "1" for v in THREAD_VARS})
 
 
 def run_bench(checkout: Path, config: str, out_dir: Path) -> Path:
@@ -124,7 +125,7 @@ def run_bench(checkout: Path, config: str, out_dir: Path) -> Path:
     subprocess.run(
         [sys.executable, "-m", "cfmc", "bench", config, "--threads", "1",
          "--out-dir", str(out_dir)],
-        cwd=checkout, env=checkout_env(checkout), check=True, stdout=subprocess.DEVNULL,
+        cwd=checkout, env=checkout_env(checkout / "src"), check=True, stdout=subprocess.DEVNULL,
     )
     return out_dir
 
@@ -145,7 +146,7 @@ def run_cfmc(checkout: Path, command: tuple[str, ...]) -> bytes:
     """What ``cfmc COMMAND`` prints from ``checkout``."""
     return subprocess.run(
         [sys.executable, "-m", "cfmc", *command],
-        cwd=checkout, env=checkout_env(checkout), check=True, stdout=subprocess.PIPE,
+        cwd=checkout, env=checkout_env(checkout / "src"), check=True, stdout=subprocess.PIPE,
     ).stdout
 
 
