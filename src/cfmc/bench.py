@@ -50,7 +50,8 @@ class MethodSpec:
     ``alpha1``/``alpha2`` fix the kernel hyper-parameters unless a non-empty
     ``cv_grid`` is given, in which case they are selected per replication by
     hold-out validation on the fitting samples.  ``label`` names the method
-    in reports and defaults to the tag.  Every field is checked here.
+    in reports and defaults to the tag.  Every field is checked here, and the
+    kernel that checks ``alpha1``/``alpha2`` is kept for :meth:`kernel_params`.
     """
 
     method: str
@@ -66,6 +67,7 @@ class MethodSpec:
         params = SteinKernelParams(self.alpha1, self.alpha2)
         object.__setattr__(self, "alpha1", params.alpha1)
         object.__setattr__(self, "alpha2", params.alpha2)
+        object.__setattr__(self, "_kernel", params)
         object.__setattr__(self, "lambda_", _lambda_value(self.lambda_))
         if self.cv_grid is not None:
             object.__setattr__(self, "cv_grid", _cv_grid(self.cv_grid))
@@ -77,7 +79,7 @@ class MethodSpec:
         return self.label or self.method
 
     def kernel_params(self) -> SteinKernelParams:
-        return SteinKernelParams(alpha1=self.alpha1, alpha2=self.alpha2)
+        return self._kernel
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -121,6 +121,17 @@ class SplitPlan:
         object.__setattr__(self, "index_d0", d0)
         object.__setattr__(self, "index_d1", d1)
 
+    @classmethod
+    def _of_permutation(cls, perm: np.ndarray, m: int) -> "SplitPlan":
+        """The plan D0 = ``perm[:m]``, D1 = ``perm[m:]`` of a permutation
+        ``perm`` of 0..n-1 (an integer array) and 1 <= m <= n.  Its halves
+        partition 0..n-1 by construction, so the plan skips the checks of
+        :meth:`__post_init__`, which every plan a caller builds still runs."""
+        plan = object.__new__(cls)
+        object.__setattr__(plan, "index_d0", perm[:m])
+        object.__setattr__(plan, "index_d1", perm[m:])
+        return plan
+
     @property
     def m(self) -> int:
         return self.index_d0.size
@@ -136,14 +147,13 @@ def random_split(n: int, m: int, seed, index: int = 0) -> SplitPlan:
     ``index`` selects an independent stream derived from ``seed``, so a family
     of splits (e.g. for multi-splitting) is reproducible and order-free.
     """
-    m = _count("m", m, 1)
+    n, m = _count("n", n, 1), _count("m", m, 1)
     if m > n:
         raise _bad("m", f"at most n={n}", m)
     seq = _seed_sequence(seed)
     stream = np.random.SeedSequence(entropy=seq.entropy, spawn_key=tuple(seq.spawn_key) + (index,))
     rng = np.random.Generator(np.random.Philox(stream))
-    perm = rng.permutation(n)
-    return SplitPlan(index_d0=perm[:m], index_d1=perm[m:])
+    return SplitPlan._of_permutation(rng.permutation(n), m)
 
 
 def _seed_sequence(seed) -> np.random.SeedSequence:

@@ -113,7 +113,7 @@ def _symmetric(k0: np.ndarray) -> bool:
 
 
 def _check_finite(k0: np.ndarray) -> None:
-    if not np.all(np.isfinite(k0)):
+    if not np.isfinite(k0).all():
         raise InvalidInputError("k0 contains non-finite entries")
 
 
@@ -146,8 +146,7 @@ def _exceeds(k0: np.ndarray, shift: float, work: np.ndarray) -> bool:
     """Whether the symmetric ``k0 - shift*I`` has a Cholesky factor, computed
     in the Fortran-ordered ``work`` as in :func:`_fit_coefficients`."""
     np.copyto(work, k0.T)  # k0' is Fortran-ordered: a straight copy
-    diag = np.arange(k0.shape[0])
-    work[diag, diag] -= shift
+    work.ravel(order="F")[:: k0.shape[0] + 1] -= shift
     return dpotrf(work, lower=1, clean=0, overwrite_a=1)[1] == 0
 
 
@@ -451,7 +450,7 @@ class _Fit:
         :meth:`discrepancy` read of K10.  A non-finite entry of K10 makes its
         column sum in g non-finite, which raises InvalidInputError."""
         g = k10.T @ np.ones(k10.shape[0])
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise InvalidInputError("k10 contains non-finite entries")
         h = cho_solve(self.chol, g)
         return g, h, float(np.ones(h.shape[0]) @ h)
@@ -512,8 +511,8 @@ def _fit_coefficients(k0: np.ndarray, lambda_: float | None) -> _Fit:
     # A Fortran-ordered copy lets LAPACK factorise it in place; k0 is
     # symmetric, so copying k0' is a straight copy.
     system = np.array(k0.T, dtype=float, order="F")
-    diag = np.arange(m)
-    system[diag, diag] += lam * m
+    # Its diagonal is every (m + 1)-th entry of the contiguous copy.
+    system.ravel(order="F")[:: m + 1] += lam * m
     try:
         chol = cho_factor(system)
     except np.linalg.LinAlgError as exc:
@@ -626,12 +625,16 @@ class _GramRows(ScoredDataset):
     Gram of ``whole`` per kernel in ``shared``.  The first use of any of
     them assembles all of them, in one pass, into ``grams``, which every
     subset of the view shares, so a fitting set or a cross-validation set of
-    it keeps the Grams.
+    it keeps the Grams.  Its rows are taken straight from ``whole``, a
+    checked dataset, at ``index``, which :meth:`subset` checks, so the view
+    runs no second check of them.
     """
 
     def __init__(self, whole: ScoredDataset, shared, index=slice(None), grams=None):
-        rows = whole if isinstance(index, slice) else whole.subset(index)
-        super().__init__(rows.points, rows.scores, rows.f_values)
+        every = isinstance(index, slice)
+        for name in ("points", "scores", "f_values"):
+            values = getattr(whole, name)
+            object.__setattr__(self, name, values if every else values[index])
         object.__setattr__(self, "whole", whole)
         object.__setattr__(self, "shared", frozenset(shared))
         object.__setattr__(self, "index", index)
@@ -737,11 +740,13 @@ def cf_split_estimate(
     f1_hat = c_hat + k10 @ beta
     # A non-finite K10 entry makes its row's prediction non-finite (inf*0
     # is NaN): an O(n - m) check.
-    if not np.all(np.isfinite(f1_hat)):
+    if not np.isfinite(f1_hat).all():
         raise InvalidInputError("k10 contains non-finite entries")
     held = fit.held_out(k10) if compute_discrepancy else None
     del k10
-    star = float(np.mean(data.f_values[i1] - f1_hat))
+    residual = data.f_values[i1] - f1_hat
+    # The arithmetic of np.mean (a pairwise sum, then one division), without its dispatch.
+    star = float(residual.sum() / residual.size)
     disc = fit.discrepancy(held, _block(data, params, i1, i1)) if compute_discrepancy else None
     return Estimate(
         value=star + c_hat,
@@ -837,7 +842,7 @@ def cf_multisplit_estimate(
         if lam_used is None:
             lam_used = est.lambda_used
     return Estimate(
-        value=float(np.mean(values)),
+        value=float(values.sum() / n_splits),  # np.mean's arithmetic
         method="cf-multisplit",
         n=n,
         m=m,
@@ -869,15 +874,15 @@ def cross_validate(d0: ScoredDataset, grid, seed=0) -> SteinKernelParams:
     rng = np.random.Generator(np.random.Philox(_seed_sequence(seed)))
     perm = rng.permutation(m)
     train, test = perm[:m_train], perm[m_train:]
+    f_train, f_test = d0.f_values[train], d0.f_values[test]
     errors = np.full(len(grid), np.inf)
     failures = []
     for i, cand in enumerate(grid):
         try:
-            c_hat, beta = _fit_coefficients(_block(d0, cand, train, train), None).surrogate(
-                d0.f_values[train]
-            )
-            predicted = c_hat + _block(d0, cand, test, train) @ beta
-            error = float(np.linalg.norm(d0.f_values[test] - predicted))
+            c_hat, beta = _fit_coefficients(_block(d0, cand, train, train), None).surrogate(f_train)
+            residual = f_test - (c_hat + _block(d0, cand, test, train) @ beta)
+            # The arithmetic of np.linalg.norm on a vector, without its dispatch.
+            error = math.sqrt(residual.dot(residual))
             if not math.isfinite(error):
                 raise NumericalError(f"held-out error is {error}")
             errors[i] = error

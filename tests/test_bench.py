@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from cfmc import (
     InvalidInputError,
+    NumericalError,
     SteinKernelParams,
     arithmetic_mean,
     cf_multisplit_estimate,
@@ -437,6 +439,33 @@ class TestBothRoutesCheckEachSetting:
         assert str(err.value).startswith(f"config key {path}")
 
 
+class TestMethodSpecKernel:
+    """A spec's kernel is the one its ``__post_init__`` built to check
+    ``alpha1``/``alpha2``, and ``kernel_params`` returns it as it is."""
+
+    def test_kernel_params_is_the_checked_kernel(self):
+        spec = MethodSpec("cf-split", alpha1=np.float32(0.5), alpha2=2)
+        kernel = spec.kernel_params()
+        assert kernel == SteinKernelParams(spec.alpha1, spec.alpha2)
+        assert (kernel.alpha1, kernel.alpha2) == (0.5, 2.0)
+        assert type(kernel.alpha1) is type(kernel.alpha2) is float
+        assert spec.kernel_params() is kernel
+        # It is no field: specs compare, print and load as before.
+        assert spec == MethodSpec("cf-split", alpha1=0.5, alpha2=2.0)
+        assert "_kernel" not in repr(spec)
+        with pytest.raises(InvalidInputError, match="unknown config keys: methods\\[0\\]._kernel"):
+            load_config({"problem": "gaussian", "n_grid": [10, 20], "replications": 1,
+                         "master_seed": 1, "methods": [{"method": "cf-split", "_kernel": 1}]})
+
+    def test_replace_gives_a_spec_its_own_kernel(self):
+        spec = MethodSpec("cf-split", alpha1=0.1, alpha2=1.0)
+        other = dataclasses.replace(spec, alpha2=2.0)
+        assert other.kernel_params() == SteinKernelParams(0.1, 2.0)
+        assert spec.kernel_params() == SteinKernelParams(0.1, 1.0)
+        with pytest.raises(InvalidInputError, match="alpha1 must be a positive finite"):
+            dataclasses.replace(spec, alpha1=-1.0)
+
+
 class TestRunExperiment:
     def test_constant_integrand_has_zero_mse(self):
         config = small_config(methods=(MethodSpec("mean"),))
@@ -544,6 +573,41 @@ class TestRunExperiment:
             }
             assert f"cell (riemann, n={n}): every replication failed" in payload["notes"]
         assert payload["slopes"]["riemann"] is None
+
+    @pytest.mark.parametrize("every, replications, flagged", [(4, 8, True), (10, 10, False)])
+    def test_partly_failed_cell_is_noted(self, monkeypatch, every, replications, flagged):
+        # cf-simplified fails on every ``every``-th call: 2 of 8 replications
+        # of a cell (25%) flag it with a note, 1 of 10 (10%) does not.  Its
+        # statistics come from the replications that did not fail.
+        config = small_config(n_grid=(10, 20, 40), replications=replications)
+        calls = []
+
+        def failing(spec, *args, **kwargs):
+            if spec.method == "cf-simplified":
+                calls.append(None)
+                if len(calls) % every == 0:
+                    raise NumericalError("a fit that failed")
+            return run_estimator(spec, *args, **kwargs)
+
+        full = run_experiment(config)
+        monkeypatch.setattr(bench, "run_estimator", failing)
+        report = run_experiment(config)
+        failures = replications // every
+        for n in config.n_grid:
+            stats = report.cell("cf-simplified", n)
+            assert (stats.failures, stats.replications) == (failures, replications)
+            assert stats.flagged is flagged
+            note = f"cell (cf-simplified, n={n}): {failures}/{replications} replications failed"
+            assert (note in report.notes) is flagged
+            ran, kept = (
+                [row.estimate for row in rows if (row.method, row.n) == ("cf-simplified", n)]
+                for rows in (report.rows, full.rows)
+            )
+            failed = [(rep + 1) % every == 0 for rep in range(replications)]
+            assert ran == [None if fail else value for value, fail in zip(kept, failed)]
+            assert stats.mean_estimate == float(np.mean([v for v in ran if v is not None]))
+            assert report.cell("mean", n) == full.cell("mean", n)
+        assert not any("every replication failed" in note for note in report.notes)
 
     def test_non_finite_kernel_system_fails_its_rows_only(self):
         # Scores of 1e200 overflow the kernel system of every cell; the

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
 from cfmc import (
+    Estimate,
     InvalidInputError,
     MethodSpec,
     NumericalError,
@@ -837,6 +838,9 @@ class TestSettingRules:
                          id="n_splits=True"),
             pytest.param(lambda data: random_split(10, 5.5, 0), id="m=5.5"),
             pytest.param(lambda data: random_split(10, True, 0), id="m=True"),
+            pytest.param(lambda data: random_split(10.5, 5, 0), id="n=10.5"),
+            pytest.param(lambda data: random_split(True, 1, 0), id="n=True"),
+            pytest.param(lambda data: random_split(np.array([10]), 5, 0), id="n=array"),
         ],
     )
     def test_refuses_what_is_no_such_number(self, call, make_gaussian_dataset):
@@ -1158,6 +1162,27 @@ class TestSplitEstimate:
         assert plan.index_d0.tolist() == [2, 0] and plan.index_d1.tolist() == [1]
         assert plan.index_d0.dtype == plan.index_d1.dtype == np.dtype(int)
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        st.integers(1, 300).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+        st.integers(0, 2**64 - 1),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_random_split_partitions_the_indices(self, sizes, seed, index):
+        # random_split builds its plan without SplitPlan's checks, which its
+        # permutation must pass anyway: two 1-D integer index arrays that
+        # partition 0..n-1, the first of m indices.
+        n, m = sizes
+        plan = random_split(n, m, seed, index)
+        d0, d1 = plan.index_d0, plan.index_d1
+        assert d0.dtype == d1.dtype == np.dtype(int)
+        assert d0.ndim == d1.ndim == 1
+        assert (plan.m, plan.n) == (m, n)
+        assert np.array_equal(np.sort(np.concatenate([d0, d1])), np.arange(n))
+        checked = SplitPlan(d0, d1)
+        assert checked.index_d0.tobytes() == d0.tobytes()
+        assert checked.index_d1.tobytes() == d1.tobytes()
+
     def test_weights_require_evaluation_samples(self, make_gaussian_dataset):
         data = make_gaussian_dataset(6)
         plan = SplitPlan(index_d0=np.arange(6), index_d1=np.arange(0))
@@ -1175,6 +1200,27 @@ class TestSplitEstimate:
             data, random_split(12, 6, seed=4), PARAMS, compute_discrepancy=True
         )
         assert est.discrepancy is not None and est.discrepancy >= 0.0
+
+
+class TestEstimateRecord:
+    """An Estimate refuses a record that contradicts itself."""
+
+    def test_refuses_a_value_that_does_not_decompose(self):
+        fields = dict(method="cf-split", n=8, m=4, lambda_used=1e-3)
+        with pytest.raises(NumericalError, match="does not decompose into 0.25 \\+ 0.5"):
+            Estimate(value=1.0, term_star=0.25, term_star_star=0.5, **fields)
+        # Within 1e-12 relative the value is the sum of its terms; beyond, not.
+        est = Estimate(value=0.75 + 1e-13, term_star=0.25, term_star_star=0.5, **fields)
+        assert est.value == 0.75 + 1e-13
+        with pytest.raises(NumericalError, match="does not decompose"):
+            Estimate(value=0.75 + 1e-11, term_star=0.25, term_star_star=0.5, **fields)
+        assert Estimate(value=1.0, term_star=None, term_star_star=0.5, **fields).value == 1.0
+
+    def test_refuses_a_negative_discrepancy(self):
+        fields = dict(value=0.5, method="cf-split", n=8, m=4, lambda_used=1e-3)
+        with pytest.raises(InvalidInputError, match="discrepancy must be non-negative"):
+            Estimate(discrepancy=-1e-300, **fields)
+        assert Estimate(discrepancy=0.0, **fields).discrepancy == 0.0
 
 
 class TestSimplifiedEstimate:
@@ -1399,6 +1445,16 @@ class TestDiscrepancy:
 
 
 class TestCrossValidate:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(-1e150, 1e150), min_size=1, max_size=300))
+    def test_residual_arithmetic_has_the_bits_of_numpy(self, values):
+        # cross_validate scores by sqrt(r.r) and the split estimate averages
+        # by r.sum()/r.size: np.linalg.norm's and np.mean's arithmetic on a
+        # vector, without their dispatch.
+        r = np.array(values)
+        assert math.sqrt(r.dot(r)) == np.linalg.norm(r)
+        assert r.sum() / r.size == np.mean(r)
+
     def test_singleton_grid_returned(self, make_gaussian_dataset):
         assert cross_validate(make_gaussian_dataset(10), [PARAMS], seed=0) == PARAMS
 
@@ -1692,6 +1748,30 @@ class TestKernelCache:
         assert sorted(map(repr, calls[0][3:])) == sorted(map(repr, grid))
         for params in grid:
             assert view.grams[params].tobytes() == gram_matrix(data, params).tobytes()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(1, 40), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_view_rows_have_the_bytes_of_subset(self, n, d, seed):
+        # A view takes its rows straight from the whole dataset, with no
+        # second ScoredDataset check: they must be the rows subset gives,
+        # at every depth of subsets, repeated rows included.
+        rng = np.random.default_rng(seed)
+        points = rng.standard_normal((n, d))
+        data = ScoredDataset(points, -points, rng.standard_normal(n))
+        view, plain = estimator._GramRows(data, {PARAMS}), data
+        for _ in range(2):
+            index = rng.integers(0, len(view), rng.integers(1, 2 * n))
+            view, plain = view.subset(index), plain.subset(index)
+            assert len(view) == len(plain) == index.size
+            for name in ("points", "scores", "f_values"):
+                rows, want = getattr(view, name), getattr(plain, name)
+                assert rows.dtype == want.dtype and rows.shape == want.shape
+                assert rows.flags.c_contiguous
+                assert rows.tobytes() == want.tobytes()
+        whole = estimator._GramRows(data, {PARAMS})
+        assert whole.points is data.points and whole.f_values is data.f_values
+        with pytest.raises(InvalidInputError, match=f"must lie in 0..{n - 1}"):
+            whole.subset([n])
 
     @pytest.mark.parametrize("view", [False, True])
     def test_subset_refuses_boolean_mask(self, make_gaussian_dataset, view):

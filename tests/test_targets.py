@@ -170,6 +170,24 @@ class TestOracleMean:
         )
         assert oracle_mean(problem) == direct
 
+    def test_refuses_a_quadrature_error_above_tolerance(self, monkeypatch):
+        # nquad reports an error estimate of 1e-9, above the 1e-10 tolerance.
+        base = gaussian_problem(1)
+        problem = TargetProblem(
+            name="x2",
+            dimension=1,
+            score=base.score,
+            sampler=base.sampler,
+            integrand=lambda pts: np.atleast_2d(pts)[:, 0] ** 2,
+            true_mean=None,
+            normalised_density=base.normalised_density,
+        )
+        monkeypatch.setattr(integrate, "nquad", lambda *args, **kwargs: (1.0, 1e-9))
+        with pytest.raises(InvalidInputError, match="quadrature error estimate 1e-09 exceeds"):
+            oracle_mean(problem)
+        monkeypatch.setattr(integrate, "nquad", lambda *args, **kwargs: (1.0, 1e-10))
+        assert oracle_mean(problem) == 1.0
+
     def test_unsupported_dimension_rejected(self):
         base = gaussian_problem(3)
         problem = TargetProblem(

@@ -539,8 +539,9 @@ TOPICS = {
         ),
     },
     "fit_solve": {
-        "topic": "Cholesky factor and solves of the kernel system straight from LAPACK",
-        "layer": "estimator: Cholesky and triangular solves (_fit_coefficients)",
+        "topic": "the per-fit cost of a kernel fit: its finiteness check, lambda rule, "
+                 "Cholesky factor and solves, alone and in the cells that make many fits",
+        "layer": "estimator: the kernel fit (_fit_coefficients), Cholesky and triangular solves",
         "sizes": (12, 25, 50, 100, 250, 1000),
         "cases": _fit_solve_cases,
         "deviation_rows": _mcmc_request_rows,
