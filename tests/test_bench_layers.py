@@ -114,3 +114,18 @@ def test_row_deviation_with_an_estimate_empty_on_one_side_only():
         }
         assert deviation["lambda_identical"] is False
         assert deviation["rows"] == 3
+
+
+def test_one_topic_per_layer_and_each_case_in_one_topic(monkeypatch, tmp_path):
+    # The builders only draw samples and Grams; no case is called.
+    monkeypatch.setenv(bench_layers.SAMPLES, str(tmp_path))
+    topics = bench_layers.TOPICS
+    assert set(topics) == {"cold_start", "assembly", "lambda_select", "fit_solve", "cell"}
+    owners = collections.defaultdict(set)
+    for topic, spec in topics.items():
+        for size in spec["sizes"]:
+            cases = spec["cases"](size)
+            assert cases, (topic, size)
+            for name in cases:
+                owners[name].add(topic)
+    assert {name: t for name, t in owners.items() if len(t) > 1} == {}

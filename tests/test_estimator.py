@@ -31,7 +31,7 @@ from cfmc import (
     select_lambda,
     stein_kernel_matrix,
 )
-from cfmc import estimator, kernel
+from cfmc import _lapack, estimator, kernel
 from cfmc.estimator import _GUARDED_MIN_SIZE, CONDITION_LIMIT, LAMBDA_GRID
 from kernel_oracle import stein_kernel
 from split_discrepancy import split_discrepancy
@@ -355,6 +355,21 @@ class TestTopEigenvalue:
         expected = eigvalsh_rule(k0)
         calls = _spy(monkeypatch, np.linalg, "eigvalsh")
         assert select_lambda(k0) == expected
+        assert [e.shape for e in calls] == [(m,)]
+
+    def test_dstev_failure_falls_back(self, monkeypatch, make_gaussian_dataset):
+        # A full-rank d = 3 Gram drops its pivoted factor, so hi comes from
+        # Lanczos; with dstev reporting no convergence there is no hi, and
+        # the eigendecomposition decides lambda.
+        m = 200
+        k0 = gram_matrix(make_gaussian_dataset(m, d=3, seed=m), PARAMS)
+        expected = eigvalsh_rule(k0)
+        monkeypatch.setattr(estimator, "dstev", lambda d, e: (d, None, 1))
+        factors = _spy(monkeypatch, estimator, "_pivoted_factor")
+        tops = _spy(monkeypatch, estimator, "_top_eigenvalue")
+        calls = _spy(monkeypatch, np.linalg, "eigvalsh")
+        assert estimator._lambda_search(k0) == expected
+        assert factors == [None] and tops == [None]
         assert [e.shape for e in calls] == [(m,)]
 
 
@@ -1019,6 +1034,17 @@ class TestLapackCholesky:
         a = _spd_system(0, 5)
         c = estimator.cho_factor(a)
         assert c is a or np.shares_memory(c, a)
+
+    def test_illegal_argument_raises_value_error(self, monkeypatch):
+        # A negative dpotrf info, or any non-zero dpotrs info, names an
+        # argument LAPACK refused; the estimator's own arrays never cause one.
+        a = _spd_system(0, 5)
+        monkeypatch.setattr(_lapack, "dpotrf", lambda a, **options: (a, -2))
+        with pytest.raises(ValueError, match="^dpotrf: illegal value in argument 2$"):
+            _lapack.cho_factor(a)
+        monkeypatch.setattr(_lapack, "dpotrs", lambda c, b, **options: (b, -3))
+        with pytest.raises(ValueError, match="^dpotrs: illegal value in argument 3$"):
+            _lapack.cho_solve(a, np.ones(5))
 
 
 def _traced_peak(call) -> int:

@@ -3,9 +3,17 @@
     python tools/bench_layers.py --topic lambda_select --before OLD/src --after src \
         --before-label <commit> --after-label <commit>
 
-``--topic`` picks a layer, its sizes, the builder of its cases and the text
-saying what each case runs from ``TOPICS``.  A case is an in-process call or a
-child command, and every case is measured alike.  Each repeat runs one fresh
+``TOPICS`` holds one topic per layer: ``cold_start`` (process start-up),
+``assembly`` (Stein-Gram assembly), ``lambda_select`` (lambda selection),
+``fit_solve`` (the kernel fit, its Cholesky factor and triangular solves, and
+the split estimators' working set) and ``cell`` (one bench cell's shared
+Grams, kernel blocks and scratch).  A topic offers each distinct call of its
+layer once, under one name, at its sizes, with the text saying what each
+case runs.  A change that no case of its layer carries adds a case to that
+layer's topic, never a topic of its own.
+
+``--topic`` picks the layer.  A case is an in-process call or a child
+command, and every case is measured alike.  Each repeat runs one fresh
 worker per side and case, sides alternating, with ``cfmc`` imported from the
 given source directory and every BLAS/OpenMP thread count pinned to 1
 (``lambda_gate.checkout_env``); the worker builds its topic's inputs and calls
@@ -59,7 +67,11 @@ MIN_CALLS = 3
 # count of SAMPLE_ROWS, named in the worker's environment.
 SAMPLES = "BENCH_LAYERS_SAMPLES"
 SAMPLE_ROWS = (200, 2000)
-SAMPLE = "standard Gaussian sample with f = sin(pi x), alpha = (0.1, 1.0), automatic lambda"
+SAMPLE = (
+    "the sample of n rows of gaussian_problem(d) drawn by default_rng(n), in d = 1 (suffix "
+    "_d1) or d = 3 (_d3): x ~ N(0, I_d), scores -x, f = sin(pi (x_1 + ... + x_d) / d); "
+    "alpha = (0.1, 1.0), automatic lambda"
+)
 BOUND_PROCESS = (
     "`python -m cfmc estimate FILE --method cf-split --bound --fnorm 1 --output json` as a "
     "child process, on a d = 1 sample file of n rows (x from random.Random(20140917).gauss, "
@@ -79,7 +91,9 @@ def _problem(d, size):
     return cfmc, cfmc.gaussian_problem(d).dataset(rng, size), rng
 
 
-def _kernel_cases(n, d=1, alpha2=1.0):
+def _kernel_calls(d, n, alpha2=1.0):
+    """The one-kernel calls on the d-dimensional sample of n rows at alpha =
+    (0.1, alpha2); the split ones on one split with m = n/2."""
     cfmc, data, rng = _problem(d, n)
     other = cfmc.gaussian_problem(d).dataset(rng, n)
     params = cfmc.SteinKernelParams(alpha1=0.1, alpha2=alpha2)
@@ -89,32 +103,36 @@ def _kernel_cases(n, d=1, alpha2=1.0):
         "stein_kernel_matrix": lambda: cfmc.stein_kernel_matrix(
             data.points, data.scores, other.points, other.scores, params
         ),
-        "cf_split_estimate": lambda: cfmc.cf_split_estimate(
+        "cf_split_estimate_bound": lambda: cfmc.cf_split_estimate(
             data, plan, params, compute_discrepancy=True
         ),
+        "cf_weights": lambda: cfmc.cf_weights(data, plan, params),
         "cf_simplified_estimate": lambda: cfmc.cf_simplified_estimate(data, params),
     }
 
 
-def _gram_inplace_cases(n):
-    return {
-        f"{name}_d{d}": call
-        for d in (1, 3)
-        for name, call in _kernel_cases(n, d).items()
-        if name != "cf_simplified_estimate"
-    }
-
-
-def _gram_exact_cases(n):
-    cases = {
-        f"{name}_d{d}_a2={alpha2}": call
-        for d in (1, 3)
-        for alpha2 in (1.0, 1.5)
-        for name, call in _kernel_cases(n, d, alpha2).items()
-        if name in ("gram_matrix", "stein_kernel_matrix")
-    }
-    if n == 2000:
-        cases["cf_split_estimate_bound"] = _kernel_cases(n)["cf_split_estimate"]
+def _assembly_cases(n):
+    cases = {}
+    for d in (1, 3):
+        for alpha2, suffix in ((1.0, ""), (1.5, "_a2=1.5")):
+            calls = _kernel_calls(d, n, alpha2)
+            for name in ("gram_matrix", "stein_kernel_matrix"):
+                cases[f"{name}_d{d}{suffix}"] = calls[name]
+        if n > 500:  # the sizes of the bench cells whose kernels share a pass
+            continue
+        cfmc, data, _ = _problem(d, n)
+        grid = [cfmc.SteinKernelParams(a1, a2) for a1, a2 in CV_GRID]
+        x, u = data.points, data.scores
+        # A source before the shared pass assembles one kernel per call.
+        shared = "kernels" in inspect.signature(cfmc.kernel._assemble).parameters
+        for k in (2, 4):
+            kernels = grid[:k]
+            singles = lambda ks=kernels, data=data: [cfmc.gram_matrix(data, p) for p in ks]  # noqa: E731
+            cases[f"grams_K{k}_d{d}"] = (
+                (lambda ks=kernels, x=x, u=u: cfmc.kernel._assemble(x, u, x, u, ks, True))
+                if shared else singles
+            )
+            cases[f"gram_matrix_x{k}_d{d}"] = singles
     return cases
 
 
@@ -126,32 +144,6 @@ def _digest(result):
     if isinstance(result, np.ndarray):
         return hashlib.sha256(result.tobytes()).hexdigest()
     return repr(result)
-
-
-def _gram_kernels_cases(n):
-    # The one-kernel calls first, before any call of several kernels at n.
-    cases = {}
-    if n >= 100:
-        for d in (1, 3):
-            for name, call in _kernel_cases(n, d).items():
-                if name in ("gram_matrix", "stein_kernel_matrix"):
-                    cases[f"{name}_d{d}"] = call
-    if n <= 500:
-        for d in (1, 3):
-            cfmc, data, _ = _problem(d, n)
-            grid = [cfmc.SteinKernelParams(a1, a2) for a1, a2 in CV_GRID]
-            x, u = data.points, data.scores
-            # A source before the shared pass assembles one kernel per call.
-            shared = "kernels" in inspect.signature(cfmc.kernel._assemble).parameters
-            for k in (2, 4):
-                kernels = grid[:k]
-                singles = lambda ks=kernels, data=data: [cfmc.gram_matrix(data, p) for p in ks]  # noqa: E731
-                cases[f"grams_K{k}_d{d}"] = (
-                    (lambda ks=kernels, x=x, u=u: cfmc.kernel._assemble(x, u, x, u, ks, True))
-                    if shared else singles
-                )
-                cases[f"gram_matrix_x{k}_d{d}"] = singles
-    return cases
 
 
 @contextlib.contextmanager
@@ -170,58 +162,36 @@ def _gates(estimator, **sizes):
 
 def _lambda_select_cases(m):
     cfmc, data, _ = _problem(1, m)
-    _, data3, _ = _problem(3, m)
-    _, pair, _ = _problem(1, 2 * m)
     chain = metropolis_problem().dataset(np.random.default_rng(m), m)
     params = cfmc.SteinKernelParams(alpha1=0.1, alpha2=1.0)
-    k0, k0_d3 = cfmc.gram_matrix(data, params), cfmc.gram_matrix(data3, params)
-    k0_mcmc = cfmc.gram_matrix(chain, params)
-    plan = cfmc.random_split(2 * m, m, 0)
+    grams = {name: cfmc.gram_matrix(sample, params)
+             for name, sample in (("d1", data), ("d3", _problem(3, m)[1]), ("mcmc_d3", chain))}
+    search = cfmc.estimator._lambda_search
 
-    def select_guarded():
+    def guarded():
         with _gates(cfmc.estimator, _GUARDED_MIN_SIZE=0):
-            return cfmc.select_lambda(k0)
+            return search(grams["d1"])
 
-    return {
-        "select_lambda": lambda: cfmc.select_lambda(k0),
-        "select_lambda_d3": lambda: cfmc.select_lambda(k0_d3),
-        "select_lambda_mcmc_d3": lambda: cfmc.select_lambda(k0_mcmc),
-        "select_lambda_guarded_at_every_size": select_guarded,
-        "cf_split_estimate": lambda: cfmc.cf_split_estimate(
-            pair, plan, params, compute_discrepancy=True
-        ),
-        "cf_simplified_estimate": lambda: cfmc.cf_simplified_estimate(data, params),
-    }
-
-
-def _lambda_pivoted_cases(m):
-    cfmc, data, _ = _problem(1, m)
-    params = cfmc.SteinKernelParams(alpha1=0.1, alpha2=1.0)
-    grams = {"select_lambda": cfmc.gram_matrix(data, params)}
-    if m in (200, 500):
-        chain = metropolis_problem().dataset(np.random.default_rng(m), m)
-        grams["select_lambda_d3"] = cfmc.gram_matrix(_problem(3, m)[1], params)
-        grams["select_lambda_mcmc_d3"] = cfmc.gram_matrix(chain, params)
-    cases = {name: (lambda k0=k0: cfmc.select_lambda(k0)) for name, k0 in grams.items()}
-    if m == 1000:
-        _, pair, _ = _problem(1, 2 * m)
-        plan = cfmc.random_split(2 * m, m, 0)
-        cases["cf_split_estimate_bound"] = lambda: cfmc.cf_split_estimate(
-            pair, plan, params, compute_discrepancy=True
-        )
+    cases = {f"lambda_search_{name}": (lambda k0=k0: search(k0)) for name, k0 in grams.items()}
+    if m < 200:  # from m = 200 on, the rule is guarded anyway
+        cases["lambda_search_guarded_d1"] = guarded
     return cases
 
 
-def _lambda_one_test_cases(m):
-    cfmc, data, _ = _problem(1, m)
-    params = cfmc.SteinKernelParams(alpha1=0.1, alpha2=1.0)
-    grams = {"lambda_search": cfmc.gram_matrix(data, params)}
-    if m != 250:
-        chain = metropolis_problem().dataset(np.random.default_rng(m), m)
-        grams["lambda_search_d3"] = cfmc.gram_matrix(_problem(3, m)[1], params)
-        grams["lambda_search_mcmc_d3"] = cfmc.gram_matrix(chain, params)
-    search = cfmc.estimator._lambda_search
-    return {name: (lambda k0=k0: search(k0)) for name, k0 in grams.items()}
+def _fit_solve_cases(n):
+    cases = {}
+    if n <= 1000:
+        cfmc, data, _ = _problem(1, n)
+        k0 = cfmc.gram_matrix(data, cfmc.SteinKernelParams(alpha1=0.1, alpha2=1.0))
+        fit = cfmc.estimator._fit_coefficients
+        lam = fit(k0, None).lam
+        cases["fit_coefficients_auto"] = lambda: fit(k0, None).surrogate(data.f_values)
+        cases["fit_coefficients_explicit"] = lambda: fit(k0, lam).surrogate(data.f_values)
+    for d in (1, 3):
+        calls = _kernel_calls(d, n)
+        for name in ("cf_split_estimate_bound", "cf_weights", "cf_simplified_estimate"):
+            cases[f"{name}_d{d}"] = calls[name]
+    return cases
 
 
 def _study(workload, n_grid, replications, seed, problem=None):
@@ -234,63 +204,31 @@ def _study(workload, n_grid, replications, seed, problem=None):
     return lambda: cfmc.bench.run_experiment(config, problem=problem)
 
 
-def _gram_cache_cases(n):
-    cases = {}
-    if n <= 500:
-        cases["study_d1_cell"] = _study(STUDY_D1, [n], 1, n)
-    if n <= 200:
-        cases["mcmc_cv_d3_cell"] = _study(MCMC_CV_D3, [n], 1, n, metropolis_problem())
-    if n == 2000:
-        cases["cf_split_estimate_bound"] = _kernel_cases(n)["cf_split_estimate"]
-    return cases
-
-
-def _gram_rows_cases(n):
+def _cell_cases(n):
     cases = {
         "lone_cf_split_cell": _study(LONE_SPLIT, [n], 1, n),
         "lone_cv_multisplit_cell": _study(LONE_CV_MULTISPLIT, [n], 1, n),
     }
-    cases.update(_gram_cache_cases(n))
+    if n <= 500:
+        cases["study_d1_cell"] = _study(STUDY_D1, [n], 1, n)
+    if n <= 200:
+        cases["mcmc_cv_d3_cell"] = _study(MCMC_CV_D3, [n], 1, n, metropolis_problem())
     return cases
 
 
-def _fit_solve_cases(m):
-    cfmc, data, _ = _problem(1, m)
-    k0 = cfmc.gram_matrix(data, cfmc.SteinKernelParams(alpha1=0.1, alpha2=1.0))
-    fit = cfmc.estimator._fit_coefficients
-    lam = fit(k0, None).lam
-    cases = {
-        "fit_coefficients_auto": lambda: fit(k0, None).surrogate(data.f_values),
-        "fit_coefficients_explicit": lambda: fit(k0, lam).surrogate(data.f_values),
-    }
-    if m == 100:
-        cases["study_d1_cell"] = _study(STUDY_D1, [m], 1, m)
-        cases["mcmc_cv_d3_cell"] = _study(MCMC_CV_D3, [m], 1, m, metropolis_problem())
-    return cases
-
-
-def _rows(study):
-    """(method, n, estimate, lambda) of every row of one run of ``study``."""
-    return [[r.method, r.n, r.estimate, r.lambda_used] for r in study().rows]
-
-
-def _mcmc_request_rows():
-    """The rows of one mcmc_cv_d3 request."""
-    return _rows(_study(
-        MCMC_CV_D3, MCMC_CV_D3["n_grid"], MCMC_CV_D3["replications"], 1, metropolis_problem()
-    ))
-
-
-def _study_d1_and_mcmc_request_rows():
-    """The rows of one study_d1 request, then of one mcmc_cv_d3 request."""
-    return _rows(_study(STUDY_D1, STUDY_D1["n_grid"], 10, 1)) + _mcmc_request_rows()
-
-
-def _gram_rows_request_rows():
-    """The rows of both lone-kernel studies over study_d1's grid, then of
-    one mcmc_cv_d3 request."""
-    lone = [_rows(_study(c, STUDY_D1["n_grid"], 2, 1)) for c in (LONE_SPLIT, LONE_CV_MULTISPLIT)]
-    return lone[0] + lone[1] + _mcmc_request_rows()
+def _request_rows():
+    """(method, n, estimate, lambda) of every row of both lone-kernel studies
+    over study_d1's grid, of one study_d1 request and of one mcmc_cv_d3
+    request."""
+    grid = STUDY_D1["n_grid"]
+    studies = (
+        _study(LONE_SPLIT, grid, 2, 1),
+        _study(LONE_CV_MULTISPLIT, grid, 2, 1),
+        _study(STUDY_D1, grid, STUDY_D1["replications"], 1),
+        _study(MCMC_CV_D3, MCMC_CV_D3["n_grid"], MCMC_CV_D3["replications"], 1,
+               metropolis_problem()),
+    )
+    return [[r.method, r.n, r.estimate, r.lambda_used] for study in studies for r in study().rows]
 
 
 def _bound_process(n):
@@ -310,33 +248,6 @@ def _cold_start_cases(n):
     if n == 200:
         cases["import_cfmc_cli"] = (sys.executable, "-c", IMPORT_PROBE)
     return cases
-
-
-SPLIT_MEMORY_NAMES = ("cf_split_estimate_bound", "cf_weights", "cf_simplified_estimate")
-
-
-def _split_memory_cases(n):
-    cases = {}
-    for d in (1, 3):
-        cfmc, data, _ = _problem(d, n)
-        params = cfmc.SteinKernelParams(alpha1=0.1, alpha2=1.0)
-        plan = cfmc.random_split(n, n // 2, 0)
-        calls = (
-            lambda data=data, plan=plan, params=params:
-                cfmc.cf_split_estimate(data, plan, params, compute_discrepancy=True),
-            lambda data=data, plan=plan, params=params: cfmc.cf_weights(data, plan, params),
-            lambda data=data, params=params: cfmc.cf_simplified_estimate(data, params),
-        )
-        cases.update((f"{name}_d{d}", call) for name, call in zip(SPLIT_MEMORY_NAMES, calls))
-    if n == 2000:
-        cases["cfmc_estimate_bound/2000"] = _bound_process(2000)
-    return cases
-
-
-def _assembly_scratch_cases(n):
-    if n == 2000:
-        return {"cfmc_estimate_bound/2000": _bound_process(2000)}
-    return {"mcmc_cv_d3_cell": _study(MCMC_CV_D3, [n], 1, n, metropolis_problem())}
 
 
 @contextlib.contextmanager
@@ -442,122 +353,15 @@ def _survey(spec) -> dict:
     return {"cases": list(names), "rows": rows}
 
 
+DEVIATION = (
+    "output_deviation: at master_seed 1, study_d1's grid with cf-split at alpha = (0.1, 1.0) "
+    "as its only method and again with a 4-split cf-multisplit cross-validated over CV_GRID "
+    "as its only method (two replications each), one study_d1 request and one mcmc_cv_d3 "
+    "request; the largest relative estimate deviation per n and method between the sides, "
+    "and whether every lambda is identical"
+)
+
 TOPICS = {
-    "assembly_scratch": {
-        "topic": "one Stein-Gram block scratch per thread, kept between assemblies",
-        "layer": "kernel: _assemble's block workspace (Stein-Gram assembly)",
-        "sizes": (25, 50, 100, 200, 2000),
-        "cases": _assembly_scratch_cases,
-        "deviation_rows": _mcmc_request_rows,
-        "method": (
-            "size = n; mcmc_cv_d3_cell (n <= 200): run_experiment of the benchmark's "
-            "mcmc_cv_d3 study on one cell of n rows (one replication, master_seed n): a "
-            "Metropolis chain targeting N(0, I_3) and cf-split, cf-simplified and a "
-            "4-split cf-multisplit, each cross-validated over the benchmark's four "
-            f"CV_GRID kernels.  cfmc_estimate_bound/2000: {BOUND_PROCESS}.  "
-            "output_deviation: one mcmc_cv_d3 request (master_seed 1), the largest "
-            "relative estimate deviation per n and method between the sides, and whether "
-            "every lambda is identical"
-        ),
-    },
-    "gram_kernels": {
-        "topic": "one Stein-Gram pass for all the kernels a cell shares: the kernel-free "
-                 "terms made once, not once per kernel",
-        "layer": "kernel: _assemble (Stein-Gram assembly), several kernels and one",
-        "sizes": (25, 50, 100, 200, 500, 1000, 2000),
-        "cases": _gram_kernels_cases,
-        "deviation_rows": _mcmc_request_rows,
-        "method": (
-            "standard Gaussian sample with scores -x, in d = 1 (_d1) and d = 3 (_d3); "
-            "size = n; the kernels are the benchmark's CV_GRID, (0.1, 1.0), (0.1, 2.0), "
-            "(0.1, 0.5) and (0.05, 1.5), of which K = 2 takes the first two.  "
-            "grams_K<K>: the K Grams by one kernel._assemble call on a source that "
-            "takes a sequence of kernels, and by K gram_matrix calls on one that does "
-            "not; gram_matrix_x<K>: K gram_matrix calls on both sides.  gram_matrix and "
-            "stein_kernel_matrix: one kernel, alpha = (0.1, 1.0), at n >= 100; "
-            "stein_kernel_matrix between two independent n-point samples.  "
-            "output_deviation: one mcmc_cv_d3 request (master_seed 1), the largest "
-            "relative estimate deviation per n and method between the sides, and whether "
-            "every lambda is identical"
-        ),
-    },
-    "gram_blocks": {
-        "topic": "Stein-kernel Gram assembly in cache-sized row blocks",
-        "layer": "kernel: gram_matrix / stein_kernel_matrix (Stein-Gram assembly)",
-        "sizes": (20, 50, 200, 500, 1000, 2000),
-        "cases": _kernel_cases,
-        "method": (
-            f"d = 1 {SAMPLE}; size = n; stein_kernel_matrix between two independent "
-            "n-point samples; cf_split_estimate with m = n/2 and compute_discrepancy=True"
-        ),
-    },
-    "gram_inplace": {
-        "topic": "Stein-kernel blocks evaluated in place in one reused workspace",
-        "layer": "kernel: gram_matrix / stein_kernel_matrix (Stein-Gram assembly)",
-        "sizes": (10, 25, 50, 100, 150, 200, 500, 1000, 2000),
-        "cases": _gram_inplace_cases,
-        "method": (
-            f"{SAMPLE}, in d = 1 (suffix _d1) and d = 3 (_d3); size = n; "
-            "stein_kernel_matrix between two independent n-point samples; "
-            "cf_split_estimate with m = n/2 and compute_discrepancy=True"
-        ),
-    },
-    "gram_cache": {
-        "topic": "one Stein Gram per (cell, kernel); every estimator and CV block a slice of it",
-        "layer": "kernel and estimator: Stein-Gram assembly, shared across the methods of a cell",
-        "sizes": (100, 200, 500, 2000),
-        "cases": _gram_cache_cases,
-        "deviation_rows": _mcmc_request_rows,
-        "method": (
-            "size = n; study_d1_cell: run_experiment of the benchmark's study_d1 config "
-            "(mean, zv1, zv2, riemann, cf-split, cf-simplified at alpha = (0.1, 1.0)) on "
-            "one cell, n_grid [n], one replication, master_seed n; mcmc_cv_d3_cell: the "
-            "same for its mcmc_cv_d3 config (Metropolis N(0, I_3) sample, cf-simplified "
-            "and 4-split cf-multisplit, both cross-validated over four kernels); "
-            f"cf_split_estimate_bound: the d = 1 {SAMPLE}, m = n/2, compute_discrepancy="
-            "True.  output_deviation: one whole mcmc_cv_d3 request (master_seed 1), the "
-            "largest relative estimate deviation per n and method between the sides, and "
-            "whether every lambda is identical"
-        ),
-    },
-    "gram_rows": {
-        "topic": "one kernel-block path: a Gram-rows view and one _block function",
-        "layer": "estimator: kernel blocks of cells that share no kernel, and of shared cells",
-        "sizes": (100, 200, 500, 1000),
-        "cases": _gram_rows_cases,
-        "deviation_rows": _gram_rows_request_rows,
-        "method": (
-            "size = n; lone_cf_split_cell: run_experiment of the benchmark's study_d1 "
-            "config with cf-split at alpha = (0.1, 1.0) as its only method, on one cell, "
-            "n_grid [n], one replication, master_seed n; lone_cv_multisplit_cell: the "
-            "same with a 4-split cf-multisplit cross-validated over the benchmark's four "
-            "kernels as its only method; study_d1_cell and mcmc_cv_d3_cell as in "
-            "BENCH_gram_cache.json.  output_deviation: both lone studies over study_d1's "
-            "n_grid with two replications (master_seed 1), then one whole mcmc_cv_d3 "
-            "request (master_seed 1); the largest relative estimate deviation per n and "
-            "method between the sides, and whether every lambda is identical"
-        ),
-    },
-    "fit_solve": {
-        "topic": "the per-fit cost of a kernel fit: its finiteness check, lambda rule, "
-                 "Cholesky factor and solves, alone and in the cells that make many fits",
-        "layer": "estimator: the kernel fit (_fit_coefficients), Cholesky and triangular solves",
-        "sizes": (12, 25, 50, 100, 250, 1000),
-        "cases": _fit_solve_cases,
-        "deviation_rows": _mcmc_request_rows,
-        "method": (
-            f"{SAMPLE}; size = m, the kernel system's size; fit_coefficients_auto: "
-            "estimator._fit_coefficients and the fit's surrogate solve on the "
-            "precomputed m x m Gram of a d = 1 sample with lambda chosen by the rule "
-            "(finiteness check, lambda selection, one factorisation, two solves); "
-            "fit_coefficients_explicit: the same with that "
-            "lambda given (check, factorisation, two solves); at m = 100, study_d1_cell "
-            "and mcmc_cv_d3_cell as in BENCH_gram_cache.json.  output_deviation: one "
-            "whole mcmc_cv_d3 request (master_seed 1), the largest relative estimate "
-            "deviation per n and method between the sides, and whether every lambda is "
-            "identical"
-        ),
-    },
     "cold_start": {
         "topic": "cold start: cfmc imports at module level only what every run uses",
         "layer": "process start-up: import cfmc, cfmc.cli and one cfmc estimate --bound",
@@ -569,89 +373,75 @@ TOPICS = {
             f"loaded, is its result.  cfmc_estimate_bound/n: {BOUND_PROCESS}"
         ),
     },
-    "gram_exact_passes": {
-        "topic": "Stein-Gram blocks without the passes IEEE arithmetic makes redundant",
-        "layer": "kernel: gram_matrix / stein_kernel_matrix (Stein-Gram assembly)",
-        "sizes": (200, 500, 1000, 2000),
-        "cases": _gram_exact_cases,
-        "deviation_rows": _study_d1_and_mcmc_request_rows,
+    "assembly": {
+        "topic": "Stein-Gram assembly: one kernel's Gram and cross block, and the Grams of "
+                 "several kernels in one pass",
+        "layer": "kernel: gram_matrix, stein_kernel_matrix and _assemble (Stein-Gram assembly)",
+        "sizes": (10, 20, 25, 50, 100, 150, 200, 500, 1000, 2000),
+        "cases": _assembly_cases,
+        "deviation_rows": _request_rows,
         "method": (
-            "standard Gaussian sample with f = sin(pi x), alpha1 = 0.1, automatic lambda, "
-            "in d = 1 (_d1) and d = 3 (_d3), at alpha2 = 1.0 (a power of two: no "
-            "division pass, or a multiply) and 1.5 (divisions kept); size = n; "
-            "stein_kernel_matrix between two independent n-point samples; "
-            "cf_split_estimate_bound: d = 1, alpha2 = 1.0, m = n/2, compute_discrepancy="
-            "True.  output_deviation: one study_d1 request (10 replications) and one "
-            "mcmc_cv_d3 request (master_seed 1), the largest relative estimate "
-            "deviation per n and method between the sides, and whether every lambda "
-            "is identical"
-        ),
-    },
-    "lambda_pivoted": {
-        "topic": "lambda selection: the top eigenvalue and the accept tests' proof from one "
-                 "pivoted Cholesky factor",
-        "layer": "estimator: select_lambda (regularisation choice)",
-        "sizes": (200, 250, 500, 1000),
-        "cases": _lambda_pivoted_cases,
-        "deviation_rows": _study_d1_and_mcmc_request_rows,
-        "method": (
-            f"{SAMPLE}; size = m, the kernel system's size; select_lambda on the "
-            "precomputed m x m Gram of a d = 1 sample (select_lambda_d3: of a d = 3 "
-            "sample; select_lambda_mcmc_d3: of an m-step Metropolis chain targeting "
-            "N(0, I_3), step 1.0, as in the benchmark's mcmc_cv_d3); "
-            "cf_split_estimate_bound: cf_split_estimate on n = 2m points with a random "
-            "m-point fitting set and compute_discrepancy=True.  output_deviation: one "
-            "study_d1 request (10 replications) and one mcmc_cv_d3 request (master_seed "
-            "1), the largest relative estimate deviation per n and method between the "
-            "sides, and whether every lambda is identical"
-        ),
-    },
-    "lambda_one_test": {
-        "topic": "lambda selection: one test of lambda_min(K0) > tau, answered by the "
-                 "pivoted factor's bounds where they can, for accept and reject tests alike",
-        "layer": "estimator: select_lambda (regularisation choice)",
-        "sizes": (200, 250, 500, 1000),
-        "cases": _lambda_one_test_cases,
-        "deviation_rows": _study_d1_and_mcmc_request_rows,
-        "method": (
-            f"{SAMPLE}; size = m, the kernel system's size; lambda_search: "
-            "estimator._lambda_search (select_lambda without its input checks) on the "
-            "precomputed m x m Gram of a d = 1 sample (lambda_search_d3: of a d = 3 "
-            "sample; lambda_search_mcmc_d3: of an m-step Metropolis chain targeting "
-            "N(0, I_3), step 1.0, as in the benchmark's mcmc_cv_d3).  output_deviation: "
-            "one study_d1 request (10 replications) and one mcmc_cv_d3 request "
-            "(master_seed 1), the largest relative estimate deviation per n and method "
-            "between the sides, and whether every lambda is identical"
-        ),
-    },
-    "split_memory": {
-        "topic": "each kernel fit holds at most two m x m matrices: K0 let go after the "
-                 "fit, K10 and K1 assembled after it",
-        "layer": "estimator: the working set of the kernel fit and the split estimators",
-        "sizes": (500, 2000, 4000),
-        "cases": _split_memory_cases,
-        "method": (
-            f"{SAMPLE}, in d = 1 (suffix _d1) and d = 3 (_d3); size = n; "
-            "cf_split_estimate_bound: cf_split_estimate with a random m = n/2 fitting "
-            "set and compute_discrepancy=True; cf_weights: the same split's weights; "
-            "cf_simplified_estimate: m = n.  An m x m float64 matrix takes 8m^2 bytes.  "
-            f"cfmc_estimate_bound/2000: {BOUND_PROCESS}"
+            f"{SAMPLE}; size = n; alpha2 = 1.0 (a power of two: no division pass) unless the "
+            "name ends in _a2=1.5 (divisions kept); stein_kernel_matrix between the sample "
+            "and a second n-row draw.  At n <= 500, over the benchmark's CV_GRID kernels, "
+            "(0.1, 1.0), (0.1, 2.0), (0.1, 0.5) and (0.05, 1.5), of which K = 2 takes the "
+            "first two: grams_K<K>, the K Grams by one kernel._assemble call on a source "
+            "that takes a sequence of kernels and by K gram_matrix calls on one that does "
+            f"not; gram_matrix_x<K>, K gram_matrix calls on both sides.  {DEVIATION}"
         ),
     },
     "lambda_select": {
-        "topic": "lambda selection: guarded Cholesky tests and the top eigenvalue they start from",
-        "layer": "estimator: select_lambda (regularisation choice)",
+        "topic": "lambda selection: the rule on a precomputed Gram",
+        "layer": "estimator: _lambda_search, select_lambda without its input checks "
+                 "(regularisation choice)",
         "sizes": (100, 150, 200, 250, 500, 1000, 2000),
         "cases": _lambda_select_cases,
+        "deviation_rows": _request_rows,
         "method": (
-            f"{SAMPLE}; size = m, the kernel system's size; select_lambda on the "
-            "precomputed m x m Gram of a d = 1 sample (select_lambda_d3: of a d = 3 "
-            "sample; select_lambda_mcmc_d3: of an m-step Metropolis chain targeting "
-            "N(0, I_3), step 1.0, with repeated states, as in the benchmark's "
-            "mcmc_cv_d3; select_lambda_guarded_at_every_size: d = 1 with the guarded "
-            "cutoff set to 0 where the source has one, so before is always eigvalsh); "
-            "cf_split_estimate on n = 2m points with a random m-point fitting set and "
-            "compute_discrepancy=True; cf_simplified_estimate on n = m points"
+            f"{SAMPLE}; size = m, the kernel system's size; estimator._lambda_search on "
+            "the m x m Gram of the d = 1 sample (lambda_search_d1), of the d = 3 sample "
+            "(lambda_search_d3) and of an m-step Metropolis chain targeting N(0, I_3), "
+            "step 1.0, with repeated states, as in the benchmark's mcmc_cv_d3 "
+            "(lambda_search_mcmc_d3); lambda_search_guarded_d1, at m < 200: d = 1 with the "
+            f"guarded cutoff set to 0 where the source has one.  {DEVIATION}"
+        ),
+    },
+    "fit_solve": {
+        "topic": "the kernel fit (finiteness check, lambda rule, Cholesky factor, solves) "
+                 "and the working set of the split estimators around it",
+        "layer": "estimator: _fit_coefficients, Cholesky and triangular solves, "
+                 "cf_split_estimate, cf_weights and cf_simplified_estimate",
+        "sizes": (10, 12, 20, 25, 50, 100, 150, 200, 250, 300, 400, 500, 1000, 2000, 4000),
+        "cases": _fit_solve_cases,
+        "deviation_rows": _request_rows,
+        "method": (
+            f"{SAMPLE}; size = n.  At n <= 1000, fit_coefficients_auto: "
+            "estimator._fit_coefficients and the fit's surrogate solve on the precomputed "
+            "n x n Gram of the d = 1 sample, lambda chosen by the rule; "
+            "fit_coefficients_explicit: the same with that lambda given.  "
+            "cf_split_estimate_bound: cf_split_estimate with a random m = n/2 fitting set "
+            "and compute_discrepancy=True; cf_weights: the same split's weights; "
+            "cf_simplified_estimate: m = n.  An m x m float64 matrix takes 8m^2 bytes.  "
+            f"{DEVIATION}"
+        ),
+    },
+    "cell": {
+        "topic": "one bench cell: the Grams and kernel blocks its methods share, and the "
+                 "scratch they reuse",
+        "layer": "bench, estimator and kernel: run_experiment on one cell",
+        "sizes": (25, 50, 100, 200, 500, 1000),
+        "cases": _cell_cases,
+        "deviation_rows": _request_rows,
+        "method": (
+            "size = n; run_experiment of a benchmark study on one cell, n_grid [n], one "
+            "replication, master_seed n.  study_d1_cell (n <= 500): the study_d1 config "
+            "(mean, zv1, zv2, riemann, cf-split, cf-simplified at alpha = (0.1, 1.0)); "
+            "mcmc_cv_d3_cell (n <= 200): the mcmc_cv_d3 config (a Metropolis chain "
+            "targeting N(0, I_3); cf-simplified and a 4-split cf-multisplit, both "
+            "cross-validated over CV_GRID's four kernels); lone_cf_split_cell: study_d1 "
+            "with cf-split as its only method, so the cell shares no kernel; "
+            "lone_cv_multisplit_cell: study_d1 with the 4-split cross-validated "
+            f"cf-multisplit as its only method.  {DEVIATION}"
         ),
     },
 }

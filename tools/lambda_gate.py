@@ -28,7 +28,9 @@ json`` on each from both checkouts; the two outputs of each, which hold the
 discrepancy D and the bound radius, must be byte-identical.  On the d = 2
 file it also runs ``--output json`` for every method of ``METHOD_COMMANDS``
 (``mean``, ``zv1``, ``zv2``, ``cf-split``, ``cf-simplified`` and
-``cf-multisplit --splits 3``), whose two outputs must be byte-identical too.
+``cf-multisplit --splits 3``), and the last three again with ``--cv-grid`` on
+``CV_STUDY``'s first grid; the two outputs of each must be byte-identical
+too.
 
 Last it runs ``python -m cfmc diagnose`` with ``DIAGNOSE_COMMAND`` (the
 bimodal mixture, 200 draws) from both checkouts and requires byte-identical
@@ -103,11 +105,15 @@ BOUND_SAMPLES = ((400, 2), (2000, 1))
 BOUND_COMMAND = ("--method", "cf-split", "--bound", "--fnorm", "1", "--output", "json")
 # The per-method runs on the d = 2 sample file, which passes through the
 # CLI's flag judge and every estimator, the baselines too.
-METHOD_COMMANDS = tuple(
-    ("--method", *method, "--output", "json")
-    for method in (("mean",), ("zv1",), ("zv2",), ("cf-split",), ("cf-simplified",),
-                   ("cf-multisplit", "--splits", "3"))
-)
+METHODS = (("mean",), ("zv1",), ("zv2",), ("cf-split",), ("cf-simplified",),
+           ("cf-multisplit", "--splits", "3"))
+METHOD_COMMANDS = tuple(("--method", *method, "--output", "json") for method in METHODS)
+# The kernel methods, the last three, run once more with --cv-grid on the
+# d = 2 file.  On a plain sample, cross-validation assembles each
+# candidate's blocks one by one, and cf-multisplit then fits the chosen
+# kernel in a Gram-rows view of its own; no study runs either.  The grid is
+# CV_STUDY's first, written to CV_GRID_FILE in the temp directory.
+CV_GRID_FILE = "cv_grid.json"
 
 # The diagnose run: a d = 1 mixture, whose mean-element residuals integrate
 # its score by quadrature.
@@ -263,14 +269,18 @@ def main(argv=None) -> int:
             head = run_bench(HERE, config, out / study / "head")
             passed = check(study, base / "report.csv", head / "report.csv") and passed
             passed = check_json(study, base / "report.json", head / "report.json") and passed
+        grid = Path(tmp) / CV_GRID_FILE
+        grid.write_text(json.dumps(CV_STUDY["methods"][0]["cv_grid"]))
+        cv_commands = tuple(("--method", *method, "--cv-grid", str(grid), "--output", "json")
+                            for method in METHODS[3:])
         for rows, d in BOUND_SAMPLES:
             sample = Path(tmp) / f"bound_n{rows}_d{d}.csv"
             write_bound_sample(sample, rows, d)
-            commands = (BOUND_COMMAND, *METHOD_COMMANDS) if d == 2 else (BOUND_COMMAND,)
+            commands = (BOUND_COMMAND,) + (METHOD_COMMANDS + cv_commands if d == 2 else ())
             for command in commands:
                 outputs = [run_cfmc(checkout, ("estimate", str(sample), *command))
                            for checkout in (args.base.resolve(), HERE)]
-                label = f"{sample.stem} {' '.join(command[1:-2])}"
+                label = f"{sample.stem} {' '.join(command[1:-2]).replace(str(grid), CV_GRID_FILE)}"
                 passed = check_output(label, *outputs) and passed
         outputs = [run_cfmc(checkout, DIAGNOSE_COMMAND) for checkout in (args.base.resolve(), HERE)]
         passed = check_output(" ".join(DIAGNOSE_COMMAND), *outputs) and passed
